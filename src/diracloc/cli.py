@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import evolve_report
-from .observables import convolution_Rn, current, density, moments, overlap
+from .observables import convolution_Rn, moments, overlap
 from .quadrature import QuadratureError
 from .spinor import SPIN_DOWN, SPIN_UP
 from .states import (
@@ -47,6 +47,7 @@ from .transform import (
     RadialGrid,
     position_state_cartesian,
     radial_density,
+    radial_probability,
 )
 from .verify import DEFAULT_TOLERANCES, run_checks
 
@@ -209,14 +210,14 @@ def _profile(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _state(cfg: RunConfig, n: int, a=None, spin=None) -> MomentumState:
+def _state(cfg: RunConfig, profile, n: int, a=None, spin=None) -> MomentumState:
     label = LocalizationLabel(
         a=cfg.a if a is None else a,
         v=cfg.v_target,
         spin=cfg.spin if spin is None else spin,
         n=n,
     )
-    return MomentumState(label=label, profile=_profile(cfg))
+    return MomentumState(label=label, profile=profile)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -245,7 +246,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
         table.to_csv(out / name)
         summary["curves"][str(n)] = {
             "file": name,
-            "norm": table.total_probability(),
+            "norm": _radial_norm(profile, n, cfg.r_max, table),
             "rho_at_origin": table.value_at_origin(),
             "prob_inside_r1": table.probability_within(1.0),
             "delta_x": _table_delta_x(table),
@@ -254,6 +255,20 @@ def cmd_figure1(cfg: RunConfig) -> int:
     _write_json(out / "figure1_summary.json", summary)
     print(f"figure1: wrote {len(cfg.n_list)} curves and summary to {out}")
     return 0
+
+
+def _radial_norm(profile, n: int, r_max: float, table) -> float:
+    """Probability on [0, r_max] by Gauss-Legendre, plus the table's tail bound.
+
+    The state has width ~1/(n sigma_p), which the uniform output table
+    stops resolving once n sigma_p is large, so the norm is integrated on
+    its own nodes: a 64-node panel over the core and 128 nodes beyond it.
+    """
+    core = min(r_max, 10.0 / (n * profile.sigma_p))
+    inside = radial_probability(profile, n, 0.0, core, n_nodes=64)
+    if core < r_max:
+        inside += radial_probability(profile, n, core, r_max, n_nodes=128)
+    return inside + table.tail_estimate()
 
 
 def _table_delta_x(table) -> float:
@@ -285,15 +300,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    state = _state(cfg, cfg.n_list[0])
+    state = _state(cfg, _profile(cfg), cfg.n_list[0])
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
-    report, snapshots = evolve_report(state, grid, cfg.times, r0=cfg.r0)
+    report, fields = evolve_report(state, grid, cfg.times, r0=cfg.r0)
     _write_json(out / "evolution_report.json", report.as_dict())
     axis = grid.axis()
     centre = grid.n_points // 2
-    for t, ps in zip(report.times, snapshots):
-        rho = density(ps)
-        j = current(ps)
+    for t, snapshot in zip(report.times, fields):
+        rho, j = snapshot.rho, snapshot.j
         name = f"slice_t{t:g}.csv"
         with open(out / name, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -337,8 +351,9 @@ def cmd_moments(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     payload = {"grid": {"points": cfg.grid_points, "extent": cfg.grid_extent}, "moments": {}}
+    profile = _profile(cfg)
     for n in cfg.n_list:
-        ps = position_state_cartesian(_state(cfg, n), grid)
+        ps = position_state_cartesian(_state(cfg, profile, n), grid)
         payload["moments"][str(n)] = moments(ps).as_dict()
     _write_json(out / "moments.json", payload)
     print(f"moments: wrote {out / 'moments.json'}")
@@ -349,9 +364,10 @@ def cmd_overlap(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     spin2 = cfg.spin if cfg.overlap_spin2 is None else cfg.overlap_spin2
     payload = {"a": list(cfg.a), "a2": list(cfg.overlap_a2), "overlaps": {}}
+    profile = _profile(cfg)
     for n in cfg.n_list:
-        s1 = _state(cfg, n)
-        s2 = _state(cfg, n, a=cfg.overlap_a2, spin=spin2)
+        s1 = _state(cfg, profile, n)
+        s2 = _state(cfg, profile, n, a=cfg.overlap_a2, spin=spin2)
         value = overlap(s1, s2)
         payload["overlaps"][str(n)] = {
             "re": value.real,

@@ -6,6 +6,9 @@ pointwise and no time-stepping error enters.  Position-space snapshots
 are obtained by transforming the evolved state; causality is probed by
 the pointwise bound |j| <= rho and by light-cone leakage, i.e. the
 probability found outside a sphere expanding at the speed of light.
+Each snapshot costs one transform and one (rho, j) pass: the moments,
+the causality margin and the leakage all read the same field, and only
+that field, not the spinor samples, is kept per time.
 
 The nonrelativistic block mirrors the same story for a spinless
 Schrodinger particle (m = hbar = 1): Gaussian packets
@@ -24,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .observables import FourVectorDensity, causality_margin, density, moments
+from .observables import FourVectorDensity, causality_margin, moments
 from .states import MomentumState
-from .transform import CartesianGrid, PositionState, position_state_cartesian
+from .transform import CartesianGrid, position_state_cartesian
 
 LEAKAGE_GRID_BOUND = 1e-3  # discretization allowance at the default 64 x 16 grid
 
@@ -87,19 +90,20 @@ class EvolutionReport:
 
 def evolve_report(
     state: MomentumState, grid: CartesianGrid, times, r0: float = 3.0
-) -> tuple[EvolutionReport, list[PositionState]]:
-    """Evolve, transform and collect diagnostics at each requested time."""
+) -> tuple[EvolutionReport, list[FourVectorDensity]]:
+    """Evolve, transform and collect diagnostics at each requested time.
+
+    Returns the report and the (rho, j) field of every snapshot; the
+    spinor samples are dropped once their field has been computed.
+    """
     report = EvolutionReport(r0=r0)
-    snapshots = []
-    rho0 = None
+    fields = []
     for t in times:
         evolved = evolve_free(state, float(t))
         ps = position_state_cartesian(evolved, grid)
-        rho = density(ps)
-        if rho0 is None:
-            rho0 = rho
-        mom = moments(ps)
         fvd = FourVectorDensity.from_position_state(ps)
+        mom = moments(ps, fvd)
+        rho0 = fields[0].rho if fields else fvd.rho
         report.times.append(float(t))
         report.momentum_norms.append(evolved.norm())
         report.grid_norms.append(ps.norm)
@@ -107,9 +111,10 @@ def evolve_report(
         report.delta_x.append(mom.delta_x)
         report.mean_velocity.append([float(c) for c in mom.mean_velocity])
         report.causality_margins.append(causality_margin(fvd))
-        report.leakages.append(lightcone_leakage(rho0, rho, grid, r0, float(t)))
-        snapshots.append(ps)
-    return report, snapshots
+        report.leakages.append(lightcone_leakage(rho0, fvd.rho, grid, r0, float(t)))
+        fields.append(fvd)
+        del ps  # free psi before the next transform allocates its own
+    return report, fields
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Two routes:
   the fast path used for the localized-density curves.
 
 * ``position_state_cartesian``: a brute-force componentwise 3-D inverse
-  FFT of phi sampled on the reciprocal grid.  It serves as the
-  independent oracle for the radial path and as the only path for
+  FFT of phi sampled on the reciprocal grid, done in place on the
+  freshly sampled array with every core (``scipy.fft``).  It serves as
+  the independent oracle for the radial path and as the only path for
   states without radial symmetry.
 
 Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
@@ -29,6 +30,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from scipy.ndimage import map_coordinates
 
 from .quadrature import gauss_legendre
@@ -180,7 +182,8 @@ def position_state_cartesian(
     sign = np.where(np.rint(np.fft.fftfreq(n) * n).astype(int) % 2 == 0, 1.0, -1.0)
     phi = state.spinor(p[:, None, None], p[None, :, None], p[None, None, :])
     phi *= sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
-    psi = np.fft.ifftn(phi, axes=(1, 2, 3))
+    # phi is local to this call, so the transform may overwrite it
+    psi = scipy.fft.ifftn(phi, axes=(1, 2, 3), overwrite_x=True, workers=-1)
     psi *= (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
     return PositionState(grid=grid, psi=psi, label=state.label, time=state.time)
 

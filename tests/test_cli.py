@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import diracloc.cli as cli
 from diracloc.cli import main
+from diracloc.dynamics import evolve_free
+from diracloc.observables import current, density
+from diracloc.states import make_state
+from diracloc.transform import CartesianGrid, position_state_cartesian
 
 
 def run(args):
@@ -66,6 +71,15 @@ class TestFigure1:
         assert (out_a / "figure1_summary.json").read_bytes() == (
             out_b / "figure1_summary.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("n, sigma_p", [(46, 1.135), (64, 2.0)])
+    def test_norm_resolved_at_large_n_sigma(self, tmp_path, n, sigma_p):
+        # the state's width 1/(n sigma_p) is far below the 0.01 table spacing
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[profile]\nsigma_p = {sigma_p}\n")
+        assert run(["figure1", "--config", str(cfg), "--out", str(tmp_path), "--n", str(n)]) == 0
+        norm = read_json(tmp_path / "figure1_summary.json")["curves"][str(n)]["norm"]
+        assert abs(norm - 1.0) <= 1e-10
 
     def test_empty_n_list_is_config_error(self, tmp_path):
         assert run(["figure1", "--out", str(tmp_path), "--n", ""]) == 2
@@ -126,6 +140,19 @@ class TestEvolve:
             header = next(csv.reader(handle))
         assert header == ["x1", "rho", "j1", "j2", "j3"]
 
+    def test_slices_match_fresh_fields(self, tmp_path):
+        cfg = self._times_config(tmp_path, "0 0.5")
+        assert run(["evolve", "--out", str(tmp_path), "--n", "3", "--grid", "64,16",
+                    "--config", str(cfg)]) == 0
+        grid = CartesianGrid(64, 16.0)
+        c = grid.n_points // 2
+        for t in (0.0, 0.5):
+            ps = position_state_cartesian(evolve_free(make_state(n=3), t), grid)
+            rho, j = density(ps), current(ps)
+            expected = np.column_stack([grid.axis(), rho[:, c, c], j[:, :, c, c].T])
+            rows = np.loadtxt(tmp_path / f"slice_t{t:g}.csv", delimiter=",", skiprows=1)
+            assert np.abs(rows - expected).max() <= 1e-14 * rho.max()
+
     def test_nyquist_violation_is_config_error(self, tmp_path):
         cfg = self._times_config(tmp_path, "0")
         assert run(
@@ -152,6 +179,22 @@ class TestMomentsCommand:
 
 
 class TestOverlapCommand:
+    def test_profile_built_once(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.boosted_gaussian_profile
+
+        def counted(v_target, sigma_p):
+            built.append(v_target)
+            return real(v_target, sigma_p)
+
+        monkeypatch.setattr(cli, "boosted_gaussian_profile", counted)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.4\n")
+        assert run(
+            ["overlap", "--out", str(tmp_path), "--n", "2,4", "--config", str(cfg)]
+        ) == 0
+        assert len(built) == 1
+
     def test_same_point_gives_ones(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[overlap]\na2 = 0 0 0\n")

@@ -18,7 +18,7 @@ from diracloc.dynamics import (
     nr_spectral_evolution,
     probability_outside,
 )
-from diracloc.observables import mean_velocity_two_ways, moments
+from diracloc.observables import FourVectorDensity, mean_velocity_two_ways, moments
 from diracloc.states import make_state
 from diracloc.transform import CartesianGrid, position_state_cartesian
 
@@ -72,6 +72,28 @@ class TestEvolutionReport:
         assert max(report.leakages) <= 1e-3
         assert report.delta_x[0] < report.delta_x[1] < report.delta_x[2]
         assert len(snaps) == 3
+
+    def test_one_field_pass_per_snapshot(self, monkeypatch):
+        import diracloc.observables as observables
+
+        calls = {"density_field": 0, "current": 0}
+
+        def counted(name):
+            func = getattr(observables, name)
+
+            def wrapper(ps):
+                calls[name] += 1
+                return func(ps)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(observables, name, counted(name))
+        times = (0.0, 0.5, 1.0)
+        _, fields = evolve_report(make_state(n=2), CartesianGrid(32, 16.0), times)
+        assert calls == {"density_field": len(times), "current": len(times)}
+        assert [f.time for f in fields] == list(times)
+        assert all(isinstance(f, FourVectorDensity) for f in fields)
 
     def test_report_serializes(self):
         import json

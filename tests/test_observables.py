@@ -17,7 +17,7 @@ from diracloc.observables import (
     position_mean_from_momentum,
 )
 from diracloc.quadrature import QuadratureError
-from diracloc.spinor import SPIN_DOWN, spin_eigenspinor
+from diracloc.spinor import ALPHA, SPIN_DOWN, spin_eigenspinor
 from diracloc.states import boosted_gaussian_profile, check_profile_conditions, make_state
 from diracloc.transform import (
     CartesianGrid,
@@ -36,6 +36,11 @@ def tiny_state(spinor_value, n_points=8, extent=4.0):
     return PositionState(grid=grid, psi=psi)
 
 
+def einsum_current(ps):
+    """Reference current: the full 4 x 4 contraction psi^dagger alpha_i psi."""
+    return np.einsum("a...,iab,b...->i...", ps.psi.conj(), ALPHA, ps.psi).real
+
+
 class TestDensityAndCurrent:
     def test_unit_sample_density(self):
         ps = tiny_state([1.0, 0.0, 0.0, 0.0])
@@ -45,8 +50,21 @@ class TestDensityAndCurrent:
         assert np.sum(rho) == 1.0
 
     def test_rest_spinor_carries_no_current(self):
-        ps = tiny_state([1.0, 0.0, 0.0, 0.0])
-        assert np.abs(current(ps)).max() == 0.0
+        for rest in ([1.0, 0.0, 0.0, 0.0], [0.0, 1j, 0.0, 0.0]):
+            assert np.abs(current(tiny_state(rest))).max() == 0.0
+
+    def test_closed_form_current_matches_einsum_on_random_psi(self):
+        rng = np.random.default_rng(20240601)
+        grid = CartesianGrid(16, 4.0)
+        shape = (4, 16, 16, 16)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ps = PositionState(grid=grid, psi=psi)
+        scale = density(ps).max()
+        assert np.abs(current(ps) - einsum_current(ps)).max() <= 1e-14 * scale
+
+    def test_closed_form_current_matches_einsum_on_state(self, ps5):
+        scale = density(ps5).max()
+        assert np.abs(current(ps5) - einsum_current(ps5)).max() <= 1e-14 * scale
 
     def test_constant_eigenspinor_current_ratio(self):
         # a pointwise eigenspinor sample has j/rho = p/E, the group velocity
@@ -72,6 +90,10 @@ class TestMoments:
         m = moments(ps5)
         assert np.abs(m.mean_x).max() <= 1e-6
         assert np.abs(m.mean_velocity).max() <= 1e-6
+
+    def test_precomputed_field_gives_same_moments(self, ps5):
+        field = FourVectorDensity.from_position_state(ps5)
+        assert moments(ps5, field).as_dict() == moments(ps5).as_dict()
 
     def test_translation_covariance(self):
         grid = CartesianGrid(64, 16.0)

@@ -161,6 +161,18 @@ class TestPositionState:
         with pytest.raises(GridError):
             position_state_cartesian(make_state(n=10), CartesianGrid(64, 16.0))
 
+    def test_matches_numpy_ifftn(self):
+        # reference: the same sampling followed by a copying numpy.fft.ifftn
+        state = make_state(a=(0.5, -1.0, 0.25), v=(0.2, 0.0, -0.4), n=3)
+        grid = CartesianGrid(64, 16.0)
+        n, p = grid.n_points, grid.p_axis()
+        sign = np.where(np.rint(np.fft.fftfreq(n) * n).astype(int) % 2 == 0, 1.0, -1.0)
+        phi = state.spinor(p[:, None, None], p[None, :, None], p[None, None, :])
+        phi *= sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
+        ref = np.fft.ifftn(phi, axes=(1, 2, 3)) * (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+        psi = position_state_cartesian(state, grid).psi
+        assert np.abs(psi - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_translation_is_circular_shift(self):
         grid = CartesianGrid(64, 16.0)
         rho0 = density_field(position_state_cartesian(make_state(n=2), grid))

@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import evolve_report
 from .observables import convolution_Rn, moments, overlap
 from .quadrature import QuadratureError
@@ -46,6 +44,7 @@ from .transform import (
     GridError,
     RadialGrid,
     position_state_cartesian,
+    radial_delta_x,
     radial_density,
     radial_probability,
 )
@@ -233,7 +232,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_figure1(cfg: RunConfig) -> int:
-    """Emit rho_n(r) CSV curves plus a table-derived summary JSON."""
+    """Emit rho_n(r) CSV curves plus a summary JSON.
+
+    ``rho_at_origin``, ``prob_inside_r1`` and ``tail_log_slope`` come from
+    the emitted table; ``norm`` and ``delta_x`` are integrated on their own
+    nodes, since the table stops resolving the state once n sigma_p is large.
+    """
     if any(cfg.a) or any(cfg.v_target) or cfg.profile_kind != "gaussian":
         raise ConfigError("figure1 requires the symmetric case: a = 0, v = 0, gaussian profile")
     out = _outdir(cfg)
@@ -249,7 +253,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
             "norm": _radial_norm(profile, n, cfg.r_max, table),
             "rho_at_origin": table.value_at_origin(),
             "prob_inside_r1": table.probability_within(1.0),
-            "delta_x": _table_delta_x(table),
+            "delta_x": radial_delta_x(profile, n),
             "tail_log_slope": table.fitted_log_slope(3.0, min(6.0, cfg.r_max)),
         }
     _write_json(out / "figure1_summary.json", summary)
@@ -269,14 +273,6 @@ def _radial_norm(profile, n: int, r_max: float, table) -> float:
     if core < r_max:
         inside += radial_probability(profile, n, core, r_max, n_nodes=128)
     return inside + table.tail_estimate()
-
-
-def _table_delta_x(table) -> float:
-    from scipy.integrate import simpson
-
-    r = table.grid.r
-    x2 = simpson(4.0 * np.pi * r**4 * table.rho, x=r)
-    return float(np.sqrt(x2 / table.total_probability()))
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -10,7 +10,12 @@ convolution
     R_n(p) = int conj(f(r - p/n)) f(r) u^dagger(n r - p) Q u(n r) d^3 r
 
 whose large-n limit (1 for Q = identity, v_i for Q = alpha_i) certifies
-that the density and current converge onto the labelled point.  The
+that the density and current converge onto the labelled point.  Its
+integrand is evaluated in closed form: the Gaussian factors fold into
+one exponential and u^dagger(q) Q u(s) reduces, through the Pauli
+algebra, to a few real products of E(q) + m, E(s) + m and the momentum
+components, so no spinor stacks are built; node doubling still
+certifies every value.  The
 mean velocity can be formed two ways, as the spinor bilinear of alpha
 or via the scalar weight p/E(p); the two coincide identically on
 positive-energy states and both are provided so the identity can be
@@ -42,7 +47,7 @@ from .quadrature import (
     spherical_rule,
     tensor_integrate,
 )
-from .spinor import ALPHA, I4, eigenspinor_components, energy_xyz
+from .spinor import ALPHA, I4, SPIN_DOWN, SPIN_UP, energy_xyz
 from .states import MomentumProfile, MomentumState
 from .transform import CartesianGrid, PositionState, density_field
 from .units import MASS
@@ -249,6 +254,65 @@ def _overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
     return tensor_integrate(integrand, rules)
 
 
+def _bilinear_numerator(q, s, eq_m, es_m, q_operator: str, sign: float):
+    """calE(q) calE(s) u(q)^dagger Q u(s) as (real, imaginary) arrays.
+
+    ``eq_m`` and ``es_m`` are E(q) + m and E(s) + m.  The eigenspinor is
+    u = (E + m, sigma.p) chi / calE with chi the spin-up or spin-down
+    Pauli spinor (``sign`` = +1 or -1), so sigma_i sigma_j = delta_ij +
+    i eps_ijk sigma_k and chi^dagger sigma chi = (0, 0, sign) give
+
+        identity: (E_q+m)(E_s+m) + q.s + sign i (q x s)_3
+        alpha_i:  (E_q+m)(s_i + sign i eps_ij3 s_j)
+                  + (E_s+m)(q_i + sign i eps_ji3 q_j)
+    """
+    if q_operator == "identity":
+        real = eq_m * es_m + q[0] * s[0] + q[1] * s[1] + q[2] * s[2]
+        return real, sign * (q[0] * s[1] - q[1] * s[0])
+    i = int(q_operator[-1]) - 1
+    real = eq_m * s[i] + es_m * q[i]
+    if i == 0:
+        return real, sign * (eq_m * s[1] - es_m * q[1])
+    if i == 1:
+        return real, sign * (es_m * q[0] - eq_m * s[0])
+    return real, 0.0
+
+
+def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
+    """The map rule -> R_n(p) on that rule, in closed form with real arithmetic.
+
+    The Gaussian factors conj(f(q/n)) f(s/n), q = s - p, fold into one
+    exponential, and the spinor bilinear is ``_bilinear_numerator`` over
+    calE(q) calE(s).
+    """
+    if q_operator not in Q_MATRICES:
+        raise ValueError(f"Q must be one of {sorted(Q_MATRICES)}, got {q_operator!r}")
+    if spin not in (SPIN_UP, SPIN_DOWN):
+        raise ValueError(f"spin label must be +0.5 or -0.5, got {spin!r}")
+    sign = 1.0 if spin == SPIN_UP else -1.0
+    p = np.asarray(p, dtype=float)
+    centre = n * np.asarray(profile.center, dtype=float)
+    width2 = 2.0 * (n * profile.sigma_p) ** 2
+    scale = abs(profile.amplitude) ** 2 / n**3
+
+    def evaluate(rule: SphericalRule) -> complex:
+        real_sum = imag_sum = 0.0
+        for block in rule.blocks():
+            s = (block.x, block.y, block.z)
+            q = tuple(s[k] - p[k] for k in range(3))
+            exponent = sum((q[k] - centre[k]) ** 2 + (s[k] - centre[k]) ** 2 for k in range(3))
+            eq, es = energy_xyz(*q), energy_xyz(*s)
+            eq_m, es_m = eq + MASS, es + MASS
+            weight = block.weights * np.exp(-exponent / width2)
+            weight /= np.sqrt(4.0 * eq * eq_m * es * es_m)
+            real, imag = _bilinear_numerator(q, s, eq_m, es_m, q_operator, sign)
+            real_sum += float(np.sum(weight * real))
+            imag_sum += float(np.sum(weight * imag))
+        return complex(scale * real_sum, scale * imag_sum)
+
+    return evaluate
+
+
 def convolution_Rn(
     profile: MomentumProfile,
     n: int,
@@ -262,27 +326,18 @@ def convolution_Rn(
 
     Evaluated in the rescaled variable s = n r, where the eigenspinor
     factors vary on the unit scale near the origin and the Gaussian
-    envelope is broad: a graded spherical rule handles both.  The result
-    is certified by node doubling; disagreement beyond ``tol`` raises
-    :class:`QuadratureError`.
+    envelope is broad: a graded spherical rule handles both.  The
+    integrand is the closed-form spinor bilinear (see
+    ``_bilinear_numerator``), not a 4 x 4 contraction of sampled
+    spinors.  The result is certified by node doubling; disagreement
+    beyond ``tol`` raises :class:`QuadratureError`.
     """
-    if q_operator not in Q_MATRICES:
-        raise ValueError(f"Q must be one of {sorted(Q_MATRICES)}, got {q_operator!r}")
-    qmat = Q_MATRICES[q_operator]
+    evaluate = _rn_integral(profile, n, p, q_operator, spin)
     p = np.asarray(p, dtype=float)
     p_norm = float(np.linalg.norm(p))
     inner = 2.0 * p_norm + 4.0
     s_max = n * profile.cutoff() + p_norm
     nr1, nr2, n_theta, n_phi = resolution
-
-    def evaluate(rule: SphericalRule) -> complex:
-        ua = eigenspinor_components(rule.x - p[0], rule.y - p[1], rule.z - p[2], spin)
-        ub = eigenspinor_components(rule.x, rule.y, rule.z, spin)
-        bilinear = np.einsum("am,ab,bm->m", ua.conj(), qmat, ub)
-        fa = profile((rule.x - p[0]) / n, (rule.y - p[1]) / n, (rule.z - p[2]) / n)
-        fb = profile(rule.x / n, rule.y / n, rule.z / n)
-        return complex(n**-3 * np.sum(rule.weights * np.conj(fa) * fb * bilinear))
-
     value, _ = node_doubling(
         evaluate,
         ((0.0, inner, s_max), (nr1, nr2), n_theta, n_phi),

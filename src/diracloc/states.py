@@ -8,9 +8,18 @@ where f is a normalized Gaussian momentum profile, u_spin the
 positive-energy eigenspinor of :mod:`diracloc.spinor`, ``a`` the target
 point and ``n`` the sequence index.  The profile carries the target
 mean velocity: a profile centred at the origin gives v = 0, and a
-profile shifted along ``v`` by a root-found amount kappa satisfies
+profile shifted along ``v`` by an amount kappa satisfies
 
     integral |f(p)|^2 p/|p| d^3p = v.
+
+For the Gaussian that mean flow has the closed form
+
+    mean_flow(m) = erf(m/sqrt 2)(1 - 1/m^2) + sqrt(2/pi) e^(-m^2/2)/m,
+    m = sqrt(2) kappa/sigma_p,
+
+(a power series below m = 0.25, where the two terms cancel), and kappa
+is root-found on it.  ``check_profile_conditions`` evaluates both
+defining integrals by quadrature; it is the oracle for the closed form.
 
 Profiles are restricted to Gaussians (plain and shifted); they satisfy
 the smoothness and decay demands of the construction with analytic
@@ -20,6 +29,7 @@ which fixes the momentum cutoff used by every quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,12 +131,32 @@ def gaussian_profile(sigma_p: float = 1.0) -> MomentumProfile:
     return MomentumProfile(sigma_p=float(sigma_p))
 
 
+# mean_flow(m) = sqrt(2/pi) sum_k c_k m^(2k+1) with c_0 = 2/3 and
+# c_k = -c_(k-1) (2k - 1) / (2k (2k + 3)); seven terms reach rounding
+# level below SERIES_BELOW, where the closed form loses ~eps/m^2.
+_MEAN_FLOW_SERIES = (2 / 3, -1 / 15, 1 / 140, -1 / 1512, 1 / 19008, -1 / 274560, 1 / 4492800)
+SERIES_BELOW = 0.25
+
+
+def mean_flow(m: float) -> float:
+    """Mean of p.k/(|p| |k|) under |f|^2 for a Gaussian shifted by m = sqrt(2) |k|/sigma_p."""
+    if m < SERIES_BELOW:
+        m2 = m * m
+        total = 0.0
+        for c in reversed(_MEAN_FLOW_SERIES):
+            total = total * m2 + c
+        return math.sqrt(2.0 / math.pi) * m * total
+    return math.erf(m / math.sqrt(2.0)) * (1.0 - 1.0 / (m * m)) + math.sqrt(
+        2.0 / math.pi
+    ) * math.exp(-0.5 * m * m) / m
+
+
 def boosted_gaussian_profile(v_target, sigma_p: float = 1.0) -> MomentumProfile:
     """Gaussian shifted along v_target so the mean flow direction equals it.
 
-    The shift kappa solves integral |f|^2 p/|p| d^3p = v_target by scalar
-    root finding; the integral is monotone in kappa, so the root is
-    unique.  Speeds above 0.99 are rejected (kappa diverges as |v| -> 1).
+    The shift kappa solves mean_flow(sqrt(2) kappa/sigma_p) = |v_target|;
+    the mean flow rises monotonically from 0 to 1, so the root is unique.
+    Speeds above 0.99 are rejected (kappa diverges as |v| -> 1).
     """
     v = np.asarray(v_target, dtype=float)
     speed = float(np.linalg.norm(v))
@@ -136,26 +166,10 @@ def boosted_gaussian_profile(v_target, sigma_p: float = 1.0) -> MomentumProfile:
         raise ProfileError(
             f"target speed {speed:.4f} exceeds {MAX_PROFILE_SPEED} (kappa diverges as |v| -> 1)"
         )
-    direction = v / speed
-
-    def mean_along(kappa: float) -> float:
-        prof = MomentumProfile(sigma_p=sigma_p, center=tuple(kappa * direction))
-        _, mean = check_profile_conditions(prof)
-        return float(mean @ direction)
-
-    hi = sigma_p
-    for _ in range(60):
-        if mean_along(hi) >= speed:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - unreachable below MAX_PROFILE_SPEED
-        raise ProfileError("could not bracket the profile shift")
-
-    try:
-        kappa = brentq(lambda k: mean_along(k) - speed, 0.0, hi, xtol=1e-10, maxiter=100)
-    except RuntimeError as exc:
-        raise ProfileError(f"profile shift root-finding failed: {exc}") from exc
-    return MomentumProfile(sigma_p=sigma_p, center=tuple(kappa * direction))
+    # mean_flow(64) = 1 - 1/64^2 > MAX_PROFILE_SPEED brackets every allowed speed
+    m = brentq(lambda x: mean_flow(x) - speed, 0.0, 64.0, xtol=1e-300, maxiter=200)
+    kappa = m * sigma_p / math.sqrt(2.0)
+    return MomentumProfile(sigma_p=sigma_p, center=tuple(kappa * (v / speed)))
 
 
 @dataclass(frozen=True)

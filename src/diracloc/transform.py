@@ -20,8 +20,13 @@ Two routes:
   states without radial symmetry.
 
 Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
-the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default;
-convergence is certified by node doubling in the tests.
+the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
+scipy's ``spherical_jn``; convergence is certified by node doubling in
+the tests.
+
+``radial_delta_x`` needs no transform at all: <x^2> = int |grad_p phi|^2
+d^3p reduces to a 1-D momentum integral with a closed-form spinor term,
+so the spread is exact over all space at any n.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 from scipy.ndimage import map_coordinates
+from scipy.special import spherical_jn
 
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, panel_rule
 from .spinor import energy_xyz
 from .states import MomentumProfile, MomentumState
 from .units import MASS
@@ -43,26 +49,6 @@ RADIAL_NODES = 2048
 
 class GridError(ValueError):
     """Grid cannot faithfully represent the requested state."""
-
-
-def spherical_j0(x):
-    """j0(x) = sin(x)/x with a series fallback below 1e-4 (avoids 0/0)."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.sin(safe) / safe
-    series = 1.0 - x * x / 6.0 + x**4 / 120.0
-    return np.where(small, series, out)
-
-
-def spherical_j1(x):
-    """j1(x) = sin(x)/x^2 - cos(x)/x with a series fallback below 1e-4."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.sin(safe) / safe**2 - np.cos(safe) / safe
-    series = x / 3.0 - x**3 / 30.0 + x**5 / 840.0
-    return np.where(small, series, out)
 
 
 @dataclass(frozen=True)
@@ -190,9 +176,8 @@ def position_state_cartesian(
 
 def _radial_transform(weights_p, p, kernel, order: int, r) -> np.ndarray:
     """sqrt(2/pi) int kernel(p) j_order(p r) p^2 dp for tabulated kernel values."""
-    bessel = spherical_j0 if order == 0 else spherical_j1
     x = np.multiply.outer(np.atleast_1d(r), p)
-    return np.sqrt(2.0 / np.pi) * (bessel(x) @ (weights_p * kernel * p * p))
+    return np.sqrt(2.0 / np.pi) * (spherical_jn(order, x) @ (weights_p * kernel * p * p))
 
 
 def radial_components(
@@ -305,12 +290,34 @@ def radial_probability(
     return float(np.sum(w * 4.0 * np.pi * r * r * rho))
 
 
-def radial_delta_x(profile: MomentumProfile, n: int, r_max: float = 40.0) -> float:
-    """Position spread sqrt(<x^2>) of the symmetric state via the radial path."""
-    r, w = gauss_legendre(4000, 0.0, r_max)
-    g0, g1 = radial_components(profile, n, r)
-    rho = np.abs(g0) ** 2 + np.abs(g1) ** 2
-    x2 = float(np.sum(w * 4.0 * np.pi * r**4 * rho))
+def radial_delta_x(profile: MomentumProfile, n: int) -> float:
+    """Position spread sqrt(<x^2>) of the symmetric state, over all space.
+
+    <x^2> = int |grad_p phi|^2 d^3p.  With phi = F(|p|) u(p) and a unit
+    eigenspinor (Re u^dagger d_k u = 0) the cross term drops, and
+    sum_k |d_k u|^2 = 1/(E (E + m)) + 1/(4 E^4) for either spin, so
+
+        <x^2> = 4 pi int p^2 (F'(p)^2 + F(p)^2 (1/(E(E+m)) + 1/(4E^4))) dp
+
+    with F'(p) = -p F(p) / (n sigma_p)^2 for the Gaussian.  The radial
+    rule is graded, panels [0, 1], [1, 4], [4, 16], ... up to the
+    envelope cutoff, so it resolves both the unit-scale spinor factor and
+    the envelope of width n sigma_p, whatever n is.
+    """
+    if not profile.is_symmetric:
+        raise ValueError("radial reduction requires a spherically symmetric profile")
+    p_max = n * profile.cutoff()
+    breaks, edge = [0.0], 1.0
+    while edge < p_max:
+        breaks.append(edge)
+        edge *= 4.0
+    breaks.append(p_max)
+    p, w = panel_rule(breaks, [48] * (len(breaks) - 1))
+    envelope2 = (n**-1.5 * profile(p / n, 0.0, 0.0)) ** 2
+    e = energy_xyz(p, 0.0, 0.0)
+    spin_term = 1.0 / (e * (e + MASS)) + 0.25 / e**4
+    envelope_term = (p / (n * profile.sigma_p) ** 2) ** 2
+    x2 = 4.0 * np.pi * np.sum(w * p * p * envelope2 * (envelope_term + spin_term))
     return float(np.sqrt(x2))
 
 

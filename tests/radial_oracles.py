@@ -1,0 +1,29 @@
+"""Position-space references for the momentum-space radial spread."""
+
+import numpy as np
+
+from diracloc.quadrature import gauss_legendre
+from diracloc.transform import radial_components
+
+
+def position_space_delta_x(profile, n, r_max=40.0):
+    """Reference spread: 4000-node quadrature of 4 pi r^4 rho on [0, r_max].
+
+    Resolves the state only while its width 1/(n sigma_p) spans many
+    nodes, i.e. n <= 16 at sigma_p = 1.
+    """
+    r, w = gauss_legendre(4000, 0.0, r_max)
+    g0, g1 = radial_components(profile, n, r)
+    rho = np.abs(g0) ** 2 + np.abs(g1) ** 2
+    return float(np.sqrt(np.sum(w * 4.0 * np.pi * r**4 * rho)))
+
+
+def two_panel_delta_x(profile, n, r_max=12.0):
+    """Reference spread: Gauss-Legendre on [0, 10/(n sigma_p)] and beyond."""
+    core = 10.0 / (n * profile.sigma_p)
+    total = 0.0
+    for a, b, order in ((0.0, core, 64), (core, r_max, 256)):
+        r, w = gauss_legendre(order, a, b)
+        g0, g1 = radial_components(profile, n, r, n_nodes=8192)
+        total += np.sum(w * 4.0 * np.pi * r**4 * (np.abs(g0) ** 2 + np.abs(g1) ** 2))
+    return float(np.sqrt(total))

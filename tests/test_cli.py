@@ -11,8 +11,9 @@ import diracloc.cli as cli
 from diracloc.cli import main
 from diracloc.dynamics import evolve_free
 from diracloc.observables import current, density
-from diracloc.states import make_state
+from diracloc.states import gaussian_profile, make_state
 from diracloc.transform import CartesianGrid, position_state_cartesian
+from radial_oracles import two_panel_delta_x
 
 
 def run(args):
@@ -52,7 +53,7 @@ class TestFigure1:
         assert rho0[0] < rho0[1] < rho0[2]
 
     def test_summary_round_trips_from_csv(self, outputs):
-        # every summary number re-derives from the emitted table alone
+        # the table-derived summary numbers re-derive from the emitted table
         summary = read_json(outputs / "figure1_summary.json")
         for n in (5, 7, 10):
             rows = np.loadtxt(outputs / f"rho_n{n}.csv", delimiter=",", skiprows=1)
@@ -78,8 +79,11 @@ class TestFigure1:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(f"[profile]\nsigma_p = {sigma_p}\n")
         assert run(["figure1", "--config", str(cfg), "--out", str(tmp_path), "--n", str(n)]) == 0
-        norm = read_json(tmp_path / "figure1_summary.json")["curves"][str(n)]["norm"]
-        assert abs(norm - 1.0) <= 1e-10
+        entry = read_json(tmp_path / "figure1_summary.json")["curves"][str(n)]
+        assert abs(entry["norm"] - 1.0) <= 1e-10
+        # the full-space spread, not the table's
+        expected = two_panel_delta_x(gaussian_profile(sigma_p), n)
+        assert entry["delta_x"] == pytest.approx(expected, rel=1e-11)
 
     def test_empty_n_list_is_config_error(self, tmp_path):
         assert run(["figure1", "--out", str(tmp_path), "--n", ""]) == 2

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracloc.observables import (
+    Q_MATRICES,
     FourVectorDensity,
+    _bilinear_numerator,
+    _rn_integral,
     a_n_limit,
     causality_margin,
     convolution_Rn,
@@ -16,9 +21,21 @@ from diracloc.observables import (
     overlap,
     position_mean_from_momentum,
 )
-from diracloc.quadrature import QuadratureError
-from diracloc.spinor import ALPHA, SPIN_DOWN, spin_eigenspinor
-from diracloc.states import boosted_gaussian_profile, check_profile_conditions, make_state
+from diracloc.quadrature import QuadratureError, spherical_rule
+from diracloc.spinor import (
+    ALPHA,
+    SPIN_DOWN,
+    SPIN_UP,
+    eigenspinor_components,
+    energy_xyz,
+    spin_eigenspinor,
+)
+from diracloc.states import (
+    MomentumProfile,
+    boosted_gaussian_profile,
+    check_profile_conditions,
+    make_state,
+)
 from diracloc.transform import (
     CartesianGrid,
     PositionState,
@@ -198,6 +215,77 @@ class TestOverlap:
         brute = overlap(s1, s2, method="quadrature")
         assert abs(closed - brute) <= 1e-9
         assert abs(closed.imag) > 0.0
+
+
+def einsum_rn_integral(profile, n, p, q_operator, spin):
+    """Reference R_n integrand: sampled spinors contracted with the 4 x 4 Q."""
+    qmat = Q_MATRICES[q_operator]
+    p = np.asarray(p, dtype=float)
+
+    def evaluate(rule):
+        ua = eigenspinor_components(rule.x - p[0], rule.y - p[1], rule.z - p[2], spin)
+        ub = eigenspinor_components(rule.x, rule.y, rule.z, spin)
+        bilinear = np.einsum("am,ab,bm->m", ua.conj(), qmat, ub)
+        fa = profile((rule.x - p[0]) / n, (rule.y - p[1]) / n, (rule.z - p[2]) / n)
+        fb = profile(rule.x / n, rule.y / n, rule.z / n)
+        return complex(n**-3 * np.sum(rule.weights * np.conj(fa) * fb * bilinear))
+
+    return evaluate
+
+
+ALL_Q_SPIN = [(q, spin) for q in Q_MATRICES for spin in (SPIN_UP, SPIN_DOWN)]
+SHIFTED = MomentumProfile(sigma_p=1.3, center=(0.2, -0.4, 0.5))
+
+
+class TestRnClosedForm:
+    @pytest.mark.parametrize("q_operator, spin", ALL_Q_SPIN)
+    def test_bilinear_matches_einsum_pointwise(self, rng, q_operator, spin):
+        q = rng.uniform(-5.0, 5.0, size=(3, 500))
+        s = rng.uniform(-5.0, 5.0, size=(3, 500))
+        eq, es = energy_xyz(*q), energy_xyz(*s)
+        real, imag = _bilinear_numerator(q, s, eq + 1.0, es + 1.0, q_operator, spin * 2.0)
+        cal = np.sqrt(4.0 * eq * (eq + 1.0) * es * (es + 1.0))
+        ua = eigenspinor_components(*q, spin)
+        ub = eigenspinor_components(*s, spin)
+        ref = np.einsum("am,ab,bm->m", ua.conj(), Q_MATRICES[q_operator], ub)
+        assert np.abs((real + 1j * imag) / cal - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 64])
+    @pytest.mark.parametrize("q_operator, spin", ALL_Q_SPIN)
+    def test_rule_sum_matches_einsum(self, q_operator, spin, n):
+        # the convolution_Rn base rule (several blocks), a shifted profile, p off-axis
+        p = (0.7, -1.1, 0.4)
+        p_norm = float(np.linalg.norm(p))
+        rule = spherical_rule((0.0, 2.0 * p_norm + 4.0, n * SHIFTED.cutoff() + p_norm),
+                              (64, 96), 48, 32)
+        closed = _rn_integral(SHIFTED, n, p, q_operator, spin)(rule)
+        oracle = einsum_rn_integral(SHIFTED, n, p, q_operator, spin)(rule)
+        assert abs(closed - oracle) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.tuples(*[st.floats(-3.0, 3.0) for _ in range(3)]),
+        n=st.integers(1, 8),
+        q_spin=st.sampled_from(ALL_Q_SPIN),
+        center=st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)]),
+        sigma_p=st.floats(0.5, 2.0),
+    )
+    def test_small_rule_property(self, p, n, q_spin, center, sigma_p):
+        profile = MomentumProfile(sigma_p=sigma_p, center=center)
+        p_norm = float(np.linalg.norm(p))
+        rule = spherical_rule((0.0, 2.0 * p_norm + 4.0, n * profile.cutoff() + p_norm),
+                              (12, 16), 8, 8)
+        closed = _rn_integral(profile, n, p, *q_spin)(rule)
+        oracle = einsum_rn_integral(profile, n, p, *q_spin)(rule)
+        assert abs(closed - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    def test_returns_python_complex(self, plain_profile):
+        # the rn CSV writes repr() of the parts, which must stay plain floats
+        assert type(convolution_Rn(plain_profile, 2, (1, 0, 0))) is complex
+
+    def test_bad_spin_rejected(self, plain_profile):
+        with pytest.raises(ValueError):
+            convolution_Rn(plain_profile, 2, (0, 0, 0), spin=1.0)
 
 
 class TestConvolutionRn:

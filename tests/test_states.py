@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
@@ -9,12 +10,27 @@ from diracloc.states import (
     MomentumProfile,
     MomentumState,
     ProfileError,
+    SERIES_BELOW,
     boosted_gaussian_profile,
     build_phi,
     check_profile_conditions,
     gaussian_profile,
     make_state,
+    mean_flow,
 )
+
+
+def quadrature_shift(speed, sigma_p, xtol=1e-13):
+    """Reference kappa: root-find the quadrature mean flow along z."""
+
+    def excess(kappa):
+        prof = MomentumProfile(sigma_p=sigma_p, center=(0.0, 0.0, kappa))
+        return check_profile_conditions(prof)[1][2] - speed
+
+    hi = sigma_p
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    return brentq(excess, 0.0, hi, xtol=xtol)
 
 
 class TestGaussianProfile:
@@ -66,11 +82,44 @@ class TestBoostedProfile:
     def test_off_axis_target(self):
         v = (0.3, -0.1, 0.2)
         _, mean = check_profile_conditions(boosted_gaussian_profile(v))
-        assert np.abs(mean - np.asarray(v)).max() <= 1e-6
+        assert np.abs(mean - np.asarray(v)).max() <= 1e-12
 
     def test_near_lightspeed_rejected(self):
         with pytest.raises(ProfileError):
             boosted_gaussian_profile((0.0, 0.0, 0.995))
+
+    @pytest.mark.parametrize("sigma_p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("speed", [0.01, 0.5, 0.99])
+    def test_closed_form_shift_matches_quadrature_root(self, sigma_p, speed):
+        kappa = boosted_gaussian_profile((0.0, 0.0, speed), sigma_p).center[2]
+        assert abs(kappa - quadrature_shift(speed, sigma_p)) <= 1e-11 * max(1.0, kappa)
+
+    @pytest.mark.parametrize("sigma_p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("speed", [0.01, 0.1, 0.3, 0.7, 0.9, 0.99])
+    def test_closed_form_shift_meets_quadrature_mean(self, sigma_p, speed):
+        # on the rule's polar axis, where the quadrature resolves every shift
+        _, mean = check_profile_conditions(boosted_gaussian_profile((0.0, 0.0, speed), sigma_p))
+        assert np.abs(mean - [0.0, 0.0, speed]).max() <= 1e-12
+
+    def test_off_axis_near_lightspeed(self):
+        # the shift depends on |v| only; an origin-centred quadrature root
+        # could not even bracket this one
+        direction = np.array([0.48, -0.6, 0.64])
+        kappa = boosted_gaussian_profile((0.0, 0.0, 0.99)).center[2]
+        prof = boosted_gaussian_profile(0.99 * direction)
+        assert np.abs(np.asarray(prof.center) - kappa * direction).max() <= 1e-14 * kappa
+
+    def test_series_meets_closed_form_at_switch(self):
+        below = mean_flow(np.nextafter(SERIES_BELOW, 0.0))
+        assert abs(below / mean_flow(SERIES_BELOW) - 1.0) <= 1e-14
+
+    def test_mean_flow_limits(self):
+        m = np.concatenate([np.logspace(-8, -1, 30), np.linspace(0.11, 60.0, 300)])
+        values = np.array([mean_flow(x) for x in m])
+        assert np.all(np.diff(values) > 0.0)
+        assert mean_flow(1e-8) == pytest.approx(np.sqrt(2.0 / np.pi) * 2.0 / 3.0 * 1e-8, rel=1e-15)
+        # erf -> 1 and the Gaussian term vanishes: 1 - 1/m^2
+        assert 1.0 - mean_flow(60.0) == pytest.approx(1.0 / 3600.0, rel=1e-10)
 
 
 class TestLocalizationLabel:

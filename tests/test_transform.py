@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.special import spherical_jn
 
-from diracloc.quadrature import gauss_legendre
-from diracloc.states import make_state
+from diracloc.quadrature import _leggauss, gauss_legendre
+from diracloc.states import gaussian_profile, make_state
+from radial_oracles import position_space_delta_x, two_panel_delta_x
 from diracloc.transform import (
     CartesianGrid,
     GridError,
@@ -16,24 +16,10 @@ from diracloc.transform import (
     grid_for_state,
     position_state_cartesian,
     radial_components,
+    radial_delta_x,
     radial_density,
     radial_probability,
-    spherical_j0,
-    spherical_j1,
 )
-
-
-class TestSphericalBessel:
-    def test_against_scipy(self):
-        # absolute agreement; the closed form carries ~ulp(1/x) cancellation
-        # right at the series switch point, far below quadrature needs
-        x = np.concatenate([np.logspace(-8, -4, 20), np.linspace(1e-4, 80.0, 500)])
-        assert np.abs(spherical_j0(x) - spherical_jn(0, x)).max() < 1e-13
-        assert np.abs(spherical_j1(x) - spherical_jn(1, x)).max() < 4e-12
-
-    def test_values_at_origin(self):
-        assert spherical_j0(0.0) == 1.0
-        assert spherical_j1(0.0) == 0.0
 
 
 class TestGaussLegendre:
@@ -50,6 +36,23 @@ class TestGaussLegendre:
         assert np.sum(w * np.exp(-x * x)) == pytest.approx(
             np.sqrt(np.pi) / 2 * erf(5.0), rel=1e-14
         )
+
+    @pytest.mark.parametrize("order", list(range(1, 41)) + [63, 64, 127, 255, 256, 511, 512])
+    def test_newton_nodes_match_leggauss(self, order):
+        x, w = _leggauss(order)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+        assert np.abs(x - x_ref).max() <= 1e-15
+        assert np.abs(w / w_ref - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("order", [2048, 4000])
+    def test_monomial_exactness_at_high_order(self, order):
+        # int_{-1}^{1} x^(2k) dx = 2/(2k+1) for every even degree the rule
+        # integrates exactly; the top degrees live on the endpoint weights
+        x, w = _leggauss(order)
+        degrees = np.append(np.arange(0, 2 * order - 2, 14), [2 * order - 4, 2 * order - 2])
+        got = np.array([np.sum(w * x**k) for k in degrees])
+        assert np.abs(got * (degrees + 1) / 2.0 - 1.0).max() <= 1e-11
+        assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
 
 
 class TestRadialComponents:
@@ -89,6 +92,25 @@ class TestRadialComponents:
     def test_negative_radius_rejected(self, plain_profile):
         with pytest.raises(ValueError):
             radial_components(plain_profile, 2, -0.5)
+
+
+class TestRadialDeltaX:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_matches_position_space_quadrature(self, plain_profile, n):
+        expected = position_space_delta_x(plain_profile, n)
+        assert radial_delta_x(plain_profile, n) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n, sigma_p", [(32, 1.0), (46, 1.135)])
+    def test_resolved_at_large_n(self, n, sigma_p):
+        profile = gaussian_profile(sigma_p)
+        expected = two_panel_delta_x(profile, n)
+        assert radial_delta_x(profile, n) == pytest.approx(expected, rel=1e-11)
+
+    def test_asymmetric_profile_rejected(self):
+        from diracloc.states import boosted_gaussian_profile
+
+        with pytest.raises(ValueError):
+            radial_delta_x(boosted_gaussian_profile((0.0, 0.0, 0.3)), 2)
 
 
 class TestRadialDensity:

@@ -27,7 +27,6 @@ from .observables import (
     causality_margin,
     convolution_Rn,
     current,
-    density,
     mean_velocity_two_ways,
     moments,
     overlap,
@@ -52,7 +51,6 @@ from .states import (
     MomentumState,
     ProfileError,
     boosted_gaussian_profile,
-    build_phi,
     check_profile_conditions,
     gaussian_profile,
     make_state,
@@ -73,6 +71,7 @@ from .transform import (
     PositionState,
     RadialDensityTable,
     RadialGrid,
+    density_field,
     grid_for_state,
     position_state_cartesian,
     radial_components,

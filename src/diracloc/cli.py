@@ -13,7 +13,10 @@ moments   grid moments per n (JSON)
 overlap   overlaps against a second label per n (JSON)
 
 Configuration is a single INI-style file with nested sections (see
-README) plus flag overrides.  Curves go to CSV, scalar reports to JSON;
+README) plus flag overrides.  Every subcommand takes ``--config`` and
+``--out``; ``verify`` adds ``--tol NAME=VAL``, the others ``--n LIST``,
+and ``evolve`` and ``moments`` also ``--grid N,L``.  A flag a subcommand
+does not use is a usage error.  Curves go to CSV, scalar reports to JSON;
 runs are deterministic, so identical configs give identical bytes.
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -25,7 +28,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dynamics import evolve_report
@@ -279,7 +282,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks = run_checks(cfg.tolerances)
     out = _outdir(cfg)
     payload = {
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
     _write_json(out / "verify_report.json", payload)
@@ -395,15 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=func.__doc__)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--n", default=None, help="override the n list, e.g. 5,7,10")
-        p.add_argument("--grid", default=None, help="override the grid as N,L")
-        p.add_argument(
-            "--tol",
-            action="append",
-            default=None,
-            metavar="NAME=VAL",
-            help="override a verification tolerance (repeatable)",
-        )
+        if name == "verify":
+            p.add_argument(
+                "--tol",
+                action="append",
+                default=None,
+                metavar="NAME=VAL",
+                help="override a verification tolerance (repeatable)",
+            )
+        else:
+            p.add_argument("--n", default=None, help="override the n list, e.g. 5,7,10")
+        if name in ("evolve", "moments"):
+            p.add_argument("--grid", default=None, help="override the grid as N,L")
     return parser
 
 

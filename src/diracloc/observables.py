@@ -71,7 +71,7 @@ class FourVectorDensity:
 
     @classmethod
     def from_position_state(cls, ps: PositionState) -> "FourVectorDensity":
-        return cls(grid=ps.grid, rho=density(ps), j=current(ps), time=ps.time)
+        return cls(grid=ps.grid, rho=density_field(ps), j=current(ps), time=ps.time)
 
     def total(self) -> float:
         return float(np.sum(self.rho) * self.grid.cell_volume)
@@ -96,11 +96,6 @@ class MomentSet:
             "delta_x": self.delta_x,
             "mean_velocity": [float(c) for c in self.mean_velocity],
         }
-
-
-def density(ps: PositionState) -> np.ndarray:
-    """Probability density psi^dagger psi."""
-    return density_field(ps)
 
 
 def current(ps: PositionState) -> np.ndarray:
@@ -220,12 +215,9 @@ def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> compl
     the direct quadrature.  method="quadrature" forces the brute-force
     tensor Gauss-Legendre evaluation (the oracle for the reduction).
     """
-    if method not in ("auto", "closed", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown overlap method {method!r}")
-    reducible = _same_gaussian_family(s1, s2)
-    if method == "closed" and not reducible:
-        raise ValueError("closed-form overlap requires matching spin, n and profile")
-    if method in ("auto", "closed") and reducible:
+    if method == "auto" and _same_gaussian_family(s1, s2):
         n = s1.label.n
         sigma = s1.profile.sigma_p
         k = np.asarray(s1.profile.center)
@@ -399,7 +391,7 @@ def density_fourier(ps: PositionState, p) -> complex:
     """(2 pi)^(-3/2) int rho(x) exp(-i x.p) d^3x from the sampled density."""
     p = np.asarray(p, dtype=float)
     x = ps.grid.axis()
-    rho = density(ps)
+    rho = density_field(ps)
     phases = [np.exp(-1j * x * p[axis]) for axis in range(3)]
     total = np.einsum("i,j,k,ijk->", phases[0], phases[1], phases[2], rho)
     return complex(total * ps.grid.cell_volume / (2.0 * np.pi) ** 1.5)

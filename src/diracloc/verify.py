@@ -1,10 +1,19 @@
 """Cross-module verification battery behind the ``verify`` CLI command.
 
-Each check produces a measured value and a bound; a check passes when
-value <= bound.  Bounds are the module tolerances and can be overridden
-one by one (``--tol name=value``), which is also how the battery's
-failure path is exercised.  Randomized identities use a fixed seed so
-runs are reproducible.
+Each check is one plain function in this module: its inputs are
+arguments, and it returns a dict of named values.  Keys that name a
+tolerance in ``DEFAULT_TOLERANCES`` are check values; any other key is a
+supporting number (an error sequence, a fitted order) that callers may
+report.  ``BATTERY`` binds every function to the inputs ``verify`` uses,
+and ``run_checks`` evaluates it in order; the acceptance suite calls the
+same functions with its own, larger inputs.
+
+A check passes when value <= bound.  Bounds are the module tolerances
+and can be overridden one by one (``--tol name=value``), which is also
+how the battery's failure path is exercised.  Random momenta come from
+one seeded stream, drawn in battery order, so runs are reproducible.
+Nothing is built at import time: each entry's inputs are constructed
+only when the battery runs.
 """
 
 from __future__ import annotations
@@ -67,28 +76,266 @@ class Check:
     bound: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+
+def monotone_ratio(values) -> float:
+    """max ratio of consecutive magnitudes; < 1 means strictly decreasing."""
+    values = np.asarray(values, dtype=float)
+    return float(np.max(values[1:] / values[:-1]))
 
 
-def _check(name: str, value: float, tolerances: dict) -> Check:
-    bound = float(tolerances[name])
-    return Check(name=name, value=float(value), bound=bound, passed=float(value) <= bound)
+def dirac_anticommutation() -> dict:
+    """{alpha_i, alpha_j} = 2 delta_ij, exactly."""
+    anti = max(
+        np.abs(
+            spinor.ALPHA[i] @ spinor.ALPHA[j]
+            + spinor.ALPHA[j] @ spinor.ALPHA[i]
+            - 2.0 * (i == j) * np.eye(4)
+        ).max()
+        for i in range(3)
+        for j in range(3)
+    )
+    return {"dirac_anticommutation": anti}
 
 
-def _random_momenta(count: int, radius: float, rng) -> np.ndarray:
-    return rng.uniform(-radius, radius, size=(count, 3))
+def spinor_identities(pts) -> dict:
+    """Projector, Pryce rotation and eigenspinor identities at momenta ``pts`` (M, 3)."""
+    proj = spinor.positive_projector(pts)
+    ham = spinor.hamiltonian_matrix(pts)
+    erg = spinor.energy(pts)
+    umat = spinor.pryce_u_matrix(pts)
+    rotated = erg[:, None, None] * (umat @ spinor.BETA)
+    s3 = spinor.pryce_spin3(pts)
+    worst_resid = worst_norm = worst_spin = 0.0
+    for label in (spinor.SPIN_UP, spinor.SPIN_DOWN):
+        u = spinor.spin_eigenspinor(pts, label)
+        resid = np.abs(np.einsum("mab,mb->ma", ham, u) - erg[:, None] * u).max()
+        worst_resid = max(worst_resid, resid)
+        worst_norm = max(worst_norm, np.abs(np.sum(np.abs(u) ** 2, axis=1) - 1).max())
+        worst_spin = max(worst_spin, np.abs(np.einsum("mab,mb->ma", s3, u) - label * u).max())
+    return {
+        "projector_idempotence": np.abs(proj @ proj - proj).max(),
+        "projector_hermiticity": np.abs(proj - np.conj(np.swapaxes(proj, -1, -2))).max(),
+        "rotation_intertwines": np.abs(ham @ umat - rotated).max(),
+        "eigenspinor_residual": worst_resid,
+        "eigenspinor_norm": worst_norm,
+        "spin_eigenvalue": worst_spin,
+    }
 
 
-def _monotone_ratio(errors) -> float:
-    """max ratio of consecutive error magnitudes; < 1 means strictly decreasing."""
-    errors = np.asarray(errors, dtype=float)
-    return float(np.max(errors[1:] / errors[:-1]))
+def derivative_bound_slack(samples) -> dict:
+    """Largest excess over 1 of |u_a|, |du_a/dp| m/2 and |du_a/dp| |p|/2."""
+    r = spinor.spinor_derivative_bounds(samples)
+    slack = max(r.max_component - 1.0, r.worst_mass_ratio - 1.0, r.worst_radial_ratio - 1.0, 0.0)
+    return {"derivative_bound_slack": slack}
+
+
+def profile_conditions(v) -> dict:
+    """Unit norm and zero mean flow of the plain profile; mean flow v when boosted."""
+    norm, mean = states.check_profile_conditions(states.gaussian_profile(1.0))
+    _, bmean = states.check_profile_conditions(states.boosted_gaussian_profile(v))
+    return {
+        "profile_norm": abs(norm - 1.0),
+        "profile_mean_v0": float(np.linalg.norm(mean)),
+        "profile_mean_boosted": float(np.linalg.norm(bmean - np.asarray(v, dtype=float))),
+    }
+
+
+def state_norms(n_values) -> dict:
+    return {"state_norms": max(abs(states.make_state(n=n).norm() - 1.0) for n in n_values)}
+
+
+def positive_energy_membership(state, samples) -> dict:
+    """|Lambda_+ phi - phi| at the momenta ``samples`` (M, 3)."""
+    phi = state.spinor(samples[:, 0], samples[:, 1], samples[:, 2])  # (4, M)
+    proj = spinor.positive_projector(samples)
+    resid = np.abs(np.einsum("mab,bm->am", proj, phi) - phi).max()
+    return {"positive_energy_membership": resid}
+
+
+def rn_convergence(v, n_values, zero_n_values, identity_points, alpha3_points) -> dict:
+    """R_n(p) -> 1 for Q = identity and -> v_3 for Q = alpha3 as n grows.
+
+    R_n(0) = 1 exactly for every n (checked at ``zero_n_values``).  The
+    ratios are the worst over the points; supporting values
+    ``identity_errors``/``alpha3_errors`` map each point to its errors
+    over ``n_values``.
+    """
+    plain = states.gaussian_profile(1.0)
+    boosted = states.boosted_gaussian_profile(v)
+    zeros = [abs(observables.convolution_Rn(plain, n, (0, 0, 0)) - 1.0) for n in zero_n_values]
+    identity = {
+        p: [abs(observables.convolution_Rn(plain, n, p) - 1.0) for n in n_values]
+        for p in identity_points
+    }
+    alpha3 = {
+        p: [abs(observables.convolution_Rn(boosted, n, p, "alpha3") - v[2]) for n in n_values]
+        for p in alpha3_points
+    }
+    return {
+        "rn_at_zero": max(zeros),
+        "rn_convergence_ratio": max(monotone_ratio(e) for e in identity.values()),
+        "rn_alpha3_convergence_ratio": max(monotone_ratio(e) for e in alpha3.values()),
+        "identity_errors": identity,
+        "alpha3_errors": alpha3,
+    }
+
+
+def velocity_identity(velocities, n: int) -> dict:
+    """Spinor against scalar form of <xdot>, worst over states of the given velocities."""
+    worst = 0.0
+    for v in velocities:
+        spinor_form, scalar_form = observables.mean_velocity_two_ways(states.make_state(v=v, n=n))
+        worst = max(worst, float(np.abs(spinor_form - scalar_form).max()))
+    return {"velocity_identity": worst}
+
+
+def causality(state, grid, times, r0: float) -> dict:
+    """Worst |j| - rho and light-cone leakage over free evolution to ``times``."""
+    report, _ = evolve_report(state, grid, times, r0=r0)
+    return {
+        "causality_margin": max(report.causality_margins),
+        "lightcone_leakage": max(report.leakages),
+    }
+
+
+def overlaps(a2, decay_n_values, reduction_n_values, opposite_a2, opposite_n_values) -> dict:
+    """Overlaps of the state at the origin with one at ``a2``.
+
+    ``overlap_reduction``: closed form against quadrature; the supporting
+    ``decay`` lists |overlap| over ``decay_n_values``; opposite spins at
+    ``opposite_a2`` must be orthogonal (by quadrature).
+    """
+
+    def pair(n, a=a2, spin=spinor.SPIN_UP):
+        return states.make_state(n=n), states.make_state(a=a, n=n, spin=spin)
+
+    reduction = max(
+        abs(observables.overlap(*pair(n)) - observables.overlap(*pair(n), method="quadrature"))
+        for n in reduction_n_values
+    )
+    opposite = max(
+        abs(observables.overlap(*pair(n, opposite_a2, spinor.SPIN_DOWN), method="quadrature"))
+        for n in opposite_n_values
+    )
+    decay = [abs(observables.overlap(*pair(n))) for n in decay_n_values]
+    return {
+        "overlap_reduction": reduction,
+        "opposite_spin_overlap": opposite,
+        "overlap_decay_ratio": monotone_ratio(decay),
+        "decay": decay,
+    }
+
+
+def nr_oracle(packets, grid, times) -> dict:
+    """Spectral against closed-form Schroedinger density, worst over packets and times."""
+    worst = 0.0
+    for params in packets:
+        chi0 = nr_gaussian_grid(params, grid)
+        for t in times:
+            evolved = nr_spectral_evolution(chi0, grid, t)
+            exact = nr_density_analytic_grid(params, grid, t)
+            worst = max(worst, float(np.abs(np.abs(evolved) ** 2 - exact).max()))
+    return {"nr_oracle": worst}
+
+
+def nr_current_order(params, points_per_axis, extent: float) -> dict:
+    """Convergence order of the finite-difference current v |chi|^2 between two grids.
+
+    The defect is how far the order falls short of 2; the supporting
+    ``order`` is the order itself.
+    """
+    errs = []
+    for pts in points_per_axis:
+        g = CartesianGrid(pts, extent)
+        chi = nr_gaussian_grid(params, g)
+        j = nr_current(chi, g.dx)
+        target = np.multiply.outer(np.asarray(params.v, dtype=float), np.abs(chi) ** 2)
+        errs.append(np.abs(j - target).max())
+    order = float(np.log2(errs[0] / errs[1]))
+    return {"nr_current_order_defect": max(2.0 - order, 0.0), "order": order}
+
+
+def boost_laws(speed: float, limit, rapidities) -> dict:
+    """Velocity addition speed (+) speed, and boosts composing by adding rapidities."""
+    boost = symmetry.BoostParams(rapidity=float(np.arctanh(speed)))
+    addition = abs(symmetry.velocity_addition(speed, boost) - 2 * speed / (1 + speed * speed))
+    stepwise = limit
+    for rapidity in rapidities:
+        stepwise = symmetry.boost_label(stepwise, symmetry.BoostParams(rapidity))
+    at_once = symmetry.boost_label(limit, symmetry.BoostParams(sum(rapidities)))
+    composition = max(
+        np.abs(np.array(stepwise.point) - np.array(at_once.point)).max(),
+        np.abs(np.array(stepwise.velocity) - np.array(at_once.velocity)).max(),
+        abs(stepwise.rho_weight - at_once.rho_weight),
+    )
+    return {"boost_velocity_addition": addition, "boost_composition": composition}
+
+
+def boost_field_trend(v, n_values, grid, rapidity: float) -> dict:
+    """Ratio of the boosted-field weight errors at the last and first n."""
+    trend = []
+    for n in n_values:
+        state = states.make_state(v=v, n=n)
+        ps = position_state_cartesian(state, grid)
+        chk = symmetry.verify_boost_against_field(
+            FourVectorDensity.from_position_state(ps), state.label, symmetry.BoostParams(rapidity)
+        )
+        trend.append(abs(chk.weight_ratio - chk.predicted_weight_ratio))
+    return {"boost_field_trend_ratio": trend[-1] / trend[0]}
+
+
+def moment_consistency(state, grid) -> dict:
+    """Grid <x> against the momentum-space form."""
+    grid_mean = observables.moments(position_state_cartesian(state, grid)).mean_x
+    mom_mean = observables.position_mean_from_momentum(state)
+    return {"moment_consistency": float(np.abs(grid_mean - mom_mean).max())}
+
+
+def localization_trend(n_values) -> dict:
+    spreads = [radial_delta_x(states.gaussian_profile(1.0), n) for n in n_values]
+    return {"localization_trend_ratio": monotone_ratio(spreads)}
+
+
+# One entry per check function, in report order: ``entry(rng)`` builds the
+# inputs ``verify`` uses (drawing momenta from the shared stream) and runs it.
+BATTERY = (
+    lambda rng: dirac_anticommutation(),
+    lambda rng: spinor_identities(rng.uniform(-50.0, 50.0, size=(1000, 3))),
+    lambda rng: derivative_bound_slack(rng.uniform(-20.0, 20.0, size=(100, 3))),
+    lambda rng: profile_conditions((0.0, 0.0, 0.5)),
+    lambda rng: state_norms((1, 2, 5, 10, 20)),
+    lambda rng: positive_energy_membership(
+        states.make_state(a=(0.5, -0.3, 1.0), v=(0.0, 0.0, 0.4), n=3),
+        rng.uniform(-20.0, 20.0, size=(200, 3)),
+    ),
+    lambda rng: rn_convergence(
+        (0.0, 0.0, 0.5), n_values=(2, 4, 8), zero_n_values=(7,),
+        identity_points=((1, 0, 0),), alpha3_points=((0, 0, 0),),
+    ),
+    lambda rng: velocity_identity(((0.0, 0.0, 0.0), (0.0, 0.0, 0.3)), n=6),
+    lambda rng: causality(
+        states.make_state(n=5), CartesianGrid(64, 16.0), times=(0.0, 0.5, 1.0), r0=3.0
+    ),
+    lambda rng: overlaps(
+        (2.0, 0.0, 0.0), decay_n_values=(2, 4, 8, 16), reduction_n_values=(2,),
+        opposite_a2=(0.0, 0.0, 0.0), opposite_n_values=(2,),
+    ),
+    lambda rng: nr_oracle(
+        [NRPacketParams(n=1, sigma=1.0, a=(0.5, 0.0, 0.0), v=(0.0, 0.0, 0.3))],
+        CartesianGrid(64, 20.0), times=(1.0,),
+    ),
+    lambda rng: nr_current_order(NRPacketParams(n=1, v=(0.0, 0.0, 0.5)), (64, 128), extent=12.0),
+    lambda rng: boost_laws(
+        0.5,
+        symmetry.PointDensityLimit((0.3, -0.2, 1.7), (0.1, 0.2, 0.4), j_weight=(0.1, 0.2, 0.4)),
+        rapidities=(0.3, 0.9),
+    ),
+    lambda rng: boost_field_trend((0.0, 0.0, 0.5), (4, 8), CartesianGrid(128, 12.0), rapidity=0.6),
+    lambda rng: moment_consistency(
+        states.make_state(a=(1.0, 0.0, 0.0), n=4), CartesianGrid(64, 16.0)
+    ),
+    lambda rng: localization_trend((2, 4, 8)),
+)
 
 
 def run_checks(tolerances: dict | None = None) -> list[Check]:
@@ -100,207 +347,9 @@ def run_checks(tolerances: dict | None = None) -> list[Check]:
         tol.update(tolerances)
     rng = np.random.default_rng(SEED)
     checks: list[Check] = []
-
-    # --- matrix algebra -------------------------------------------------
-    anti = max(
-        np.abs(
-            spinor.ALPHA[i] @ spinor.ALPHA[j]
-            + spinor.ALPHA[j] @ spinor.ALPHA[i]
-            - 2.0 * (i == j) * np.eye(4)
-        ).max()
-        for i in range(3)
-        for j in range(3)
-    )
-    checks.append(_check("dirac_anticommutation", anti, tol))
-
-    pts = _random_momenta(1000, 50.0, rng)
-    proj = spinor.positive_projector(pts)
-    checks.append(
-        _check("projector_idempotence", np.abs(proj @ proj - proj).max(), tol)
-    )
-    checks.append(
-        _check(
-            "projector_hermiticity",
-            np.abs(proj - np.conj(np.swapaxes(proj, -1, -2))).max(),
-            tol,
-        )
-    )
-    ham = spinor.hamiltonian_matrix(pts)
-    erg = spinor.energy(pts)
-    umat = spinor.pryce_u_matrix(pts)
-    checks.append(
-        _check(
-            "rotation_intertwines",
-            np.abs(ham @ umat - erg[:, None, None] * (umat @ spinor.BETA)).max(),
-            tol,
-        )
-    )
-    worst_resid = worst_norm = worst_spin = 0.0
-    s3 = spinor.pryce_spin3(pts)
-    for label in (spinor.SPIN_UP, spinor.SPIN_DOWN):
-        u = spinor.spin_eigenspinor(pts, label)
-        worst_resid = max(
-            worst_resid,
-            np.abs(np.einsum("mab,mb->ma", ham, u) - erg[:, None] * u).max(),
-        )
-        worst_norm = max(worst_norm, np.abs(np.sum(np.abs(u) ** 2, axis=1) - 1).max())
-        worst_spin = max(
-            worst_spin,
-            np.abs(np.einsum("mab,mb->ma", s3, u) - label * u).max(),
-        )
-    checks.append(_check("eigenspinor_residual", worst_resid, tol))
-    checks.append(_check("eigenspinor_norm", worst_norm, tol))
-    checks.append(_check("spin_eigenvalue", worst_spin, tol))
-
-    bounds_report = spinor.spinor_derivative_bounds(_random_momenta(100, 20.0, rng))
-    slack_used = max(
-        bounds_report.max_component - 1.0,
-        bounds_report.worst_mass_ratio - 1.0,
-        bounds_report.worst_radial_ratio - 1.0,
-        0.0,
-    )
-    checks.append(_check("derivative_bound_slack", slack_used, tol))
-
-    # --- profiles and states -------------------------------------------
-    plain = states.gaussian_profile(1.0)
-    norm, mean = states.check_profile_conditions(plain)
-    checks.append(_check("profile_norm", abs(norm - 1.0), tol))
-    checks.append(_check("profile_mean_v0", float(np.linalg.norm(mean)), tol))
-    boosted = states.boosted_gaussian_profile((0.0, 0.0, 0.5))
-    _, bmean = states.check_profile_conditions(boosted)
-    checks.append(
-        _check(
-            "profile_mean_boosted",
-            float(np.linalg.norm(bmean - np.array([0.0, 0.0, 0.5]))),
-            tol,
-        )
-    )
-    norm_dev = max(
-        abs(states.make_state(n=n).norm() - 1.0) for n in (1, 2, 5, 10, 20)
-    )
-    checks.append(_check("state_norms", norm_dev, tol))
-
-    sample = _random_momenta(200, 20.0, rng)
-    st = states.make_state(a=(0.5, -0.3, 1.0), v=(0.0, 0.0, 0.4), n=3)
-    phi = st.spinor(sample[:, 0], sample[:, 1], sample[:, 2])  # (4, M)
-    proj_s = spinor.positive_projector(sample)
-    resid = np.abs(np.einsum("mab,bm->am", proj_s, phi) - phi).max()
-    checks.append(_check("positive_energy_membership", resid, tol))
-
-    # --- R_n convergence -------------------------------------------------
-    checks.append(
-        _check(
-            "rn_at_zero",
-            abs(observables.convolution_Rn(plain, 7, (0, 0, 0)) - 1.0),
-            tol,
-        )
-    )
-    errs = [
-        abs(observables.convolution_Rn(plain, n, (1, 0, 0)) - 1.0) for n in (2, 4, 8)
-    ]
-    checks.append(_check("rn_convergence_ratio", _monotone_ratio(errs), tol))
-    errs = [
-        abs(observables.convolution_Rn(boosted, n, (0, 0, 0), "alpha3") - 0.5)
-        for n in (2, 4, 8)
-    ]
-    checks.append(_check("rn_alpha3_convergence_ratio", _monotone_ratio(errs), tol))
-
-    # --- velocity identity ----------------------------------------------
-    worst = 0.0
-    for v in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.3)):
-        sb = states.make_state(v=v, n=6)
-        sf, cf = observables.mean_velocity_two_ways(sb)
-        worst = max(worst, float(np.abs(sf - cf).max()))
-    checks.append(_check("velocity_identity", worst, tol))
-
-    # --- causality over time ----------------------------------------------
-    grid = CartesianGrid(64, 16.0)
-    report, _ = evolve_report(states.make_state(n=5), grid, (0.0, 0.5, 1.0), r0=3.0)
-    checks.append(_check("causality_margin", max(report.causality_margins), tol))
-    checks.append(_check("lightcone_leakage", max(report.leakages), tol))
-
-    # --- overlaps ----------------------------------------------------------
-    s_a = states.make_state(n=2)
-    s_b = states.make_state(a=(2.0, 0.0, 0.0), n=2)
-    closed = observables.overlap(s_a, s_b)
-    brute = observables.overlap(s_a, s_b, method="quadrature")
-    checks.append(_check("overlap_reduction", abs(closed - brute), tol))
-    flipped = states.make_state(n=2, spin=spinor.SPIN_DOWN)
-    checks.append(
-        _check(
-            "opposite_spin_overlap",
-            abs(observables.overlap(s_a, flipped, method="quadrature")),
-            tol,
-        )
-    )
-    decays = [
-        abs(
-            observables.overlap(
-                states.make_state(n=n), states.make_state(a=(2.0, 0.0, 0.0), n=n)
-            )
-        )
-        for n in (2, 4, 8, 16)
-    ]
-    checks.append(_check("overlap_decay_ratio", _monotone_ratio(decays), tol))
-
-    # --- nonrelativistic oracle -------------------------------------------
-    nr_grid = CartesianGrid(64, 20.0)
-    params = NRPacketParams(n=1, sigma=1.0, a=(0.5, 0.0, 0.0), v=(0.0, 0.0, 0.3))
-    chi0 = nr_gaussian_grid(params, nr_grid)
-    chi1 = nr_spectral_evolution(chi0, nr_grid, 1.0)
-    err = np.abs(np.abs(chi1) ** 2 - nr_density_analytic_grid(params, nr_grid, 1.0)).max()
-    checks.append(_check("nr_oracle", err, tol))
-    errs = []
-    for pts_per_axis in (64, 128):
-        g = CartesianGrid(pts_per_axis, 12.0)
-        chi = nr_gaussian_grid(NRPacketParams(n=1, v=(0.0, 0.0, 0.5)), g)
-        j = nr_current(chi, g.dx)
-        target = np.zeros_like(j)
-        target[2] = 0.5 * np.abs(chi) ** 2
-        errs.append(np.abs(j - target).max())
-    order = float(np.log2(errs[0] / errs[1]))
-    checks.append(_check("nr_current_order_defect", max(2.0 - order, 0.0), tol))
-
-    # --- boosts -------------------------------------------------------------
-    half = symmetry.BoostParams(rapidity=float(np.arctanh(0.5)))
-    checks.append(
-        _check(
-            "boost_velocity_addition",
-            abs(symmetry.velocity_addition(0.5, half) - 0.8),
-            tol,
-        )
-    )
-    lim = symmetry.PointDensityLimit(
-        point=(0.3, -0.2, 1.7), velocity=(0.1, 0.2, 0.4), j_weight=(0.1, 0.2, 0.4)
-    )
-    two_step = symmetry.boost_label(
-        symmetry.boost_label(lim, symmetry.BoostParams(0.3)), symmetry.BoostParams(0.9)
-    )
-    one_step = symmetry.boost_label(lim, symmetry.BoostParams(1.2))
-    comp_err = max(
-        np.abs(np.array(two_step.point) - np.array(one_step.point)).max(),
-        np.abs(np.array(two_step.velocity) - np.array(one_step.velocity)).max(),
-    )
-    checks.append(_check("boost_composition", comp_err, tol))
-    trend = []
-    for n in (4, 8):
-        stv = states.make_state(v=(0.0, 0.0, 0.5), n=n)
-        ps = position_state_cartesian(stv, CartesianGrid(128, 12.0))
-        chk = symmetry.verify_boost_against_field(
-            FourVectorDensity.from_position_state(ps), stv.label, symmetry.BoostParams(0.6)
-        )
-        trend.append(abs(chk.weight_ratio - chk.predicted_weight_ratio))
-    checks.append(_check("boost_field_trend_ratio", trend[1] / trend[0], tol))
-
-    # --- moments -------------------------------------------------------------
-    ref = states.make_state(a=(1.0, 0.0, 0.0), n=4)
-    ps = position_state_cartesian(ref, CartesianGrid(64, 16.0))
-    grid_mean = observables.moments(ps).mean_x
-    mom_mean = observables.position_mean_from_momentum(ref)
-    checks.append(
-        _check("moment_consistency", float(np.abs(grid_mean - mom_mean).max()), tol)
-    )
-    spreads = [radial_delta_x(plain, n) for n in (2, 4, 8)]
-    checks.append(_check("localization_trend_ratio", _monotone_ratio(spreads), tol))
-
+    for entry in BATTERY:
+        for name, value in entry(rng).items():
+            if name in tol:  # other keys are supporting values
+                value, bound = float(value), float(tol[name])
+                checks.append(Check(name=name, value=value, bound=bound, passed=value <= bound))
     return checks

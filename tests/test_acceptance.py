@@ -11,42 +11,15 @@ import numpy as np
 
 import acceptance_log
 
-from diracloc.dynamics import (
-    NRPacketParams,
-    evolve_report,
-    nr_current,
-    nr_density_analytic_grid,
-    nr_gaussian_grid,
-    nr_spectral_evolution,
-)
-from diracloc.observables import (
-    convolution_Rn,
-    current,
-    density,
-    mean_velocity_two_ways,
-    moments,
-    overlap,
-)
-from diracloc.spinor import (
-    SPIN_DOWN,
-    SPIN_UP,
-    energy,
-    hamiltonian_matrix,
-    positive_projector,
-    pryce_spin3,
-    spin_eigenspinor,
-    spinor_derivative_bounds,
-)
-from diracloc.states import boosted_gaussian_profile, gaussian_profile, make_state
-from diracloc.symmetry import (
-    BoostParams,
-    PointDensityLimit,
-    boost_label,
-    velocity_addition,
-)
+from diracloc import verify
+from diracloc.dynamics import NRPacketParams
+from diracloc.observables import current, moments
+from diracloc.states import gaussian_profile, make_state
+from diracloc.symmetry import PointDensityLimit
 from diracloc.transform import (
     CartesianGrid,
     RadialGrid,
+    density_field,
     position_state_cartesian,
     radial_density,
     radial_probability,
@@ -57,10 +30,6 @@ def report(line: str) -> None:
     # printed immediately (visible with -s) and again in the terminal summary
     print(line, flush=True)
     acceptance_log.LINES.append(line)
-
-
-def strictly_decreasing(seq) -> bool:
-    return all(b < a for a, b in zip(seq, seq[1:]))
 
 
 def inverse_n_fit(n_values, errors):
@@ -93,7 +62,7 @@ def test_criterion_1_figure_reproduction():
     # independent 3-D spectral check of the n = 10 confinement
     state = make_state(n=10)
     ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
-    rho = density(ps)
+    rho = density_field(ps)
     mask = ps.grid.radius() < 1.0
     inside_3d = float(np.sum(rho[mask]) * ps.grid.cell_volume)
     assert inside_3d > 0.9
@@ -118,7 +87,7 @@ def test_criterion_2_radial_vs_3d_oracle():
 
     r = np.linspace(0.0, 4.0, 81)
     table = radial_density(profile, 5, RadialGrid(r))
-    averaged = angular_average(density(ps), ps.grid, r)
+    averaged = angular_average(density_field(ps), ps.grid, r)
     rel = float(np.linalg.norm(averaged - table.rho) / np.linalg.norm(table.rho))
     assert rel <= 1e-2
 
@@ -145,7 +114,7 @@ def test_criterion_3_localizing_sequence_limits():
         centred_errors.append(float(np.abs(m0.mean_x).max()))
         shifted_errors.append(float(np.abs(m1.mean_x - [1.0, 0.0, 0.0]).max()))
 
-    assert strictly_decreasing(spreads), spreads
+    assert verify.monotone_ratio(spreads) < 1.0, spreads
     coeff, residual = inverse_n_fit(n_values, spreads)
     assert coeff > 0.0
     assert residual < 0.10
@@ -160,25 +129,21 @@ def test_criterion_3_localizing_sequence_limits():
 
 
 def test_criterion_4_rn_convergence():
-    n_values = (2, 4, 8, 16)
-    plain = gaussian_profile(1.0)
-    boosted = boosted_gaussian_profile((0.0, 0.0, 0.5))
-    details = []
-
-    for p in ((1, 0, 0), (0, 0, 2)):
-        errs = [abs(convolution_Rn(plain, n, p) - 1.0) for n in n_values]
-        assert strictly_decreasing(errs), (p, errs)
-        details.append(f"id@{p}: {errs[0]:.2e}->{errs[-1]:.2e}")
-
+    values = verify.rn_convergence(
+        v=(0.0, 0.0, 0.5),
+        n_values=(2, 4, 8, 16),
+        zero_n_values=(2, 4, 8, 16),
+        identity_points=((1, 0, 0), (0, 0, 2)),
+        alpha3_points=((0, 0, 0), (1, 0, 0), (0, 0, 2)),
+    )
+    # every error sequence strictly decreasing
+    assert values["rn_convergence_ratio"] < 1.0, values["identity_errors"]
+    assert values["rn_alpha3_convergence_ratio"] < 1.0, values["alpha3_errors"]
     # at p = 0 the identity convolution equals 1 exactly for every n
-    zeros = [abs(convolution_Rn(plain, n, (0, 0, 0)) - 1.0) for n in n_values]
-    assert max(zeros) <= 1e-8
+    assert values["rn_at_zero"] <= 1e-8
 
-    for p in ((0, 0, 0), (1, 0, 0), (0, 0, 2)):
-        errs = [abs(convolution_Rn(boosted, n, p, "alpha3") - 0.5) for n in n_values]
-        assert strictly_decreasing(errs), (p, errs)
-        details.append(f"a3@{p}: {errs[0]:.2e}->{errs[-1]:.2e}")
-
+    details = [f"id@{p}: {e[0]:.2e}->{e[-1]:.2e}" for p, e in values["identity_errors"].items()]
+    details += [f"a3@{p}: {e[0]:.2e}->{e[-1]:.2e}" for p, e in values["alpha3_errors"].items()]
     report("ACCEPTANCE 4 PASS: R_n convergence; " + "; ".join(details))
 
 
@@ -190,11 +155,7 @@ def test_criterion_5_velocity_identity():
         (0.2, 0.0, 0.1),
         (0.0, 0.45, 0.0),
     ]
-    worst = 0.0
-    for v in targets:
-        state = make_state(v=v, n=6)
-        spinor_form, scalar_form = mean_velocity_two_ways(state)
-        worst = max(worst, float(np.abs(spinor_form - scalar_form).max()))
+    worst = verify.velocity_identity(targets, n=6)["velocity_identity"]
     assert worst <= 1e-8
     report(
         f"ACCEPTANCE 5 PASS: velocity identity on {len(targets)} states, "
@@ -203,11 +164,8 @@ def test_criterion_5_velocity_identity():
 
 
 def test_criterion_6_causality():
-    state = make_state(n=5)
-    grid = CartesianGrid(64, 16.0)
-    rep, _ = evolve_report(state, grid, (0.0, 0.5, 1.0), r0=3.0)
-    worst_margin = max(rep.causality_margins)
-    worst_leak = max(rep.leakages)
+    values = verify.causality(make_state(n=5), CartesianGrid(64, 16.0), (0.0, 0.5, 1.0), r0=3.0)
+    worst_margin, worst_leak = values["causality_margin"], values["lightcone_leakage"]
     assert worst_margin <= 1e-10
     assert worst_leak <= 1e-3
     report(
@@ -217,26 +175,14 @@ def test_criterion_6_causality():
 
 
 def test_criterion_7_nonrelativistic_suite():
-    grid = CartesianGrid(256, 28.0)
-    worst = 0.0
-    for n in (1, 4):
-        params = NRPacketParams(n=n, sigma=1.0, a=(1.0, 0.0, 0.0), v=(0.0, 0.0, 0.5))
-        chi0 = nr_gaussian_grid(params, grid)
-        for t in (0.1, 1.0):
-            evolved = nr_spectral_evolution(chi0, grid, t)
-            exact = nr_density_analytic_grid(params, grid, t)
-            worst = max(worst, float(np.abs(np.abs(evolved) ** 2 - exact).max()))
+    packets = [
+        NRPacketParams(n=n, sigma=1.0, a=(1.0, 0.0, 0.0), v=(0.0, 0.0, 0.5)) for n in (1, 4)
+    ]
+    worst = verify.nr_oracle(packets, CartesianGrid(256, 28.0), (0.1, 1.0))["nr_oracle"]
     assert worst <= 1e-6
 
-    errs = []
-    for pts in (64, 128):
-        g = CartesianGrid(pts, 12.0)
-        chi = nr_gaussian_grid(NRPacketParams(n=1, v=(0.0, 0.0, 0.5)), g)
-        j = nr_current(chi, g.dx)
-        target = np.zeros_like(j)
-        target[2] = 0.5 * np.abs(chi) ** 2
-        errs.append(float(np.abs(j - target).max()))
-    order = float(np.log2(errs[0] / errs[1]))
+    packet = NRPacketParams(n=1, v=(0.0, 0.0, 0.5))
+    order = verify.nr_current_order(packet, (64, 128), extent=12.0)["order"]
     assert order >= 1.8
     report(
         f"ACCEPTANCE 7 PASS: spectral vs closed-form density max-abs {worst:.1e} "
@@ -246,22 +192,20 @@ def test_criterion_7_nonrelativistic_suite():
 
 def test_criterion_8_orthogonality_decay():
     n_values = (2, 4, 8, 16)
-    same_spin = []
-    for n in n_values:
-        s1 = make_state(n=n)
-        s2 = make_state(a=(2.0, 0.0, 0.0), n=n)
-        same_spin.append(abs(overlap(s1, s2)))
-        flipped = make_state(a=(2.0, 0.0, 0.0), n=n, spin=SPIN_DOWN)
-        assert abs(overlap(s1, flipped, method="quadrature")) <= 1e-10
-    assert strictly_decreasing(same_spin), same_spin
+    values = verify.overlaps(
+        a2=(2.0, 0.0, 0.0),
+        decay_n_values=n_values,
+        # the closed form agrees with direct quadrature where the latter is
+        # meaningful (above its cancellation floor)
+        reduction_n_values=(2, 4),
+        opposite_a2=(2.0, 0.0, 0.0),
+        opposite_n_values=n_values,
+    )
+    same_spin = values["decay"]
+    assert values["opposite_spin_overlap"] <= 1e-10
+    assert values["overlap_decay_ratio"] < 1.0, same_spin
     assert same_spin[-1] < 0.05
-
-    # the closed-form values used above agree with direct quadrature where
-    # the latter is meaningful (above its cancellation floor)
-    for n in (2, 4):
-        s1 = make_state(n=n)
-        s2 = make_state(a=(2.0, 0.0, 0.0), n=n)
-        assert abs(overlap(s1, s2) - overlap(s1, s2, method="quadrature")) <= 1e-9
+    assert values["overlap_reduction"] <= 1e-9
 
     report(
         "ACCEPTANCE 8 PASS: |overlap| decay "
@@ -271,20 +215,12 @@ def test_criterion_8_orthogonality_decay():
 
 
 def test_criterion_9_symmetry_suite():
-    half = BoostParams(rapidity=float(np.arctanh(0.5)))
-    addition_err = abs(velocity_addition(0.5, half) - 0.8)
-    assert addition_err <= 1e-12
-
     lim = PointDensityLimit(
         point=(0.3, -0.2, 1.7), velocity=(0.1, 0.2, 0.4), j_weight=(0.1, 0.2, 0.4)
     )
-    two = boost_label(boost_label(lim, BoostParams(0.3)), BoostParams(0.9))
-    one = boost_label(lim, BoostParams(1.2))
-    comp_err = max(
-        float(np.abs(np.array(two.point) - np.array(one.point)).max()),
-        float(np.abs(np.array(two.velocity) - np.array(one.velocity)).max()),
-        abs(two.rho_weight - one.rho_weight),
-    )
+    values = verify.boost_laws(0.5, lim, (0.3, 0.9))
+    addition_err, comp_err = values["boost_velocity_addition"], values["boost_composition"]
+    assert addition_err <= 1e-12
     assert comp_err <= 1e-12
 
     # discrete operations commute with the density pipeline on a coarse grid
@@ -292,7 +228,7 @@ def test_criterion_9_symmetry_suite():
 
     def fields(**kwargs):
         ps = position_state_cartesian(make_state(n=2, **kwargs), grid)
-        return density(ps), current(ps)
+        return density_field(ps), current(ps)
 
     def flip(arr, axes):
         out = arr
@@ -324,31 +260,15 @@ def test_criterion_9_symmetry_suite():
 
 def test_criterion_10_spinor_identity_suite():
     rng = np.random.default_rng(424242)
-    pts = rng.uniform(-50, 50, size=(1000, 3))
-
-    proj = positive_projector(pts)
-    idem = float(np.abs(proj @ proj - proj).max())
+    values = verify.spinor_identities(rng.uniform(-50, 50, size=(1000, 3)))
+    idem = values["projector_idempotence"]
+    resid, spin_resid = values["eigenspinor_residual"], values["spin_eigenvalue"]
     assert idem <= 1e-12
-
-    ham = hamiltonian_matrix(pts)
-    erg = energy(pts)
-    s3 = pryce_spin3(pts)
-    resid = spin_resid = 0.0
-    for label in (SPIN_UP, SPIN_DOWN):
-        u = spin_eigenspinor(pts, label)
-        resid = max(
-            resid,
-            float(np.abs(np.einsum("mab,mb->ma", ham, u) - erg[:, None] * u).max()),
-        )
-        spin_resid = max(
-            spin_resid,
-            float(np.abs(np.einsum("mab,mb->ma", s3, u) - label * u).max()),
-        )
     assert resid <= 1e-10
     assert spin_resid <= 1e-10
 
-    bounds = spinor_derivative_bounds(rng.uniform(-20, 20, size=(1000, 3)), slack=1e-3)
-    assert bounds.ok, bounds.violations
+    samples = rng.uniform(-20, 20, size=(1000, 3))
+    assert verify.derivative_bound_slack(samples)["derivative_bound_slack"] <= 1e-3
 
     report(
         f"ACCEPTANCE 10 PASS: 10^3 random momenta; idempotence {idem:.1e}; "

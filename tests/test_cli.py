@@ -8,11 +8,12 @@ import pytest
 from scipy.integrate import simpson
 
 import diracloc.cli as cli
+import diracloc.verify as verify
 from diracloc.cli import main
 from diracloc.dynamics import evolve_free
-from diracloc.observables import current, density
+from diracloc.observables import current
 from diracloc.states import gaussian_profile, make_state
-from diracloc.transform import CartesianGrid, position_state_cartesian
+from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
 from radial_oracles import two_panel_delta_x
 
 
@@ -30,6 +31,14 @@ def figure1_outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig")
     assert run(["figure1", "--out", str(out)]) == 0
     return out
+
+
+@pytest.mark.parametrize("argv", [["figure1", "--grid", "64,16"], ["verify", "--n", "5"]])
+def test_unused_flag_is_usage_error(tmp_path, argv):
+    # each subcommand takes only the flags it reads; others are refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 class TestFigure1:
@@ -152,7 +161,7 @@ class TestEvolve:
         c = grid.n_points // 2
         for t in (0.0, 0.5):
             ps = position_state_cartesian(evolve_free(make_state(n=3), t), grid)
-            rho, j = density(ps), current(ps)
+            rho, j = density_field(ps), current(ps)
             expected = np.column_stack([grid.axis(), rho[:, c, c], j[:, :, c, c].T])
             rows = np.loadtxt(tmp_path / f"slice_t{t:g}.csv", delimiter=",", skiprows=1)
             assert np.abs(rows - expected).max() <= 1e-14 * rho.max()
@@ -218,8 +227,10 @@ class TestOverlapCommand:
 
 
 class TestVerifyCommand:
-    def test_tolerance_injection_fails_cleanly(self, tmp_path, capsys):
-        # zeroing one tolerance must produce an itemized failure and exit 1
+    def test_tolerance_injection_fails_cleanly(self, tmp_path, monkeypatch):
+        # zeroing two tolerances must produce an itemized failure and exit 1;
+        # the battery is cut to its two cheap spinor entries
+        monkeypatch.setattr(verify, "BATTERY", verify.BATTERY[1:3])
         code = run(
             [
                 "verify",

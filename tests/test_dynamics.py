@@ -20,7 +20,7 @@ from diracloc.dynamics import (
 )
 from diracloc.observables import FourVectorDensity, mean_velocity_two_ways, moments
 from diracloc.states import make_state
-from diracloc.transform import CartesianGrid, position_state_cartesian
+from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
 
 
 class TestEvolveFree:
@@ -117,18 +117,14 @@ class TestLightcone:
             lightcone_leakage(rho, rho, grid, 2.0, -0.1)
 
     def test_localized_state_within_grid_bound(self):
-        from diracloc.observables import density
-
         state = make_state(n=5)
         grid = CartesianGrid(64, 16.0)
-        rho0 = density(position_state_cartesian(state, grid))
-        rho1 = density(position_state_cartesian(evolve_free(state, 1.0), grid))
+        rho0 = density_field(position_state_cartesian(state, grid))
+        rho1 = density_field(position_state_cartesian(evolve_free(state, 1.0), grid))
         assert lightcone_leakage(rho0, rho1, grid, 3.0, 1.0) <= 1e-3
 
     def test_probability_outside_monotone_in_radius(self, ps5):
-        from diracloc.observables import density
-
-        rho = density(ps5)
+        rho = density_field(ps5)
         outs = [probability_outside(rho, ps5.grid, r) for r in (1.0, 2.0, 3.0)]
         assert outs[0] > outs[1] > outs[2] >= 0.0
 

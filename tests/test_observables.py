@@ -14,7 +14,6 @@ from diracloc.observables import (
     causality_margin,
     convolution_Rn,
     current,
-    density,
     density_fourier,
     mean_velocity_two_ways,
     moments,
@@ -39,6 +38,7 @@ from diracloc.states import (
 from diracloc.transform import (
     CartesianGrid,
     PositionState,
+    density_field,
     position_state_cartesian,
     radial_delta_x,
 )
@@ -61,7 +61,7 @@ def einsum_current(ps):
 class TestDensityAndCurrent:
     def test_unit_sample_density(self):
         ps = tiny_state([1.0, 0.0, 0.0, 0.0])
-        rho = density(ps)
+        rho = density_field(ps)
         c = ps.grid.n_points // 2
         assert rho[c, c, c] == 1.0
         assert np.sum(rho) == 1.0
@@ -76,11 +76,11 @@ class TestDensityAndCurrent:
         shape = (4, 16, 16, 16)
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ps = PositionState(grid=grid, psi=psi)
-        scale = density(ps).max()
+        scale = density_field(ps).max()
         assert np.abs(current(ps) - einsum_current(ps)).max() <= 1e-14 * scale
 
     def test_closed_form_current_matches_einsum_on_state(self, ps5):
-        scale = density(ps5).max()
+        scale = density_field(ps5).max()
         assert np.abs(current(ps5) - einsum_current(ps5)).max() <= 1e-14 * scale
 
     def test_constant_eigenspinor_current_ratio(self):
@@ -88,13 +88,13 @@ class TestDensityAndCurrent:
         p = np.array([0.6, -0.2, 1.1])
         ps = tiny_state(spin_eigenspinor(p))
         c = ps.grid.n_points // 2
-        ratio = current(ps)[:, c, c, c] / density(ps)[c, c, c]
+        ratio = current(ps)[:, c, c, c] / density_field(ps)[c, c, c]
         from diracloc.spinor import energy
 
         assert np.abs(ratio - p / energy(p)).max() < 1e-14
 
     def test_density_integrates_to_one(self, ps5):
-        assert np.sum(density(ps5)) * ps5.grid.cell_volume == pytest.approx(1.0, abs=1e-4)
+        assert np.sum(density_field(ps5)) * ps5.grid.cell_volume == pytest.approx(1.0, abs=1e-4)
 
     def test_cauchy_schwarz_pointwise(self, ps5):
         field = FourVectorDensity.from_position_state(ps5)
@@ -200,12 +200,6 @@ class TestOverlap:
             for n in (2, 4, 8, 16)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_closed_form_requires_matching_family(self):
-        s1 = make_state(n=2)
-        s2 = make_state(n=3)
-        with pytest.raises(ValueError):
-            overlap(s1, s2, method="closed")
 
     def test_translation_phase(self):
         # center shift k != 0 contributes the phase exp(i n k . delta)

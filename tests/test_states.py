@@ -12,7 +12,6 @@ from diracloc.states import (
     ProfileError,
     SERIES_BELOW,
     boosted_gaussian_profile,
-    build_phi,
     check_profile_conditions,
     gaussian_profile,
     make_state,
@@ -109,6 +108,14 @@ class TestBoostedProfile:
         prof = boosted_gaussian_profile(0.99 * direction)
         assert np.abs(np.asarray(prof.center) - kappa * direction).max() <= 1e-14 * kappa
 
+    @pytest.mark.parametrize("sigma_p", [0.5, 1.0, 2.0])
+    def test_quadrature_mean_off_axis_near_lightspeed(self, sigma_p):
+        # the rule's polar axis follows the centre, so a shift of 7 widths
+        # off the z axis resolves as well as one along it
+        v = 0.99 * np.array([0.48, -0.6, 0.64])
+        _, mean = check_profile_conditions(boosted_gaussian_profile(v, sigma_p))
+        assert np.abs(mean - v).max() <= 1e-12
+
     def test_series_meets_closed_form_at_switch(self):
         below = mean_flow(np.nextafter(SERIES_BELOW, 0.0))
         assert abs(below / mean_flow(SERIES_BELOW) - 1.0) <= 1e-14
@@ -137,17 +144,17 @@ class TestLocalizationLabel:
         assert lab.with_n(7).a == (1.0, 2.0, 3.0)
 
 
-class TestBuildPhi:
+class TestMomentumState:
     def test_origin_value(self):
-        lab = LocalizationLabel(n=1)
-        phi = build_phi(lab, gaussian_profile(1.0), (0.0, 0.0, 0.0))
+        state = MomentumState(label=LocalizationLabel(n=1), profile=gaussian_profile(1.0))
+        phi = state.spinor(0.0, 0.0, 0.0)
         assert np.abs(phi - np.array([np.pi**-0.75, 0, 0, 0])).max() < 1e-15
 
     def test_translation_phase(self):
         prof = gaussian_profile(1.0)
         p = (np.pi, 0.0, 0.0)
-        phi0 = build_phi(LocalizationLabel(n=1), prof, p)
-        phi_a = build_phi(LocalizationLabel(a=(1.0, 0, 0), n=1), prof, p)
+        phi0 = MomentumState(label=LocalizationLabel(n=1), profile=prof).spinor(*p)
+        phi_a = MomentumState(label=LocalizationLabel(a=(1.0, 0, 0), n=1), profile=prof).spinor(*p)
         assert np.abs(phi_a - np.exp(-1j * np.pi) * phi0).max() < 1e-14
         assert np.abs(phi_a + phi0).max() < 1e-14
 

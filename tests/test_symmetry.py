@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diracloc.observables import FourVectorDensity, current, density
+from diracloc.observables import FourVectorDensity, current
 from diracloc.states import LocalizationLabel, make_state
 from diracloc.symmetry import (
     BoostParams,
@@ -17,7 +17,7 @@ from diracloc.symmetry import (
     velocity_addition,
     verify_boost_against_field,
 )
-from diracloc.transform import CartesianGrid, position_state_cartesian
+from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
 
 
 class TestLabelOperations:
@@ -109,7 +109,7 @@ class TestPipelineCommutation:
     @staticmethod
     def _fields(label_kwargs):
         ps = position_state_cartesian(make_state(n=2, **label_kwargs), TestPipelineCommutation.GRID)
-        return density(ps), current(ps)
+        return density_field(ps), current(ps)
 
     @staticmethod
     def _flip(arr, axes):

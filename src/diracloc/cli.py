@@ -196,6 +196,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("radial grid needs r_max > 0 and r_count >= 2")
     if any(t < 0 for t in cfg.times):
         raise ConfigError("evolution times must be nonnegative")
+    if cfg.times and min(cfg.times) < cfg.times[0]:
+        raise ConfigError("no evolution time may precede the first, the light-cone baseline")
     for name, value in cfg.tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}")
@@ -279,6 +281,7 @@ def _radial_norm(profile, n: int, r_max: float, table) -> float:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    """Run the check battery; exit 1 on any failure."""
     checks = run_checks(cfg.tolerances)
     out = _outdir(cfg)
     payload = {
@@ -298,6 +301,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    """Free-evolution report plus per-time axis slices."""
     out = _outdir(cfg)
     state = _state(cfg, _profile(cfg), cfg.n_list[0])
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
@@ -321,6 +325,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def cmd_rn(cfg: RunConfig) -> int:
+    """Tabulate the convolution R_n(p) over the n list."""
     out = _outdir(cfg)
     profile = _profile(cfg)
     if cfg.rn_q == "identity":
@@ -347,6 +352,7 @@ def cmd_rn(cfg: RunConfig) -> int:
 
 
 def cmd_moments(cfg: RunConfig) -> int:
+    """Grid moments per n as JSON."""
     out = _outdir(cfg)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     payload = {"grid": {"points": cfg.grid_points, "extent": cfg.grid_extent}, "moments": {}}
@@ -360,6 +366,7 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 
 def cmd_overlap(cfg: RunConfig) -> int:
+    """Overlaps against a second label per n as JSON."""
     out = _outdir(cfg)
     spin2 = cfg.spin if cfg.overlap_spin2 is None else cfg.overlap_spin2
     payload = {"a": list(cfg.a), "a2": list(cfg.overlap_a2), "overlaps": {}}
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in COMMANDS.items():
-        p = sub.add_parser(name, help=func.__doc__)
+        p = sub.add_parser(name, help=func.__doc__.strip().splitlines()[0])
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
         if name == "verify":

@@ -8,7 +8,12 @@ the pointwise bound |j| <= rho and by light-cone leakage, i.e. the
 probability found outside a sphere expanding at the speed of light.
 Each snapshot costs one transform and one (rho, j) pass: the moments,
 the causality margin and the leakage all read the same field, and only
-that field, not the spinor samples, is kept per time.
+that field, not the spinor samples, is kept per time.  The momentum
+norm does not depend on t (|exp(-i E t)| = 1), so a report computes it
+once; the light cone grows from r0 at the first reported time, by the
+time elapsed since then, and the probability outside it is weighted by
+each cell's share of a radial slab so that it moves continuously with
+the cone's radius.
 
 The nonrelativistic block mirrors the same story for a spinless
 Schrodinger particle (m = hbar = 1): Gaussian packets
@@ -42,9 +47,20 @@ def evolve_free(state: MomentumState, t: float) -> MomentumState:
 
 
 def probability_outside(rho: np.ndarray, grid: CartesianGrid, radius: float) -> float:
-    """Probability carried by grid cells with |x| > radius."""
-    mask = grid.radius() > radius
-    return float(np.sum(rho[mask]) * grid.cell_volume)
+    """Probability outside the sphere |x| = radius.
+
+    A cell counts with the share of a radial slab of width dx, centred on
+    it, that lies outside the sphere.  A sharp cell mask would move only
+    when the radius crosses a lattice shell (|x|^2 is a multiple of
+    dx^2), so a cone grown by less than about dx^2/(2 radius) would not
+    grow at all on the grid.
+    """
+    share = grid.radius()
+    share -= radius
+    share /= grid.dx
+    share += 0.5
+    np.clip(share, 0.0, 1.0, out=share)
+    return float(np.vdot(share, rho) * grid.cell_volume)
 
 
 def lightcone_leakage(
@@ -52,8 +68,10 @@ def lightcone_leakage(
 ) -> float:
     """Probability outside the light cone grown from the sphere r0.
 
-    Returns P(|x| > r0 + t at time t) - P(|x| > r0 at time 0); causal
-    flow cannot make this positive beyond discretization error.
+    ``rho0`` is the density at some time t0 and ``rho_t`` the density a
+    time ``t`` later.  Returns P(|x| > r0 + t at t0 + t) - P(|x| > r0 at
+    t0); causal flow cannot make this positive beyond discretization
+    error.
     """
     if t < 0:
         raise ValueError("leakage is defined for t >= 0")
@@ -93,25 +111,32 @@ def evolve_report(
 ) -> tuple[EvolutionReport, list[FourVectorDensity]]:
     """Evolve, transform and collect diagnostics at each requested time.
 
+    The first time is the light-cone baseline: at time t the cone has
+    grown from r0 by t - times[0], so the first leakage is exactly 0.
     Returns the report and the (rho, j) field of every snapshot; the
     spinor samples are dropped once their field has been computed.
     """
     report = EvolutionReport(r0=r0)
     fields = []
+    norm = state.norm()  # |exp(-i E t)| = 1, so one quadrature serves every time
     for t in times:
-        evolved = evolve_free(state, float(t))
-        ps = position_state_cartesian(evolved, grid)
+        t = float(t)
+        elapsed = t - report.times[0] if report.times else 0.0
+        if elapsed < 0:
+            raise ValueError(f"time {t} precedes the first time {report.times[0]}")
+        ps = position_state_cartesian(evolve_free(state, t), grid)
         fvd = FourVectorDensity.from_position_state(ps)
         mom = moments(ps, fvd)
-        rho0 = fields[0].rho if fields else fvd.rho
-        report.times.append(float(t))
-        report.momentum_norms.append(evolved.norm())
+        if not fields:
+            outside0 = probability_outside(fvd.rho, grid, r0)
+        report.times.append(t)
+        report.momentum_norms.append(norm)
         report.grid_norms.append(ps.norm)
         report.mean_x.append([float(c) for c in mom.mean_x])
         report.delta_x.append(mom.delta_x)
         report.mean_velocity.append([float(c) for c in mom.mean_velocity])
         report.causality_margins.append(causality_margin(fvd))
-        report.leakages.append(lightcone_leakage(rho0, fvd.rho, grid, r0, float(t)))
+        report.leakages.append(probability_outside(fvd.rho, grid, r0 + elapsed) - outside0)
         fields.append(fvd)
         del ps  # free psi before the next transform allocates its own
     return report, fields

@@ -19,14 +19,17 @@ the unitary rotation
 which maps beta-eigenvectors onto H-eigenvectors (H U = E U beta), the
 mean-spin operator S3(p) = U(p) (-i/2 alpha1 alpha2) U(p)^dagger, and
 closed-form normalized eigenspinors carrying spin labels +1/2 and -1/2.
+``spinor_layout`` is the one record of which slot of such a spinor
+holds which entry; ``fill_eigenspinor`` writes it into a caller's array.
 
-All functions are pure and broadcast over trailing momentum axes, so
-they are safe to call concurrently.
+All other functions are pure and broadcast over trailing momentum axes,
+so they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,26 +120,62 @@ def pryce_spin3(p) -> np.ndarray:
     return u @ SPIN3_BETA_BASIS @ np.conj(np.swapaxes(u, -1, -2))
 
 
-def eigenspinor_components(px, py, pz, spin=SPIN_UP):
-    """Positive-energy eigenspinor of H and S3 as four broadcastable arrays.
+class SpinorLayout(NamedTuple):
+    """Slots of calE u_spin(p): ``mass`` holds E + m, ``longitudinal``
+    sign * p3, ``transverse`` p1 + sign * i p2, and ``zero`` is exactly 0."""
 
-    spin=+1/2 gives ((E+1), 0, p3, p1+i p2)/calE (column one of U);
-    spin=-1/2 gives (0, (E+1), p1-i p2, -p3)/calE (column two of U).
-    Both are exactly unit-normalized: (E+1)^2 + |p|^2 = calE^2.
+    mass: int
+    zero: int
+    longitudinal: int
+    transverse: int
+    sign: float
+
+
+# spin=+1/2: ((E+1), 0, p3, p1+i p2)/calE, column one of U;
+# spin=-1/2: (0, (E+1), p1-i p2, -p3)/calE, column two of U.
+_LAYOUTS = {
+    SPIN_UP: SpinorLayout(mass=0, zero=1, longitudinal=2, transverse=3, sign=1.0),
+    SPIN_DOWN: SpinorLayout(mass=1, zero=0, longitudinal=3, transverse=2, sign=-1.0),
+}
+
+
+def spinor_layout(spin) -> SpinorLayout:
+    """Where each entry of the positive-energy eigenspinor of ``spin`` lives."""
+    try:
+        return _LAYOUTS[spin]
+    except KeyError:
+        raise ValueError(f"spin label must be +0.5 or -0.5, got {spin!r}") from None
+
+
+def fill_eigenspinor(out, weight, e_plus_m, px, py, pz, spin):
+    """Write weight * calE u_spin(p) into ``out``, a (4, ...) complex array.
+
+    ``weight`` is the scalar factor already divided by calE; it may be
+    the view ``out[spinor_layout(spin).zero, ...]``, which is zeroed last.
+    ``e_plus_m`` is E(p) + m; every argument broadcasts to ``out[0]``.
+    """
+    layout = spinor_layout(spin)
+    np.multiply(weight, e_plus_m, out=out[layout.mass, ...])
+    np.multiply(weight, layout.sign * pz, out=out[layout.longitudinal, ...])
+    np.multiply(weight, px + (layout.sign * 1j) * py, out=out[layout.transverse, ...])
+    out[layout.zero, ...] = 0.0
+    return out
+
+
+def eigenspinor_components(px, py, pz, spin=SPIN_UP):
+    """Positive-energy eigenspinor of H and S3 as a (4, ...) stack.
+
+    The entries follow ``spinor_layout``.  Both spins are exactly
+    unit-normalized: (E+1)^2 + |p|^2 = calE^2.
     """
     px, py, pz = np.broadcast_arrays(
         np.asarray(px, dtype=float), np.asarray(py, dtype=float), np.asarray(pz, dtype=float)
     )
     e = energy_xyz(px, py, pz)
-    cal = np.sqrt(2.0 * e * (e + MASS))
-    zero = np.zeros_like(e, dtype=complex)
-    if spin == SPIN_UP:
-        comps = ((e + MASS) / cal + 0j, zero, pz / cal + 0j, (px + 1j * py) / cal)
-    elif spin == SPIN_DOWN:
-        comps = (zero, (e + MASS) / cal + 0j, (px - 1j * py) / cal, -pz / cal + 0j)
-    else:
-        raise ValueError(f"spin label must be +0.5 or -0.5, got {spin!r}")
-    return np.stack(comps)
+    e_plus_m = e + MASS
+    inv_cal = 1.0 / np.sqrt(2.0 * e * e_plus_m)
+    out = np.empty((4,) + e.shape, dtype=complex)
+    return fill_eigenspinor(out, inv_cal, e_plus_m, px, py, pz, spin)
 
 
 def spin_eigenspinor(p, spin=SPIN_UP) -> np.ndarray:

@@ -37,7 +37,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .quadrature import spherical_rule
-from .spinor import SPIN_DOWN, SPIN_UP, eigenspinor_components, energy_xyz
+from .spinor import SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
+from .units import MASS
 
 PROFILE_CUTOFF_SIGMAS = 8.0  # Gaussian amplitude < 1e-14 past this radius
 MAX_PROFILE_SPEED = 0.99  # mean-direction root-finding diverges beyond this
@@ -75,6 +76,11 @@ class MomentumProfile:
         kx, ky, kz = self.center
         q2 = (px - kx) ** 2 + (py - ky) ** 2 + (pz - kz) ** 2
         return self.amplitude * np.exp(-q2 / (2.0 * self.sigma_p**2))
+
+    def axis_factors(self, p):
+        """f as three factors on the 1-D axis p: their outer product is f on p x p x p."""
+        fx, fy, fz = (np.exp(-((p - k) ** 2) / (2.0 * self.sigma_p**2)) for k in self.center)
+        return self.amplitude * fx, fy, fz
 
     def cutoff(self) -> float:
         """Radius beyond which |f| < 1e-14 * amplitude."""
@@ -223,18 +229,39 @@ class MomentumState:
         n = self.label.n
         return n**-1.5 * self.profile(px / n, py / n, pz / n)
 
+    def axis_factors(self, p):
+        """n^(-3/2) f(p/n) exp(-i a.p) as three factors, one per axis, on the 1-D axis p.
+
+        Their outer product is the time-independent scalar part of phi on
+        the grid p x p x p; only the eigenspinor and exp(-i E t) are not
+        separable.
+        """
+        n = self.label.n
+        p = np.asarray(p, dtype=float)
+        fx, fy, fz = self.profile.axis_factors(p / n)
+        ax, ay, az = self.label.a
+        return (
+            n**-1.5 * fx * np.exp(-1j * ax * p),
+            fy * np.exp(-1j * ay * p),
+            fz * np.exp(-1j * az * p),
+        )
+
     def spinor(self, px, py, pz) -> np.ndarray:
         """phi(p) as a (4, ...) complex array broadcast over the inputs."""
         px = np.asarray(px, dtype=float)
         py = np.asarray(py, dtype=float)
         pz = np.asarray(pz, dtype=float)
-        scalar = self.envelope(px, py, pz).astype(complex)
+        e = energy_xyz(px, py, pz)
         ax, ay, az = self.label.a
         phase = ax * px + ay * py + az * pz
         if self.time != 0.0:
-            phase = phase + energy_xyz(px, py, pz) * self.time
-        scalar = scalar * np.exp(-1j * phase)
-        return scalar * eigenspinor_components(px, py, pz, self.label.spin)
+            phase = phase + e * self.time
+        out = np.empty((4,) + np.shape(e), dtype=complex)
+        weight = out[spinor_layout(self.label.spin).zero, ...]
+        np.multiply(self.envelope(px, py, pz), np.exp(-1j * phase), out=weight)
+        e_plus_m = e + MASS
+        weight /= np.sqrt(2.0 * e * e_plus_m)
+        return fill_eigenspinor(out, weight, e_plus_m, px, py, pz, self.label.spin)
 
     def momentum_cutoff(self) -> float:
         """Radius enclosing the envelope to the 1e-14 amplitude level."""

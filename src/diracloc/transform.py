@@ -13,11 +13,18 @@ Two routes:
   with F(p) = n^(-3/2) f(p/n); the density is |g0|^2 + |g1|^2.  This is
   the fast path used for the localized-density curves.
 
-* ``position_state_cartesian``: a brute-force componentwise 3-D inverse
-  FFT of phi sampled on the reciprocal grid, done in place on the
-  freshly sampled array with every core (``scipy.fft``).  It serves as
-  the independent oracle for the radial path and as the only path for
-  states without radial symmetry.
+* ``position_state_cartesian``: a componentwise 3-D inverse FFT of phi
+  sampled on the reciprocal grid.  The envelope, the phase exp(-i a.p),
+  the FFT sign and the continuum scale are separable, so they are built
+  from three length-N vectors; only E(p), 1/calE and exp(-i E t) are
+  computed on the N^3 grid.  The three nonzero eigenspinor entries go
+  straight into the result, whose fourth component is exactly zero and
+  is not transformed; the other three are transformed in place with
+  every core (``scipy.fft``).  It serves as the independent oracle for
+  the radial path and as the only path for states without radial
+  symmetry.  A grid is refused before any N^3 allocation when it misses
+  more than ``mass_tol`` of the momentum mass or when its working set
+  exceeds physical memory.
 
 Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
 the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
@@ -32,6 +39,7 @@ so the spread is exact over all space at any n.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +48,14 @@ from scipy.ndimage import map_coordinates
 from scipy.special import spherical_jn
 
 from .quadrature import gauss_legendre, panel_rule
-from .spinor import energy_xyz
+from .spinor import energy_xyz, fill_eigenspinor, spinor_layout
 from .states import MomentumProfile, MomentumState
 from .units import MASS
 
 RADIAL_NODES = 2048
+# bytes per cell held at once by position_state_cartesian: psi (4 complex),
+# E(p) (1 real) and one complex-sized scratch (exp(-i E t), or calE's temporaries)
+GRID_BYTES_PER_CELL = 4 * 16 + 8 + 16
 
 
 class GridError(ValueError):
@@ -139,9 +150,18 @@ class PositionState:
     norm: float = field(init=False)
 
     def __post_init__(self):
-        self.norm = float(
-            np.sqrt(np.sum(np.abs(self.psi) ** 2) * self.grid.cell_volume)
-        )
+        # vdot sums |psi|^2 without a grid-sized temporary
+        self.norm = float(np.sqrt(np.vdot(self.psi, self.psi).real * self.grid.cell_volume))
+
+
+def grid_working_set(grid: CartesianGrid) -> int:
+    """Bytes ``position_state_cartesian`` holds at once on this grid."""
+    return GRID_BYTES_PER_CELL * grid.n_points**3
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def position_state_cartesian(
@@ -152,7 +172,9 @@ def position_state_cartesian(
     The result carries the continuum scaling, so its discrete norm
     reproduces the momentum-space norm up to the mass the grid cannot
     represent.  A grid whose Nyquist momentum misses more than
-    ``mass_tol`` of the state's momentum-space probability is rejected.
+    ``mass_tol`` of the state's momentum-space probability is rejected,
+    and so is one whose working set exceeds physical memory, before
+    anything of grid size is allocated.
     """
     if grid is None:
         grid = grid_for_state(state)
@@ -162,15 +184,39 @@ def position_state_cartesian(
             f"grid Nyquist {grid.nyquist:.2f} < state momentum support {support:.2f} "
             f"(n = {state.label.n}); enlarge N or shrink L"
         )
+    need, have = grid_working_set(grid), physical_memory()
+    if need > have:
+        raise GridError(
+            f"a {grid.n_points}^3 grid needs {need} bytes, more than the {have} bytes "
+            "of physical memory; lower N"
+        )
     n = grid.n_points
     p = grid.p_axis()
+    px, py, pz = p[:, None, None], p[None, :, None], p[None, None, :]
     # exp(i p_k x_0) with x_0 = -L/2 reduces to (-1)^(integer frequency)
     sign = np.where(np.rint(np.fft.fftfreq(n) * n).astype(int) % 2 == 0, 1.0, -1.0)
-    phi = state.spinor(p[:, None, None], p[None, :, None], p[None, None, :])
-    phi *= sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
-    # phi is local to this call, so the transform may overwrite it
-    psi = scipy.fft.ifftn(phi, axes=(1, 2, 3), overwrite_x=True, workers=-1)
-    psi *= (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+    fx, fy, fz = (f * sign for f in state.axis_factors(p))
+    fx *= (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+    layout = spinor_layout(state.label.spin)
+    psi = np.empty((4, n, n, n), dtype=complex)
+    # the zero slot holds the scalar weight until fill_eigenspinor clears it
+    weight = psi[layout.zero]
+    np.multiply(fx[:, None, None] * fy[None, :, None], fz[None, None, :], out=weight)
+    e = energy_xyz(px, py, pz)
+    weight /= np.sqrt(2.0 * e * (e + MASS))
+    if state.time != 0.0:
+        phase = e * (-1j * state.time)
+        np.exp(phase, out=phase)  # in place: one complex scratch array
+        weight *= phase
+    e += MASS
+    fill_eigenspinor(psi, weight, e, px, py, pz, state.label.spin)
+    # transform the slots either side of the zero one; scipy works in place
+    # on these contiguous runs, and a copy is made only if it did not
+    for run in (slice(0, layout.zero), slice(layout.zero + 1, 4)):
+        if run.start < run.stop:
+            out = scipy.fft.ifftn(psi[run], axes=(1, 2, 3), overwrite_x=True, workers=-1)
+            if not np.may_share_memory(out, psi):
+                psi[run] = out
     return PositionState(grid=grid, psi=psi, label=state.label, time=state.time)
 
 

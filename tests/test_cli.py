@@ -41,6 +41,18 @@ def test_unused_flag_is_usage_error(tmp_path, argv):
     assert exc.value.code == 2
 
 
+def test_help_lists_every_command_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, func in cli.COMMANDS.items():
+        entries = [line.split() for line in lines if line.split()[:1] == [name]]
+        assert len(entries) == 1, name
+        summary = " ".join(entries[0][1:])
+        assert summary and summary == func.__doc__.strip().splitlines()[0]
+
+
 class TestFigure1:
     @pytest.fixture
     def outputs(self, figure1_outputs):
@@ -172,6 +184,11 @@ class TestEvolve:
             ["evolve", "--out", str(tmp_path), "--n", "10", "--grid", "64,16",
              "--config", str(cfg)]
         ) == 2
+
+    def test_time_before_first_is_config_error(self, tmp_path):
+        # the first time is the light-cone baseline
+        cfg = self._times_config(tmp_path, "1 0.5")
+        assert run(["evolve", "--out", str(tmp_path), "--config", str(cfg)]) == 2
 
 
 class TestRnCommand:

@@ -95,6 +95,52 @@ class TestEvolutionReport:
         assert [f.time for f in fields] == list(times)
         assert all(isinstance(f, FourVectorDensity) for f in fields)
 
+    def test_leakage_cone_grows_from_first_time(self):
+        state = make_state(v=(0, 0, 0.3), n=2)
+        grid = CartesianGrid(32, 12.0)
+        times, r0 = (0.5, 1.0), 3.0
+        report, fields = evolve_report(state, grid, times, r0=r0)
+        rho0, rho1 = (f.rho for f in fields)
+        expected = probability_outside(rho1, grid, r0 + 0.5) - probability_outside(rho0, grid, r0)
+        assert report.leakages[0] == 0.0
+        assert report.leakages[1] == expected
+        assert report.leakages[1] == lightcone_leakage(rho0, rho1, grid, r0, 0.5)
+
+    def test_time_before_first_rejected(self):
+        with pytest.raises(ValueError):
+            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), (1.0, 0.5))
+
+    @pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5, 1.0, 1.5)])
+    def test_one_norm_and_no_full_grid_sampling(self, monkeypatch, times):
+        import diracloc.spinor as spinor
+        from diracloc.states import MomentumState
+
+        grid = CartesianGrid(16, 8.0)
+        norms, shapes = [], []
+        norm, phi, components = (
+            MomentumState.norm, MomentumState.spinor, spinor.eigenspinor_components
+        )
+
+        def counted_norm(self, *args, **kwargs):
+            norms.append(self)
+            return norm(self, *args, **kwargs)
+
+        def shaped_phi(self, px, py, pz):
+            shapes.append(np.broadcast(px, py, pz).shape)
+            return phi(self, px, py, pz)
+
+        def shaped_components(px, py, pz, spin=spinor.SPIN_UP):
+            shapes.append(np.broadcast(px, py, pz).shape)
+            return components(px, py, pz, spin)
+
+        monkeypatch.setattr(MomentumState, "norm", counted_norm)
+        monkeypatch.setattr(MomentumState, "spinor", shaped_phi)
+        monkeypatch.setattr(spinor, "eigenspinor_components", shaped_components)
+        report, _ = evolve_report(make_state(n=2), grid, times)
+        assert len(norms) == 1
+        assert report.momentum_norms == [norm(make_state(n=2))] * len(times)
+        assert (grid.n_points,) * 3 not in shapes
+
     def test_report_serializes(self):
         import json
 
@@ -122,6 +168,18 @@ class TestLightcone:
         rho0 = density_field(position_state_cartesian(state, grid))
         rho1 = density_field(position_state_cartesian(evolve_free(state, 1.0), grid))
         assert lightcone_leakage(rho0, rho1, grid, 3.0, 1.0) <= 1e-3
+
+    def test_probability_outside_moves_between_lattice_shells(self, ps5):
+        # |x|^2 is a multiple of dx^2 = 0.0088, so no cell centre has 3 < |x| <= 3.001
+        rho = density_field(ps5)
+        assert probability_outside(rho, ps5.grid, 3.001) < probability_outside(rho, ps5.grid, 3.0)
+
+    def test_short_step_does_not_leak(self):
+        # the cone grows by 0.0073, less than one lattice shell; a sharp cell
+        # mask read this as leakage 2.3e-3
+        state = make_state(a=(-1.700319, -0.167557, 1.115762), n=5)
+        report, _ = evolve_report(state, CartesianGrid(64, 16.0), (0.9817, 0.989))
+        assert report.leakages[1] <= 0.0
 
     def test_probability_outside_monotone_in_radius(self, ps5):
         rho = density_field(ps5)

@@ -1,10 +1,17 @@
 """Radial spherical-Bessel path, 3-D FFT path, and their agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diracloc.dynamics import evolve_free
 from diracloc.quadrature import _leggauss, gauss_legendre
+from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
+from grid_oracles import sampled_psi
 from radial_oracles import position_space_delta_x, two_panel_delta_x
 from diracloc.transform import (
     CartesianGrid,
@@ -14,6 +21,8 @@ from diracloc.transform import (
     angular_average,
     density_field,
     grid_for_state,
+    grid_working_set,
+    physical_memory,
     position_state_cartesian,
     radial_components,
     radial_delta_x,
@@ -184,16 +193,48 @@ class TestPositionState:
             position_state_cartesian(make_state(n=10), CartesianGrid(64, 16.0))
 
     def test_matches_numpy_ifftn(self):
-        # reference: the same sampling followed by a copying numpy.fft.ifftn
         state = make_state(a=(0.5, -1.0, 0.25), v=(0.2, 0.0, -0.4), n=3)
         grid = CartesianGrid(64, 16.0)
-        n, p = grid.n_points, grid.p_axis()
-        sign = np.where(np.rint(np.fft.fftfreq(n) * n).astype(int) % 2 == 0, 1.0, -1.0)
-        phi = state.spinor(p[:, None, None], p[None, :, None], p[None, None, :])
-        phi *= sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
-        ref = np.fft.ifftn(phi, axes=(1, 2, 3)) * (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+        ref = sampled_psi(state, grid)
         psi = position_state_cartesian(state, grid).psi
         assert np.abs(psi - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spin=st.sampled_from([SPIN_UP, SPIN_DOWN]),
+        a=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda d: np.linalg.norm(d) > 0.1
+        ),
+        speed=st.floats(0.0, 0.9),
+        n=st.integers(1, 3),
+        t=st.floats(0.0, 2.0),
+        points=st.sampled_from([16, 32]),
+    )
+    def test_separable_sampler_matches_oracle(self, spin, a, direction, speed, n, t, points):
+        v = speed * np.asarray(direction) / np.linalg.norm(direction)
+        state = evolve_free(make_state(a=a, v=v, spin=spin, n=n), t)
+        # Nyquist 16.8 on both grids covers |v| <= 0.9 at n = 3 (support 13.8)
+        grid = CartesianGrid(points, 3.0 * points / 16)
+        ref = sampled_psi(state, grid)
+        psi = position_state_cartesian(state, grid).psi
+        assert np.abs(psi - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert not np.any(psi[spinor_layout(spin).zero])
+
+    def test_memory_guard_refuses_before_allocating(self):
+        grid = CartesianGrid(2048, 16.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError) as exc:
+                position_state_cartesian(make_state(n=1), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        need = grid_working_set(grid)
+        assert need > physical_memory()
+        assert f"{need} bytes" in str(exc.value)
+        assert f"{physical_memory()} bytes" in str(exc.value)
 
     def test_translation_is_circular_shift(self):
         grid = CartesianGrid(64, 16.0)

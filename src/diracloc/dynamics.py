@@ -193,12 +193,6 @@ def nr_density_analytic(params: NRPacketParams, q, t: float) -> np.ndarray:
     return prefactor * np.exp(-(n * n) * sigma * sigma * d2 / spread)
 
 
-def nr_peak_density(params: NRPacketParams, t: float) -> float:
-    """Density at the moving centre q = a + v t."""
-    spread = params.sigma**4 + params.n**4 * t * t
-    return float(params.n**3 * params.sigma**3 / (np.pi * spread) ** 1.5)
-
-
 def nr_current(chi: np.ndarray, dq: float) -> np.ndarray:
     """Current Im(chi* grad chi) by centered differences (one-sided at edges)."""
     grads = np.gradient(chi, dq, edge_order=2)

@@ -21,6 +21,13 @@ or via the scalar weight p/E(p); the two coincide identically on
 positive-energy states and both are provided so the identity can be
 checked under a shared quadrature.
 
+Same-point bilinears need no spinor at all.  The unit eigenspinor
+gives u_s^dagger u_s = 1, u_up^dagger u_down = 0 and
+i u_s^dagger grad_p u_s = s (p x z)/(2E(E + m)), so ``overlap`` is exactly
+0 for opposite spins and a closed-form Gaussian product for same spins
+at equal times, and ``position_mean_from_momentum`` is a scalar
+quadrature of the envelope.
+
 Pointwise, |j(x)| <= rho(x) holds because every direction projection of
 alpha has spectrum {-1, +1}; ``causality_margin`` measures the worst
 violation over a sampled field and must stay at rounding level.
@@ -192,40 +199,56 @@ def mean_velocity_two_ways(state: MomentumState, rule: SphericalRule | None = No
     return spinor_form, scalar_form
 
 
-def _same_gaussian_family(s1: MomentumState, s2: MomentumState) -> bool:
-    return (
-        s1.label.spin == s2.label.spin
-        and s1.label.n == s2.label.n
-        and s1.time == s2.time
-        and s1.profile == s2.profile
-    )
-
-
 def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> complex:
     """Scalar product (phi1, phi2) = int phi1^dagger(p) phi2(p) d^3p.
 
-    method="auto" uses the exact Gaussian reduction when both states
-    share spin, index and profile and differ only in the point a: the
-    unit eigenspinor factor then cancels identically and the remaining
-    Gaussian Fourier integral has the closed form
+    method="auto" uses two exact reductions of the eigenspinor factor.
+    Opposite spins give exactly 0 for any profiles and times, because
+    u_up(p)^dagger u_down(p) = 0 at every p.  Same spins at equal times
+    leave u^dagger u = 1 and the Gaussian Fourier integral
 
-        exp(i n k.(a1-a2)) exp(-(n sigma |a1-a2|)^2 / 4),
+        int F1 F2 exp(i (a1 - a2).p) d^3p,   F_i = n_i^(-3/2) f_i(p/n_i),
 
+    in closed form for any two Gaussian profiles (``_gaussian_overlap``),
     which stays meaningful far below the float64 cancellation floor of
-    the direct quadrature.  method="quadrature" forces the brute-force
-    tensor Gauss-Legendre evaluation (the oracle for the reduction).
+    the direct quadrature.  Same spins at different times, and
+    method="quadrature" always, take the brute-force tensor
+    Gauss-Legendre evaluation of the sampled spinors (the oracle for
+    both reductions).
     """
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown overlap method {method!r}")
-    if method == "auto" and _same_gaussian_family(s1, s2):
-        n = s1.label.n
-        sigma = s1.profile.sigma_p
-        k = np.asarray(s1.profile.center)
-        delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
-        return complex(
-            np.exp(1j * n * k @ delta) * np.exp(-((n * sigma) ** 2) * (delta @ delta) / 4.0)
-        )
+    if method == "auto":
+        if s1.label.spin != s2.label.spin:
+            return 0j
+        if s1.time == s2.time:
+            return _gaussian_overlap(s1, s2)
     return _overlap_quadrature(s1, s2)
+
+
+def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
+    """int F1 F2 exp(i delta.p) d^3p for Gaussian envelopes, delta = a1 - a2.
+
+    F_i = A_i n_i^(-3/2) exp(-(p - c_i)^2 / (2 w_i)) with w_i = (n_i sigma_i)^2
+    and c_i = n_i k_i.  The product is one Gaussian of variance
+    W = w1 w2 / (w1 + w2) about mu = W (c1/w1 + c2/w2), so the integral is
+
+        A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2)
+        exp(-|c1 - c2|^2 / (2 (w1 + w2)) - W |delta|^2 / 2 + i delta.mu).
+    """
+    n1, n2 = s1.label.n, s2.label.n
+    p1, p2 = s1.profile, s2.profile
+    w1, w2 = (n1 * p1.sigma_p) ** 2, (n2 * p2.sigma_p) ** 2
+    c1, c2 = n1 * np.asarray(p1.center), n2 * np.asarray(p2.center)
+    delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
+    wsum = w1 + w2
+    width = w1 * w2 / wsum
+    mu = (w2 * c1 + w1 * c2) / wsum
+    scale = p1.amplitude * p2.amplitude * (n1 * n2) ** -1.5
+    exponent = -((c1 - c2) @ (c1 - c2)) / (2.0 * wsum) - width * (delta @ delta) / 2.0
+    return complex(
+        scale * (2.0 * np.pi * width) ** 1.5 * np.exp(exponent) * np.exp(1j * (delta @ mu))
+    )
 
 
 def _overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
@@ -368,30 +391,26 @@ def a_n_limit(profile: MomentumProfile, n: int, axis: int) -> float:
     return float(np.sum(rule.weights * f2 * kernel))
 
 
-def position_mean_from_momentum(state: MomentumState, step: float = 1e-5) -> np.ndarray:
-    """<x> evaluated in momentum space as int phi^dagger (i d/dp) phi d^3p.
+def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
+    """<x> = int phi^dagger (i grad_p) phi d^3p in closed form.
 
-    Derivatives by central differences; used to cross-check the
-    position-grid moments.
+    With phi = F u_s exp(-i a.p - i E t), real F and unit u_s the
+    envelope term integrates to zero and
+
+        <x> = a + t int F^2 p/E d^3p + s int F^2 (p_y, -p_x, 0) / (2 E (E + 1)) d^3p,
+
+    s = +1 or -1 by spin: i u_s^dagger grad u_s = s (p x z)/(2E(E + m)) is
+    the spin term separating Dirac's position from Newton-Wigner's.  Both
+    integrals are scalar sums on the state's spherical rule; used to
+    cross-check the position-grid moments.
     """
     rule = _state_rule(state)
-    out = np.empty(3)
-    for axis in range(3):
-        dp = np.zeros(3)
-        dp[axis] = step
-        plus = state.spinor(rule.x + dp[0], rule.y + dp[1], rule.z + dp[2])
-        minus = state.spinor(rule.x - dp[0], rule.y - dp[1], rule.z - dp[2])
-        dphi = (plus - minus) / (2.0 * step)
-        phi = state.spinor(rule.x, rule.y, rule.z)
-        out[axis] = np.sum(rule.weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
-    return out
-
-
-def density_fourier(ps: PositionState, p) -> complex:
-    """(2 pi)^(-3/2) int rho(x) exp(-i x.p) d^3x from the sampled density."""
-    p = np.asarray(p, dtype=float)
-    x = ps.grid.axis()
-    rho = density_field(ps)
-    phases = [np.exp(-1j * x * p[axis]) for axis in range(3)]
-    total = np.einsum("i,j,k,ijk->", phases[0], phases[1], phases[2], rho)
-    return complex(total * ps.grid.cell_volume / (2.0 * np.pi) ** 1.5)
+    density = rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2
+    e = energy_xyz(rule.x, rule.y, rule.z)
+    flow = density * (state.time / e)
+    mean = np.array(state.label.a, dtype=float)
+    mean += [np.sum(flow * rule.x), np.sum(flow * rule.y), np.sum(flow * rule.z)]
+    spin = density * ((1.0 if state.label.spin == SPIN_UP else -1.0) / (2.0 * e * (e + MASS)))
+    mean[0] += np.sum(spin * rule.y)
+    mean[1] -= np.sum(spin * rule.x)
+    return mean

@@ -22,10 +22,15 @@ is root-found on it.  ``check_profile_conditions`` evaluates both
 defining integrals by quadrature, on a spherical rule whose polar axis
 is turned onto the shift; it is the oracle for the closed form.
 
+Because the eigenspinor is unit, ``MomentumState.norm`` integrates the
+scalar envelope alone; ``MomentumState.spinor`` builds the full
+four-component phi for the callers that need it.
+
 Profiles are restricted to Gaussians (plain and shifted); they satisfy
 the smoothness and decay demands of the construction with analytic
 control of truncation: the envelope falls below 1e-14 beyond 8 sigma,
-which fixes the momentum cutoff used by every quadrature.
+which fixes the momentum cutoff used by every quadrature, and the
+radius holding all but a given share of |f|^2 is a chi-squared quantile.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import chdtri
 
 from .quadrature import spherical_rule
 from .spinor import SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
@@ -93,14 +99,12 @@ class MomentumProfile:
 
 
 def _gaussian_tail_radius(eps: float) -> float:
-    """q with integral_{|x|>q} pi^{-3/2} e^{-x^2} d^3x = eps (unit-width Gaussian)."""
+    """q with integral_{|x|>q} pi^{-3/2} e^{-x^2} d^3x = eps (unit-width Gaussian).
 
-    def outside(q):
-        from scipy.special import erfc
-
-        return erfc(q) + 2.0 * q * np.exp(-q * q) / np.sqrt(np.pi) - eps
-
-    return brentq(outside, 0.0, 30.0, xtol=1e-12)
+    2|x|^2 is chi-squared with three degrees of freedom, so the mass
+    outside q is its survival function at 2 q^2.
+    """
+    return math.sqrt(0.5 * chdtri(3, eps))
 
 
 def _profile_rule(profile: MomentumProfile, n_radial=256, n_theta=64, n_phi=32):
@@ -272,10 +276,9 @@ class MomentumState:
         return self.label.n * self.profile.support_radius(mass_tol)
 
     def norm(self, n_radial: int = 512, n_theta: int = 64, n_phi: int = 32) -> float:
-        """Quadrature norm ||phi|| (should be 1: the eigenspinor is unit)."""
+        """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit."""
         rule = spherical_rule((0.0, self.momentum_cutoff()), (n_radial,), n_theta, n_phi)
-        phi = self.spinor(rule.x, rule.y, rule.z)
-        dens = np.sum(np.abs(phi) ** 2, axis=0)
+        dens = np.abs(self.envelope(rule.x, rule.y, rule.z)) ** 2
         return float(np.sqrt(np.sum(rule.weights * dens)))
 
 

@@ -67,11 +67,6 @@ def time_reverse(label: LocalizationLabel) -> LocalizationLabel:
     return replace(label, v=tuple(-np.asarray(label.v)))
 
 
-def rotation_about_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 @dataclass(frozen=True)
 class BoostParams:
     """Boost along the 3-axis with the given rapidity."""

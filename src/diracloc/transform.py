@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-from scipy.ndimage import map_coordinates
 from scipy.special import spherical_jn
 
 from .quadrature import gauss_legendre, panel_rule
@@ -370,24 +369,3 @@ def radial_delta_x(profile: MomentumProfile, n: int) -> float:
 def density_field(ps: PositionState) -> np.ndarray:
     """rho(x) = psi^dagger psi on the grid."""
     return np.sum(np.abs(ps.psi) ** 2, axis=0)
-
-
-def angular_average(values: np.ndarray, grid: CartesianGrid, radii, n_directions: int = 512):
-    """Spherical average of a grid field at the given radii.
-
-    Uses cubic-spline interpolation sampled over a Fibonacci sphere; the
-    direction count controls the angular averaging error.
-    """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    i = np.arange(n_directions)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    zdir = 1.0 - 2.0 * (i + 0.5) / n_directions
-    rho_dir = np.sqrt(np.clip(1.0 - zdir * zdir, 0.0, None))
-    theta = golden * i
-    dirs = np.stack([rho_dir * np.cos(theta), rho_dir * np.sin(theta), zdir])  # (3, M)
-
-    pts = radii[:, None, None] * dirs[None, :, :]  # (R, 3, M)
-    idx = pts / grid.dx + grid.n_points // 2
-    coords = idx.transpose(1, 0, 2).reshape(3, -1)
-    samples = map_coordinates(values, coords, order=3, mode="nearest")
-    return samples.reshape(radii.size, n_directions).mean(axis=1)

@@ -1,6 +1,11 @@
-"""Reference sampler for the separable FFT path of position_state_cartesian."""
+"""Position-space references: the brute-force FFT sampler, a spherical
+average and a Fourier transform of sampled fields, and two closed forms
+(the nonrelativistic peak density and a rotation matrix)."""
 
 import numpy as np
+from scipy.ndimage import map_coordinates
+
+from diracloc.transform import density_field
 
 
 def sampled_psi(state, grid):
@@ -12,3 +17,45 @@ def sampled_psi(state, grid):
     phi *= sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
     psi = np.fft.ifftn(phi, axes=(1, 2, 3))
     return psi * (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+
+
+def angular_average(values, grid, radii, n_directions=512):
+    """Spherical average of a grid field at the given radii.
+
+    Uses cubic-spline interpolation sampled over a Fibonacci sphere; the
+    direction count controls the angular averaging error.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    i = np.arange(n_directions)
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    zdir = 1.0 - 2.0 * (i + 0.5) / n_directions
+    rho_dir = np.sqrt(np.clip(1.0 - zdir * zdir, 0.0, None))
+    theta = golden * i
+    dirs = np.stack([rho_dir * np.cos(theta), rho_dir * np.sin(theta), zdir])  # (3, M)
+
+    pts = radii[:, None, None] * dirs[None, :, :]  # (R, 3, M)
+    idx = pts / grid.dx + grid.n_points // 2
+    coords = idx.transpose(1, 0, 2).reshape(3, -1)
+    samples = map_coordinates(values, coords, order=3, mode="nearest")
+    return samples.reshape(radii.size, n_directions).mean(axis=1)
+
+
+def density_fourier(ps, p):
+    """(2 pi)^(-3/2) int rho(x) exp(-i x.p) d^3x from the sampled density."""
+    p = np.asarray(p, dtype=float)
+    x = ps.grid.axis()
+    rho = density_field(ps)
+    phases = [np.exp(-1j * x * p[axis]) for axis in range(3)]
+    total = np.einsum("i,j,k,ijk->", phases[0], phases[1], phases[2], rho)
+    return complex(total * ps.grid.cell_volume / (2.0 * np.pi) ** 1.5)
+
+
+def nr_peak_density(params, t):
+    """Nonrelativistic packet density at its moving centre q = a + v t."""
+    spread = params.sigma**4 + params.n**4 * t * t
+    return float(params.n**3 * params.sigma**3 / (np.pi * spread) ** 1.5)
+
+
+def rotation_about_z(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

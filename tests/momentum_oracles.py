@@ -1,0 +1,34 @@
+"""Spinor-stack references for the scalar momentum-space reductions.
+
+Each routine samples the full (4, M) spinor phi = state.spinor and
+contracts it; the library forms use the eigenspinor identities
+u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)) instead.
+"""
+
+import numpy as np
+
+from diracloc.observables import _state_rule
+from diracloc.quadrature import spherical_rule
+
+
+def spinor_norm(state, n_radial=512, n_theta=64, n_phi=32):
+    """||phi|| from sum_a |phi_a|^2 on the rule of MomentumState.norm."""
+    rule = spherical_rule((0.0, state.momentum_cutoff()), (n_radial,), n_theta, n_phi)
+    phi = state.spinor(rule.x, rule.y, rule.z)
+    dens = np.sum(np.abs(phi) ** 2, axis=0)
+    return float(np.sqrt(np.sum(rule.weights * dens)))
+
+
+def finite_difference_position_mean(state, step=1e-5):
+    """<x> = int phi^dagger (i d/dp) phi d^3p with central differences of phi."""
+    rule = _state_rule(state)
+    phi = state.spinor(rule.x, rule.y, rule.z)
+    out = np.empty(3)
+    for axis in range(3):
+        dp = np.zeros(3)
+        dp[axis] = step
+        plus = state.spinor(rule.x + dp[0], rule.y + dp[1], rule.z + dp[2])
+        minus = state.spinor(rule.x - dp[0], rule.y - dp[1], rule.z - dp[2])
+        dphi = (plus - minus) / (2.0 * step)
+        out[axis] = np.sum(rule.weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
+    return out

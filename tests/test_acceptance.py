@@ -24,6 +24,7 @@ from diracloc.transform import (
     radial_density,
     radial_probability,
 )
+from grid_oracles import angular_average
 
 
 def report(line: str) -> None:
@@ -82,8 +83,6 @@ def test_criterion_2_radial_vs_3d_oracle():
     profile = gaussian_profile(1.0)
     state = make_state(n=5)
     ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
-
-    from diracloc.transform import angular_average
 
     r = np.linspace(0.0, 4.0, 81)
     table = radial_density(profile, 5, RadialGrid(r))

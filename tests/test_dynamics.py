@@ -14,13 +14,13 @@ from diracloc.dynamics import (
     nr_gaussian_grid,
     nr_gaussian_state,
     nr_green,
-    nr_peak_density,
     nr_spectral_evolution,
     probability_outside,
 )
 from diracloc.observables import FourVectorDensity, mean_velocity_two_ways, moments
 from diracloc.states import make_state
 from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
+from grid_oracles import nr_peak_density
 
 
 class TestEvolveFree:

@@ -1,5 +1,7 @@
 """Density, current, moments, velocity identity, overlaps and R_n."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from diracloc.observables import (
     causality_margin,
     convolution_Rn,
     current,
-    density_fourier,
     mean_velocity_two_ways,
     moments,
     overlap,
@@ -31,6 +32,7 @@ from diracloc.spinor import (
 )
 from diracloc.states import (
     MomentumProfile,
+    MomentumState,
     boosted_gaussian_profile,
     check_profile_conditions,
     make_state,
@@ -42,6 +44,8 @@ from diracloc.transform import (
     position_state_cartesian,
     radial_delta_x,
 )
+from grid_oracles import density_fourier
+from momentum_oracles import finite_difference_position_mean, spinor_norm
 
 
 def tiny_state(spinor_value, n_points=8, extent=4.0):
@@ -209,6 +213,116 @@ class TestOverlap:
         brute = overlap(s1, s2, method="quadrature")
         assert abs(closed - brute) <= 1e-9
         assert abs(closed.imag) > 0.0
+
+    def test_opposite_spin_auto_is_exact_zero(self):
+        # u_up^dagger u_down = 0 pointwise: any profiles, points and times
+        up = make_state(a=(0.3, 0, 0), v=(0.2, -0.1, 0.3), n=2, sigma_p=0.8)
+        down = replace(make_state(a=(0, 1, 0), v=(0, 0.5, 0), spin=SPIN_DOWN, n=3), time=0.4)
+        assert overlap(up, down) == 0j
+        assert overlap(down, up) == 0j
+
+    def test_different_profiles_match_quadrature(self):
+        # n, sigma_p and centre all differ between the two states
+        s1 = make_state(v=(0.3, 0.1, -0.2), n=2, sigma_p=0.8)
+        s2 = make_state(a=(0.5, 1.0, -0.3), v=(-0.2, 0.4, 0.1), n=3, sigma_p=1.2)
+        closed = overlap(s1, s2)
+        assert abs(closed - overlap(s1, s2, method="quadrature")) <= 1e-12
+        assert overlap(s2, s1) == pytest.approx(closed.conjugate(), abs=1e-16)
+
+    def test_different_times_use_quadrature(self):
+        s1 = make_state(n=2)
+        s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=0.3)
+        assert overlap(s1, s2) == overlap(s1, s2, method="quadrature")
+
+
+def off_axis_velocity(max_speed):
+    """Velocities of speed <= max_speed in any direction."""
+    return st.builds(
+        lambda speed, theta, phi: (
+            speed * np.sin(theta) * np.cos(phi),
+            speed * np.sin(theta) * np.sin(phi),
+            speed * np.cos(theta),
+        ),
+        st.floats(0.0, max_speed),
+        st.floats(0.0, np.pi),
+        st.floats(0.0, 2.0 * np.pi),
+    )
+
+
+SPINS = st.sampled_from((SPIN_UP, SPIN_DOWN))
+POINTS = st.tuples(*[st.floats(-1.1, 1.1) for _ in range(3)])  # |a| <= 1.91
+
+
+class TestScalarReductions:
+    """The eigenspinor-free forms against the spinor-stack references."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spins=st.tuples(SPINS, SPINS),
+        ns=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        sigma_p=st.floats(0.6, 1.5),
+        v1=off_axis_velocity(0.9),
+        v2=off_axis_velocity(0.9),
+        a2=POINTS,
+    )
+    def test_overlap_matches_quadrature(self, spins, ns, sigma_p, v1, v2, a2):
+        s1 = make_state(v=v1, spin=spins[0], n=ns[0], sigma_p=sigma_p)
+        s2 = make_state(a=a2, v=v2, spin=spins[1], n=ns[1], sigma_p=sigma_p)
+        auto = overlap(s1, s2)
+        brute = overlap(s1, s2, method="quadrature")
+        if spins[0] == spins[1]:
+            assert abs(auto - brute) <= 1e-12
+        else:
+            assert auto == 0j
+            assert abs(brute) <= 1e-10
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spin=SPINS,
+        n=st.integers(1, 3),
+        sigma_p=st.floats(0.6, 1.5),
+        v=off_axis_velocity(0.9),
+        a=st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)]),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_position_mean_matches_finite_differences(self, spin, n, sigma_p, v, a, t):
+        state = replace(make_state(a=a, v=v, spin=spin, n=n, sigma_p=sigma_p), time=t)
+        closed = position_mean_from_momentum(state)
+        assert np.abs(closed - finite_difference_position_mean(state)).max() <= 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        spin=SPINS,
+        n=st.integers(1, 20),
+        sigma_p=st.floats(0.5, 2.0),
+        v=off_axis_velocity(0.9),
+        t=st.floats(0.0, 3.0),
+    )
+    def test_norm_matches_spinor_form(self, spin, n, sigma_p, v, t):
+        state = replace(make_state(a=(0.4, -0.7, 1.2), v=v, spin=spin, n=n, sigma_p=sigma_p), time=t)
+        assert abs(state.norm() - spinor_norm(state)) <= 1e-13
+
+    def test_no_spinor_stack_is_built(self, monkeypatch):
+        calls = []
+        original = MomentumState.spinor
+
+        def counting(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(MomentumState, "spinor", counting)
+        s1 = make_state(v=(0.2, 0, 0.3), n=2)
+        s2 = make_state(a=(1, 0, 0), n=3, sigma_p=0.7)
+        s3 = replace(make_state(a=(1, 0, 0), spin=SPIN_DOWN, n=3), time=0.5)
+        overlap(s1, s2)
+        overlap(s1, s3)
+        position_mean_from_momentum(s1)
+        position_mean_from_momentum(s3)
+        s1.norm()
+        s3.norm()
+        assert calls == []
+        overlap(s1, s2, method="quadrature")  # the counter does see the spinor path
+        assert calls
 
 
 def einsum_rn_integral(profile, n, p, q_operator, spin):

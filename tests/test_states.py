@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import erfc
 
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
@@ -11,6 +12,7 @@ from diracloc.states import (
     MomentumState,
     ProfileError,
     SERIES_BELOW,
+    _gaussian_tail_radius,
     boosted_gaussian_profile,
     check_profile_conditions,
     gaussian_profile,
@@ -32,6 +34,15 @@ def quadrature_shift(speed, sigma_p, xtol=1e-13):
     return brentq(excess, 0.0, hi, xtol=xtol)
 
 
+def root_found_tail_radius(eps):
+    """Reference q: root-find the mass of pi^(-3/2) e^(-x^2) outside |x| = q."""
+
+    def outside(q):
+        return erfc(q) + 2.0 * q * np.exp(-q * q) / np.sqrt(np.pi) - eps
+
+    return brentq(outside, 0.0, 30.0, xtol=1e-15)
+
+
 class TestGaussianProfile:
     def test_unit_width_value_at_origin(self):
         prof = gaussian_profile(1.0)
@@ -51,6 +62,10 @@ class TestGaussianProfile:
         scaled = MomentumProfile(sigma_p=1.0, amplitude=2.0 * base.amplitude)
         norm, _ = check_profile_conditions(scaled)
         assert norm == pytest.approx(4.0, rel=1e-8)
+
+    def test_tail_radius_matches_root_find(self):
+        for eps in np.geomspace(1e-14, 0.5, 60):
+            assert abs(_gaussian_tail_radius(eps) - root_found_tail_radius(eps)) <= 1e-13
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ProfileError):

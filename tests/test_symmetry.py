@@ -11,13 +11,13 @@ from diracloc.symmetry import (
     boost_label,
     parity,
     rotate,
-    rotation_about_z,
     time_reverse,
     translate,
     velocity_addition,
     verify_boost_against_field,
 )
 from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
+from grid_oracles import rotation_about_z
 
 
 class TestLabelOperations:

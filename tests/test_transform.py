@@ -11,14 +11,13 @@ from diracloc.dynamics import evolve_free
 from diracloc.quadrature import _leggauss, gauss_legendre
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
-from grid_oracles import sampled_psi
+from grid_oracles import angular_average, sampled_psi
 from radial_oracles import position_space_delta_x, two_panel_delta_x
 from diracloc.transform import (
     CartesianGrid,
     GridError,
     RadialDensityTable,
     RadialGrid,
-    angular_average,
     density_field,
     grid_for_state,
     grid_working_set,

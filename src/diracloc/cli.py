@@ -66,7 +66,7 @@ class RunConfig:
     a: tuple = (0.0, 0.0, 0.0)
     spin: float = SPIN_UP
     n_list: tuple = (5, 7, 10)
-    grid_points: int = 64
+    grid_points: int = 128
     grid_extent: float = 16.0
     r_max: float = 6.0
     r_count: int = 601
@@ -305,21 +305,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     state = _state(cfg, _profile(cfg), cfg.n_list[0])
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
-    report, fields = evolve_report(state, grid, cfg.times, r0=cfg.r0)
+    report, slices = evolve_report(state, grid, cfg.times, r0=cfg.r0)
     _write_json(out / "evolution_report.json", report.as_dict())
     axis = grid.axis()
-    centre = grid.n_points // 2
-    for t, snapshot in zip(report.times, fields):
-        rho, j = snapshot.rho, snapshot.j
+    for t, cut in zip(report.times, slices):
         name = f"slice_t{t:g}.csv"
         with open(out / name, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["x1", "rho", "j1", "j2", "j3"])
-            for i, x in enumerate(axis):
-                writer.writerow(
-                    [repr(float(x)), repr(float(rho[i, centre, centre]))]
-                    + [repr(float(j[k, i, centre, centre])) for k in range(3)]
-                )
+            for x, row in zip(axis, cut.T):
+                writer.writerow([repr(float(x))] + [repr(float(v)) for v in row])
     print(f"evolve: wrote report and {len(report.times)} slices to {out}")
     return 0
 
@@ -360,6 +355,7 @@ def cmd_moments(cfg: RunConfig) -> int:
     for n in cfg.n_list:
         ps = position_state_cartesian(_state(cfg, profile, n), grid)
         payload["moments"][str(n)] = moments(ps).as_dict()
+        del ps  # free psi before the next transform allocates its own
     _write_json(out / "moments.json", payload)
     print(f"moments: wrote {out / 'moments.json'}")
     return 0

@@ -6,14 +6,16 @@ pointwise and no time-stepping error enters.  Position-space snapshots
 are obtained by transforming the evolved state; causality is probed by
 the pointwise bound |j| <= rho and by light-cone leakage, i.e. the
 probability found outside a sphere expanding at the speed of light.
-Each snapshot costs one transform and one (rho, j) pass: the moments,
-the causality margin and the leakage all read the same field, and only
-that field, not the spinor samples, is kept per time.  The momentum
-norm does not depend on t (|exp(-i E t)| = 1), so a report computes it
-once; the light cone grows from r0 at the first reported time, by the
-time elapsed since then, and the probability outside it is weighted by
-each cell's share of a radial slab so that it moves continuously with
-the cone's radius.
+Each snapshot costs one transform and one slab pass
+(``observables.snapshot_pass``), which reads psi slab by slab and keeps
+only the moment sums, the causality margin, the leakage and one axis
+slice; psi is freed before the next time is transformed, so a report
+holds no (rho, j) field and its memory does not grow with the number of
+times.  The momentum norm does not depend on t (|exp(-i E t)| = 1), so a
+report computes it once; the light cone grows from r0 at the first
+reported time, by the time elapsed since then, and the probability
+outside it is weighted by each cell's share of a radial slab so that it
+moves continuously with the cone's radius.
 
 The nonrelativistic block mirrors the same story for a spinless
 Schrodinger particle (m = hbar = 1): Gaussian packets
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .observables import FourVectorDensity, causality_margin, moments
+from .observables import moments, snapshot_pass  # noqa: F401  (moments is re-exported)
 from .states import MomentumState
 from .transform import CartesianGrid, position_state_cartesian
 
@@ -47,19 +49,11 @@ def evolve_free(state: MomentumState, t: float) -> MomentumState:
 
 
 def probability_outside(rho: np.ndarray, grid: CartesianGrid, radius: float) -> float:
-    """Probability outside the sphere |x| = radius.
+    """Probability of a whole density field outside the sphere |x| = radius.
 
-    A cell counts with the share of a radial slab of width dx, centred on
-    it, that lies outside the sphere.  A sharp cell mask would move only
-    when the radius crosses a lattice shell (|x|^2 is a multiple of
-    dx^2), so a cone grown by less than about dx^2/(2 radius) would not
-    grow at all on the grid.
+    Each cell counts with its ``CartesianGrid.outside_share``.
     """
-    share = grid.radius()
-    share -= radius
-    share /= grid.dx
-    share += 0.5
-    np.clip(share, 0.0, 1.0, out=share)
+    share = grid.outside_share(grid.radius(), radius)
     return float(np.vdot(share, rho) * grid.cell_volume)
 
 
@@ -108,16 +102,17 @@ class EvolutionReport:
 
 def evolve_report(
     state: MomentumState, grid: CartesianGrid, times, r0: float = 3.0
-) -> tuple[EvolutionReport, list[FourVectorDensity]]:
+) -> tuple[EvolutionReport, list[np.ndarray]]:
     """Evolve, transform and collect diagnostics at each requested time.
 
     The first time is the light-cone baseline: at time t the cone has
     grown from r0 by t - times[0], so the first leakage is exactly 0.
-    Returns the report and the (rho, j) field of every snapshot; the
-    spinor samples are dropped once their field has been computed.
+    Each snapshot is reduced by one ``snapshot_pass`` and dropped before
+    the next is transformed.  Returns the report and, per time, the
+    (4, N) axis slice rho, j1, j2, j3 along x1 at x2 = x3 = 0.
     """
     report = EvolutionReport(r0=r0)
-    fields = []
+    slices = []
     norm = state.norm()  # |exp(-i E t)| = 1, so one quadrature serves every time
     for t in times:
         t = float(t)
@@ -125,21 +120,21 @@ def evolve_report(
         if elapsed < 0:
             raise ValueError(f"time {t} precedes the first time {report.times[0]}")
         ps = position_state_cartesian(evolve_free(state, t), grid)
-        fvd = FourVectorDensity.from_position_state(ps)
-        mom = moments(ps, fvd)
-        if not fields:
-            outside0 = probability_outside(fvd.rho, grid, r0)
+        sums, grid_norm = snapshot_pass(ps, r0 + elapsed), ps.norm
+        del ps  # free psi before the next transform allocates its own
+        mom = sums.moments()
+        if not slices:
+            outside0 = sums.outside
         report.times.append(t)
         report.momentum_norms.append(norm)
-        report.grid_norms.append(ps.norm)
+        report.grid_norms.append(grid_norm)
         report.mean_x.append([float(c) for c in mom.mean_x])
         report.delta_x.append(mom.delta_x)
         report.mean_velocity.append([float(c) for c in mom.mean_velocity])
-        report.causality_margins.append(causality_margin(fvd))
-        report.leakages.append(probability_outside(fvd.rho, grid, r0 + elapsed) - outside0)
-        fields.append(fvd)
-        del ps  # free psi before the next transform allocates its own
-    return report, fields
+        report.causality_margins.append(sums.causality_margin)
+        report.leakages.append(sums.outside - outside0)
+        slices.append(sums.axis_slice)
+    return report, slices
 
 
 # ---------------------------------------------------------------------------

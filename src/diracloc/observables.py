@@ -32,13 +32,19 @@ Pointwise, |j(x)| <= rho(x) holds because every direction projection of
 alpha has spectrum {-1, +1}; ``causality_margin`` measures the worst
 violation over a sampled field and must stay at rounding level.
 
-On a grid the current is evaluated in closed form: writing psi as its
-upper and lower two-spinors, alpha_i = [[0, sigma_i], [sigma_i, 0]]
-gives j_i = 2 Re(upper^dagger sigma_i lower), i.e. three real
-combinations of four pointwise products, instead of a 4 x 4 contraction.
-A ``FourVectorDensity`` holds one (rho, j) pass over a snapshot;
-``moments`` accepts it so that a caller needing several diagnostics of
-one snapshot computes the fields once.
+On a grid a snapshot is reduced by one slab pass (``snapshot_pass``):
+psi is read one slab of the first, contiguous grid axis at a time
+(``PositionState.slabs``, ``BLOCK_POINTS`` cells each), the slab's
+(rho, j) comes from the closed forms ``spinor.bilinear_density`` and
+``bilinear_current`` (j_i = 2 Re(upper^dagger sigma_i lower), three real
+combinations of four pointwise products), and the slab leaves behind
+its partial sums for ``moments``, its largest |j| - rho, its share of
+the probability outside a sphere and its rows of the x1-axis slice.
+Temporaries are one slab in size, and the partial sums are added
+pairwise across slabs, so the moments equal whole-field sums to the
+last bit.  ``FourVectorDensity``, ``density_field`` and ``current``
+build whole fields from the same per-slab formulas, for callers that
+need them (the boost check and the tests).
 """
 
 from __future__ import annotations
@@ -54,7 +60,15 @@ from .quadrature import (
     spherical_rule,
     tensor_integrate,
 )
-from .spinor import ALPHA, I4, SPIN_DOWN, SPIN_UP, energy_xyz
+from .spinor import (
+    ALPHA,
+    I4,
+    SPIN_DOWN,
+    SPIN_UP,
+    bilinear_current,
+    bilinear_density,
+    energy_xyz,
+)
 from .states import MomentumProfile, MomentumState
 from .transform import CartesianGrid, PositionState, density_field
 from .units import MASS
@@ -106,64 +120,116 @@ class MomentSet:
 
 
 def current(ps: PositionState) -> np.ndarray:
-    """Probability current psi^dagger alpha psi (units of c).
+    """Probability current psi^dagger alpha psi (units of c) on the whole grid.
 
-    j = 2 Re(upper^dagger sigma lower), written component by component:
-    with a = u0* l1, b = u1* l0, c = u0* l0, d = u1* l1,
-
-        j1 = 2 Re(a + b),   j2 = 2 Im(a - b),   j3 = 2 Re(c - d).
+    Filled slab by slab with ``spinor.bilinear_current``, the closed form
+    j = 2 Re(upper^dagger sigma lower).
     """
-    u0, u1, l0, l1 = ps.psi
-    j = np.empty((3,) + u0.shape)
-    a = np.conj(u0)
-    a *= l1
-    b = np.conj(u1)
-    b *= l0
-    np.add(a.real, b.real, out=j[0])
-    np.subtract(a.imag, b.imag, out=j[1])
-    np.conj(u0, out=a)
-    a *= l0
-    np.conj(u1, out=b)
-    b *= l1
-    np.subtract(a.real, b.real, out=j[2])
-    j *= 2.0
+    j = np.empty((3,) + ps.psi.shape[1:])
+    for rows, block in ps.slabs():
+        bilinear_current(block, out=j[:, rows])
     return j
+
+
+def _margin(rho: np.ndarray, j: np.ndarray) -> float:
+    """max of |j| - rho over a field, or over one slab of it."""
+    return float(np.max(np.sqrt(np.sum(j**2, axis=0)) - rho))
 
 
 def causality_margin(field: FourVectorDensity) -> float:
     """max over grid points of |j| - rho; nonpositive for spinor fields."""
-    speed = np.sqrt(np.sum(field.j**2, axis=0))
-    return float(np.max(speed - field.rho))
+    return _margin(field.rho, field.j)
 
 
-def moments(ps: PositionState, field: FourVectorDensity | None = None) -> MomentSet:
+def _pairwise(parts):
+    """Sum by recursive halving: for 2^k equal slabs of a 2^m-cell grid this is
+    the order in which numpy's pairwise summation adds the whole field."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return _pairwise(parts[:half]) + _pairwise(parts[half:])
+
+
+@dataclass(frozen=True)
+class SnapshotSums:
+    """What one slab pass keeps of a snapshot (see ``snapshot_pass``).
+
+    ``sums`` holds the cell sums of rho, x1 rho, x2 rho, x3 rho, |x|^2 rho,
+    j1, j2, j3 and of rho weighted by its share outside ``radius``.
+    """
+
+    grid: CartesianGrid
+    sums: np.ndarray
+    causality_margin: float
+    axis_slice: np.ndarray  # (4, N): rho, j1, j2, j3 along x1 at x2 = x3 = 0
+    radius: float | None = None
+
+    @property
+    def outside(self) -> float:
+        """Probability outside the sphere |x| = radius (radial-slab shares)."""
+        if self.radius is None:
+            raise ValueError("the pass was run without a radius")
+        return float(self.sums[8] * self.grid.cell_volume)
+
+    def moments(self) -> MomentSet:
+        """Trapezoid-sum moments, normalized by the discrete norm."""
+        dv = self.grid.cell_volume
+        total = float(self.sums[0] * dv)
+        mean = self.sums[1:4] * dv / total
+        x2 = float(self.sums[4] * dv / total)
+        spread2 = max(x2 - float(mean @ mean), 0.0)
+        return MomentSet(
+            norm=total,
+            mean_x=mean,
+            delta_x=float(np.sqrt(spread2)),
+            mean_velocity=self.sums[5:8] * dv / total,
+        )
+
+
+def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSums:
+    """Reduce a snapshot to its moment sums, causality margin, leakage and slice.
+
+    psi is read one slab of the first grid axis at a time (``slabs``); each
+    slab's (rho, j) comes from ``spinor.bilinear_density`` and
+    ``bilinear_current`` and is dropped once its partial sums, its share
+    of the probability outside ``radius`` (if given), its largest |j| - rho
+    and its rows of the x1-axis slice are taken.  Temporaries are one
+    slab in size.  The slab partials are added pairwise, so the sums
+    match whole-field ``np.sum`` to the last bit; the leakage dot product
+    does not (BLAS orders it its own way).
+    """
+    grid = ps.grid
+    x = grid.axis()
+    centre = grid.n_points // 2
+    axis_slice = np.empty((4, grid.n_points))
+    partials, margin = [], -np.inf
+    for rows, block in ps.slabs():
+        rho = bilinear_density(block)
+        j = bilinear_current(block)
+        r = grid.radius(rows)
+        partials.append(np.array([
+            np.sum(rho),
+            np.sum(x[rows, None, None] * rho),
+            np.sum(x[None, :, None] * rho),
+            np.sum(x[None, None, :] * rho),
+            np.sum(r**2 * rho),
+            *np.sum(j, axis=(1, 2, 3)),
+            0.0 if radius is None else np.vdot(grid.outside_share(r, radius), rho),
+        ]))
+        margin = max(margin, _margin(rho, j))
+        axis_slice[0, rows] = rho[:, centre, centre]
+        axis_slice[1:, rows] = j[:, :, centre, centre]
+    return SnapshotSums(grid, _pairwise(partials), margin, axis_slice, radius)
+
+
+def moments(ps: PositionState) -> MomentSet:
     """Trapezoid-sum moments of the sampled density and current.
 
     The density decays exponentially, so plain cell sums are spectrally
     accurate; values are normalized by the discrete norm to remove the
-    mass the grid truncates.  ``field`` is the (rho, j) pass of ``ps``
-    when the caller already has it; otherwise it is computed here.
+    mass the grid truncates.  One ``snapshot_pass`` over ``ps``.
     """
-    if field is None:
-        field = FourVectorDensity.from_position_state(ps)
-    dv = ps.grid.cell_volume
-    rho = field.rho
-    total = float(np.sum(rho) * dv)
-    x = ps.grid.axis()
-    mean = np.array(
-        [
-            np.sum(x[:, None, None] * rho),
-            np.sum(x[None, :, None] * rho),
-            np.sum(x[None, None, :] * rho),
-        ]
-    ) * dv / total
-    r2 = ps.grid.radius() ** 2
-    x2 = float(np.sum(r2 * rho) * dv / total)
-    spread2 = max(x2 - float(mean @ mean), 0.0)
-    jtot = np.sum(field.j, axis=(1, 2, 3)) * dv / total
-    return MomentSet(
-        norm=total, mean_x=mean, delta_x=float(np.sqrt(spread2)), mean_velocity=jtot
-    )
+    return snapshot_pass(ps).moments()
 
 
 def _state_rule(
@@ -226,42 +292,56 @@ def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> compl
     return _overlap_quadrature(s1, s2)
 
 
+def _envelope_gaussian(state: MomentumState):
+    """(w, c) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
+
+    w = (n sigma_p)^2 and c = n k for the profile centre k.
+    """
+    n = state.label.n
+    return (n * state.profile.sigma_p) ** 2, n * np.asarray(state.profile.center)
+
+
+def _gaussian_product(w1, c1, w2, c2):
+    """(W, mu): F1 F2 is a Gaussian of variance W = w1 w2 / (w1 + w2) about
+    mu = W (c1/w1 + c2/w2)."""
+    wsum = w1 + w2
+    return w1 * w2 / wsum, (w2 * c1 + w1 * c2) / wsum
+
+
 def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     """int F1 F2 exp(i delta.p) d^3p for Gaussian envelopes, delta = a1 - a2.
 
-    F_i = A_i n_i^(-3/2) exp(-(p - c_i)^2 / (2 w_i)) with w_i = (n_i sigma_i)^2
-    and c_i = n_i k_i.  The product is one Gaussian of variance
-    W = w1 w2 / (w1 + w2) about mu = W (c1/w1 + c2/w2), so the integral is
+    With (w_i, c_i) from ``_envelope_gaussian`` and (W, mu) from
+    ``_gaussian_product`` the integral is
 
         A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2)
         exp(-|c1 - c2|^2 / (2 (w1 + w2)) - W |delta|^2 / 2 + i delta.mu).
     """
-    n1, n2 = s1.label.n, s2.label.n
-    p1, p2 = s1.profile, s2.profile
-    w1, w2 = (n1 * p1.sigma_p) ** 2, (n2 * p2.sigma_p) ** 2
-    c1, c2 = n1 * np.asarray(p1.center), n2 * np.asarray(p2.center)
+    (w1, c1), (w2, c2) = _envelope_gaussian(s1), _envelope_gaussian(s2)
+    width, mu = _gaussian_product(w1, c1, w2, c2)
     delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
-    wsum = w1 + w2
-    width = w1 * w2 / wsum
-    mu = (w2 * c1 + w1 * c2) / wsum
-    scale = p1.amplitude * p2.amplitude * (n1 * n2) ** -1.5
-    exponent = -((c1 - c2) @ (c1 - c2)) / (2.0 * wsum) - width * (delta @ delta) / 2.0
+    scale = s1.profile.amplitude * s2.profile.amplitude * (s1.label.n * s2.label.n) ** -1.5
+    exponent = -((c1 - c2) @ (c1 - c2)) / (2.0 * (w1 + w2)) - width * (delta @ delta) / 2.0
     return complex(
         scale * (2.0 * np.pi * width) ** 1.5 * np.exp(exponent) * np.exp(1j * (delta @ mu))
     )
 
 
 def _overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
-    centers = [np.asarray(s.profile.center) * s.label.n for s in (s1, s2)]
-    spans = [s.label.n * 8.0 * s.profile.sigma_p for s in (s1, s2)]
-    lo = np.minimum(centers[0] - spans[0], centers[1] - spans[1])
-    hi = np.maximum(centers[0] + spans[0], centers[1] + spans[1])
+    """Tensor Gauss-Legendre of phi1^dagger phi2 on the box where F1 F2 lives.
+
+    The box is mu +- 8 sqrt(W) per axis (``_gaussian_product``), beyond
+    which F1 F2 has fallen by e^-32, so it fits the narrower of two
+    states whose widths n sigma_p differ several-fold.  Each axis adds
+    nodes for the oscillation of exp(i (a1 - a2).p) across the box.
+    """
+    width, mu = _gaussian_product(*_envelope_gaussian(s1), *_envelope_gaussian(s2))
+    half = 8.0 * np.sqrt(width)
     delta = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a))
     rules = []
     for axis in range(3):
-        half = 0.5 * (hi[axis] - lo[axis])
         order = 96 + int(np.ceil(0.8 * delta[axis] * half))
-        rules.append(gauss_legendre(order, lo[axis], hi[axis]))
+        rules.append(gauss_legendre(order, mu[axis] - half, mu[axis] + half))
 
     def integrand(px, py, pz):
         return np.sum(s1.spinor(px, py, pz).conj() * s2.spinor(px, py, pz), axis=0)

@@ -21,6 +21,9 @@ mean-spin operator S3(p) = U(p) (-i/2 alpha1 alpha2) U(p)^dagger, and
 closed-form normalized eigenspinors carrying spin labels +1/2 and -1/2.
 ``spinor_layout`` is the one record of which slot of such a spinor
 holds which entry; ``fill_eigenspinor`` writes it into a caller's array.
+``bilinear_density`` and ``bilinear_current`` are the one closed form of
+the pointwise pair (psi^dagger psi, psi^dagger alpha psi) that every grid
+field and every slab pass over a position-space spinor uses.
 
 All other functions are pure and broadcast over trailing momentum axes,
 so they are safe to call concurrently.
@@ -160,6 +163,44 @@ def fill_eigenspinor(out, weight, e_plus_m, px, py, pz, spin):
     np.multiply(weight, px + (layout.sign * 1j) * py, out=out[layout.transverse, ...])
     out[layout.zero, ...] = 0.0
     return out
+
+
+def bilinear_density(psi, out=None):
+    """rho = psi^dagger psi of a (4, ...) spinor array, summed in slot order."""
+    rho = np.abs(psi[0], out=out)
+    rho *= rho
+    term = np.empty_like(rho)
+    for component in psi[1:]:
+        np.abs(component, out=term)
+        term *= term
+        rho += term
+    return rho
+
+
+def bilinear_current(psi, out=None):
+    """j = psi^dagger alpha psi (units of c) of a (4, ...) spinor array.
+
+    Writing psi as upper and lower two-spinors, alpha_i = [[0, sigma_i],
+    [sigma_i, 0]] gives j = 2 Re(upper^dagger sigma lower); with a = u0* l1,
+    b = u1* l0, c = u0* l0, d = u1* l1,
+
+        j1 = 2 Re(a + b),   j2 = 2 Im(a - b),   j3 = 2 Re(c - d).
+    """
+    u0, u1, l0, l1 = psi
+    j = np.empty((3,) + u0.shape) if out is None else out
+    a = np.conj(u0)
+    a *= l1
+    b = np.conj(u1)
+    b *= l0
+    np.add(a.real, b.real, out=j[0])
+    np.subtract(a.imag, b.imag, out=j[1])
+    np.conj(u0, out=a)
+    a *= l0
+    np.conj(u1, out=b)
+    b *= l1
+    np.subtract(a.real, b.real, out=j[2])
+    j *= 2.0
+    return j
 
 
 def eigenspinor_components(px, py, pz, spin=SPIN_UP):

@@ -46,8 +46,8 @@ import numpy as np
 import scipy.fft
 from scipy.special import spherical_jn
 
-from .quadrature import gauss_legendre, panel_rule
-from .spinor import energy_xyz, fill_eigenspinor, spinor_layout
+from .quadrature import BLOCK_POINTS, gauss_legendre, panel_rule
+from .spinor import bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
 from .states import MomentumProfile, MomentumState
 from .units import MASS
 
@@ -118,12 +118,26 @@ class CartesianGrid:
         """Momentum samples in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    def radius(self) -> np.ndarray:
-        """|x| on the full (N, N, N) grid."""
+    def radius(self, rows: slice = slice(None)) -> np.ndarray:
+        """|x| on the full (N, N, N) grid, or on ``rows`` of its first axis."""
         x = self.axis()
         return np.sqrt(
-            x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
+            x[rows, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
         )
+
+    def outside_share(self, r: np.ndarray, radius: float) -> np.ndarray:
+        """Share outside the sphere |x| = radius of each cell at |x| = ``r``.
+
+        A cell counts with the share of a radial slab of width dx, centred
+        on it, that lies outside the sphere.  A sharp cell mask would move
+        only when the radius crosses a lattice shell (|x|^2 is a multiple
+        of dx^2), so a sphere grown by less than about dx^2/(2 radius)
+        would not grow at all on the grid.
+        """
+        share = r - radius
+        share /= self.dx
+        share += 0.5
+        return np.clip(share, 0.0, 1.0, out=share)
 
 
 def grid_for_state(state: MomentumState, extent: float | None = None, mass_tol: float = 1e-4) -> CartesianGrid:
@@ -151,6 +165,21 @@ class PositionState:
     def __post_init__(self):
         # vdot sums |psi|^2 without a grid-sized temporary
         self.norm = float(np.sqrt(np.vdot(self.psi, self.psi).real * self.grid.cell_volume))
+
+    def slabs(self):
+        """(rows, psi[:, rows]) over runs of the first grid axis, in order.
+
+        Each run holds ``BLOCK_POINTS`` cells (the whole grid if it is
+        smaller, one row if a row is larger), so a pass over the slabs
+        keeps only cache-sized temporaries.  N is a power of two, so the
+        runs split the grid where numpy's pairwise summation of a whole
+        field splits it.
+        """
+        n = self.grid.n_points
+        step = max(1, BLOCK_POINTS // (n * n))
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            yield rows, self.psi[:, rows]
 
 
 def grid_working_set(grid: CartesianGrid) -> int:
@@ -367,5 +396,8 @@ def radial_delta_x(profile: MomentumProfile, n: int) -> float:
 
 
 def density_field(ps: PositionState) -> np.ndarray:
-    """rho(x) = psi^dagger psi on the grid."""
-    return np.sum(np.abs(ps.psi) ** 2, axis=0)
+    """rho(x) = psi^dagger psi on the whole grid, filled slab by slab."""
+    rho = np.empty(ps.psi.shape[1:])
+    for rows, block in ps.slabs():
+        bilinear_density(block, out=rho[rows])
+    return rho

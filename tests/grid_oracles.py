@@ -1,6 +1,7 @@
-"""Position-space references: the brute-force FFT sampler, a spherical
-average and a Fourier transform of sampled fields, and two closed forms
-(the nonrelativistic peak density and a rotation matrix)."""
+"""Position-space references: the brute-force FFT sampler, whole-field
+moments, a spherical average and a Fourier transform of sampled fields,
+and two closed forms (the nonrelativistic peak density and a rotation
+matrix)."""
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -17,6 +18,25 @@ def sampled_psi(state, grid):
     phi *= sign[:, None, None] * sign[None, :, None] * sign[None, None, :]
     psi = np.fft.ifftn(phi, axes=(1, 2, 3))
     return psi * (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+
+
+def field_moments(field):
+    """(norm, mean_x, delta_x, mean_velocity) as whole-field sums over a
+    ``FourVectorDensity``, the form the slab pass replaced."""
+    grid, rho = field.grid, field.rho
+    dv = grid.cell_volume
+    total = float(np.sum(rho) * dv)
+    x = grid.axis()
+    mean = np.array(
+        [
+            np.sum(x[:, None, None] * rho),
+            np.sum(x[None, :, None] * rho),
+            np.sum(x[None, None, :] * rho),
+        ]
+    ) * dv / total
+    x2 = float(np.sum(grid.radius() ** 2 * rho) * dv / total)
+    spread = np.sqrt(max(x2 - float(mean @ mean), 0.0))
+    return total, mean, spread, np.sum(field.j, axis=(1, 2, 3)) * dv / total
 
 
 def angular_average(values, grid, radii, n_directions=512):

@@ -200,6 +200,13 @@ class TestRnCommand:
 
 
 class TestMomentsCommand:
+    def test_defaults_resolve_every_n(self, tmp_path):
+        # n = 5, 7, 10 on 128^3 at L = 16: Nyquist 25.1 covers n = 10
+        assert run(["moments", "--out", str(tmp_path)]) == 0
+        payload = read_json(tmp_path / "moments.json")
+        assert payload["grid"] == {"points": 128, "extent": 16.0}
+        assert sorted(payload["moments"], key=int) == ["5", "7", "10"]
+
     def test_delta_x_decreasing(self, tmp_path):
         assert run(
             ["moments", "--out", str(tmp_path), "--n", "2,4", "--grid", "64,16"]

@@ -177,10 +177,6 @@ class TestMomentumState:
         for n in (1, 5, 10):
             assert abs(make_state(n=n).norm() - 1.0) <= 1e-6
 
-    def test_norm_n_independent(self):
-        devs = [abs(make_state(n=n).norm() - 1.0) for n in (1, 2, 5, 10, 20)]
-        assert max(devs) <= 1e-6
-
 
 class TestStatePointwiseStructure:
     def test_positive_energy_membership(self, rng):

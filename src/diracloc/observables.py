@@ -57,6 +57,7 @@ from .quadrature import (
     SphericalRule,
     gauss_legendre,
     node_doubling,
+    pairwise_sum,
     spherical_rule,
     tensor_integrate,
 )
@@ -141,15 +142,6 @@ def causality_margin(field: FourVectorDensity) -> float:
     return _margin(field.rho, field.j)
 
 
-def _pairwise(parts):
-    """Sum by recursive halving: for 2^k equal slabs of a 2^m-cell grid this is
-    the order in which numpy's pairwise summation adds the whole field."""
-    if len(parts) == 1:
-        return parts[0]
-    half = len(parts) // 2
-    return _pairwise(parts[:half]) + _pairwise(parts[half:])
-
-
 @dataclass(frozen=True)
 class SnapshotSums:
     """What one slab pass keeps of a snapshot (see ``snapshot_pass``).
@@ -219,7 +211,7 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
         margin = max(margin, _margin(rho, j))
         axis_slice[0, rows] = rho[:, centre, centre]
         axis_slice[1:, rows] = j[:, :, centre, centre]
-    return SnapshotSums(grid, _pairwise(partials), margin, axis_slice, radius)
+    return SnapshotSums(grid, pairwise_sum(partials), margin, axis_slice, radius)
 
 
 def moments(ps: PositionState) -> MomentSet:

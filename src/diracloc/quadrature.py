@@ -126,6 +126,15 @@ class SphericalRule:
             yield SphericalRule(self.x[part], self.y[part], self.z[part], self.weights[part])
 
 
+def pairwise_sum(parts):
+    """Sum by recursive halving: for 2^k equal blocks of a 2^m-element array this
+    is the order in which numpy's pairwise summation adds the whole array."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return pairwise_sum(parts[:half]) + pairwise_sum(parts[half:])
+
+
 def spherical_rule(
     radial_breaks, radial_orders, n_theta: int = 48, n_phi: int = 32
 ) -> SphericalRule:

@@ -18,9 +18,11 @@ For the Gaussian that mean flow has the closed form
     m = sqrt(2) kappa/sigma_p,
 
 (a power series below m = 0.25, where the two terms cancel), and kappa
-is root-found on it.  ``check_profile_conditions`` evaluates both
-defining integrals by quadrature, on a spherical rule whose polar axis
-is turned onto the shift; it is the oracle for the closed form.
+is found on it by bisection down to adjacent doubles, in pure Python
+(scipy's ``brentq`` on the same function is the oracle in the tests).
+``check_profile_conditions`` evaluates both defining integrals by
+quadrature, on a spherical rule whose polar axis is turned onto the
+shift; it is the oracle for the closed form.
 
 Because the eigenspinor is unit, ``MomentumState.norm`` integrates the
 scalar envelope alone; ``MomentumState.spinor`` builds the full
@@ -39,10 +41,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import chdtri
 
-from .quadrature import spherical_rule
+from .quadrature import pairwise_sum, spherical_rule
 from .spinor import SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
 from .units import MASS
 
@@ -104,6 +104,8 @@ def _gaussian_tail_radius(eps: float) -> float:
     2|x|^2 is chi-squared with three degrees of freedom, so the mass
     outside q is its survival function at 2 q^2.
     """
+    from scipy.special import chdtri
+
     return math.sqrt(0.5 * chdtri(3, eps))
 
 
@@ -172,6 +174,23 @@ def mean_flow(m: float) -> float:
     ) * math.exp(-0.5 * m * m) / m
 
 
+def mean_flow_root(speed: float) -> float:
+    """The m in (0, 64] with mean_flow(prev double of m) < speed <= mean_flow(m).
+
+    Bisection keeps that bracket until its ends are adjacent doubles;
+    mean_flow(64) = 1 - 1/64^2 exceeds every allowed speed.
+    """
+    lo, hi = 0.0, 64.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if mean_flow(mid) < speed:
+            lo = mid
+        else:
+            hi = mid
+
+
 def boosted_gaussian_profile(v_target, sigma_p: float = 1.0) -> MomentumProfile:
     """Gaussian shifted along v_target so the mean flow direction equals it.
 
@@ -187,9 +206,7 @@ def boosted_gaussian_profile(v_target, sigma_p: float = 1.0) -> MomentumProfile:
         raise ProfileError(
             f"target speed {speed:.4f} exceeds {MAX_PROFILE_SPEED} (kappa diverges as |v| -> 1)"
         )
-    # mean_flow(64) = 1 - 1/64^2 > MAX_PROFILE_SPEED brackets every allowed speed
-    m = brentq(lambda x: mean_flow(x) - speed, 0.0, 64.0, xtol=1e-300, maxiter=200)
-    kappa = m * sigma_p / math.sqrt(2.0)
+    kappa = mean_flow_root(speed) * sigma_p / math.sqrt(2.0)
     return MomentumProfile(sigma_p=sigma_p, center=tuple(kappa * (v / speed)))
 
 
@@ -276,10 +293,18 @@ class MomentumState:
         return self.label.n * self.profile.support_radius(mass_tol)
 
     def norm(self, n_radial: int = 512, n_theta: int = 64, n_phi: int = 32) -> float:
-        """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit."""
+        """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
+
+        The envelope is evaluated one ``SphericalRule.blocks`` block at a
+        time; for a power-of-two rule the pairwise sum of the block sums is
+        bit-identical to one sum over the whole rule.
+        """
         rule = spherical_rule((0.0, self.momentum_cutoff()), (n_radial,), n_theta, n_phi)
-        dens = np.abs(self.envelope(rule.x, rule.y, rule.z)) ** 2
-        return float(np.sqrt(np.sum(rule.weights * dens)))
+        sums = [
+            np.sum(block.weights * np.abs(self.envelope(block.x, block.y, block.z)) ** 2)
+            for block in rule.blocks()
+        ]
+        return float(np.sqrt(pairwise_sum(sums)))
 
 
 def make_state(

@@ -31,6 +31,12 @@ the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
 scipy's ``spherical_jn``; convergence is certified by node doubling in
 the tests.
 
+scipy is imported at each call site (``scipy.fft`` in
+``position_state_cartesian``, ``spherical_jn`` in the radial transform,
+``simpson`` in ``RadialDensityTable.probability_within``), so importing
+the package, or running a command that calls none of them, loads no
+scipy.
+
 ``radial_delta_x`` needs no transform at all: <x^2> = int |grad_p phi|^2
 d^3p reduces to a 1-D momentum integral with a closed-form spinor term,
 so the spread is exact over all space at any n.
@@ -43,8 +49,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-from scipy.special import spherical_jn
 
 from .quadrature import BLOCK_POINTS, gauss_legendre, panel_rule
 from .spinor import bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
@@ -204,6 +208,8 @@ def position_state_cartesian(
     and so is one whose working set exceeds physical memory, before
     anything of grid size is allocated.
     """
+    import scipy.fft
+
     if grid is None:
         grid = grid_for_state(state)
     support = state.momentum_support(mass_tol)
@@ -250,6 +256,8 @@ def position_state_cartesian(
 
 def _radial_transform(weights_p, p, kernel, order: int, r) -> np.ndarray:
     """sqrt(2/pi) int kernel(p) j_order(p r) p^2 dp for tabulated kernel values."""
+    from scipy.special import spherical_jn
+
     x = np.multiply.outer(np.atleast_1d(r), p)
     return np.sqrt(2.0 / np.pi) * (spherical_jn(order, x) @ (weights_p * kernel * p * p))
 

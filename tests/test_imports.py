@@ -1,0 +1,68 @@
+"""Import hygiene: each command loads only the scipy modules it calls.
+
+Every case runs in a fresh interpreter, since this test process has
+scipy loaded already, and reports the ``scipy*`` entries of
+``sys.modules`` after importing the CLI and, if given, running
+``cli.main``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diracloc
+
+SRC = str(Path(diracloc.__file__).resolve().parents[1])
+PROBE = """
+import json, sys
+import diracloc.cli as cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def scipy_loaded(*argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    return modules
+
+
+def boosted_config(tmp_path, spin2="up"):
+    config = tmp_path / "boosted.ini"
+    config.write_text(
+        "[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n"
+        f"[overlap]\nspin2 = {spin2}\n"
+    )
+    return str(config)
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_loaded() == []
+
+
+def test_rn_loads_no_scipy(tmp_path):
+    argv = ["rn", "--config", boosted_config(tmp_path), "--out", str(tmp_path), "--n", "2"]
+    assert scipy_loaded(*argv) == []
+
+
+@pytest.mark.parametrize("spin2", ["up", "down"])
+def test_overlap_loads_no_scipy(tmp_path, spin2):
+    config = boosted_config(tmp_path, spin2)
+    assert scipy_loaded("overlap", "--config", config, "--out", str(tmp_path), "--n", "2") == []
+
+
+def test_evolve_loads_no_optimize(tmp_path):
+    argv = ["evolve", "--config", boosted_config(tmp_path), "--out", str(tmp_path),
+            "--n", "1", "--grid", "32,8"]
+    modules = scipy_loaded(*argv)
+    assert "scipy.fft" in modules
+    assert not [m for m in modules if m.startswith("scipy.optimize")]

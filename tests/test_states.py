@@ -1,13 +1,17 @@
 """Profiles, localization labels and momentum-state construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+from diracloc.quadrature import BLOCK_POINTS, spherical_rule
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
     LocalizationLabel,
+    MAX_PROFILE_SPEED,
     MomentumProfile,
     MomentumState,
     ProfileError,
@@ -18,6 +22,7 @@ from diracloc.states import (
     gaussian_profile,
     make_state,
     mean_flow,
+    mean_flow_root,
 )
 
 
@@ -99,8 +104,9 @@ class TestBoostedProfile:
         assert np.abs(mean - np.asarray(v)).max() <= 1e-12
 
     def test_near_lightspeed_rejected(self):
-        with pytest.raises(ProfileError):
-            boosted_gaussian_profile((0.0, 0.0, 0.995))
+        for speed in (np.nextafter(MAX_PROFILE_SPEED, 1.0), 0.995, 1.0 - 1e-12):
+            with pytest.raises(ProfileError, match="exceeds 0.99"):
+                boosted_gaussian_profile((0.0, 0.0, speed))
 
     @pytest.mark.parametrize("sigma_p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("speed", [0.01, 0.5, 0.99])
@@ -130,6 +136,20 @@ class TestBoostedProfile:
         v = 0.99 * np.array([0.48, -0.6, 0.64])
         _, mean = check_profile_conditions(boosted_gaussian_profile(v, sigma_p))
         assert np.abs(mean - v).max() <= 1e-12
+
+    def test_root_brackets_speed_and_matches_brentq(self):
+        switch = mean_flow(SERIES_BELOW)
+        speeds = np.concatenate([
+            np.geomspace(1e-12, MAX_PROFILE_SPEED, 194),
+            [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 1.0)],
+            [0.5 * switch, 1.5 * switch, np.nextafter(MAX_PROFILE_SPEED, 0.0)],
+        ])
+        assert speeds.max() == MAX_PROFILE_SPEED
+        for speed in speeds:
+            m = mean_flow_root(speed)
+            assert mean_flow(np.nextafter(m, 0.0)) < speed <= mean_flow(m)
+            oracle = brentq(lambda x: mean_flow(x) - speed, 0.0, 64.0, xtol=1e-300, maxiter=200)
+            assert abs(m / oracle - 1.0) <= 1e-13, speed
 
     def test_series_meets_closed_form_at_switch(self):
         below = mean_flow(np.nextafter(SERIES_BELOW, 0.0))
@@ -173,9 +193,24 @@ class TestMomentumState:
         assert np.abs(phi_a - np.exp(-1j * np.pi) * phi0).max() < 1e-14
         assert np.abs(phi_a + phi0).max() < 1e-14
 
-    def test_norm_unit_for_several_n(self):
-        for n in (1, 5, 10):
-            assert abs(make_state(n=n).norm() - 1.0) <= 1e-6
+    @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
+    def test_norm_blocks_add_to_whole_rule_sum(self, v):
+        state = make_state(v=v, n=3)
+        rule = spherical_rule((0.0, state.momentum_cutoff()), (512,), 64, 32)
+        whole = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
+        assert state.norm() == float(np.sqrt(whole))
+
+    def test_norm_peak_memory_is_the_rule(self):
+        # the 2^20-point rule's x, y, z and weights plus block-sized temporaries
+        state = make_state(v=(0.2, -0.1, 0.3), n=2)
+        state.norm()  # warm the node caches
+        tracemalloc.start()
+        try:
+            state.norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 512 * 64 * 32 + 128 * BLOCK_POINTS
 
 
 class TestStatePointwiseStructure:

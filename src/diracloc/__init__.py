@@ -13,7 +13,6 @@ from .dynamics import (
     NRPacketParams,
     evolve_free,
     evolve_report,
-    lightcone_leakage,
     nr_current,
     nr_density_analytic,
     nr_gaussian_state,
@@ -21,10 +20,8 @@ from .dynamics import (
     nr_spectral_evolution,
 )
 from .observables import (
-    FourVectorDensity,
     MomentSet,
     a_n_limit,
-    causality_margin,
     convolution_Rn,
     current,
     mean_velocity_two_ways,

@@ -29,22 +29,23 @@ at equal times, and ``position_mean_from_momentum`` is a scalar
 quadrature of the envelope.
 
 Pointwise, |j(x)| <= rho(x) holds because every direction projection of
-alpha has spectrum {-1, +1}; ``causality_margin`` measures the worst
-violation over a sampled field and must stay at rounding level.
+alpha has spectrum {-1, +1}; the slab pass keeps the worst violation over
+a sampled field, which must stay at rounding level.
 
-On a grid a snapshot is reduced by one slab pass (``snapshot_pass``):
-psi is read one slab of the first, contiguous grid axis at a time
-(``PositionState.slabs``, ``BLOCK_POINTS`` cells each), the slab's
-(rho, j) comes from the closed forms ``spinor.bilinear_density`` and
-``bilinear_current`` (j_i = 2 Re(upper^dagger sigma_i lower), three real
-combinations of four pointwise products), and the slab leaves behind
-its partial sums for ``moments``, its largest |j| - rho, its share of
-the probability outside a sphere and its rows of the x1-axis slice.
-Temporaries are one slab in size, and the partial sums are added
-pairwise across slabs, so the moments equal whole-field sums to the
-last bit.  ``FourVectorDensity``, ``density_field`` and ``current``
-build whole fields from the same per-slab formulas, for callers that
-need them (the boost check and the tests).
+Every (rho, j) reduction the library reports comes from one slab pass
+over a grid snapshot (``snapshot_pass``): psi is read one slab of the
+first, contiguous grid axis at a time (``PositionState.slabs``,
+``BLOCK_POINTS`` cells each), the slab's (rho, j) comes from the closed
+forms ``spinor.bilinear_density`` and ``bilinear_current`` (j_i =
+2 Re(upper^dagger sigma_i lower), three real combinations of four
+pointwise products), and the slab leaves behind its partial sums for
+``moments`` and for the boost check (``symmetry.verify_boost_against_field``
+needs sum x_k j3 besides the density moments), its largest |j| - rho,
+its share of the probability outside a sphere and its rows of the
+x1-axis slice.  Temporaries are one slab in size, and the partial sums
+are added pairwise across slabs, so they equal whole-field sums to the
+last bit.  ``density_field`` and ``current`` fill whole fields from the
+same per-slab formulas; no pipeline path calls them.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .spinor import (
     energy_xyz,
 )
 from .states import MomentumProfile, MomentumState
-from .transform import CartesianGrid, PositionState, density_field
+from .transform import CartesianGrid, PositionState
 from .units import MASS
 
 Q_MATRICES = {
@@ -80,26 +81,6 @@ Q_MATRICES = {
     "alpha2": ALPHA[1],
     "alpha3": ALPHA[2],
 }
-
-
-@dataclass
-class FourVectorDensity:
-    """Sampled (rho, j/c) field on a Cartesian grid at one instant."""
-
-    grid: CartesianGrid
-    rho: np.ndarray
-    j: np.ndarray  # (3, N, N, N)
-    time: float = 0.0
-
-    @classmethod
-    def from_position_state(cls, ps: PositionState) -> "FourVectorDensity":
-        return cls(grid=ps.grid, rho=density_field(ps), j=current(ps), time=ps.time)
-
-    def total(self) -> float:
-        return float(np.sum(self.rho) * self.grid.cell_volume)
-
-    def total_current(self) -> np.ndarray:
-        return np.sum(self.j, axis=(1, 2, 3)) * self.grid.cell_volume
 
 
 @dataclass
@@ -137,17 +118,13 @@ def _margin(rho: np.ndarray, j: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.sum(j**2, axis=0)) - rho))
 
 
-def causality_margin(field: FourVectorDensity) -> float:
-    """max over grid points of |j| - rho; nonpositive for spinor fields."""
-    return _margin(field.rho, field.j)
-
-
 @dataclass(frozen=True)
 class SnapshotSums:
     """What one slab pass keeps of a snapshot (see ``snapshot_pass``).
 
     ``sums`` holds the cell sums of rho, x1 rho, x2 rho, x3 rho, |x|^2 rho,
-    j1, j2, j3 and of rho weighted by its share outside ``radius``.
+    j1, j2, j3, of rho weighted by its share outside ``radius``, and of
+    x1 j3, x2 j3, x3 j3.
     """
 
     grid: CartesianGrid
@@ -179,11 +156,12 @@ class SnapshotSums:
 
 
 def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSums:
-    """Reduce a snapshot to its moment sums, causality margin, leakage and slice.
+    """Reduce a snapshot to its cell sums, causality margin, leakage and slice.
 
     psi is read one slab of the first grid axis at a time (``slabs``); each
     slab's (rho, j) comes from ``spinor.bilinear_density`` and
-    ``bilinear_current`` and is dropped once its partial sums, its share
+    ``bilinear_current`` and is dropped once its partial sums (the
+    ``moments`` sums and the x_k j3 sums of the boost check), its share
     of the probability outside ``radius`` (if given), its largest |j| - rho
     and its rows of the x1-axis slice are taken.  Temporaries are one
     slab in size.  The slab partials are added pairwise, so the sums
@@ -207,6 +185,9 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
             np.sum(r**2 * rho),
             *np.sum(j, axis=(1, 2, 3)),
             0.0 if radius is None else np.vdot(grid.outside_share(r, radius), rho),
+            np.sum(x[rows, None, None] * j[2]),
+            np.sum(x[None, :, None] * j[2]),
+            np.sum(x[None, None, :] * j[2]),
         ]))
         margin = max(margin, _margin(rho, j))
         axis_slice[0, rows] = rho[:, centre, centre]
@@ -236,16 +217,15 @@ def _state_rule(
 def mean_velocity_two_ways(state: MomentumState, rule: SphericalRule | None = None):
     """(spinor form, scalar form) of <xdot> under one shared quadrature.
 
-    spinor form: int phi^dagger alpha phi d^3p
+    spinor form: int phi^dagger alpha phi d^3p, the closed-form current
+                 ``spinor.bilinear_current`` of the sampled spinor
     scalar form: int (p/E(p)) phi^dagger phi d^3p
     """
     if rule is None:
         rule = _state_rule(state)
     phi = state.spinor(rule.x, rule.y, rule.z)
-    dens = np.sum(np.abs(phi) ** 2, axis=0)
-    spinor_form = np.einsum(
-        "m,am,iab,bm->i", rule.weights, phi.conj(), ALPHA, phi
-    ).real
+    spinor_form = bilinear_current(phi) @ rule.weights
+    dens = bilinear_density(phi)
     e = energy_xyz(rule.x, rule.y, rule.z)
     scalar_form = np.array(
         [

@@ -111,9 +111,6 @@ class SphericalRule:
     z: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, func) -> complex:
-        return complex(np.sum(self.weights * func(self.x, self.y, self.z)))
-
     def blocks(self):
         """Consecutive sub-rules of at most ``BLOCK_POINTS`` points.
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .observables import FourVectorDensity
+from .observables import SnapshotSums
 from .states import LocalizationLabel
 
 
@@ -166,33 +166,35 @@ class BoostFieldCheck:
 
 
 def verify_boost_against_field(
-    field: FourVectorDensity, label: LocalizationLabel, boost: BoostParams
+    sums: SnapshotSums, label: LocalizationLabel, boost: BoostParams
 ) -> BoostFieldCheck:
-    """Transform a sampled (rho, j) field and compare with the label boost.
+    """Boost a snapshot's (rho, j) sums and compare with the label boost.
 
     The pointwise four-vector transform rho' = rho cosh s + j3 sinh s is
-    integrated with the t = 0 measure; for a localizing sequence the
-    weight ratio tends to cosh s + v3 sinh s and the rho'-weighted first
-    moment of (x1, x2, x3 cosh s) tends to the boosted point.  At finite
-    n both are trend statements, not equalities.
+    linear, so its t = 0 integrals follow from the cell sums of one
+    ``observables.snapshot_pass``:
+
+        sum rho'       = cosh s sum rho     + sinh s sum j3
+        sum x_k rho'   = cosh s sum x_k rho + sinh s sum x_k j3,
+
+    with x3 scaled by cosh s.  For a localizing sequence the weight ratio
+    sum rho' / sum rho tends to cosh s + v3 sinh s and the rho'-weighted
+    first moment of (x1, x2, x3 cosh s) tends to the boosted point.  At
+    finite n both are trend statements, not equalities.
     """
     s = boost.rapidity
     ch, sh = np.cosh(s), np.sinh(s)
-    grid = field.grid
-    dv = grid.cell_volume
-    rho_prime = field.rho * ch + field.j[2] * sh
-    total0 = float(np.sum(field.rho) * dv)
-    total_prime = float(np.sum(rho_prime) * dv)
-    x = grid.axis()
-    mapped = (x[:, None, None], x[None, :, None], x[None, None, :] * ch)
-    moment = tuple(float(np.sum(m * rho_prime) * dv / total_prime) for m in mapped)
+    rho, x_rho = sums.sums[0], sums.sums[1:4]
+    j3, x_j3 = sums.sums[7], sums.sums[9:12]
+    total_prime = ch * rho + sh * j3
+    moment = (ch * x_rho + sh * x_j3) * (1.0, 1.0, ch) / total_prime
 
     limit = boost_label(PointDensityLimit.from_label(label), boost)
     predicted_ratio = ch + label.v[2] * sh
     return BoostFieldCheck(
         n=label.n,
-        weight_ratio=total_prime / total0,
+        weight_ratio=float(total_prime / rho),
         predicted_weight_ratio=float(predicted_ratio),
-        first_moment=moment,
+        first_moment=tuple(float(c) for c in moment),
         predicted_point=limit.point,
     )

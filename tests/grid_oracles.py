@@ -1,11 +1,15 @@
 """Position-space references: the brute-force FFT sampler, whole-field
-moments, a spherical average and a Fourier transform of sampled fields,
-and two closed forms (the nonrelativistic peak density and a rotation
-matrix)."""
+moments, causality margin, light-cone leakage and boosted weights, a
+spherical average and a Fourier transform of sampled fields, and two
+closed forms (the nonrelativistic peak density and a rotation matrix).
+
+The whole-field forms take (rho, j) from ``density_field`` and
+``current`` and are the oracles for the library's one slab pass."""
 
 import numpy as np
 from scipy.ndimage import map_coordinates
 
+from diracloc.dynamics import probability_outside
 from diracloc.transform import density_field
 
 
@@ -20,10 +24,9 @@ def sampled_psi(state, grid):
     return psi * (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
 
 
-def field_moments(field):
-    """(norm, mean_x, delta_x, mean_velocity) as whole-field sums over a
-    ``FourVectorDensity``, the form the slab pass replaced."""
-    grid, rho = field.grid, field.rho
+def field_moments(grid, rho, j):
+    """(norm, mean_x, delta_x, mean_velocity) as whole-field sums, the form
+    the slab pass replaced."""
     dv = grid.cell_volume
     total = float(np.sum(rho) * dv)
     x = grid.axis()
@@ -36,7 +39,29 @@ def field_moments(field):
     ) * dv / total
     x2 = float(np.sum(grid.radius() ** 2 * rho) * dv / total)
     spread = np.sqrt(max(x2 - float(mean @ mean), 0.0))
-    return total, mean, spread, np.sum(field.j, axis=(1, 2, 3)) * dv / total
+    return total, mean, spread, np.sum(j, axis=(1, 2, 3)) * dv / total
+
+
+def causality_margin(rho, j):
+    """max over grid points of |j| - rho; nonpositive for spinor fields."""
+    return float(np.max(np.sqrt(np.sum(j**2, axis=0)) - rho))
+
+
+def lightcone_leakage(rho0, rho_t, grid, r0, t):
+    """P(|x| > r0 + t) of ``rho_t`` minus P(|x| > r0) of ``rho0``."""
+    return probability_outside(rho_t, grid, r0 + t) - probability_outside(rho0, grid, r0)
+
+
+def boosted_field_weights(grid, rho, j, rapidity):
+    """(weight ratio, first moment) of rho' = rho cosh s + j3 sinh s, integrated
+    point by point on the t = 0 grid, with x3 scaled by cosh s."""
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    rho_prime = rho * ch + j[2] * sh
+    total_prime = np.sum(rho_prime)
+    x = grid.axis()
+    mapped = (x[:, None, None], x[None, :, None], x[None, None, :] * ch)
+    moment = np.array([np.sum(m * rho_prime) for m in mapped]) / total_prime
+    return float(total_prime / np.sum(rho)), moment
 
 
 def angular_average(values, grid, radii, n_directions=512):

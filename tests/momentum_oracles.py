@@ -1,14 +1,16 @@
-"""Spinor-stack references for the scalar momentum-space reductions.
+"""Spinor-stack references for the momentum-space reductions.
 
 Each routine samples the full (4, M) spinor phi = state.spinor and
 contracts it; the library forms use the eigenspinor identities
-u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)) instead.
+u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)), or the
+closed-form bilinear j = 2 Re(upper^dagger sigma lower), instead.
 """
 
 import numpy as np
 
 from diracloc.observables import _state_rule
 from diracloc.quadrature import spherical_rule
+from diracloc.spinor import ALPHA
 
 
 def spinor_norm(state, n_radial=512, n_theta=64, n_phi=32):
@@ -32,3 +34,9 @@ def finite_difference_position_mean(state, step=1e-5):
         dphi = (plus - minus) / (2.0 * step)
         out[axis] = np.sum(rule.weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
     return out
+
+
+def einsum_mean_velocity(state, rule):
+    """<xdot> = int phi^dagger alpha phi d^3p by the full 4 x 4 ALPHA contraction."""
+    phi = state.spinor(rule.x, rule.y, rule.z)
+    return np.einsum("m,am,iab,bm->i", rule.weights, phi.conj(), ALPHA, phi).real

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from diracloc.dynamics import (
+    LEAKAGE_GRID_BOUND,
     NRPacketParams,
     evolve_free,
     evolve_report,
-    lightcone_leakage,
     nr_current,
     nr_density_analytic,
     nr_density_analytic_grid,
@@ -22,7 +22,7 @@ from diracloc.dynamics import (
 from diracloc.observables import mean_velocity_two_ways, moments
 from diracloc.states import make_state
 from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
-from grid_oracles import nr_peak_density
+from grid_oracles import lightcone_leakage, nr_peak_density
 
 
 class TestEvolveFree:
@@ -106,11 +106,10 @@ class TestEvolutionReport:
         rho0, rho1 = (
             density_field(position_state_cartesian(evolve_free(state, t), grid)) for t in times
         )
-        expected = probability_outside(rho1, grid, r0 + 0.5) - probability_outside(rho0, grid, r0)
+        expected = lightcone_leakage(rho0, rho1, grid, r0, 0.5)
         assert report.leakages[0] == 0.0
         # slab partials are summed in another order than one whole-field dot product
         assert abs(report.leakages[1] - expected) <= 1e-15
-        assert expected == lightcone_leakage(rho0, rho1, grid, r0, 0.5)
 
     def test_time_before_first_rejected(self):
         with pytest.raises(ValueError):
@@ -157,23 +156,12 @@ class TestEvolutionReport:
 
 
 class TestLightcone:
-    def test_zero_time_zero_leakage(self):
-        grid = CartesianGrid(32, 8.0)
-        rho = np.ones((32, 32, 32))
-        assert lightcone_leakage(rho, rho, grid, 2.0, 0.0) == 0.0
-
-    def test_negative_time_rejected(self):
-        grid = CartesianGrid(32, 8.0)
-        rho = np.ones((32, 32, 32))
-        with pytest.raises(ValueError):
-            lightcone_leakage(rho, rho, grid, 2.0, -0.1)
-
     def test_localized_state_within_grid_bound(self):
         state = make_state(n=5)
         grid = CartesianGrid(64, 16.0)
         rho0 = density_field(position_state_cartesian(state, grid))
         rho1 = density_field(position_state_cartesian(evolve_free(state, 1.0), grid))
-        assert lightcone_leakage(rho0, rho1, grid, 3.0, 1.0) <= 1e-3
+        assert lightcone_leakage(rho0, rho1, grid, 3.0, 1.0) <= LEAKAGE_GRID_BOUND
 
     def test_probability_outside_moves_between_lattice_shells(self, ps5):
         # |x|^2 is a multiple of dx^2 = 0.0088, so no cell centre has 3 < |x| <= 3.001
@@ -251,6 +239,18 @@ class TestNRCurrent:
             target[2] = 0.5 * np.abs(chi) ** 2
             errs.append(np.abs(j - target).max())
         assert np.log2(errs[0] / errs[1]) >= 1.8
+
+    def test_one_complex_gradient_at_a_time(self):
+        # j (1.5 chi) plus one axis's np.gradient: its output and two temporaries
+        grid = CartesianGrid(64, 12.0)
+        chi = nr_gaussian_grid(NRPacketParams(n=1, v=(0, 0, 0.5)), grid)
+        tracemalloc.start()
+        try:
+            nr_current(chi, grid.dx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * chi.nbytes
 
     def test_plane_wave_current(self):
         # interior points: j = k |chi|^2 with O(dq^2) dispersion error

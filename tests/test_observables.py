@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from diracloc.dynamics import probability_outside
 from diracloc.observables import (
     Q_MATRICES,
-    FourVectorDensity,
     _bilinear_numerator,
+    _margin,
     _rn_integral,
+    _state_rule,
     a_n_limit,
-    causality_margin,
     convolution_Rn,
     current,
     mean_velocity_two_ways,
@@ -47,8 +47,8 @@ from diracloc.transform import (
     position_state_cartesian,
     radial_delta_x,
 )
-from grid_oracles import density_fourier, field_moments
-from momentum_oracles import finite_difference_position_mean, spinor_norm
+from grid_oracles import causality_margin, density_fourier, field_moments
+from momentum_oracles import einsum_mean_velocity, finite_difference_position_mean, spinor_norm
 
 
 def tiny_state(spinor_value, n_points=8, extent=4.0):
@@ -104,9 +104,8 @@ class TestDensityAndCurrent:
         assert np.sum(density_field(ps5)) * ps5.grid.cell_volume == pytest.approx(1.0, abs=1e-4)
 
     def test_cauchy_schwarz_pointwise(self, ps5):
-        field = FourVectorDensity.from_position_state(ps5)
-        speed = np.sqrt(np.sum(field.j**2, axis=0))
-        assert np.all(speed <= field.rho + 1e-10)
+        speed = np.sqrt(np.sum(current(ps5) ** 2, axis=0))
+        assert np.all(speed <= density_field(ps5) + 1e-10)
 
 
 class TestMoments:
@@ -116,8 +115,8 @@ class TestMoments:
         assert np.abs(m.mean_velocity).max() <= 1e-6
 
     def test_precomputed_field_gives_same_moments(self, ps5):
-        # the slab pass against whole-field sums over a FourVectorDensity
-        norm, mean, spread, velocity = field_moments(FourVectorDensity.from_position_state(ps5))
+        # the slab pass against whole-field sums over density_field and current
+        norm, mean, spread, velocity = field_moments(ps5.grid, density_field(ps5), current(ps5))
         m = moments(ps5)
         assert m.norm == pytest.approx(norm, rel=1e-14)
         assert m.delta_x == pytest.approx(spread, rel=1e-14)
@@ -176,22 +175,25 @@ class TestSnapshotPass:
     def test_matches_whole_fields(self, n_points, spin):
         state = make_state(a=(0.6, -0.9, 0.4), v=(0.35, -0.3, 0.45), spin=spin, n=2)
         ps = position_state_cartesian(replace(state, time=0.7), CartesianGrid(n_points, 12.0))
-        field = FourVectorDensity.from_position_state(ps)
+        rho, j = density_field(ps), current(ps)
         sums = snapshot_pass(ps, radius=2.5)
 
-        norm, mean, spread, velocity = field_moments(field)
+        norm, mean, spread, velocity = field_moments(ps.grid, rho, j)
         m = sums.moments()
         assert m.norm == pytest.approx(norm, rel=1e-14)
         assert m.delta_x == pytest.approx(spread, rel=1e-14)
         assert np.abs(m.mean_x - mean).max() <= 1e-14 * np.abs(mean).max()
         assert np.abs(m.mean_velocity - velocity).max() <= 1e-14 * np.abs(velocity).max()
-        margin = causality_margin(field)
-        assert sums.causality_margin == pytest.approx(margin, rel=1e-14)
-        outside = probability_outside(field.rho, ps.grid, 2.5)
+        x = ps.grid.axis()
+        x_j3 = [np.sum(x[:, None, None] * j[2]), np.sum(x[None, :, None] * j[2]),
+                np.sum(x[None, None, :] * j[2])]
+        assert np.array_equal(sums.sums[9:12], x_j3)  # pairwise slab partials: bit-equal
+        assert sums.causality_margin == pytest.approx(causality_margin(rho, j), rel=1e-14)
+        outside = probability_outside(rho, ps.grid, 2.5)
         assert sums.outside == pytest.approx(outside, rel=1e-14)
         c = n_points // 2
-        expected = np.vstack([field.rho[:, c, c], field.j[:, :, c, c]])
-        assert np.abs(sums.axis_slice - expected).max() <= 1e-14 * field.rho.max()
+        expected = np.vstack([rho[:, c, c], j[:, :, c, c]])
+        assert np.abs(sums.axis_slice - expected).max() <= 1e-14 * rho.max()
 
     def test_outside_needs_a_radius(self, ps5):
         with pytest.raises(ValueError):
@@ -210,6 +212,13 @@ class TestMeanVelocity:
     def test_identity_between_forms(self, v):
         sf, cf = mean_velocity_two_ways(make_state(v=v, n=6))
         assert np.abs(sf - cf).max() <= 1e-8
+
+    @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
+    def test_spinor_form_matches_alpha_contraction(self, spin):
+        state = make_state(a=(0.6, -0.9, 0.4), v=(0.35, -0.3, 0.45), spin=spin, n=3)
+        rule = _state_rule(state)
+        sf, _ = mean_velocity_two_ways(state, rule)
+        assert np.abs(sf - einsum_mean_velocity(state, rule)).max() <= 1e-15
 
     def test_converges_to_target(self):
         sf, cf = mean_velocity_two_ways(make_state(v=(0, 0, 0.3), n=10))
@@ -506,20 +515,17 @@ class TestCausalityMargin:
         psi = np.zeros((4, 8, 8, 8), dtype=complex)
         psi[0] = 1.0
         ps = PositionState(grid=psgrid, psi=psi)
-        field = FourVectorDensity.from_position_state(ps)
-        assert causality_margin(field) == pytest.approx(-1.0)
+        assert snapshot_pass(ps).causality_margin == pytest.approx(-1.0)
 
     def test_localized_state_below_tolerance(self, ps5):
-        field = FourVectorDensity.from_position_state(ps5)
-        assert causality_margin(field) <= 1e-10
+        assert snapshot_pass(ps5).causality_margin <= 1e-10
 
     def test_detector_flags_superluminal_field(self):
-        grid = CartesianGrid(8, 4.0)
+        # no spinor field has |j| > rho, so the pass's per-slab detector is fed one
         rho = np.ones((8, 8, 8))
         j = np.zeros((3, 8, 8, 8))
         j[0] = 2.0
-        field = FourVectorDensity(grid=grid, rho=rho, j=j)
-        assert causality_margin(field) == pytest.approx(1.0)
+        assert _margin(rho, j) == pytest.approx(1.0)
 
 
 class TestLocalizingLimits:

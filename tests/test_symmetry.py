@@ -1,9 +1,12 @@
 """Label transformations, boosts, and commutation with the density pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from diracloc.observables import FourVectorDensity, current
+from diracloc.observables import current, snapshot_pass
+from diracloc.spinor import SPIN_DOWN, SPIN_UP
 from diracloc.states import LocalizationLabel, make_state
 from diracloc.symmetry import (
     BoostParams,
@@ -17,7 +20,7 @@ from diracloc.symmetry import (
     verify_boost_against_field,
 )
 from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
-from grid_oracles import rotation_about_z
+from grid_oracles import boosted_field_weights, rotation_about_z
 
 
 class TestLabelOperations:
@@ -156,10 +159,9 @@ class TestPipelineCommutation:
 class TestBoostAgainstField:
     def test_zero_rapidity_keeps_fields(self):
         state = make_state(v=(0, 0, 0.5), n=4)
-        ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
-        field = FourVectorDensity.from_position_state(ps)
-        chk = verify_boost_against_field(field, state.label, BoostParams(0.0))
-        assert chk.weight_ratio == pytest.approx(1.0, abs=1e-12)
+        sums = snapshot_pass(position_state_cartesian(state, CartesianGrid(128, 12.0)))
+        chk = verify_boost_against_field(sums, state.label, BoostParams(0.0))
+        assert chk.weight_ratio == 1.0
         assert np.abs(np.asarray(chk.first_moment) - state.label.a).max() <= 1e-6
 
     def test_trends_toward_limit(self):
@@ -170,10 +172,21 @@ class TestBoostAgainstField:
         weight_errs = []
         for n in (4, 8):
             state = make_state(a=(0, 0, 1.0), v=(0, 0, 0.5), n=n)
-            ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
-            field = FourVectorDensity.from_position_state(ps)
-            chk = verify_boost_against_field(field, state.label, boost)
+            sums = snapshot_pass(position_state_cartesian(state, CartesianGrid(128, 12.0)))
+            chk = verify_boost_against_field(sums, state.label, boost)
             weight_errs.append(abs(chk.weight_ratio - chk.predicted_weight_ratio))
             assert chk.moment_error <= 1e-6
         assert weight_errs[1] < weight_errs[0]
         assert weight_errs[1] <= 5e-3
+
+    @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
+    def test_sums_match_whole_field_transform(self, spin):
+        # off-axis point and velocity, v3 != 0 and t != 0: the boost of the
+        # pass's sums against rho' = rho cosh s + j3 sinh s formed point by point
+        state = make_state(a=(0.6, -0.9, 0.4), v=(0.35, -0.3, 0.45), spin=spin, n=2)
+        ps = position_state_cartesian(replace(state, time=0.7), CartesianGrid(64, 12.0))
+        rapidity = 0.6
+        chk = verify_boost_against_field(snapshot_pass(ps), state.label, BoostParams(rapidity))
+        ratio, moment = boosted_field_weights(ps.grid, density_field(ps), current(ps), rapidity)
+        assert chk.weight_ratio == pytest.approx(ratio, rel=1e-13)
+        assert np.abs(np.asarray(chk.first_moment) - moment).max() <= 1e-13 * np.abs(moment).max()

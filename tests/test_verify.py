@@ -1,8 +1,13 @@
 """The ``verify`` battery: one value per tolerance, each within its default bound."""
 
+import tracemalloc
+
 import pytest
+import scipy.fft  # noqa: F401  (imported by the first transform; kept out of the peak)
 
 from diracloc import verify
+from diracloc.quadrature import BLOCK_POINTS
+from diracloc.transform import CartesianGrid, grid_working_set
 
 
 @pytest.fixture(scope="module")
@@ -15,3 +20,15 @@ def test_passes_at_default_bound(checks, name):
     (check,) = [c for c in checks if c.name == name]  # exactly one value per tolerance
     assert check.bound == verify.DEFAULT_TOLERANCES[name]
     assert check.passed, check
+
+
+def test_boost_field_trend_holds_one_transform():
+    # each n is one transform and one slab pass; psi is freed before the next
+    grid = CartesianGrid(128, 12.0)
+    tracemalloc.start()
+    try:
+        verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), grid, rapidity=0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid_working_set(grid) + 128 * BLOCK_POINTS

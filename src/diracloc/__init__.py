@@ -69,7 +69,6 @@ from .transform import (
     RadialDensityTable,
     RadialGrid,
     density_field,
-    grid_for_state,
     position_state_cartesian,
     radial_components,
     radial_density,

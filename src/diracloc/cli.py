@@ -18,7 +18,8 @@ README) plus flag overrides.  Every subcommand takes ``--config`` and
 and ``evolve`` and ``moments`` also ``--grid N,L``.  A flag a subcommand
 does not use is a usage error.  Curves go to CSV, scalar reports to JSON;
 runs are deterministic, so identical configs give identical bytes.
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure (a failed check, or a
+value refused with ``QuadratureError``), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -239,45 +240,40 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_figure1(cfg: RunConfig) -> int:
     """Emit rho_n(r) CSV curves plus a summary JSON.
 
-    ``rho_at_origin``, ``prob_inside_r1`` and ``tail_log_slope`` come from
-    the emitted table; ``norm`` and ``delta_x`` are integrated on their own
-    nodes, since the table stops resolving the state once n sigma_p is large.
+    ``rho_at_origin`` and ``tail_log_slope`` come from the emitted table;
+    ``prob_inside_r1``, ``norm`` (plus the table's tail bound) and
+    ``delta_x`` are integrated on their own nodes, since the table stops
+    resolving the state once n sigma_p is large.  A curve whose norm is
+    not within the ``state_norms`` bound of 1 is refused with
+    ``QuadratureError`` before its CSV or the summary is written.
     """
     if any(cfg.a) or any(cfg.v_target) or cfg.profile_kind != "gaussian":
         raise ConfigError("figure1 requires the symmetric case: a = 0, v = 0, gaussian profile")
     out = _outdir(cfg)
     profile = gaussian_profile(cfg.sigma_p)
     grid = RadialGrid.uniform(cfg.r_max, cfg.r_count)
+    bound = DEFAULT_TOLERANCES["state_norms"]
     summary = {"sigma_p": cfg.sigma_p, "r_max": cfg.r_max, "r_count": cfg.r_count, "curves": {}}
     for n in cfg.n_list:
         table = radial_density(profile, n, grid)
+        norm = radial_probability(profile, n, cfg.r_max) + table.tail_estimate()
+        if not abs(norm - 1.0) <= bound:
+            raise QuadratureError(
+                f"n = {n}, sigma_p = {cfg.sigma_p:g}: norm {norm!r} is not within {bound:g} of 1"
+            )
         name = f"rho_n{n}.csv"
         table.to_csv(out / name)
         summary["curves"][str(n)] = {
             "file": name,
-            "norm": _radial_norm(profile, n, cfg.r_max, table),
+            "norm": norm,
             "rho_at_origin": table.value_at_origin(),
-            "prob_inside_r1": table.probability_within(1.0),
+            "prob_inside_r1": radial_probability(profile, n, 1.0),
             "delta_x": radial_delta_x(profile, n),
             "tail_log_slope": table.fitted_log_slope(3.0, min(6.0, cfg.r_max)),
         }
     _write_json(out / "figure1_summary.json", summary)
     print(f"figure1: wrote {len(cfg.n_list)} curves and summary to {out}")
     return 0
-
-
-def _radial_norm(profile, n: int, r_max: float, table) -> float:
-    """Probability on [0, r_max] by Gauss-Legendre, plus the table's tail bound.
-
-    The state has width ~1/(n sigma_p), which the uniform output table
-    stops resolving once n sigma_p is large, so the norm is integrated on
-    its own nodes: a 64-node panel over the core and 128 nodes beyond it.
-    """
-    core = min(r_max, 10.0 / (n * profile.sigma_p))
-    inside = radial_probability(profile, n, 0.0, core, n_nodes=64)
-    if core < r_max:
-        inside += radial_probability(profile, n, core, r_max, n_nodes=128)
-    return inside + table.tail_estimate()
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -334,11 +330,7 @@ def cmd_rn(cfg: RunConfig) -> int:
         writer = csv.writer(handle)
         writer.writerow(["n", "re", "im", "abs_error"])
         for n in cfg.n_list:
-            try:
-                value = convolution_Rn(profile, n, cfg.rn_p, cfg.rn_q, spin=cfg.spin)
-            except QuadratureError as exc:
-                print(f"rn: {exc}", file=sys.stderr)
-                return 1
+            value = convolution_Rn(profile, n, cfg.rn_p, cfg.rn_q, spin=cfg.spin)
             writer.writerow(
                 [n, repr(value.real), repr(value.imag), repr(abs(value - target))]
             )
@@ -424,6 +416,9 @@ def main(argv=None) -> int:
     except (ConfigError, GridError, ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -71,10 +71,6 @@ class MomentumProfile:
             )
 
     @property
-    def kind(self) -> str:
-        return "gaussian" if not any(self.center) else "boosted_gaussian"
-
-    @property
     def is_symmetric(self) -> bool:
         return not any(self.center)
 

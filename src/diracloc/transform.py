@@ -23,19 +23,22 @@ Two routes:
   every core (``scipy.fft``).  It serves as the independent oracle for
   the radial path and as the only path for states without radial
   symmetry.  A grid is refused before any N^3 allocation when it misses
-  more than ``mass_tol`` of the momentum mass or when its working set
-  exceeds physical memory.
+  more than ``MASS_TOL`` of the momentum mass (the refusal names a grid
+  that covers the state) or when its working set exceeds physical
+  memory.
 
 Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
 the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
 scipy's ``spherical_jn``; convergence is certified by node doubling in
-the tests.
+the tests.  ``radial_probability`` integrates 4 pi r^2 rho_n on its own
+Gauss-Legendre nodes, one panel over the core r < 10/(n sigma_p) and
+one beyond, so it resolves the state whatever its width; a tabulated
+curve would not once 1/(n sigma_p) nears the table spacing.
 
 scipy is imported at each call site (``scipy.fft`` in
-``position_state_cartesian``, ``spherical_jn`` in the radial transform,
-``simpson`` in ``RadialDensityTable.probability_within``), so importing
-the package, or running a command that calls none of them, loads no
-scipy.
+``position_state_cartesian``, ``spherical_jn`` in the radial transform),
+so importing the package, or running a command that calls neither,
+loads no scipy.
 
 ``radial_delta_x`` needs no transform at all: <x^2> = int |grad_p phi|^2
 d^3p reduces to a 1-D momentum integral with a closed-form spinor term,
@@ -45,6 +48,7 @@ so the spread is exact over all space at any n.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -56,6 +60,8 @@ from .states import MomentumProfile, MomentumState
 from .units import MASS
 
 RADIAL_NODES = 2048
+# share of the momentum-space probability a grid may leave beyond its Nyquist momentum
+MASS_TOL = 1e-2
 # bytes per cell held at once by position_state_cartesian: psi (4 complex),
 # E(p) (1 real) and one complex-sized scratch (exp(-i E t), or calE's temporaries)
 GRID_BYTES_PER_CELL = 4 * 16 + 8 + 16
@@ -144,18 +150,6 @@ class CartesianGrid:
         return np.clip(share, 0.0, 1.0, out=share)
 
 
-def grid_for_state(state: MomentumState, extent: float | None = None, mass_tol: float = 1e-4) -> CartesianGrid:
-    """Pick a power-of-two grid whose Nyquist momentum covers the state."""
-    L = float(extent) if extent is not None else 16.0 if state.label.n <= 4 else 12.0
-    need = state.momentum_support(mass_tol)
-    n = 8
-    while np.pi * n / L < need:
-        n *= 2
-        if n > 1024:
-            raise GridError("state momentum support too large for a tractable grid")
-    return CartesianGrid(n_points=max(n, 64), extent=L)
-
-
 @dataclass
 class PositionState:
     """Spinor samples psi(x) on a Cartesian grid, plus label provenance."""
@@ -196,27 +190,29 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def position_state_cartesian(
-    state: MomentumState, grid: CartesianGrid | None = None, mass_tol: float = 1e-2
-) -> PositionState:
+def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> PositionState:
     """Inverse 3-D FFT of phi sampled on the reciprocal grid.
 
     The result carries the continuum scaling, so its discrete norm
     reproduces the momentum-space norm up to the mass the grid cannot
     represent.  A grid whose Nyquist momentum misses more than
-    ``mass_tol`` of the state's momentum-space probability is rejected,
+    ``MASS_TOL`` of the state's momentum-space probability is rejected,
     and so is one whose working set exceeds physical memory, before
     anything of grid size is allocated.
     """
     import scipy.fft
 
-    if grid is None:
-        grid = grid_for_state(state)
-    support = state.momentum_support(mass_tol)
+    support = state.momentum_support(MASS_TOL)
     if grid.nyquist < support:
+        n, L = grid.n_points, grid.extent
+        # Nyquist pi N / L >= support: the smallest such power-of-two N at this
+        # L, or the largest L (rounded down to what the message prints) at this N
+        n_need = max(8, 2 ** math.ceil(math.log2(support * L / math.pi)))
+        l_max = math.floor(100.0 * math.pi * n / support) / 100.0
         raise GridError(
             f"grid Nyquist {grid.nyquist:.2f} < state momentum support {support:.2f} "
-            f"(n = {state.label.n}); enlarge N or shrink L"
+            f"(n = {state.label.n}); use N >= {n_need} at L = {L:g}, "
+            f"or L <= {l_max:.2f} at N = {n}"
         )
     need, have = grid_working_set(grid), physical_memory()
     if need > have:
@@ -305,14 +301,6 @@ class RadialDensityTable:
             np.interp(0.0, self.grid.r, self.rho)
         )
 
-    def probability_within(self, radius: float) -> float:
-        """Simpson integral of 4 pi r^2 rho over [0, radius] from the table."""
-        from scipy.integrate import simpson
-
-        mask = self.grid.r <= radius + 1e-12
-        r = self.grid.r[mask]
-        return float(simpson(4.0 * np.pi * r * r * self.rho[mask], x=r))
-
     def tail_estimate(self) -> float:
         """Bound the probability beyond the table via an exponential fit.
 
@@ -320,23 +308,15 @@ class RadialDensityTable:
         densities decay exponentially, so the extrapolated integral
         4 pi r^2 rho(R) e^(lambda (r - R)) bounds the missing mass.
         """
-        r = self.grid.r
-        rho = self.rho
-        tail = r >= 0.8 * r[-1]
-        rt, dt = r[tail], rho[tail]
-        good = dt > 0
-        if good.sum() < 2:
+        R = self.grid.r[-1]
+        if np.count_nonzero(self.rho[self.grid.r >= 0.8 * R] > 0) < 2:
             return 0.0
-        slope = np.polyfit(rt[good], np.log(dt[good]), 1)[0]
+        slope = self.fitted_log_slope(0.8 * R, R)
         if slope >= 0:  # no decay detected; refuse to certify
             return float("inf")
         lam = -slope
-        R = r[-1]
-        dens = rho[-1]
+        dens = self.rho[-1]
         return float(4.0 * np.pi * dens * (R * R / lam + 2.0 * R / lam**2 + 2.0 / lam**3))
-
-    def total_probability(self) -> float:
-        return self.probability_within(self.grid.r[-1]) + self.tail_estimate()
 
     def fitted_log_slope(self, r_lo: float = 3.0, r_hi: float = 6.0) -> float:
         """Slope of log rho on [r_lo, r_hi]; negative for decaying tails."""
@@ -362,14 +342,21 @@ def radial_density(profile: MomentumProfile, n: int, grid: RadialGrid) -> Radial
     return RadialDensityTable(grid=grid, rho=np.abs(g0) ** 2 + np.abs(g1) ** 2, n=n)
 
 
-def radial_probability(
-    profile: MomentumProfile, n: int, r_lo: float, r_hi: float, n_nodes: int = 600
-) -> float:
-    """Quadrature of 4 pi r^2 rho_n over [r_lo, r_hi], independent of any table."""
-    r, w = gauss_legendre(n_nodes, r_lo, r_hi)
-    g0, g1 = radial_components(profile, n, r)
-    rho = np.abs(g0) ** 2 + np.abs(g1) ** 2
-    return float(np.sum(w * 4.0 * np.pi * r * r * rho))
+def radial_probability(profile: MomentumProfile, n: int, radius: float) -> float:
+    """Probability inside ``radius``: Gauss-Legendre quadrature of 4 pi r^2 rho_n.
+
+    The state has width ~1/(n sigma_p), so the rule does not depend on
+    any table: 64 nodes over the core [0, min(radius, 10/(n sigma_p))]
+    and 128 nodes beyond it.
+    """
+    core = min(radius, 10.0 / (n * profile.sigma_p))
+    total = 0.0
+    for lo, hi, order in ((0.0, core, 64), (core, radius, 128)):
+        if lo < hi:
+            r, w = gauss_legendre(order, lo, hi)
+            rho = radial_density(profile, n, RadialGrid(r)).rho
+            total += float(np.sum(w * 4.0 * np.pi * r * r * rho))
+    return total
 
 
 def radial_delta_x(profile: MomentumProfile, n: int) -> float:

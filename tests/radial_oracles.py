@@ -18,12 +18,24 @@ def position_space_delta_x(profile, n, r_max=40.0):
     return float(np.sqrt(np.sum(w * 4.0 * np.pi * r**4 * rho)))
 
 
-def two_panel_delta_x(profile, n, r_max=12.0):
-    """Reference spread: Gauss-Legendre on [0, 10/(n sigma_p)] and beyond."""
-    core = 10.0 / (n * profile.sigma_p)
+def _two_panel_moment(profile, n, radius, power):
+    """int_0^radius 4 pi r^power rho_n dr: Gauss-Legendre on [0, 10/(n sigma_p)]
+    and beyond, with 8192 momentum nodes per radius."""
+    core = min(radius, 10.0 / (n * profile.sigma_p))
     total = 0.0
-    for a, b, order in ((0.0, core, 64), (core, r_max, 256)):
-        r, w = gauss_legendre(order, a, b)
-        g0, g1 = radial_components(profile, n, r, n_nodes=8192)
-        total += np.sum(w * 4.0 * np.pi * r**4 * (np.abs(g0) ** 2 + np.abs(g1) ** 2))
-    return float(np.sqrt(total))
+    for a, b, order in ((0.0, core, 64), (core, radius, 256)):
+        if a < b:
+            r, w = gauss_legendre(order, a, b)
+            g0, g1 = radial_components(profile, n, r, n_nodes=8192)
+            total += np.sum(w * 4.0 * np.pi * r**power * (np.abs(g0) ** 2 + np.abs(g1) ** 2))
+    return float(total)
+
+
+def two_panel_delta_x(profile, n, r_max=12.0):
+    """Reference spread sqrt(<x^2>) over [0, r_max]."""
+    return float(np.sqrt(_two_panel_moment(profile, n, r_max, 4)))
+
+
+def two_panel_probability(profile, n, radius):
+    """Reference probability inside ``radius``."""
+    return _two_panel_moment(profile, n, radius, 2)

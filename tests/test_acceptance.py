@@ -49,14 +49,14 @@ def test_criterion_1_figure_reproduction():
     grid = RadialGrid.uniform(6.0, 601)
     tables = {n: radial_density(profile, n, grid) for n in (5, 7, 10)}
 
-    norms = {n: t.total_probability() for n, t in tables.items()}
+    norms = {n: radial_probability(profile, n, 6.0) + t.tail_estimate() for n, t in tables.items()}
     for n, norm in norms.items():
         assert abs(norm - 1.0) <= 1e-4, f"norm(n={n}) = {norm}"
 
     rho0 = [tables[n].value_at_origin() for n in (5, 7, 10)]
     assert rho0[0] < rho0[1] < rho0[2]
 
-    inside = {n: radial_probability(profile, n, 0.0, 1.0) for n in (5, 7, 10)}
+    inside = {n: radial_probability(profile, n, 1.0) for n in (5, 7, 10)}
     assert inside[5] < inside[7] < inside[10]
     assert inside[10] > 0.9
 

@@ -5,7 +5,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 import diracloc.cli as cli
 import diracloc.verify as verify
@@ -14,7 +13,7 @@ from diracloc.dynamics import evolve_free
 from diracloc.observables import current
 from diracloc.states import gaussian_profile, make_state
 from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
-from radial_oracles import two_panel_delta_x
+from radial_oracles import two_panel_delta_x, two_panel_probability
 
 
 def run(args):
@@ -74,15 +73,15 @@ class TestFigure1:
         assert rho0[0] < rho0[1] < rho0[2]
 
     def test_summary_round_trips_from_csv(self, outputs):
-        # the table-derived summary numbers re-derive from the emitted table
+        # the table-derived summary numbers re-derive from the emitted table;
+        # the probability inside r < 1 is integrated on its own nodes
         summary = read_json(outputs / "figure1_summary.json")
         for n in (5, 7, 10):
             rows = np.loadtxt(outputs / f"rho_n{n}.csv", delimiter=",", skiprows=1)
-            r, rho = rows[:, 0], rows[:, 1]
             entry = summary["curves"][str(n)]
-            assert entry["rho_at_origin"] == rho[0]
-            inside = simpson(4 * np.pi * r[r <= 1.0] ** 2 * rho[r <= 1.0], x=r[r <= 1.0])
-            assert entry["prob_inside_r1"] == pytest.approx(inside, rel=1e-12)
+            assert entry["rho_at_origin"] == rows[0, 1]
+            expected = two_panel_probability(gaussian_profile(1.0), n, 1.0)
+            assert entry["prob_inside_r1"] == pytest.approx(expected, rel=1e-12)
             assert entry["tail_log_slope"] < 0.0
 
     def test_deterministic_bytes(self, tmp_path):
@@ -94,7 +93,7 @@ class TestFigure1:
             out_b / "figure1_summary.json"
         ).read_bytes()
 
-    @pytest.mark.parametrize("n, sigma_p", [(46, 1.135), (64, 2.0)])
+    @pytest.mark.parametrize("n, sigma_p", [(46, 1.135), (64, 2.0), (44, 1.9772)])
     def test_norm_resolved_at_large_n_sigma(self, tmp_path, n, sigma_p):
         # the state's width 1/(n sigma_p) is far below the 0.01 table spacing
         cfg = tmp_path / "cfg.ini"
@@ -102,9 +101,19 @@ class TestFigure1:
         assert run(["figure1", "--config", str(cfg), "--out", str(tmp_path), "--n", str(n)]) == 0
         entry = read_json(tmp_path / "figure1_summary.json")["curves"][str(n)]
         assert abs(entry["norm"] - 1.0) <= 1e-10
-        # the full-space spread, not the table's
-        expected = two_panel_delta_x(gaussian_profile(sigma_p), n)
-        assert entry["delta_x"] == pytest.approx(expected, rel=1e-11)
+        # the full-space spread and the probability inside r < 1, not the table's
+        profile = gaussian_profile(sigma_p)
+        assert entry["delta_x"] == pytest.approx(two_panel_delta_x(profile, n), rel=1e-11)
+        assert 0.0 <= entry["prob_inside_r1"] <= 1.0
+        expected = two_panel_probability(profile, n, 1.0)
+        assert entry["prob_inside_r1"] == pytest.approx(expected, rel=1e-12)
+
+    def test_unresolved_curve_is_refused(self, tmp_path, capsys):
+        # at n = 200 the tail fit finds no decay, so the norm is infinite
+        assert run(["figure1", "--out", str(tmp_path), "--n", "200"]) == 1
+        assert not (tmp_path / "figure1_summary.json").exists()
+        assert not (tmp_path / "rho_n200.csv").exists()
+        assert "n = 200, sigma_p = 1: norm inf" in capsys.readouterr().err
 
     def test_empty_n_list_is_config_error(self, tmp_path):
         assert run(["figure1", "--out", str(tmp_path), "--n", ""]) == 2
@@ -206,6 +215,17 @@ class TestMomentsCommand:
         payload = read_json(tmp_path / "moments.json")
         assert payload["grid"] == {"points": 128, "extent": 16.0}
         assert sorted(payload["moments"], key=int) == ["5", "7", "10"]
+
+    def test_grid_error_names_a_working_grid(self, tmp_path, capsys):
+        # the boosted n = 10 support (31.2) is beyond the default Nyquist (25.1)
+        cfg = tmp_path / "boosted.ini"
+        cfg.write_text("[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n")
+        argv = ["moments", "--config", str(cfg), "--out", str(tmp_path), "--n", "10"]
+        assert run(argv) == 2
+        message = capsys.readouterr().err
+        assert "use N >= 256 at L = 16, or L <= 12.89 at N = 128" in message
+        extent = message.rsplit("L <= ", 1)[1].split()[0]
+        assert run(argv + ["--grid", f"128,{extent}"]) == 0
 
     def test_delta_x_decreasing(self, tmp_path):
         assert run(

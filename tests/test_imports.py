@@ -66,3 +66,9 @@ def test_evolve_loads_no_optimize(tmp_path):
     modules = scipy_loaded(*argv)
     assert "scipy.fft" in modules
     assert not [m for m in modules if m.startswith("scipy.optimize")]
+
+
+def test_figure1_loads_no_integrate_or_optimize(tmp_path):
+    modules = scipy_loaded("figure1", "--out", str(tmp_path), "--n", "2")
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m.startswith(("scipy.integrate", "scipy.optimize"))]

@@ -19,7 +19,6 @@ from diracloc.transform import (
     RadialDensityTable,
     RadialGrid,
     density_field,
-    grid_for_state,
     grid_working_set,
     physical_memory,
     position_state_cartesian,
@@ -124,7 +123,7 @@ class TestRadialDeltaX:
 class TestRadialDensity:
     def test_unit_norm_all_n(self, plain_profile):
         for n in (5, 7, 10):
-            total = radial_probability(plain_profile, n, 0.0, 20.0, n_nodes=2000)
+            total = radial_probability(plain_profile, n, 20.0)
             assert abs(total - 1.0) <= 1e-4
 
     def test_origin_density_increases_with_n(self, plain_profile):
@@ -133,7 +132,7 @@ class TestRadialDensity:
         assert rho0[0] < rho0[1] < rho0[2]
 
     def test_probability_inside_compton_radius_increases(self, plain_profile):
-        inside = [radial_probability(plain_profile, n, 0.0, 1.0) for n in (5, 10)]
+        inside = [radial_probability(plain_profile, n, 1.0) for n in (5, 10)]
         assert inside[0] < inside[1]
 
     def test_tail_everywhere_positive(self, plain_profile):
@@ -150,7 +149,8 @@ class TestRadialDensity:
 
     def test_table_norm_with_tail_estimate(self, plain_profile):
         table = radial_density(plain_profile, 7, RadialGrid.uniform(6.0, 601))
-        assert abs(table.total_probability() - 1.0) <= 1e-4
+        total = radial_probability(plain_profile, 7, 6.0) + table.tail_estimate()
+        assert abs(total - 1.0) <= 1e-4
 
     def test_csv_round_trip(self, plain_profile, tmp_path):
         table = radial_density(plain_profile, 5, RadialGrid.uniform(4.0, 81))
@@ -173,11 +173,6 @@ class TestCartesianGrid:
     def test_nyquist(self):
         grid = CartesianGrid(64, 16.0)
         assert grid.nyquist == pytest.approx(np.pi * 64 / 16.0)
-
-    def test_grid_for_state_covers_support(self):
-        state = make_state(n=10)
-        grid = grid_for_state(state)
-        assert grid.nyquist >= state.momentum_support(1e-4)
 
 
 class TestPositionState:

@@ -13,15 +13,9 @@ from .dynamics import (
     NRPacketParams,
     evolve_free,
     evolve_report,
-    nr_current,
-    nr_density_analytic,
-    nr_gaussian_state,
-    nr_green,
-    nr_spectral_evolution,
 )
 from .observables import (
     MomentSet,
-    a_n_limit,
     convolution_Rn,
     current,
     mean_velocity_two_ways,

@@ -195,6 +195,15 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("sigma_p must be positive")
     if cfg.r_count < 2 or cfg.r_max <= 0:
         raise ConfigError("radial grid needs r_max > 0 and r_count >= 2")
+    lo, hi = _slope_window(cfg.r_max)
+    r = RadialGrid.uniform(cfg.r_max, cfg.r_count).r
+    if ((r >= lo) & (r <= hi)).sum() < 2:
+        raise ConfigError(
+            f"tail_log_slope is fitted on [{lo:g}, {hi:g}], which holds fewer than two "
+            f"of the r_count = {cfg.r_count} radii on [0, {cfg.r_max:g}]"
+        )
+    if cfg.r0 < 0:
+        raise ConfigError("evolve.r0, the light-cone radius at the first time, must be >= 0")
     if any(t < 0 for t in cfg.times):
         raise ConfigError("evolution times must be nonnegative")
     if cfg.times and min(cfg.times) < cfg.times[0]:
@@ -204,6 +213,11 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"unknown tolerance {name!r}")
         if value < 0:
             raise ConfigError(f"tolerance {name} must be >= 0")
+
+
+def _slope_window(r_max: float) -> tuple[float, float]:
+    """The radii [r_lo, r_hi] that the figure1 ``tail_log_slope`` is fitted on."""
+    return 3.0, min(6.0, r_max)
 
 
 def _profile(cfg: RunConfig):
@@ -269,7 +283,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
             "rho_at_origin": table.value_at_origin(),
             "prob_inside_r1": radial_probability(profile, n, 1.0),
             "delta_x": radial_delta_x(profile, n),
-            "tail_log_slope": table.fitted_log_slope(3.0, min(6.0, cfg.r_max)),
+            "tail_log_slope": table.fitted_log_slope(*_slope_window(cfg.r_max)),
         }
     _write_json(out / "figure1_summary.json", summary)
     print(f"figure1: wrote {len(cfg.n_list)} curves and summary to {out}")

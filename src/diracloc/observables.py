@@ -414,35 +414,6 @@ def convolution_Rn(
     return value
 
 
-def _graded_breaks(inner_scale: float, outer: float, factor: float = 4.0):
-    breaks = [0.0]
-    edge = min(inner_scale, outer)
-    while edge < outer and len(breaks) < 6:
-        breaks.append(edge)
-        edge *= factor
-    breaks.append(outer)
-    return tuple(breaks)
-
-
-def a_n_limit(profile: MomentumProfile, n: int, axis: int) -> float:
-    """A_n = int |f(r)|^2 r_axis / sqrt(|r|^2 + 1/n^2) d^3 r.
-
-    This is R_n(0) for Q = alpha_axis; it converges monotonically onto
-    the profile's mean flow component as n grows.
-    """
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    cut = profile.cutoff()
-    breaks = _graded_breaks(4.0 / n, cut)
-    orders = tuple(64 for _ in breaks[:-2]) + (160,)
-    rule = spherical_rule(breaks, orders, n_theta=64, n_phi=32)
-    f2 = np.abs(profile(rule.x, rule.y, rule.z)) ** 2
-    comp = (rule.x, rule.y, rule.z)[axis]
-    radius2 = rule.x**2 + rule.y**2 + rule.z**2
-    kernel = comp / np.sqrt(radius2 + (MASS / n) ** 2)
-    return float(np.sum(rule.weights * f2 * kernel))
-
-
 def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
     """<x> = int phi^dagger (i grad_p) phi d^3p in closed form.
 

@@ -1,7 +1,7 @@
 """Position-space references: the brute-force FFT sampler, whole-field
 moments, causality margin, light-cone leakage and boosted weights, a
-spherical average and a Fourier transform of sampled fields, and two
-closed forms (the nonrelativistic peak density and a rotation matrix).
+spherical average and a Fourier transform of sampled fields, and a
+rotation matrix.
 
 The whole-field forms take (rho, j) from ``density_field`` and
 ``current`` and are the oracles for the library's one slab pass."""
@@ -93,12 +93,6 @@ def density_fourier(ps, p):
     phases = [np.exp(-1j * x * p[axis]) for axis in range(3)]
     total = np.einsum("i,j,k,ijk->", phases[0], phases[1], phases[2], rho)
     return complex(total * ps.grid.cell_volume / (2.0 * np.pi) ** 1.5)
-
-
-def nr_peak_density(params, t):
-    """Nonrelativistic packet density at its moving centre q = a + v t."""
-    spread = params.sigma**4 + params.n**4 * t * t
-    return float(params.n**3 * params.sigma**3 / (np.pi * spread) ** 1.5)
 
 
 def rotation_about_z(angle):

@@ -4,6 +4,7 @@ Each routine samples the full (4, M) spinor phi = state.spinor and
 contracts it; the library forms use the eigenspinor identities
 u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)), or the
 closed-form bilinear j = 2 Re(upper^dagger sigma lower), instead.
+``a_n_limit`` is a second quadrature of R_n(0) for Q = alpha_k.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from diracloc.observables import _state_rule
 from diracloc.quadrature import spherical_rule
 from diracloc.spinor import ALPHA
+from diracloc.units import MASS
 
 
 def spinor_norm(state, n_radial=512, n_theta=64, n_phi=32):
@@ -40,3 +42,32 @@ def einsum_mean_velocity(state, rule):
     """<xdot> = int phi^dagger alpha phi d^3p by the full 4 x 4 ALPHA contraction."""
     phi = state.spinor(rule.x, rule.y, rule.z)
     return np.einsum("m,am,iab,bm->i", rule.weights, phi.conj(), ALPHA, phi).real
+
+
+def _graded_breaks(inner_scale, outer, factor=4.0):
+    breaks = [0.0]
+    edge = min(inner_scale, outer)
+    while edge < outer and len(breaks) < 6:
+        breaks.append(edge)
+        edge *= factor
+    breaks.append(outer)
+    return tuple(breaks)
+
+
+def a_n_limit(profile, n, axis):
+    """A_n = int |f(r)|^2 r_axis / sqrt(|r|^2 + 1/n^2) d^3 r.
+
+    This is R_n(0) for Q = alpha_axis; it converges monotonically onto
+    the profile's mean flow component as n grows.
+    """
+    if axis not in (0, 1, 2):
+        raise ValueError("axis must be 0, 1 or 2")
+    cut = profile.cutoff()
+    breaks = _graded_breaks(4.0 / n, cut)
+    orders = tuple(64 for _ in breaks[:-2]) + (160,)
+    rule = spherical_rule(breaks, orders, n_theta=64, n_phi=32)
+    f2 = np.abs(profile(rule.x, rule.y, rule.z)) ** 2
+    comp = (rule.x, rule.y, rule.z)[axis]
+    radius2 = rule.x**2 + rule.y**2 + rule.z**2
+    kernel = comp / np.sqrt(radius2 + (MASS / n) ** 2)
+    return float(np.sum(rule.weights * f2 * kernel))

@@ -115,6 +115,15 @@ class TestFigure1:
         assert not (tmp_path / "rho_n200.csv").exists()
         assert "n = 200, sigma_p = 1: norm inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_max, r_count", [(2.9, 291), (6.0, 2)])
+    def test_short_slope_window_is_config_error(self, tmp_path, r_max, r_count):
+        # tail_log_slope's fit window [3, min(6, r_max)] must hold two table radii
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[grid]\nr_max = {r_max}\nr_count = {r_count}\n")
+        argv = ["figure1", "--config", str(cfg), "--out", str(tmp_path), "--n", "20"]
+        assert run(argv) == 2
+        assert not (tmp_path / "rho_n20.csv").exists()
+
     def test_empty_n_list_is_config_error(self, tmp_path):
         assert run(["figure1", "--out", str(tmp_path), "--n", ""]) == 2
 
@@ -193,6 +202,12 @@ class TestEvolve:
             ["evolve", "--out", str(tmp_path), "--n", "10", "--grid", "64,16",
              "--config", str(cfg)]
         ) == 2
+
+    def test_negative_r0_is_config_error(self, tmp_path):
+        cfg = tmp_path / "evolve.ini"
+        cfg.write_text("[evolve]\nr0 = -1\n")
+        assert run(["evolve", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        assert not (tmp_path / "evolution_report.json").exists()
 
     def test_time_before_first_is_config_error(self, tmp_path):
         # the first time is the light-cone baseline

@@ -5,24 +5,32 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diracloc import verify
 from diracloc.dynamics import (
     LEAKAGE_GRID_BOUND,
     NRPacketParams,
     evolve_free,
     evolve_report,
+    nr_density_factor,
+    nr_evolve_factor,
+    nr_packet_factor,
+    probability_outside,
+)
+from diracloc.observables import mean_velocity_two_ways, moments
+from diracloc.states import make_state
+from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
+from grid_oracles import lightcone_leakage
+from nr_oracles import (
     nr_current,
     nr_density_analytic,
     nr_density_analytic_grid,
     nr_gaussian_grid,
     nr_gaussian_state,
     nr_green,
+    nr_peak_density,
     nr_spectral_evolution,
-    probability_outside,
+    outer3,
 )
-from diracloc.observables import mean_velocity_two_ways, moments
-from diracloc.states import make_state
-from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
-from grid_oracles import lightcone_leakage, nr_peak_density
 
 
 class TestEvolveFree:
@@ -214,6 +222,66 @@ class TestNRPackets:
             NRPacketParams(n=0)
 
 
+class TestNRFactors:
+    # the library's 1-D factors against the 3-D oracles at 64^3
+    grid = CartesianGrid(64, 20.0)
+    params = NRPacketParams(n=2, sigma=1.0, a=(0.5, -0.3, 0.2), v=(0.1, -0.2, 0.3))
+
+    def factors(self):
+        return [nr_packet_factor(self.params, k, self.grid.axis()) for k in range(3)]
+
+    def test_packet(self):
+        chi = nr_gaussian_grid(self.params, self.grid)
+        assert np.abs(outer3(self.factors()) - chi).max() <= 1e-14 * np.abs(chi).max()
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_evolved_density(self, t):
+        grid, x = self.grid, self.grid.axis()
+        rho = np.abs(nr_spectral_evolution(nr_gaussian_grid(self.params, grid), grid, t)) ** 2
+        evolved = [np.abs(nr_evolve_factor(c, grid, t)) ** 2 for c in self.factors()]
+        assert np.abs(outer3(evolved) - rho).max() <= 1e-14 * rho.max()
+        exact = nr_density_analytic_grid(self.params, grid, t)
+        closed = outer3([nr_density_factor(self.params, k, x, t) for k in range(3)])
+        assert np.abs(closed - exact).max() <= 1e-14 * exact.max()
+
+    def test_current(self):
+        j = nr_current(nr_gaussian_grid(self.params, self.grid), self.grid.dx)
+        chi = self.factors()
+        for k, c in enumerate(chi):
+            parts = [np.abs(f) ** 2 for f in chi]
+            parts[k] = np.imag(np.conj(c) * np.gradient(c, self.grid.dx, edge_order=2))
+            assert np.abs(outer3(parts) - j[k]).max() <= 1e-14 * np.abs(j).max()
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            nr_density_factor(self.params, 0, self.grid.axis(), -0.5)
+
+    def test_verify_checks_match_whole_field_forms(self):
+        # L = 12 leaves the n = 4 packet a discretization error far above rounding
+        grid, times = CartesianGrid(64, 12.0), (0.1, 1.0)
+        packets = [NRPacketParams(n=n, a=(1.0, 0, 0), v=(0, 0, 0.5)) for n in (1, 4)]
+        worst = max(
+            np.abs(
+                np.abs(nr_spectral_evolution(nr_gaussian_grid(p, grid), grid, t)) ** 2
+                - nr_density_analytic_grid(p, grid, t)
+            ).max()
+            for p in packets
+            for t in times
+        )
+        assert verify.nr_oracle(packets, grid, times)["nr_oracle"] == pytest.approx(
+            worst, rel=1e-12
+        )
+        errs = []
+        v = self.params.v  # moving along every axis: the worst axis is a max over three
+        for pts in (32, 64):
+            g = CartesianGrid(pts, 12.0)
+            chi = nr_gaussian_grid(self.params, g)
+            j = nr_current(chi, g.dx)
+            errs.append(max(np.abs(j[k] - v[k] * np.abs(chi) ** 2).max() for k in range(3)))
+        order = verify.nr_current_order(self.params, (32, 64), extent=12.0)["order"]
+        assert order == pytest.approx(np.log2(errs[0] / errs[1]), rel=1e-12)
+
+
 class TestNRCurrent:
     def test_real_wavefunction_has_no_current(self):
         grid = CartesianGrid(32, 8.0)
@@ -228,29 +296,6 @@ class TestNRCurrent:
         target = np.zeros_like(j)
         target[2] = 0.5 * np.abs(chi) ** 2
         assert np.abs(j - target).max() <= 1e-2  # O(dq^2) stencil error
-
-    def test_second_order_convergence(self):
-        errs = []
-        for pts in (64, 128):
-            grid = CartesianGrid(pts, 12.0)
-            chi = nr_gaussian_grid(NRPacketParams(n=1, v=(0, 0, 0.5)), grid)
-            j = nr_current(chi, grid.dx)
-            target = np.zeros_like(j)
-            target[2] = 0.5 * np.abs(chi) ** 2
-            errs.append(np.abs(j - target).max())
-        assert np.log2(errs[0] / errs[1]) >= 1.8
-
-    def test_one_complex_gradient_at_a_time(self):
-        # j (1.5 chi) plus one axis's np.gradient: its output and two temporaries
-        grid = CartesianGrid(64, 12.0)
-        chi = nr_gaussian_grid(NRPacketParams(n=1, v=(0, 0, 0.5)), grid)
-        tracemalloc.start()
-        try:
-            nr_current(chi, grid.dx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * chi.nbytes
 
     def test_plane_wave_current(self):
         # interior points: j = k |chi|^2 with O(dq^2) dispersion error

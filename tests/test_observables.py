@@ -15,7 +15,6 @@ from diracloc.observables import (
     _margin,
     _rn_integral,
     _state_rule,
-    a_n_limit,
     convolution_Rn,
     current,
     mean_velocity_two_ways,
@@ -48,7 +47,12 @@ from diracloc.transform import (
     radial_delta_x,
 )
 from grid_oracles import causality_margin, density_fourier, field_moments
-from momentum_oracles import einsum_mean_velocity, finite_difference_position_mean, spinor_norm
+from momentum_oracles import (
+    a_n_limit,
+    einsum_mean_velocity,
+    finite_difference_position_mean,
+    spinor_norm,
+)
 
 
 def tiny_state(spinor_value, n_points=8, extent=4.0):

@@ -6,6 +6,7 @@ import pytest
 import scipy.fft  # noqa: F401  (imported by the first transform; kept out of the peak)
 
 from diracloc import verify
+from diracloc.dynamics import NRPacketParams
 from diracloc.quadrature import BLOCK_POINTS
 from diracloc.transform import CartesianGrid, grid_working_set
 
@@ -32,3 +33,15 @@ def test_boost_field_trend_holds_one_transform():
     finally:
         tracemalloc.stop()
     assert peak <= grid_working_set(grid) + 128 * BLOCK_POINTS
+
+
+def test_nr_oracle_forms_no_cubic_array():
+    # acceptance 7's inputs; one 256^3 float64 array would be 134 MB
+    packets = [NRPacketParams(n=n, a=(1.0, 0.0, 0.0), v=(0.0, 0.0, 0.5)) for n in (1, 4)]
+    tracemalloc.start()
+    try:
+        verify.nr_oracle(packets, CartesianGrid(256, 28.0), (0.1, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6

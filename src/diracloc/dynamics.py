@@ -36,6 +36,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,14 +113,14 @@ def evolve_report(
         if elapsed < 0:
             raise ValueError(f"time {t} precedes the first time {report.times[0]}")
         ps = position_state_cartesian(evolve_free(state, t), grid)
-        sums, grid_norm = snapshot_pass(ps, r0 + elapsed), ps.norm
+        sums = snapshot_pass(ps, r0 + elapsed)
         del ps  # free psi before the next transform allocates its own
         mom = sums.moments()
         if not slices:
             outside0 = sums.outside
         report.times.append(t)
         report.momentum_norms.append(norm)
-        report.grid_norms.append(grid_norm)
+        report.grid_norms.append(math.sqrt(mom.norm))  # mom.norm = sum(rho) dV
         report.mean_x.append([float(c) for c in mom.mean_x])
         report.delta_x.append(mom.delta_x)
         report.mean_velocity.append([float(c) for c in mom.mean_velocity])

@@ -35,17 +35,20 @@ a sampled field, which must stay at rounding level.
 Every (rho, j) reduction the library reports comes from one slab pass
 over a grid snapshot (``snapshot_pass``): psi is read one slab of the
 first, contiguous grid axis at a time (``PositionState.slabs``,
-``BLOCK_POINTS`` cells each), the slab's (rho, j) comes from the closed
-forms ``spinor.bilinear_density`` and ``bilinear_current`` (j_i =
-2 Re(upper^dagger sigma_i lower), three real combinations of four
-pointwise products), and the slab leaves behind its partial sums for
-``moments`` and for the boost check (``symmetry.verify_boost_against_field``
-needs sum x_k j3 besides the density moments), its largest |j| - rho,
-its share of the probability outside a sphere and its rows of the
-x1-axis slice.  Temporaries are one slab in size, and the partial sums
-are added pairwise across slabs, so they equal whole-field sums to the
-last bit.  ``density_field`` and ``current`` fill whole fields from the
-same per-slab formulas; no pipeline path calls them.
+``BLOCK_POINTS`` cells each).  psi holds the three nonzero slots of the
+eigenspinor layout, and the slab's (rho, j) comes from the closed forms
+``spinor.bilinear_density`` (the slots' |.|^2 in slot order) and
+``packed_current`` (with m, l and t the mass, longitudinal and
+transverse slots and s = +-1 by spin, j = (2 Re(m* t), 2s Im(m* t),
+2s Re(m* l)): two pointwise products).  The slab leaves behind its
+partial sums for ``moments`` and for the boost check
+(``symmetry.verify_boost_against_field`` needs sum x_k j3 besides the
+density moments), its largest |j| - rho, its share of the probability
+outside a sphere and its rows of the x1-axis slice.  Temporaries are
+one slab in size, and the partial sums are added pairwise across slabs,
+so they equal whole-field sums to the last bit.  ``density_field`` and
+``current`` fill whole fields from the same per-slab formulas; no
+pipeline path calls them.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .spinor import (
     bilinear_current,
     bilinear_density,
     energy_xyz,
+    packed_current,
 )
 from .states import MomentumProfile, MomentumState
 from .transform import CartesianGrid, PositionState
@@ -104,12 +108,12 @@ class MomentSet:
 def current(ps: PositionState) -> np.ndarray:
     """Probability current psi^dagger alpha psi (units of c) on the whole grid.
 
-    Filled slab by slab with ``spinor.bilinear_current``, the closed form
-    j = 2 Re(upper^dagger sigma lower).
+    Filled slab by slab with ``spinor.packed_current``, the closed form
+    of j over the three nonzero slots.
     """
     j = np.empty((3,) + ps.psi.shape[1:])
     for rows, block in ps.slabs():
-        bilinear_current(block, out=j[:, rows])
+        packed_current(block, ps.layout, out=j[:, rows])
     return j
 
 
@@ -160,7 +164,7 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
 
     psi is read one slab of the first grid axis at a time (``slabs``); each
     slab's (rho, j) comes from ``spinor.bilinear_density`` and
-    ``bilinear_current`` and is dropped once its partial sums (the
+    ``packed_current`` and is dropped once its partial sums (the
     ``moments`` sums and the x_k j3 sums of the boost check), its share
     of the probability outside ``radius`` (if given), its largest |j| - rho
     and its rows of the x1-axis slice are taken.  Temporaries are one
@@ -175,7 +179,7 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
     partials, margin = [], -np.inf
     for rows, block in ps.slabs():
         rho = bilinear_density(block)
-        j = bilinear_current(block)
+        j = packed_current(block, ps.layout)
         r = grid.radius(rows)
         partials.append(np.array([
             np.sum(rho),

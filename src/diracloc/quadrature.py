@@ -23,7 +23,8 @@ raise :class:`QuadratureError` when the doubled rule disagrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,25 +103,72 @@ def panel_rule(breaks, orders):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-@dataclass(frozen=True)
-class SphericalRule:
-    """Flattened 3-D product rule: sum(weights * f(x, y, z)) ~ integral."""
+class RuleBlock(NamedTuple):
+    """Points and weights of part of a rule: sum(weights * f(x, y, z))."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     weights: np.ndarray
 
-    def blocks(self):
-        """Consecutive sub-rules of at most ``BLOCK_POINTS`` points.
 
-        An integrand built from many elementwise temporaries runs about
-        twice as fast block by block, with every temporary cache-sized,
-        as over a multi-million-point rule at once.
+@dataclass(frozen=True)
+class SphericalRule:
+    """3-D product rule: sum(weights * f(x, y, z)) ~ integral.
+
+    Holds the 1-D factor rules; the flattened points (radial node
+    slowest, azimuth fastest) are built on demand, all at once by ``x``,
+    ``y``, ``z`` and ``weights`` or ``BLOCK_POINTS`` at a time by
+    ``blocks``, with the same arithmetic per point either way.
+    """
+
+    r: np.ndarray
+    r2_weights: np.ndarray  # radial weight times r^2
+    cos_theta: np.ndarray
+    sin_theta: np.ndarray
+    theta_weights: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
+    phi_weight: float
+
+    @property
+    def size(self) -> int:
+        return self.r.size * self.cos_theta.size * self.cos_phi.size
+
+    def _rows(self, lo: int, hi: int) -> RuleBlock:
+        """The points of radial nodes lo..hi-1, flattened."""
+        r = self.r[lo:hi, None, None]
+        sth = self.sin_theta[None, :, None]
+        shape = (r.shape[0], self.cos_theta.size, self.cos_phi.size)
+        x = (r * sth * self.cos_phi[None, None, :]).ravel()
+        y = (r * sth * self.sin_phi[None, None, :]).ravel()
+        z = np.broadcast_to(r * self.cos_theta[None, :, None], shape).ravel()
+        w = self.r2_weights[lo:hi, None, None] * self.theta_weights[None, :, None] * self.phi_weight
+        return RuleBlock(x, y, z, np.broadcast_to(w, shape).ravel())
+
+    @cached_property
+    def _points(self) -> RuleBlock:
+        return self._rows(0, self.r.size)
+
+    x = property(lambda self: self._points.x)
+    y = property(lambda self: self._points.y)
+    z = property(lambda self: self._points.z)
+    weights = property(lambda self: self._points.weights)
+
+    def blocks(self):
+        """Consecutive sub-rules of at most ``BLOCK_POINTS`` points, in order.
+
+        Each is cut from the few radial nodes it spans, so the whole rule
+        is never built.  An integrand built from many elementwise
+        temporaries runs about twice as fast block by block, with every
+        temporary cache-sized, as over a multi-million-point rule at once.
         """
-        for lo in range(0, self.weights.size, BLOCK_POINTS):
-            part = slice(lo, lo + BLOCK_POINTS)
-            yield SphericalRule(self.x[part], self.y[part], self.z[part], self.weights[part])
+        per_node = self.cos_theta.size * self.cos_phi.size
+        for lo in range(0, self.size, BLOCK_POINTS):
+            hi = min(lo + BLOCK_POINTS, self.size)
+            first = lo // per_node
+            part = slice(lo - first * per_node, hi - first * per_node)
+            yield RuleBlock(*(a[part] for a in self._rows(first, -(-hi // per_node))))
 
 
 def pairwise_sum(parts):
@@ -144,21 +192,17 @@ def spherical_rule(
     """
     rad, wrad = panel_rule(radial_breaks, radial_orders)
     ct, wct = gauss_legendre(n_theta, -1.0, 1.0)
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-
-    r = rad[:, None, None]
-    cth = ct[None, :, None]
-    sth = st[None, :, None]
-    ph = phi[None, None, :]
-
-    shape = (rad.size, ct.size, n_phi)
-    x = (r * sth * np.cos(ph)).ravel()
-    y = (r * sth * np.sin(ph)).ravel()
-    z = np.broadcast_to(r * cth, shape).ravel()
-    w = np.broadcast_to((wrad[:, None, None] * r * r) * wct[None, :, None] * wphi, shape).ravel()
-    return SphericalRule(x, y, z, w)
+    return SphericalRule(
+        r=rad,
+        r2_weights=wrad * rad * rad,
+        cos_theta=ct,
+        sin_theta=np.sqrt(np.clip(1.0 - ct * ct, 0.0, None)),
+        theta_weights=wct,
+        cos_phi=np.cos(phi),
+        sin_phi=np.sin(phi),
+        phi_weight=2.0 * np.pi / n_phi,
+    )
 
 
 def doubled(rule_args):

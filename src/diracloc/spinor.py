@@ -20,10 +20,12 @@ which maps beta-eigenvectors onto H-eigenvectors (H U = E U beta), the
 mean-spin operator S3(p) = U(p) (-i/2 alpha1 alpha2) U(p)^dagger, and
 closed-form normalized eigenspinors carrying spin labels +1/2 and -1/2.
 ``spinor_layout`` is the one record of which slot of such a spinor
-holds which entry; ``fill_eigenspinor`` writes it into a caller's array.
-``bilinear_density`` and ``bilinear_current`` are the one closed form of
-the pointwise pair (psi^dagger psi, psi^dagger alpha psi) that every grid
-field and every slab pass over a position-space spinor uses.
+holds which entry; ``fill_eigenspinor`` writes it, whole or as its three
+nonzero slots, into a caller's array.  ``bilinear_density`` and
+``packed_current`` are the one closed form of the pointwise pair
+(psi^dagger psi, psi^dagger alpha psi) that every grid field and every
+slab pass over a position-space spinor uses; ``bilinear_current`` is
+the four-slot form the momentum-space spinor's current takes.
 
 All other functions are pure and broadcast over trailing momentum axes,
 so they are safe to call concurrently.
@@ -133,6 +135,11 @@ class SpinorLayout(NamedTuple):
     transverse: int
     sign: float
 
+    def packed(self) -> tuple[int, int, int]:
+        """(mass, longitudinal, transverse) indices into the three nonzero
+        slots stacked in slot order."""
+        return tuple(k - (k > self.zero) for k in (self.mass, self.longitudinal, self.transverse))
+
 
 # spin=+1/2: ((E+1), 0, p3, p1+i p2)/calE, column one of U;
 # spin=-1/2: (0, (E+1), p1-i p2, -p3)/calE, column two of U.
@@ -151,22 +158,35 @@ def spinor_layout(spin) -> SpinorLayout:
 
 
 def fill_eigenspinor(out, weight, e_plus_m, px, py, pz, spin):
-    """Write weight * calE u_spin(p) into ``out``, a (4, ...) complex array.
+    """Write weight * calE u_spin(p) into ``out``, a complex array.
 
-    ``weight`` is the scalar factor already divided by calE; it may be
-    the view ``out[spinor_layout(spin).zero, ...]``, which is zeroed last.
-    ``e_plus_m`` is E(p) + m; every argument broadcasts to ``out[0]``.
+    ``out`` is either the whole (4, ...) spinor or a (3, ...) stack of its
+    nonzero slots in slot order (``SpinorLayout.packed``).  ``weight`` is
+    the scalar factor already divided by calE; it may be the view
+    ``out[spinor_layout(spin).zero, ...]`` of a whole spinor, which is
+    zeroed last, or the transverse slot of a packed one, which is
+    written last.  ``e_plus_m`` is E(p) + m; every argument broadcasts to
+    ``out[0]``.
     """
     layout = spinor_layout(spin)
-    np.multiply(weight, e_plus_m, out=out[layout.mass, ...])
-    np.multiply(weight, layout.sign * pz, out=out[layout.longitudinal, ...])
-    np.multiply(weight, px + (layout.sign * 1j) * py, out=out[layout.transverse, ...])
-    out[layout.zero, ...] = 0.0
+    whole = len(out) == 4
+    mass, longitudinal, transverse = (
+        (layout.mass, layout.longitudinal, layout.transverse) if whole else layout.packed()
+    )
+    np.multiply(weight, e_plus_m, out=out[mass, ...])
+    np.multiply(weight, layout.sign * pz, out=out[longitudinal, ...])
+    np.multiply(weight, px + (layout.sign * 1j) * py, out=out[transverse, ...])
+    if whole:
+        out[layout.zero, ...] = 0.0
     return out
 
 
 def bilinear_density(psi, out=None):
-    """rho = psi^dagger psi of a (4, ...) spinor array, summed in slot order."""
+    """rho = psi^dagger psi of a (k, ...) stack of spinor slots, summed in slot order.
+
+    The zero slot of an eigenspinor adds exactly 0, so the whole spinor
+    and its packed nonzero slots give the same bits.
+    """
     rho = np.abs(psi[0], out=out)
     rho *= rho
     term = np.empty_like(rho)
@@ -200,6 +220,28 @@ def bilinear_current(psi, out=None):
     b *= l1
     np.subtract(a.real, b.real, out=j[2])
     j *= 2.0
+    return j
+
+
+def packed_current(slots, layout: SpinorLayout, out=None):
+    """j = psi^dagger alpha psi of the three nonzero slots of ``layout``.
+
+    One upper slot of an eigenspinor is 0, so of the four products in
+    ``bilinear_current`` only those of the mass slot m survive: with l
+    and t the longitudinal and transverse slots and s the layout's sign,
+
+        j1 = 2 Re(m* t),   j2 = 2 s Im(m* t),   j3 = 2 s Re(m* l).
+    """
+    mass, longitudinal, transverse = layout.packed()
+    m = slots[mass]
+    j = np.empty((3,) + m.shape) if out is None else out
+    a = np.conj(m)
+    a *= slots[transverse]
+    np.multiply(a.real, 2.0, out=j[0])
+    np.multiply(a.imag, 2.0 * layout.sign, out=j[1])
+    np.conj(m, out=a)
+    a *= slots[longitudinal]
+    np.multiply(a.real, 2.0 * layout.sign, out=j[2])
     return j
 
 

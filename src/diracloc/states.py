@@ -292,8 +292,9 @@ class MomentumState:
         """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
 
         The envelope is evaluated one ``SphericalRule.blocks`` block at a
-        time; for a power-of-two rule the pairwise sum of the block sums is
-        bit-identical to one sum over the whole rule.
+        time, so the rule is never built whole; for a power-of-two rule the
+        pairwise sum of the block sums is bit-identical to one sum over the
+        whole rule.
         """
         rule = spherical_rule((0.0, self.momentum_cutoff()), (n_radial,), n_theta, n_phi)
         sums = [

@@ -17,11 +17,13 @@ Two routes:
   sampled on the reciprocal grid.  The envelope, the phase exp(-i a.p),
   the FFT sign and the continuum scale are separable, so they are built
   from three length-N vectors; only E(p), 1/calE and exp(-i E t) are
-  computed on the N^3 grid.  The three nonzero eigenspinor entries go
-  straight into the result, whose fourth component is exactly zero and
-  is not transformed; the other three are transformed in place with
-  every core (``scipy.fft``).  It serves as the independent oracle for
-  the radial path and as the only path for states without radial
+  computed per point.  One eigenspinor entry is exactly zero, so the
+  result holds only the other three, (3, N, N, N) in slot order (48
+  bytes per cell), with the spin layout that names them.  phi is
+  sampled one slab of p2 columns at a time and transformed along p1
+  into the result; the p2 and p3 axes are then transformed in place
+  with every core (``scipy.fft``).  It serves as the independent oracle
+  for the radial path and as the only path for states without radial
   symmetry.  A grid is refused before any N^3 allocation when it misses
   more than ``MASS_TOL`` of the momentum mass (the refusal names a grid
   that covers the state) or when its working set exceeds physical
@@ -29,14 +31,15 @@ Two routes:
 
 Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
 the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
-scipy's ``spherical_jn``; convergence is certified by node doubling in
-the tests.  ``radial_probability`` integrates 4 pi r^2 rho_n on its own
+j0 and j1 from one shared sin and cos of p r (``_spherical_j01``, bit
+for bit scipy's ``spherical_jn``); convergence is certified by node
+doubling in the tests.  ``radial_probability`` integrates 4 pi r^2 rho_n on its own
 Gauss-Legendre nodes, one panel over the core r < 10/(n sigma_p) and
 one beyond, so it resolves the state whatever its width; a tabulated
 curve would not once 1/(n sigma_p) nears the table spacing.
 
 scipy is imported at each call site (``scipy.fft`` in
-``position_state_cartesian``, ``spherical_jn`` in the radial transform),
+``position_state_cartesian``, ``spherical_jn`` in ``_spherical_j01``),
 so importing the package, or running a command that calls neither,
 loads no scipy.
 
@@ -50,21 +53,24 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import BLOCK_POINTS, gauss_legendre, panel_rule
-from .spinor import bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
+from .spinor import SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
 from .states import MomentumProfile, MomentumState
 from .units import MASS
 
 RADIAL_NODES = 2048
 # share of the momentum-space probability a grid may leave beyond its Nyquist momentum
 MASS_TOL = 1e-2
-# bytes per cell held at once by position_state_cartesian: psi (4 complex),
-# E(p) (1 real) and one complex-sized scratch (exp(-i E t), or calE's temporaries)
-GRID_BYTES_PER_CELL = 4 * 16 + 8 + 16
+# bytes per cell of position_state_cartesian's result: the three nonzero
+# spinor slots, complex
+GRID_BYTES_PER_CELL = 3 * 16
+# bytes per point of the one slab it samples at a time besides: the slab's
+# three slots, E(p), exp(-i E t) and calE's temporaries
+SLAB_BYTES_PER_POINT = 160
 
 
 class GridError(ValueError):
@@ -152,17 +158,18 @@ class CartesianGrid:
 
 @dataclass
 class PositionState:
-    """Spinor samples psi(x) on a Cartesian grid, plus label provenance."""
+    """The nonzero spinor slots of psi(x) on a Cartesian grid, plus label provenance.
+
+    A positive-energy eigenspinor has one slot that is exactly 0
+    (``layout.zero``); ``psi`` holds the other three in slot order, and
+    ``layout.packed()`` says which of them is which.
+    """
 
     grid: CartesianGrid
-    psi: np.ndarray  # (4, N, N, N) complex
+    psi: np.ndarray  # (3, N, N, N) complex
+    layout: SpinorLayout
     label: object = None
     time: float = 0.0
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        # vdot sums |psi|^2 without a grid-sized temporary
-        self.norm = float(np.sqrt(np.vdot(self.psi, self.psi).real * self.grid.cell_volume))
 
     def slabs(self):
         """(rows, psi[:, rows]) over runs of the first grid axis, in order.
@@ -180,9 +187,17 @@ class PositionState:
             yield rows, self.psi[:, rows]
 
 
+def slab_columns(grid: CartesianGrid) -> int:
+    """p2 columns per slab of ``position_state_cartesian``: ``BLOCK_POINTS``
+    cells, one column if a column is larger, the whole grid if it is smaller."""
+    n = grid.n_points
+    return min(n, max(1, BLOCK_POINTS // (n * n)))
+
+
 def grid_working_set(grid: CartesianGrid) -> int:
     """Bytes ``position_state_cartesian`` holds at once on this grid."""
-    return GRID_BYTES_PER_CELL * grid.n_points**3
+    n = grid.n_points
+    return GRID_BYTES_PER_CELL * n**3 + SLAB_BYTES_PER_POINT * n * n * slab_columns(grid)
 
 
 def physical_memory() -> int:
@@ -199,6 +214,12 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
     ``MASS_TOL`` of the state's momentum-space probability is rejected,
     and so is one whose working set exceeds physical memory, before
     anything of grid size is allocated.
+
+    phi is sampled one slab of p2 columns at a time and transformed
+    along p1 into the result, scaled there by 1/N^3 as ``ifftn`` scales
+    its first axis (an exact power of two); the p2 and p3 axes are then
+    transformed in place, so the values are those of ``ifftn`` over all
+    three axes.
     """
     import scipy.fft
 
@@ -220,42 +241,59 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
             f"a {grid.n_points}^3 grid needs {need} bytes, more than the {have} bytes "
             "of physical memory; lower N"
         )
-    n = grid.n_points
+    n, step = grid.n_points, slab_columns(grid)
     p = grid.p_axis()
-    px, py, pz = p[:, None, None], p[None, :, None], p[None, None, :]
+    px, pz = p[:, None, None], p[None, None, :]
     # exp(i p_k x_0) with x_0 = -L/2 reduces to (-1)^(integer frequency)
     sign = np.where(np.rint(np.fft.fftfreq(n) * n).astype(int) % 2 == 0, 1.0, -1.0)
     fx, fy, fz = (f * sign for f in state.axis_factors(p))
     fx *= (n * grid.dp) ** 3 / (2.0 * np.pi) ** 1.5
+    fxy = fx[:, None, None] * fy[None, :, None]
     layout = spinor_layout(state.label.spin)
-    psi = np.empty((4, n, n, n), dtype=complex)
-    # the zero slot holds the scalar weight until fill_eigenspinor clears it
-    weight = psi[layout.zero]
-    np.multiply(fx[:, None, None] * fy[None, :, None], fz[None, None, :], out=weight)
-    e = energy_xyz(px, py, pz)
-    weight /= np.sqrt(2.0 * e * (e + MASS))
-    if state.time != 0.0:
-        phase = e * (-1j * state.time)
-        np.exp(phase, out=phase)  # in place: one complex scratch array
-        weight *= phase
-    e += MASS
-    fill_eigenspinor(psi, weight, e, px, py, pz, state.label.spin)
-    # transform the slots either side of the zero one; scipy works in place
-    # on these contiguous runs, and a copy is made only if it did not
-    for run in (slice(0, layout.zero), slice(layout.zero + 1, 4)):
-        if run.start < run.stop:
-            out = scipy.fft.ifftn(psi[run], axes=(1, 2, 3), overwrite_x=True, workers=-1)
-            if not np.may_share_memory(out, psi):
-                psi[run] = out
-    return PositionState(grid=grid, psi=psi, label=state.label, time=state.time)
+    psi = np.empty((3, n, n, n), dtype=complex)
+    for lo in range(0, n, step):
+        cols = slice(lo, lo + step)
+        py = p[None, cols, None]
+        slab = np.empty((3, n, step, n), dtype=complex)
+        # the transverse slot holds the scalar weight until fill_eigenspinor
+        # writes it, last
+        weight = slab[layout.packed()[2]]
+        np.multiply(fxy[:, cols], fz, out=weight)
+        e = energy_xyz(px, py, pz)
+        weight /= np.sqrt(2.0 * e * (e + MASS))
+        if state.time != 0.0:
+            phase = e * (-1j * state.time)
+            np.exp(phase, out=phase)  # in place: one complex scratch slab
+            weight *= phase
+        e += MASS
+        fill_eigenspinor(slab, weight, e, px, py, pz, state.label.spin)
+        slab = scipy.fft.ifft(slab, axis=1, norm="forward", overwrite_x=True, workers=-1)
+        # real and imaginary parts times 1/N^3, as pocketfft scales
+        np.multiply(slab.view(float), 1.0 / n**3, out=psi[:, :, cols].view(float))
+    psi = scipy.fft.ifftn(psi, axes=(2, 3), norm="forward", overwrite_x=True, workers=-1)
+    return PositionState(grid=grid, psi=psi, layout=layout, label=state.label, time=state.time)
 
 
-def _radial_transform(weights_p, p, kernel, order: int, r) -> np.ndarray:
-    """sqrt(2/pi) int kernel(p) j_order(p r) p^2 dp for tabulated kernel values."""
+def _spherical_j01(x):
+    """(j0(x), j1(x)) for x >= 0 from one sin and one cos of x.
+
+    j0 = sin x / x and, for x > 1, j1 = (j0 - cos x) / x: the forms
+    scipy's ``spherical_jn`` itself takes there, so the values are the
+    same to the bit.  At x <= 1 that difference cancels, and j1 comes
+    from ``spherical_jn``; j0(0) = 1.
+    """
     from scipy.special import spherical_jn
 
-    x = np.multiply.outer(np.atleast_1d(r), p)
-    return np.sqrt(2.0 / np.pi) * (spherical_jn(order, x) @ (weights_p * kernel * p * p))
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
+        j0 = np.sin(x)
+        j0 /= x
+        j0[x == 0.0] = 1.0
+        j1 = np.cos(x)
+        np.subtract(j0, j1, out=j1)
+        j1 /= x
+    small = x <= 1.0
+    j1[small] = spherical_jn(1, x[small])
+    return j0, j1
 
 
 def radial_components(
@@ -277,8 +315,11 @@ def radial_components(
     envelope = n**-1.5 * profile(p / n, 0.0, 0.0)
     e = energy_xyz(p, 0.0, 0.0)
     cal = np.sqrt(2.0 * e * (e + MASS))
-    g0 = _radial_transform(w, p, envelope * (e + MASS) / cal, 0, r).astype(complex)
-    g1 = _radial_transform(w, p, envelope * p / cal, 1, r).astype(complex)
+    # sqrt(2/pi) int kernel(p) j_l(p r) p^2 dp for the two kernels
+    j0, j1 = _spherical_j01(np.multiply.outer(np.atleast_1d(r), p))
+    scale = np.sqrt(2.0 / np.pi)
+    g0 = (scale * (j0 @ (w * (envelope * (e + MASS) / cal) * p * p))).astype(complex)
+    g1 = (scale * (j1 @ (w * (envelope * p / cal) * p * p))).astype(complex)
     if np.ndim(r) == 0:
         return complex(g0[0]), complex(g1[0])
     return g0, g1

@@ -28,9 +28,13 @@ from diracloc.spinor import (
     ALPHA,
     SPIN_DOWN,
     SPIN_UP,
+    bilinear_current,
+    bilinear_density,
     eigenspinor_components,
     energy_xyz,
+    packed_current,
     spin_eigenspinor,
+    spinor_layout,
 )
 from diracloc.states import (
     MomentumProfile,
@@ -55,18 +59,29 @@ from momentum_oracles import (
 )
 
 
-def tiny_state(spinor_value, n_points=8, extent=4.0):
-    """PositionState with one nonzero sample at the grid centre."""
+def packed(spinor, spin):
+    """PositionState slots of a (4, ...) spinor of ``spin``'s layout: the
+    three slots other than the zero one, in slot order."""
+    layout = spinor_layout(spin)
+    assert not np.any(spinor[layout.zero])
+    return np.delete(spinor, layout.zero, axis=0)
+
+
+def tiny_state(spinor_value, spin=SPIN_UP, n_points=8, extent=4.0):
+    """PositionState with one nonzero sample, a 4-spinor of ``spin``'s
+    layout, at the grid centre."""
     grid = CartesianGrid(n_points, extent)
     psi = np.zeros((4, n_points, n_points, n_points), dtype=complex)
     c = n_points // 2
     psi[:, c, c, c] = spinor_value
-    return PositionState(grid=grid, psi=psi)
+    return PositionState(grid=grid, psi=packed(psi, spin), layout=spinor_layout(spin))
 
 
 def einsum_current(ps):
-    """Reference current: the full 4 x 4 contraction psi^dagger alpha_i psi."""
-    return np.einsum("a...,iab,b...->i...", ps.psi.conj(), ALPHA, ps.psi).real
+    """Reference current: the full 4 x 4 contraction psi^dagger alpha_i psi
+    of the whole spinor, its zero slot restored."""
+    psi = np.insert(ps.psi, ps.layout.zero, 0.0, axis=0)
+    return np.einsum("a...,iab,b...->i...", psi.conj(), ALPHA, psi).real
 
 
 class TestDensityAndCurrent:
@@ -78,17 +93,29 @@ class TestDensityAndCurrent:
         assert np.sum(rho) == 1.0
 
     def test_rest_spinor_carries_no_current(self):
-        for rest in ([1.0, 0.0, 0.0, 0.0], [0.0, 1j, 0.0, 0.0]):
-            assert np.abs(current(tiny_state(rest))).max() == 0.0
+        for rest, spin in (([1.0, 0.0, 0.0, 0.0], SPIN_UP), ([0.0, 1j, 0.0, 0.0], SPIN_DOWN)):
+            assert np.abs(current(tiny_state(rest, spin))).max() == 0.0
 
     def test_closed_form_current_matches_einsum_on_random_psi(self):
         rng = np.random.default_rng(20240601)
         grid = CartesianGrid(16, 4.0)
-        shape = (4, 16, 16, 16)
+        shape = (3, 16, 16, 16)
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ps = PositionState(grid=grid, psi=psi)
-        scale = density_field(ps).max()
-        assert np.abs(current(ps) - einsum_current(ps)).max() <= 1e-14 * scale
+        for spin in (SPIN_UP, SPIN_DOWN):
+            ps = PositionState(grid=grid, psi=psi, layout=spinor_layout(spin))
+            scale = density_field(ps).max()
+            assert np.abs(current(ps) - einsum_current(ps)).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
+    def test_packed_bilinears_equal_four_slot_forms(self, spin):
+        # the zero slot adds nothing, to the bit, to either bilinear
+        rng = np.random.default_rng(7)
+        shape = (3, 4, 32)
+        slots = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        layout = spinor_layout(spin)
+        whole = np.insert(slots, layout.zero, 0.0, axis=0)
+        assert np.array_equal(bilinear_density(slots), bilinear_density(whole))
+        assert np.array_equal(packed_current(slots, layout), bilinear_current(whole))
 
     def test_closed_form_current_matches_einsum_on_state(self, ps5):
         scale = density_field(ps5).max()
@@ -516,9 +543,9 @@ class TestCausalityMargin:
     def test_rest_field_margin_is_minus_peak(self):
         # uniform rest spinor: j = 0 everywhere, so the margin is -max(rho)
         psgrid = CartesianGrid(8, 4.0)
-        psi = np.zeros((4, 8, 8, 8), dtype=complex)
-        psi[0] = 1.0
-        ps = PositionState(grid=psgrid, psi=psi)
+        psi = np.zeros((3, 8, 8, 8), dtype=complex)
+        psi[0] = 1.0  # the mass slot of either layout
+        ps = PositionState(grid=psgrid, psi=psi, layout=spinor_layout(SPIN_UP))
         assert snapshot_pass(ps).causality_margin == pytest.approx(-1.0)
 
     def test_localized_state_below_tolerance(self, ps5):

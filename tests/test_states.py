@@ -200,8 +200,9 @@ class TestMomentumState:
         whole = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
         assert state.norm() == float(np.sqrt(whole))
 
-    def test_norm_peak_memory_is_the_rule(self):
-        # the 2^20-point rule's x, y, z and weights plus block-sized temporaries
+    def test_norm_peak_memory_is_block_sized(self):
+        # the 2^20-point rule (33.6 MB as x, y, z and weights) is never built
+        # whole; only its blocks and their temporaries are
         state = make_state(v=(0.2, -0.1, 0.3), n=2)
         state.norm()  # warm the node caches
         tracemalloc.start()
@@ -210,7 +211,19 @@ class TestMomentumState:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * 512 * 64 * 32 + 128 * BLOCK_POINTS
+        assert peak <= 128 * BLOCK_POINTS
+
+    @pytest.mark.parametrize("orders, n_theta, n_phi", [((96, 256), 48, 32), ((7,), 5, 3)])
+    def test_rule_blocks_are_the_whole_rule_in_pieces(self, orders, n_theta, n_phi):
+        # 48 x 32 points per radial node do not divide BLOCK_POINTS, so blocks
+        # start and end inside a node's points
+        breaks = (0.0, 4.0, 30.0)[: len(orders) + 1]
+        rule = spherical_rule(breaks, orders, n_theta, n_phi)
+        blocks = list(rule.blocks())
+        assert [b.weights.size for b in blocks[:-1]] == [BLOCK_POINTS] * (len(blocks) - 1)
+        for name in ("x", "y", "z", "weights"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert np.array_equal(joined, getattr(rule, name))
 
 
 class TestStatePointwiseStructure:

@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracloc.dynamics import evolve_free
-from diracloc.quadrature import _leggauss, gauss_legendre
+from diracloc.observables import moments
+from diracloc.quadrature import BLOCK_POINTS, _leggauss, gauss_legendre
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
 from grid_oracles import angular_average, sampled_psi
 from radial_oracles import position_space_delta_x, two_panel_delta_x
 from diracloc.transform import (
+    SLAB_BYTES_PER_POINT,
     CartesianGrid,
     GridError,
     RadialDensityTable,
     RadialGrid,
+    _spherical_j01,
     density_field,
     grid_working_set,
     physical_memory,
@@ -26,6 +29,7 @@ from diracloc.transform import (
     radial_delta_x,
     radial_density,
     radial_probability,
+    slab_columns,
 )
 
 
@@ -71,16 +75,27 @@ class TestRadialComponents:
     def test_heavy_mass_limit_reduces_to_scalar_transform(self, plain_profile):
         # with the spinor kernels replaced by their heavy-mass limits the
         # order-0 transform of the Gaussian envelope has a closed form
-        from diracloc.transform import _radial_transform
-
         n = 3
         p_max = n * plain_profile.cutoff()
         p, w = gauss_legendre(2048, 0.0, p_max)
         envelope = n**-1.5 * plain_profile(p / n, 0.0, 0.0)
         r = np.linspace(0.0, 3.0, 31)
-        got = _radial_transform(w, p, envelope, 0, r)
+        j0, _ = _spherical_j01(np.multiply.outer(r, p))
+        got = np.sqrt(2.0 / np.pi) * (j0 @ (w * envelope * p * p))
         expected = n**1.5 * np.pi**-0.75 * np.exp(-(n * r) ** 2 / 2.0)
         assert np.abs(got - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("n, sigma_p", [(2, 0.5), (17, 1.3), (64, 2.0)])
+    def test_shared_sin_cos_bessel_pair_is_spherical_jn(self, n, sigma_p):
+        # figure1's 601 radii on [0, 6] against the default radial nodes,
+        # x = 0 (the r = 0 row) and the x <= 1 corner included
+        from scipy.special import spherical_jn
+
+        p, _ = gauss_legendre(2048, 0.0, n * gaussian_profile(sigma_p).cutoff())
+        x = np.multiply.outer(np.linspace(0.0, 6.0, 601), p)
+        j0, j1 = _spherical_j01(x)
+        assert np.array_equal(j0.view(np.int64), spherical_jn(0, x).view(np.int64))
+        assert np.array_equal(j1.view(np.int64), spherical_jn(1, x).view(np.int64))
 
     def test_node_doubling_convergence(self, plain_profile):
         r = np.linspace(0.0, 6.0, 61)
@@ -175,12 +190,22 @@ class TestCartesianGrid:
         assert grid.nyquist == pytest.approx(np.pi * 64 / 16.0)
 
 
+def grid_norm(ps):
+    """sqrt(sum rho dV) from the slab pass, as ``evolve_report`` takes it."""
+    return np.sqrt(moments(ps).norm)
+
+
+def nonzero_slots(psi, spin):
+    """The three slots of a (4, ...) spinor of ``spin`` other than its zero one."""
+    return np.delete(psi, spinor_layout(spin).zero, axis=0)
+
+
 class TestPositionState:
     def test_norm_unit_on_adequate_grid(self, ps5):
-        assert abs(ps5.norm - 1.0) <= 1e-4
+        assert abs(grid_norm(ps5) - 1.0) <= 1e-4
 
     def test_parseval(self, state5, ps5):
-        assert abs(ps5.norm - state5.norm()) <= 1e-4
+        assert abs(grid_norm(ps5) - state5.norm()) <= 1e-4
 
     def test_nyquist_violation_raises(self):
         with pytest.raises(GridError):
@@ -191,7 +216,7 @@ class TestPositionState:
         grid = CartesianGrid(64, 16.0)
         ref = sampled_psi(state, grid)
         psi = position_state_cartesian(state, grid).psi
-        assert np.abs(psi - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(psi - nonzero_slots(ref, SPIN_UP)).max() <= 1e-14 * np.abs(ref).max()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -212,8 +237,32 @@ class TestPositionState:
         grid = CartesianGrid(points, 3.0 * points / 16)
         ref = sampled_psi(state, grid)
         psi = position_state_cartesian(state, grid).psi
-        assert np.abs(psi - ref).max() <= 1e-14 * np.abs(ref).max()
-        assert not np.any(psi[spinor_layout(spin).zero])
+        assert not np.any(ref[spinor_layout(spin).zero])  # only a zero slot is dropped
+        assert np.abs(psi - nonzero_slots(ref, spin)).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
+    def test_transform_holds_three_slots_and_one_slab(self, spin):
+        # boosted, off-axis and evolved, so every scratch array of a slab is live
+        grid = CartesianGrid(128, 12.0)
+        state = evolve_free(make_state(a=(1.5, -1.0, 0.7), v=(0.3, -0.2, 0.5), spin=spin, n=3), 0.5)
+        position_state_cartesian(state, grid)  # warm the caches outside the peak
+        tracemalloc.start()
+        try:
+            ps = position_state_cartesian(state, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ps.psi.shape == (3, 128, 128, 128)
+        assert peak <= 48 * 128**3 + 256 * BLOCK_POINTS
+        assert peak <= grid_working_set(grid)
+
+    def test_working_set_is_three_slots_plus_a_slab(self):
+        # 256^3: one p2 column, 65536 cells, per slab; about 0.8 GB in all
+        grid = CartesianGrid(256, 16.0)
+        assert slab_columns(grid) == 1
+        assert grid_working_set(grid) == 48 * 256**3 + SLAB_BYTES_PER_POINT * 256**2
+        assert slab_columns(CartesianGrid(128)) * 128**2 == BLOCK_POINTS
+        assert slab_columns(CartesianGrid(16)) == 16
 
     def test_memory_guard_refuses_before_allocating(self):
         grid = CartesianGrid(2048, 16.0)

@@ -12,8 +12,10 @@ rn        tabulate the convolution R_n(p) over the configured n list
 moments   grid moments per n (JSON)
 overlap   overlaps against a second label per n (JSON)
 
-Configuration is a single INI-style file with nested sections (see
-README) plus flag overrides.  Every subcommand takes ``--config`` and
+Configuration is a single INI file (see README) plus flag overrides;
+``RunConfig`` declares each key's ``[section] key`` and parser once.  An
+unknown section or key, or a number that is not finite, is a
+configuration error.  Every subcommand takes ``--config`` and
 ``--out``; ``verify`` adds ``--tol NAME=VAL``, the others ``--n LIST``,
 and ``evolve`` and ``moments`` also ``--grid N,L``.  A flag a subcommand
 does not use is a usage error.  Curves go to CSV, scalar reports to JSON;
@@ -28,12 +30,13 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import evolve_report
-from .observables import convolution_Rn, moments, overlap
+from .observables import Q_MATRICES, convolution_Rn, moments, overlap
 from .quadrature import QuadratureError
 from .spinor import SPIN_DOWN, SPIN_UP
 from .states import (
@@ -59,129 +62,123 @@ class ConfigError(ValueError):
     """Malformed configuration or flag values."""
 
 
-@dataclass
-class RunConfig:
-    profile_kind: str = "gaussian"
-    sigma_p: float = 1.0
-    v_target: tuple = (0.0, 0.0, 0.0)
-    a: tuple = (0.0, 0.0, 0.0)
-    spin: float = SPIN_UP
-    n_list: tuple = (5, 7, 10)
-    grid_points: int = 128
-    grid_extent: float = 16.0
-    r_max: float = 6.0
-    r_count: int = 601
-    times: tuple = (0.0, 0.5, 1.0)
-    r0: float = 3.0
-    rn_p: tuple = (1.0, 0.0, 0.0)
-    rn_q: str = "identity"
-    overlap_a2: tuple = (2.0, 0.0, 0.0)
-    overlap_spin2: float | None = None
-    out_dir: str = "out"
-    tolerances: dict = field(default_factory=dict)
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
-def _parse_vector(text: str, name: str) -> tuple:
-    try:
-        parts = tuple(float(t) for t in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse vector from {text!r}") from exc
+def _int_list(text: str) -> tuple:
+    return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(_number(t) for t in text.replace(",", " ").split())
+
+
+def _parse_vector(text: str) -> tuple:
+    parts = _float_list(text)
     if len(parts) != 3:
-        raise ConfigError(f"{name}: expected 3 components, got {len(parts)}")
+        raise ValueError(f"expected 3 components, got {len(parts)}")
     return parts
 
 
-def _parse_spin(text: str) -> float:
-    aliases = {"+0.5": SPIN_UP, "0.5": SPIN_UP, "up": SPIN_UP, "+": SPIN_UP,
-               "-0.5": SPIN_DOWN, "down": SPIN_DOWN, "-": SPIN_DOWN}
-    key = text.strip().lower()
-    if key not in aliases:
-        raise ConfigError(f"spin must be one of {sorted(aliases)}, got {text!r}")
-    return aliases[key]
+def _choice(values: dict):
+    """A parser of one of the names in ``values``, mapped to its value."""
+
+    def parse(text: str):
+        name = text.strip().lower()
+        if name not in values:
+            raise ValueError(f"must be one of {', '.join(values)}, got {text!r}")
+        return values[name]
+
+    return parse
+
+
+_parse_spin = _choice({"+0.5": SPIN_UP, "0.5": SPIN_UP, "up": SPIN_UP, "+": SPIN_UP,
+                       "-0.5": SPIN_DOWN, "down": SPIN_DOWN, "-": SPIN_DOWN})
+PROFILE_KINDS = ("gaussian", "boosted_gaussian", "boosted")
+
+
+def _ini(section: str, key: str, parse, default):
+    """A ``RunConfig`` field that ``[section] key`` sets, read by ``parse``."""
+    return field(default=default, metadata={"ini": (section, key), "parse": parse})
+
+
+@dataclass
+class RunConfig:
+    profile_kind: str = _ini("profile", "kind", _choice({k: k for k in PROFILE_KINDS}), "gaussian")
+    sigma_p: float = _ini("profile", "sigma_p", _number, 1.0)
+    v_target: tuple = _ini("profile", "v_target", _parse_vector, (0.0, 0.0, 0.0))
+    a: tuple = _ini("label", "a", _parse_vector, (0.0, 0.0, 0.0))
+    spin: float = _ini("label", "spin", _parse_spin, SPIN_UP)
+    n_list: tuple = _ini("label", "n", _int_list, (5, 7, 10))
+    grid_points: int = _ini("grid", "points", int, 128)
+    grid_extent: float = _ini("grid", "extent", _number, 16.0)
+    r_max: float = _ini("grid", "r_max", _number, 6.0)
+    r_count: int = _ini("grid", "r_count", int, 601)
+    times: tuple = _ini("evolve", "times", _float_list, (0.0, 0.5, 1.0))
+    r0: float = _ini("evolve", "r0", _number, 3.0)
+    rn_p: tuple = _ini("rn", "p", _parse_vector, (1.0, 0.0, 0.0))
+    rn_q: str = _ini("rn", "q", _choice({q: q for q in Q_MATRICES}), "identity")
+    overlap_a2: tuple = _ini("overlap", "a2", _parse_vector, (2.0, 0.0, 0.0))
+    overlap_spin2: float | None = _ini("overlap", "spin2", _parse_spin, None)
+    out_dir: str = _ini("output", "dir", str, "out")
+    tolerances: dict = field(default_factory=dict)  # [tolerances] NAME = VAL
+
+
+INI_KEYS = {f.metadata["ini"]: f for f in fields(RunConfig) if "ini" in f.metadata}
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
         try:
-            _apply_file(cfg, parser)
-        except (ValueError, KeyError) as exc:
+            if not parser.read(path):
+                raise ConfigError(f"config file not found: {path}")
+            for section in (parser.default_section, *parser.sections()):
+                for key, text in parser[section].items():
+                    _apply_entry(cfg, section, key, text, path)
+        except configparser.Error as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
     _apply_flags(cfg, args)
     _validate(cfg)
     return cfg
 
 
-def _apply_file(cfg: RunConfig, parser: configparser.ConfigParser) -> None:
-    if parser.has_section("profile"):
-        sec = parser["profile"]
-        cfg.profile_kind = sec.get("kind", cfg.profile_kind).strip().lower()
-        cfg.sigma_p = sec.getfloat("sigma_p", cfg.sigma_p)
-        if "v_target" in sec:
-            cfg.v_target = _parse_vector(sec["v_target"], "profile.v_target")
-    if parser.has_section("label"):
-        sec = parser["label"]
-        if "a" in sec:
-            cfg.a = _parse_vector(sec["a"], "label.a")
-        if "spin" in sec:
-            cfg.spin = _parse_spin(sec["spin"])
-        if "n" in sec:
-            cfg.n_list = tuple(int(t) for t in sec["n"].replace(",", " ").split())
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        cfg.grid_points = sec.getint("points", cfg.grid_points)
-        cfg.grid_extent = sec.getfloat("extent", cfg.grid_extent)
-        cfg.r_max = sec.getfloat("r_max", cfg.r_max)
-        cfg.r_count = sec.getint("r_count", cfg.r_count)
-    if parser.has_section("evolve"):
-        sec = parser["evolve"]
-        if "times" in sec:
-            cfg.times = tuple(float(t) for t in sec["times"].replace(",", " ").split())
-        cfg.r0 = sec.getfloat("r0", cfg.r0)
-    if parser.has_section("rn"):
-        sec = parser["rn"]
-        if "p" in sec:
-            cfg.rn_p = _parse_vector(sec["p"], "rn.p")
-        cfg.rn_q = sec.get("q", cfg.rn_q).strip().lower()
-    if parser.has_section("overlap"):
-        sec = parser["overlap"]
-        if "a2" in sec:
-            cfg.overlap_a2 = _parse_vector(sec["a2"], "overlap.a2")
-        if "spin2" in sec:
-            cfg.overlap_spin2 = _parse_spin(sec["spin2"])
-    if parser.has_section("output"):
-        cfg.out_dir = parser["output"].get("dir", cfg.out_dir)
-    if parser.has_section("tolerances"):
-        for key, value in parser["tolerances"].items():
-            cfg.tolerances[key] = float(value)
+def _apply_entry(cfg: RunConfig, section: str, key: str, text: str, path: str) -> None:
+    """Set what ``[section] key`` declares; an undeclared pair is an error."""
+    try:
+        if section == "tolerances":
+            cfg.tolerances[key] = _number(text)
+        elif (section, key) in INI_KEYS:
+            entry = INI_KEYS[section, key]
+            setattr(cfg, entry.name, entry.metadata["parse"](text))
+        else:
+            raise ValueError("no such config key (the README lists every key)")
+    except ValueError as exc:
+        raise ConfigError(f"bad config {path}: [{section}] {key}: {exc}") from exc
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if getattr(args, "n", None) is not None:
-        try:
-            cfg.n_list = tuple(int(t) for t in args.n.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"--n: {exc}") from exc
-    if getattr(args, "grid", None):
-        try:
-            pts, ext = args.grid.split(",")
-            cfg.grid_points, cfg.grid_extent = int(pts), float(ext)
-        except ValueError as exc:
-            raise ConfigError(f"--grid expects N,L: {exc}") from exc
-    for item in getattr(args, "tol", None) or []:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        try:
-            cfg.tolerances[name.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--tol {item!r}: {exc}") from exc
+    try:
+        if getattr(args, "n", None) is not None:
+            flag, text = "--n", args.n
+            cfg.n_list = _int_list(text)
+        if getattr(args, "grid", None):
+            flag, text = "--grid N,L", args.grid
+            points, extent = text.split(",")
+            cfg.grid_points, cfg.grid_extent = int(points), _number(extent)
+        for text in getattr(args, "tol", None) or []:
+            flag = "--tol NAME=VAL"
+            name, _, value = text.partition("=")
+            cfg.tolerances[name.strip()] = _number(value)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: bad value {text!r}: {exc}") from exc
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -189,10 +186,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("n list must be nonempty")
     if any(n < 1 for n in cfg.n_list):
         raise ConfigError("all sequence indices must be >= 1")
-    if cfg.profile_kind not in ("gaussian", "boosted_gaussian", "boosted"):
-        raise ConfigError(f"unknown profile kind {cfg.profile_kind!r}")
     if cfg.sigma_p <= 0:
         raise ConfigError("sigma_p must be positive")
+    try:
+        CartesianGrid(cfg.grid_points, cfg.grid_extent)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] points and extent, or --grid N,L: {exc}") from exc
     if cfg.r_count < 2 or cfg.r_max <= 0:
         raise ConfigError("radial grid needs r_max > 0 and r_count >= 2")
     lo, hi = _slope_window(cfg.r_max)
@@ -335,10 +334,8 @@ def cmd_rn(cfg: RunConfig) -> int:
     profile = _profile(cfg)
     if cfg.rn_q == "identity":
         target = 1.0
-    elif cfg.rn_q in ("alpha1", "alpha2", "alpha3"):
-        target = cfg.v_target[int(cfg.rn_q[-1]) - 1]
     else:
-        raise ConfigError(f"rn.q must be identity or alpha1..3, got {cfg.rn_q!r}")
+        target = cfg.v_target[int(cfg.rn_q[-1]) - 1]
     path = out / "rn_table.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -68,12 +68,11 @@ from .quadrature import (
 from .spinor import (
     ALPHA,
     I4,
-    SPIN_DOWN,
-    SPIN_UP,
     bilinear_current,
     bilinear_density,
     energy_xyz,
     packed_current,
+    spinor_layout,
 )
 from .states import MomentumProfile, MomentumState
 from .transform import CartesianGrid, PositionState
@@ -358,9 +357,7 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     """
     if q_operator not in Q_MATRICES:
         raise ValueError(f"Q must be one of {sorted(Q_MATRICES)}, got {q_operator!r}")
-    if spin not in (SPIN_UP, SPIN_DOWN):
-        raise ValueError(f"spin label must be +0.5 or -0.5, got {spin!r}")
-    sign = 1.0 if spin == SPIN_UP else -1.0
+    sign = spinor_layout(spin).sign
     p = np.asarray(p, dtype=float)
     centre = n * np.asarray(profile.center, dtype=float)
     width2 = 2.0 * (n * profile.sigma_p) ** 2
@@ -437,7 +434,7 @@ def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
     flow = density * (state.time / e)
     mean = np.array(state.label.a, dtype=float)
     mean += [np.sum(flow * rule.x), np.sum(flow * rule.y), np.sum(flow * rule.z)]
-    spin = density * ((1.0 if state.label.spin == SPIN_UP else -1.0) / (2.0 * e * (e + MASS)))
+    spin = density * (spinor_layout(state.label.spin).sign / (2.0 * e * (e + MASS)))
     mean[0] += np.sum(spin * rule.y)
     mean[1] -= np.sum(spin * rule.x)
     return mean

@@ -180,8 +180,7 @@ class PositionState:
         runs split the grid where numpy's pairwise summation of a whole
         field splits it.
         """
-        n = self.grid.n_points
-        step = max(1, BLOCK_POINTS // (n * n))
+        n, step = self.grid.n_points, slab_columns(self.grid)
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
             yield rows, self.psi[:, rows]

@@ -1,7 +1,10 @@
 """Command-line interface: outputs, determinism, round-trips, exit codes."""
 
+import argparse
+import configparser
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +53,58 @@ def test_help_lists_every_command_with_one_line(capsys):
         assert len(entries) == 1, name
         summary = " ".join(entries[0][1:])
         assert summary and summary == func.__doc__.strip().splitlines()[0]
+
+
+def test_readme_example_sets_every_declared_key(tmp_path):
+    # the README's example config and RunConfig's declarations cannot drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert {(s, k) for s in parser.sections() for k in parser[s]} == set(cli.INI_KEYS)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert cli.load_config(str(path), argparse.Namespace()).n_list == (2, 4, 8, 16)
+
+
+@pytest.mark.parametrize("line", ["[grid] point = 32", "[evolve] time = 0 2", "[lable] n = 2"])
+def test_unknown_key_is_config_error(tmp_path, capsys, line):
+    section, entry = line.split(" ", 1)
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(f"{section}\n{entry}\n")
+    out = tmp_path / "out"
+    assert run(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert line.split(" =")[0] in err and str(cfg) in err
+
+
+@pytest.mark.parametrize("command, given", [
+    ("overlap", "[label] a = nan 0 0"),
+    ("evolve", "[evolve] times = 0 nan"),
+    ("rn", "[profile] v_target = nan 0 0"),
+    ("moments", "[grid] extent = inf"),
+    ("verify", "[tolerances] state_norms = nan"),
+    ("moments", "--grid 64,-inf"),
+    ("verify", "--tol state_norms=nan"),
+    ("moments", "--grid 100,16"),
+    ("moments", "[grid] points = 100"),
+    ("rn", "[rn] q = alpha9"),
+])
+def test_invalid_value_is_config_error_before_output(tmp_path, capsys, command, given):
+    # non-finite numbers, a grid CartesianGrid refuses and an unknown Q all
+    # stop in load_config, before the output directory exists
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
+    if given.startswith("--"):
+        flags, named = given.split(), given.split()[0]
+        cfg.write_text("")
+    else:
+        section, entry = given.split(" ", 1)
+        flags, named = [], given.split(" =")[0]
+        cfg.write_text(f"{section}\n{entry}\n")
+    assert run([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
 
 
 class TestFigure1:

@@ -60,8 +60,6 @@ from .transform import (
     CartesianGrid,
     GridError,
     PositionState,
-    RadialDensityTable,
-    RadialGrid,
     density_field,
     position_state_cartesian,
     radial_components,

@@ -22,6 +22,13 @@ does not use is a usage error.  Curves go to CSV, scalar reports to JSON;
 runs are deterministic, so identical configs give identical bytes.
 Exit codes: 0 success, 1 verification failure (a failed check, or a
 value refused with ``QuadratureError``), 2 configuration error.
+
+Each ``cmd_*`` computes its results and returns ``(exit code, files)``,
+``files`` mapping a file name to a JSON payload (a dict) or a CSV table
+(a list of rows, header first).  ``main`` alone creates the output
+directory and writes the files (``write_outputs``), after the command
+has returned: a command stopped by an error leaves no directory and no
+file, while ``verify`` returns exit code 1 together with its report.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .dynamics import evolve_report
 from .observables import Q_MATRICES, convolution_Rn, moments, overlap
@@ -49,11 +58,12 @@ from .states import (
 from .transform import (
     CartesianGrid,
     GridError,
-    RadialGrid,
+    log_slope,
     position_state_cartesian,
     radial_delta_x,
     radial_density,
     radial_probability,
+    tail_estimate,
 )
 from .verify import DEFAULT_TOLERANCES, run_checks
 
@@ -195,7 +205,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.r_count < 2 or cfg.r_max <= 0:
         raise ConfigError("radial grid needs r_max > 0 and r_count >= 2")
     lo, hi = _slope_window(cfg.r_max)
-    r = RadialGrid.uniform(cfg.r_max, cfg.r_count).r
+    r = _radii(cfg)
     if ((r >= lo) & (r <= hi)).sum() < 2:
         raise ConfigError(
             f"tail_log_slope is fitted on [{lo:g}, {hi:g}], which holds fewer than two "
@@ -203,15 +213,22 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.r0 < 0:
         raise ConfigError("evolve.r0, the light-cone radius at the first time, must be >= 0")
+    if not cfg.times:
+        raise ConfigError("[evolve] times must list at least one time")
     if any(t < 0 for t in cfg.times):
         raise ConfigError("evolution times must be nonnegative")
-    if cfg.times and min(cfg.times) < cfg.times[0]:
+    if min(cfg.times) < cfg.times[0]:
         raise ConfigError("no evolution time may precede the first, the light-cone baseline")
     for name, value in cfg.tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}")
         if value < 0:
             raise ConfigError(f"tolerance {name} must be >= 0")
+
+
+def _radii(cfg: RunConfig) -> np.ndarray:
+    """The figure1 table radii: r_count points on [0, r_max], from r = 0."""
+    return np.linspace(0.0, cfg.r_max, cfg.r_count)
 
 
 def _slope_window(r_max: float) -> tuple[float, float]:
@@ -238,19 +255,7 @@ def _state(cfg: RunConfig, profile, n: int, a=None, spin=None) -> MomentumState:
     return MomentumState(label=label, profile=profile)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def cmd_figure1(cfg: RunConfig) -> int:
+def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     """Emit rho_n(r) CSV curves plus a summary JSON.
 
     ``rho_at_origin`` and ``tail_log_slope`` come from the emitted table;
@@ -258,100 +263,85 @@ def cmd_figure1(cfg: RunConfig) -> int:
     ``delta_x`` are integrated on their own nodes, since the table stops
     resolving the state once n sigma_p is large.  A curve whose norm is
     not within the ``state_norms`` bound of 1 is refused with
-    ``QuadratureError`` before its CSV or the summary is written.
+    ``QuadratureError``, so no curve and no summary is written.
     """
     if any(cfg.a) or any(cfg.v_target) or cfg.profile_kind != "gaussian":
         raise ConfigError("figure1 requires the symmetric case: a = 0, v = 0, gaussian profile")
-    out = _outdir(cfg)
     profile = gaussian_profile(cfg.sigma_p)
-    grid = RadialGrid.uniform(cfg.r_max, cfg.r_count)
+    r = _radii(cfg)
     bound = DEFAULT_TOLERANCES["state_norms"]
     summary = {"sigma_p": cfg.sigma_p, "r_max": cfg.r_max, "r_count": cfg.r_count, "curves": {}}
+    files = {}
     for n in cfg.n_list:
-        table = radial_density(profile, n, grid)
-        norm = radial_probability(profile, n, cfg.r_max) + table.tail_estimate()
+        rho = radial_density(profile, n, r)
+        norm = radial_probability(profile, n, cfg.r_max) + tail_estimate(r, rho)
         if not abs(norm - 1.0) <= bound:
             raise QuadratureError(
                 f"n = {n}, sigma_p = {cfg.sigma_p:g}: norm {norm!r} is not within {bound:g} of 1"
             )
         name = f"rho_n{n}.csv"
-        table.to_csv(out / name)
+        files[name] = [["r", "rho"], *zip(r.tolist(), rho.tolist())]
         summary["curves"][str(n)] = {
             "file": name,
             "norm": norm,
-            "rho_at_origin": table.value_at_origin(),
+            "rho_at_origin": float(rho[0]),
             "prob_inside_r1": radial_probability(profile, n, 1.0),
             "delta_x": radial_delta_x(profile, n),
-            "tail_log_slope": table.fitted_log_slope(*_slope_window(cfg.r_max)),
+            "tail_log_slope": log_slope(r, rho, *_slope_window(cfg.r_max)),
         }
-    _write_json(out / "figure1_summary.json", summary)
-    print(f"figure1: wrote {len(cfg.n_list)} curves and summary to {out}")
-    return 0
+    files["figure1_summary.json"] = summary
+    return 0, files
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     """Run the check battery; exit 1 on any failure."""
     checks = run_checks(cfg.tolerances)
-    out = _outdir(cfg)
-    payload = {
-        "checks": [asdict(c) for c in checks],
-        "all_passed": all(c.passed for c in checks),
-    }
-    _write_json(out / "verify_report.json", payload)
+    passed = all(c.passed for c in checks)
+    files = {"verify_report.json": {"checks": [asdict(c) for c in checks], "all_passed": passed}}
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name:32s} value={c.value:.6e} bound={c.bound:.6e}")
-    if not payload["all_passed"]:
+    if not passed:
         failed = [c.name for c in checks if not c.passed]
         print(f"verify: {len(failed)} check(s) failed: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    print(f"verify: all {len(checks)} checks passed; report in {out}")
-    return 0
+        return 1, files
+    print(f"verify: all {len(checks)} checks passed")
+    return 0, files
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
+def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
     """Free-evolution report plus per-time axis slices."""
-    out = _outdir(cfg)
-    state = _state(cfg, _profile(cfg), cfg.n_list[0])
+    n, *skipped = cfg.n_list
+    if skipped:
+        print(f"evolve: ran n = {n} only, skipped n = {', '.join(map(str, skipped))}",
+              file=sys.stderr)
+    state = _state(cfg, _profile(cfg), n)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     report, slices = evolve_report(state, grid, cfg.times, r0=cfg.r0)
-    _write_json(out / "evolution_report.json", report.as_dict())
+    files = {"evolution_report.json": report.as_dict()}
     axis = grid.axis()
     for t, cut in zip(report.times, slices):
-        name = f"slice_t{t:g}.csv"
-        with open(out / name, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x1", "rho", "j1", "j2", "j3"])
-            for x, row in zip(axis, cut.T):
-                writer.writerow([repr(float(x))] + [repr(float(v)) for v in row])
-    print(f"evolve: wrote report and {len(report.times)} slices to {out}")
-    return 0
+        rows = np.column_stack([axis, cut.T]).tolist()
+        files[f"slice_t{t:g}.csv"] = [["x1", "rho", "j1", "j2", "j3"], *rows]
+    return 0, files
 
 
-def cmd_rn(cfg: RunConfig) -> int:
+def cmd_rn(cfg: RunConfig) -> tuple[int, dict]:
     """Tabulate the convolution R_n(p) over the n list."""
-    out = _outdir(cfg)
     profile = _profile(cfg)
     if cfg.rn_q == "identity":
         target = 1.0
     else:
         target = cfg.v_target[int(cfg.rn_q[-1]) - 1]
-    path = out / "rn_table.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "re", "im", "abs_error"])
-        for n in cfg.n_list:
-            value = convolution_Rn(profile, n, cfg.rn_p, cfg.rn_q, spin=cfg.spin)
-            writer.writerow(
-                [n, repr(value.real), repr(value.imag), repr(abs(value - target))]
-            )
-    print(f"rn: wrote {path}")
-    return 0
+    rows = [["n", "re", "im", "abs_error"]]
+    for n in cfg.n_list:
+        value = convolution_Rn(profile, n, cfg.rn_p, cfg.rn_q, spin=cfg.spin)
+        rows.append([n, value.real, value.imag, abs(value - target)])
+    return 0, {"rn_table.csv": rows}
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: RunConfig) -> tuple[int, dict]:
     """Grid moments per n as JSON."""
-    out = _outdir(cfg)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     payload = {"grid": {"points": cfg.grid_points, "extent": cfg.grid_extent}, "moments": {}}
     profile = _profile(cfg)
@@ -359,14 +349,11 @@ def cmd_moments(cfg: RunConfig) -> int:
         ps = position_state_cartesian(_state(cfg, profile, n), grid)
         payload["moments"][str(n)] = moments(ps).as_dict()
         del ps  # free psi before the next transform allocates its own
-    _write_json(out / "moments.json", payload)
-    print(f"moments: wrote {out / 'moments.json'}")
-    return 0
+    return 0, {"moments.json": payload}
 
 
-def cmd_overlap(cfg: RunConfig) -> int:
+def cmd_overlap(cfg: RunConfig) -> tuple[int, dict]:
     """Overlaps against a second label per n as JSON."""
-    out = _outdir(cfg)
     spin2 = cfg.spin if cfg.overlap_spin2 is None else cfg.overlap_spin2
     payload = {"a": list(cfg.a), "a2": list(cfg.overlap_a2), "overlaps": {}}
     profile = _profile(cfg)
@@ -379,9 +366,24 @@ def cmd_overlap(cfg: RunConfig) -> int:
             "im": value.imag,
             "abs": abs(value),
         }
-    _write_json(out / "overlaps.json", payload)
-    print(f"overlap: wrote {out / 'overlaps.json'}")
-    return 0
+    return 0, {"overlaps.json": payload}
+
+
+def write_outputs(out: Path, files: dict) -> None:
+    """Create ``out`` and write each file of a command's result into it.
+
+    A dict is written as sorted, indented JSON; a list is a CSV table,
+    rows of strings, ints and Python floats (which ``csv`` writes by
+    ``repr``, so every double reads back bit for bit).
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        with open(out / name, "w", newline="") as handle:
+            if isinstance(content, dict):
+                json.dump(content, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            else:
+                csv.writer(handle).writerows(content)
 
 
 COMMANDS = {
@@ -423,13 +425,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        return COMMANDS[args.command](cfg)
+        code, files = COMMANDS[args.command](cfg)
     except (ConfigError, GridError, ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    out = Path(cfg.out_dir)
+    write_outputs(out, files)
+    print(f"{args.command}: wrote {', '.join(files)} to {out}")
+    return code
 
 
 if __name__ == "__main__":

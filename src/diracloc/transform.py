@@ -10,8 +10,11 @@ Two routes:
       g0(r) = sqrt(2/pi) int F(p) (E+1)/calE j0(pr) p^2 dp
       g1(r) = sqrt(2/pi) int F(p)  p   /calE j1(pr) p^2 dp
 
-  with F(p) = n^(-3/2) f(p/n); the density is |g0|^2 + |g1|^2.  This is
-  the fast path used for the localized-density curves.
+  with F(p) = n^(-3/2) f(p/n); ``radial_density(profile, n, r)``
+  returns the density |g0|^2 + |g1|^2 at the radii r as a plain array.
+  This is the fast path used for the localized-density curves; a curve
+  tabulated out to r_max is fitted by ``log_slope`` and its mass beyond
+  r_max bounded by ``tail_estimate``, both functions of (r, rho).
 
 * ``position_state_cartesian``: a componentwise 3-D inverse FFT of phi
   sampled on the reciprocal grid.  The envelope, the phase exp(-i a.p),
@@ -50,7 +53,6 @@ so the spread is exact over all space at any n.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -75,25 +77,6 @@ SLAB_BYTES_PER_POINT = 160
 
 class GridError(ValueError):
     """Grid cannot faithfully represent the requested state."""
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Strictly increasing nonnegative radii (units of the Compton length)."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if r.ndim != 1 or r.size < 2:
-            raise ValueError("radial grid needs at least two samples")
-        if r[0] < 0 or np.any(np.diff(r) <= 0):
-            raise ValueError("radial grid must be nonnegative and strictly increasing")
-        object.__setattr__(self, "r", r)
-
-    @classmethod
-    def uniform(cls, r_max: float, count: int) -> "RadialGrid":
-        return cls(np.linspace(0.0, r_max, count))
 
 
 @dataclass(frozen=True)
@@ -324,62 +307,34 @@ def radial_components(
     return g0, g1
 
 
-@dataclass
-class RadialDensityTable:
-    """Tabulated spherically symmetric density rho_n(r)."""
-
-    grid: RadialGrid
-    rho: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if np.any(self.rho < 0):
-            raise ValueError("density table must be nonnegative")
-
-    def value_at_origin(self) -> float:
-        return float(self.rho[0]) if self.grid.r[0] == 0.0 else float(
-            np.interp(0.0, self.grid.r, self.rho)
-        )
-
-    def tail_estimate(self) -> float:
-        """Bound the probability beyond the table via an exponential fit.
-
-        Fits log rho over the outermost decade of radii; positive-energy
-        densities decay exponentially, so the extrapolated integral
-        4 pi r^2 rho(R) e^(lambda (r - R)) bounds the missing mass.
-        """
-        R = self.grid.r[-1]
-        if np.count_nonzero(self.rho[self.grid.r >= 0.8 * R] > 0) < 2:
-            return 0.0
-        slope = self.fitted_log_slope(0.8 * R, R)
-        if slope >= 0:  # no decay detected; refuse to certify
-            return float("inf")
-        lam = -slope
-        dens = self.rho[-1]
-        return float(4.0 * np.pi * dens * (R * R / lam + 2.0 * R / lam**2 + 2.0 / lam**3))
-
-    def fitted_log_slope(self, r_lo: float = 3.0, r_hi: float = 6.0) -> float:
-        """Slope of log rho on [r_lo, r_hi]; negative for decaying tails."""
-        mask = (self.grid.r >= r_lo) & (self.grid.r <= r_hi) & (self.rho > 0)
-        return float(np.polyfit(self.grid.r[mask], np.log(self.rho[mask]), 1)[0])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["r", "rho"])
-            for r, rho in zip(self.grid.r, self.rho):
-                writer.writerow([repr(float(r)), repr(float(rho))])
-
-    @classmethod
-    def from_csv(cls, path, n: int = 0) -> "RadialDensityTable":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(grid=RadialGrid(rows[:, 0]), rho=rows[:, 1], n=n)
+def radial_density(profile: MomentumProfile, n: int, r) -> np.ndarray:
+    """rho_n(r) = |g0|^2 + |g1|^2 at the radii ``r``."""
+    g0, g1 = radial_components(profile, n, r)
+    return np.abs(g0) ** 2 + np.abs(g1) ** 2
 
 
-def radial_density(profile: MomentumProfile, n: int, grid: RadialGrid) -> RadialDensityTable:
-    """rho_n(r) = |g0|^2 + |g1|^2 on the given radial grid."""
-    g0, g1 = radial_components(profile, n, grid.r)
-    return RadialDensityTable(grid=grid, rho=np.abs(g0) ** 2 + np.abs(g1) ** 2, n=n)
+def log_slope(r: np.ndarray, rho: np.ndarray, r_lo: float, r_hi: float) -> float:
+    """Slope of log rho on [r_lo, r_hi]; negative for decaying tails."""
+    mask = (r >= r_lo) & (r <= r_hi) & (rho > 0)
+    return float(np.polyfit(r[mask], np.log(rho[mask]), 1)[0])
+
+
+def tail_estimate(r: np.ndarray, rho: np.ndarray) -> float:
+    """Bound the probability beyond the last radius via an exponential fit.
+
+    Fits log rho over the outermost 20 % of the radii; positive-energy
+    densities decay exponentially, so the extrapolated integral
+    4 pi r^2 rho(R) e^(lambda (r - R)) bounds the missing mass.
+    """
+    R = r[-1]
+    if np.count_nonzero(rho[r >= 0.8 * R] > 0) < 2:
+        return 0.0
+    slope = log_slope(r, rho, 0.8 * R, R)
+    if slope >= 0:  # no decay detected; refuse to certify
+        return float("inf")
+    lam = -slope
+    dens = rho[-1]
+    return float(4.0 * np.pi * dens * (R * R / lam + 2.0 * R / lam**2 + 2.0 / lam**3))
 
 
 def radial_probability(profile: MomentumProfile, n: int, radius: float) -> float:
@@ -394,7 +349,7 @@ def radial_probability(profile: MomentumProfile, n: int, radius: float) -> float
     for lo, hi, order in ((0.0, core, 64), (core, radius, 128)):
         if lo < hi:
             r, w = gauss_legendre(order, lo, hi)
-            rho = radial_density(profile, n, RadialGrid(r)).rho
+            rho = radial_density(profile, n, r)
             total += float(np.sum(w * 4.0 * np.pi * r * r * rho))
     return total
 

@@ -18,11 +18,11 @@ from diracloc.states import gaussian_profile, make_state
 from diracloc.symmetry import PointDensityLimit
 from diracloc.transform import (
     CartesianGrid,
-    RadialGrid,
     density_field,
     position_state_cartesian,
     radial_density,
     radial_probability,
+    tail_estimate,
 )
 from grid_oracles import angular_average
 
@@ -46,14 +46,15 @@ def inverse_n_fit(n_values, errors):
 def test_criterion_1_figure_reproduction():
     start = time.perf_counter()
     profile = gaussian_profile(1.0)
-    grid = RadialGrid.uniform(6.0, 601)
-    tables = {n: radial_density(profile, n, grid) for n in (5, 7, 10)}
+    r = np.linspace(0.0, 6.0, 601)
+    curves = {n: radial_density(profile, n, r) for n in (5, 7, 10)}
 
-    norms = {n: radial_probability(profile, n, 6.0) + t.tail_estimate() for n, t in tables.items()}
+    norms = {n: radial_probability(profile, n, 6.0) + tail_estimate(r, rho)
+             for n, rho in curves.items()}
     for n, norm in norms.items():
         assert abs(norm - 1.0) <= 1e-4, f"norm(n={n}) = {norm}"
 
-    rho0 = [tables[n].value_at_origin() for n in (5, 7, 10)]
+    rho0 = [curves[n][0] for n in (5, 7, 10)]
     assert rho0[0] < rho0[1] < rho0[2]
 
     inside = {n: radial_probability(profile, n, 1.0) for n in (5, 7, 10)}
@@ -85,9 +86,9 @@ def test_criterion_2_radial_vs_3d_oracle():
     ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
 
     r = np.linspace(0.0, 4.0, 81)
-    table = radial_density(profile, 5, RadialGrid(r))
+    rho = radial_density(profile, 5, r)
     averaged = angular_average(density_field(ps), ps.grid, r)
-    rel = float(np.linalg.norm(averaged - table.rho) / np.linalg.norm(table.rho))
+    rel = float(np.linalg.norm(averaged - rho) / np.linalg.norm(rho))
     assert rel <= 1e-2
 
     elapsed = time.perf_counter() - start

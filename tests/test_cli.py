@@ -15,7 +15,12 @@ from diracloc.cli import main
 from diracloc.dynamics import evolve_free
 from diracloc.observables import current
 from diracloc.states import gaussian_profile, make_state
-from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
+from diracloc.transform import (
+    CartesianGrid,
+    density_field,
+    position_state_cartesian,
+    radial_density,
+)
 from radial_oracles import two_panel_delta_x, two_panel_probability
 
 
@@ -82,6 +87,7 @@ def test_unknown_key_is_config_error(tmp_path, capsys, line):
 @pytest.mark.parametrize("command, given", [
     ("overlap", "[label] a = nan 0 0"),
     ("evolve", "[evolve] times = 0 nan"),
+    ("evolve", "[evolve] times ="),
     ("rn", "[profile] v_target = nan 0 0"),
     ("moments", "[grid] extent = inf"),
     ("verify", "[tolerances] state_norms = nan"),
@@ -92,8 +98,8 @@ def test_unknown_key_is_config_error(tmp_path, capsys, line):
     ("rn", "[rn] q = alpha9"),
 ])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys, command, given):
-    # non-finite numbers, a grid CartesianGrid refuses and an unknown Q all
-    # stop in load_config, before the output directory exists
+    # non-finite numbers, an empty times list, a grid CartesianGrid refuses and
+    # an unknown Q all stop in load_config, before the output directory exists
     cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
     if given.startswith("--"):
         flags, named = given.split(), given.split()[0]
@@ -139,6 +145,13 @@ class TestFigure1:
             assert entry["prob_inside_r1"] == pytest.approx(expected, rel=1e-12)
             assert entry["tail_log_slope"] < 0.0
 
+    def test_curve_csv_parses_back_bit_for_bit(self, outputs):
+        # every double goes out by repr, so the table reads back exactly
+        rows = np.loadtxt(outputs / "rho_n5.csv", delimiter=",", skiprows=1)
+        r = np.linspace(0.0, 6.0, 601)
+        assert np.array_equal(rows[:, 0], r)
+        assert np.array_equal(rows[:, 1], radial_density(gaussian_profile(1.0), 5, r))
+
     def test_deterministic_bytes(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["figure1", "--out", str(out_a), "--n", "5"]) == 0
@@ -164,10 +177,11 @@ class TestFigure1:
         assert entry["prob_inside_r1"] == pytest.approx(expected, rel=1e-12)
 
     def test_unresolved_curve_is_refused(self, tmp_path, capsys):
-        # at n = 200 the tail fit finds no decay, so the norm is infinite
-        assert run(["figure1", "--out", str(tmp_path), "--n", "200"]) == 1
-        assert not (tmp_path / "figure1_summary.json").exists()
-        assert not (tmp_path / "rho_n200.csv").exists()
+        # at n = 200 the tail fit finds no decay, so the norm is infinite;
+        # the n = 5 curve certified before it is not written either
+        out = tmp_path / "out"
+        assert run(["figure1", "--out", str(out), "--n", "5,200"]) == 1
+        assert not out.exists()
         assert "n = 200, sigma_p = 1: norm inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("r_max, r_count", [(2.9, 291), (6.0, 2)])
@@ -258,6 +272,15 @@ class TestEvolve:
              "--config", str(cfg)]
         ) == 2
 
+    def test_names_the_n_it_ran_and_skipped(self, tmp_path, capsys):
+        # evolve runs the first n of the list; the rest are named, not dropped silently
+        cfg = self._times_config(tmp_path, "0")
+        argv = ["evolve", "--out", str(tmp_path), "--grid", "64,16", "--config", str(cfg)]
+        assert run(argv + ["--n", "2,4,8"]) == 0
+        assert "evolve: ran n = 2 only, skipped n = 4, 8" in capsys.readouterr().err
+        assert run(argv + ["--n", "2"]) == 0
+        assert "skipped" not in capsys.readouterr().err
+
     def test_negative_r0_is_config_error(self, tmp_path):
         cfg = tmp_path / "evolve.ini"
         cfg.write_text("[evolve]\nr0 = -1\n")
@@ -287,11 +310,13 @@ class TestMomentsCommand:
         assert sorted(payload["moments"], key=int) == ["5", "7", "10"]
 
     def test_grid_error_names_a_working_grid(self, tmp_path, capsys):
-        # the boosted n = 10 support (31.2) is beyond the default Nyquist (25.1)
-        cfg = tmp_path / "boosted.ini"
+        # the boosted n = 10 support (31.2) is beyond the default Nyquist (25.1);
+        # the refusal comes after the command starts, and nothing is written
+        cfg, out = tmp_path / "boosted.ini", tmp_path / "out"
         cfg.write_text("[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n")
-        argv = ["moments", "--config", str(cfg), "--out", str(tmp_path), "--n", "10"]
+        argv = ["moments", "--config", str(cfg), "--out", str(out), "--n", "10"]
         assert run(argv) == 2
+        assert not out.exists()
         message = capsys.readouterr().err
         assert "use N >= 256 at L = 16, or L <= 12.89 at N = 128" in message
         extent = message.rsplit("L <= ", 1)[1].split()[0]

@@ -18,11 +18,10 @@ from diracloc.transform import (
     SLAB_BYTES_PER_POINT,
     CartesianGrid,
     GridError,
-    RadialDensityTable,
-    RadialGrid,
     _spherical_j01,
     density_field,
     grid_working_set,
+    log_slope,
     physical_memory,
     position_state_cartesian,
     radial_components,
@@ -30,6 +29,7 @@ from diracloc.transform import (
     radial_density,
     radial_probability,
     slab_columns,
+    tail_estimate,
 )
 
 
@@ -142,8 +142,8 @@ class TestRadialDensity:
             assert abs(total - 1.0) <= 1e-4
 
     def test_origin_density_increases_with_n(self, plain_profile):
-        grid = RadialGrid.uniform(6.0, 121)
-        rho0 = [radial_density(plain_profile, n, grid).value_at_origin() for n in (5, 7, 10)]
+        r = np.linspace(0.0, 6.0, 121)
+        rho0 = [radial_density(plain_profile, n, r)[0] for n in (5, 7, 10)]
         assert rho0[0] < rho0[1] < rho0[2]
 
     def test_probability_inside_compton_radius_increases(self, plain_profile):
@@ -152,28 +152,19 @@ class TestRadialDensity:
 
     def test_tail_everywhere_positive(self, plain_profile):
         # no compact support: the density keeps a strictly positive tail
-        grid = RadialGrid.uniform(10.0, 201)
-        table = radial_density(plain_profile, 5, grid)
-        assert np.all(table.rho > 0.0)
+        rho = radial_density(plain_profile, 5, np.linspace(0.0, 10.0, 201))
+        assert np.all(rho > 0.0)
 
     def test_tail_log_slope_negative(self, plain_profile):
-        grid = RadialGrid.uniform(8.0, 401)
-        table = radial_density(plain_profile, 5, grid)
-        slope = table.fitted_log_slope(3.0, 6.0)
+        r = np.linspace(0.0, 8.0, 401)
+        slope = log_slope(r, radial_density(plain_profile, 5, r), 3.0, 6.0)
         assert slope < 0.0
 
     def test_table_norm_with_tail_estimate(self, plain_profile):
-        table = radial_density(plain_profile, 7, RadialGrid.uniform(6.0, 601))
-        total = radial_probability(plain_profile, 7, 6.0) + table.tail_estimate()
+        r = np.linspace(0.0, 6.0, 601)
+        rho = radial_density(plain_profile, 7, r)
+        total = radial_probability(plain_profile, 7, 6.0) + tail_estimate(r, rho)
         assert abs(total - 1.0) <= 1e-4
-
-    def test_csv_round_trip(self, plain_profile, tmp_path):
-        table = radial_density(plain_profile, 5, RadialGrid.uniform(4.0, 81))
-        path = tmp_path / "rho.csv"
-        table.to_csv(path)
-        back = RadialDensityTable.from_csv(path, n=5)
-        assert np.array_equal(back.grid.r, table.grid.r)
-        assert np.array_equal(back.rho, table.rho)
 
 
 class TestCartesianGrid:
@@ -301,9 +292,9 @@ class TestOracleEquivalence:
         state = make_state(n=n)
         ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
         r = np.linspace(0.0, 4.0, 81)
-        table = radial_density(plain_profile, n, RadialGrid(r))
+        rho = radial_density(plain_profile, n, r)
         avg = angular_average(density_field(ps), ps.grid, r)
-        rel = np.linalg.norm(avg - table.rho) / np.linalg.norm(table.rho)
+        rel = np.linalg.norm(avg - rho) / np.linalg.norm(rho)
         assert rel <= 1e-2
 
     def test_axis_profile_matches_radial(self, plain_profile, ps5):

@@ -32,7 +32,8 @@ Profiles are restricted to Gaussians (plain and shifted); they satisfy
 the smoothness and decay demands of the construction with analytic
 control of truncation: the envelope falls below 1e-14 beyond 8 sigma,
 which fixes the momentum cutoff used by every quadrature, and the
-radius holding all but a given share of |f|^2 is a chi-squared quantile.
+radius holding all but a given share of |f|^2 is a chi-squared quantile,
+found by bisection on the closed-form chi-squared(3) survival function.
 """
 
 from __future__ import annotations
@@ -94,15 +95,29 @@ class MomentumProfile:
         return float(np.linalg.norm(self.center) + q * self.sigma_p)
 
 
+def _gaussian_tail_mass(q: float) -> float:
+    """integral_{|x|>q} pi^{-3/2} e^{-x^2} d^3x: the chi-squared(3) survival at 2 q^2."""
+    return math.erfc(q) + 2.0 / math.sqrt(math.pi) * q * math.exp(-q * q)
+
+
 def _gaussian_tail_radius(eps: float) -> float:
-    """q with integral_{|x|>q} pi^{-3/2} e^{-x^2} d^3x = eps (unit-width Gaussian).
+    """The q with tail mass(q) <= eps < tail mass(prev double of q), 0 < eps < 1.
 
-    2|x|^2 is chi-squared with three degrees of freedom, so the mass
-    outside q is its survival function at 2 q^2.
+    2|x|^2 of the unit-width Gaussian pi^{-3/2} e^{-x^2} is chi-squared
+    with three degrees of freedom, so q is sqrt(chdtri(3, eps) / 2)
+    (scipy's ``chdtri`` is the oracle in the tests).  Bisection keeps
+    the bracket until its ends are adjacent doubles; the mass underflows
+    to 0 at q = 30.
     """
-    from scipy.special import chdtri
-
-    return math.sqrt(0.5 * chdtri(3, eps))
+    lo, hi = 0.0, 30.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _gaussian_tail_mass(mid) > eps:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _profile_rule(profile: MomentumProfile, n_radial=256, n_theta=64, n_phi=32):

@@ -25,12 +25,12 @@ Two routes:
   bytes per cell), with the spin layout that names them.  phi is
   sampled one slab of p2 columns at a time and transformed along p1
   into the result; the p2 and p3 axes are then transformed in place
-  with every core (``scipy.fft``).  It serves as the independent oracle
-  for the radial path and as the only path for states without radial
-  symmetry.  A grid is refused before any N^3 allocation when it misses
-  more than ``MASS_TOL`` of the momentum mass (the refusal names a grid
-  that covers the state) or when its working set exceeds physical
-  memory.
+  (``ifft_in_place``: ``numpy.fft``, the pocketfft scipy ships too).
+  It serves as the independent oracle for the radial path and as the
+  only path for states without radial symmetry.  A grid is refused
+  before any N^3 allocation when it misses more than ``MASS_TOL`` of
+  the momentum mass (the refusal names a grid that covers the state)
+  or when its working set exceeds physical memory.
 
 Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
 the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
@@ -41,10 +41,9 @@ Gauss-Legendre nodes, one panel over the core r < 10/(n sigma_p) and
 one beyond, so it resolves the state whatever its width; a tabulated
 curve would not once 1/(n sigma_p) nears the table spacing.
 
-scipy is imported at each call site (``scipy.fft`` in
-``position_state_cartesian``, ``spherical_jn`` in ``_spherical_j01``),
-so importing the package, or running a command that calls neither,
-loads no scipy.
+scipy is imported at its one call site (``spherical_jn`` in
+``_spherical_j01``), so importing the package, or running a command
+that never calls it, loads no scipy.
 
 ``radial_delta_x`` needs no transform at all: <x^2> = int |grad_p phi|^2
 d^3p reduces to a 1-D momentum integral with a closed-form spinor term,
@@ -187,6 +186,17 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def ifft_in_place(a, axes):
+    """Unscaled inverse FFT of ``a`` over ``axes``, in place.
+
+    One ``numpy.fft`` pass per axis, in the order given.  In increasing
+    order the result is scipy's ``ifftn`` over the same axes to the bit;
+    another order differs in the last bits.
+    """
+    for axis in axes:
+        np.fft.ifft(a, axis=axis, norm="forward", out=a)
+
+
 def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> PositionState:
     """Inverse 3-D FFT of phi sampled on the reciprocal grid.
 
@@ -200,11 +210,9 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
     phi is sampled one slab of p2 columns at a time and transformed
     along p1 into the result, scaled there by 1/N^3 as ``ifftn`` scales
     its first axis (an exact power of two); the p2 and p3 axes are then
-    transformed in place, so the values are those of ``ifftn`` over all
-    three axes.
+    transformed in place, axis 2 first, so the values are those of
+    ``ifftn`` over all three axes to the bit.
     """
-    import scipy.fft
-
     support = state.momentum_support(MASS_TOL)
     if grid.nyquist < support:
         n, L = grid.n_points, grid.extent
@@ -249,10 +257,10 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
             weight *= phase
         e += MASS
         fill_eigenspinor(slab, weight, e, px, py, pz, state.label.spin)
-        slab = scipy.fft.ifft(slab, axis=1, norm="forward", overwrite_x=True, workers=-1)
+        ifft_in_place(slab, (1,))
         # real and imaginary parts times 1/N^3, as pocketfft scales
         np.multiply(slab.view(float), 1.0 / n**3, out=psi[:, :, cols].view(float))
-    psi = scipy.fft.ifftn(psi, axes=(2, 3), norm="forward", overwrite_x=True, workers=-1)
+    ifft_in_place(psi, (2, 3))
     return PositionState(grid=grid, psi=psi, layout=layout, label=state.label, time=state.time)
 
 

@@ -69,7 +69,7 @@ def test_readme_example_sets_every_declared_key(tmp_path):
     assert {(s, k) for s in parser.sections() for k in parser[s]} == set(cli.INI_KEYS)
     path = tmp_path / "readme.ini"
     path.write_text(block)
-    assert cli.load_config(str(path), argparse.Namespace()).n_list == (2, 4, 8, 16)
+    assert cli.load_config(str(path), argparse.Namespace()).n_list == (2, 4, 8)
 
 
 @pytest.mark.parametrize("line", ["[grid] point = 32", "[evolve] time = 0 2", "[lable] n = 2"])

@@ -1,4 +1,4 @@
-"""Import hygiene: each command loads only the scipy modules it calls.
+"""Import hygiene: only ``figure1`` loads scipy, and only ``scipy.special``.
 
 Every case runs in a fresh interpreter, since this test process has
 scipy loaded already, and reports the ``scipy*`` entries of
@@ -60,15 +60,36 @@ def test_overlap_loads_no_scipy(tmp_path, spin2):
     assert scipy_loaded("overlap", "--config", config, "--out", str(tmp_path), "--n", "2") == []
 
 
-def test_evolve_loads_no_optimize(tmp_path):
+def test_evolve_loads_no_scipy(tmp_path):
     argv = ["evolve", "--config", boosted_config(tmp_path), "--out", str(tmp_path),
             "--n", "1", "--grid", "32,8"]
-    modules = scipy_loaded(*argv)
-    assert "scipy.fft" in modules
-    assert not [m for m in modules if m.startswith("scipy.optimize")]
+    assert scipy_loaded(*argv) == []
+
+
+def test_spin_down_evolve_loads_no_scipy(tmp_path):
+    config = tmp_path / "down.ini"
+    config.write_text("[label]\nspin = down\n")
+    argv = ["evolve", "--config", str(config), "--out", str(tmp_path), "--n", "1", "--grid", "32,8"]
+    assert scipy_loaded(*argv) == []
+
+
+def test_boosted_moments_loads_no_scipy(tmp_path):
+    argv = ["moments", "--config", boosted_config(tmp_path), "--out", str(tmp_path),
+            "--grid", "128,12"]
+    assert scipy_loaded(*argv) == []
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    assert scipy_loaded("verify", "--out", str(tmp_path)) == []
 
 
 def test_figure1_loads_no_integrate_or_optimize(tmp_path):
-    modules = scipy_loaded("figure1", "--out", str(tmp_path), "--n", "2")
-    assert "scipy.special" in modules
-    assert not [m for m in modules if m.startswith(("scipy.integrate", "scipy.optimize"))]
+    # exactly the scipy modules ``import scipy.special`` loads, no others
+    special = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.special\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"],
+        capture_output=True, text=True, check=True,
+    )
+    expected = json.loads(special.stdout)
+    assert "scipy.special" in expected
+    assert scipy_loaded("figure1", "--out", str(tmp_path), "--n", "2") == expected

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import erfc
+from scipy.special import chdtri, erfc
 
 from diracloc.quadrature import BLOCK_POINTS, spherical_rule
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
@@ -16,6 +16,7 @@ from diracloc.states import (
     MomentumState,
     ProfileError,
     SERIES_BELOW,
+    _gaussian_tail_mass,
     _gaussian_tail_radius,
     boosted_gaussian_profile,
     check_profile_conditions,
@@ -71,6 +72,18 @@ class TestGaussianProfile:
     def test_tail_radius_matches_root_find(self):
         for eps in np.geomspace(1e-14, 0.5, 60):
             assert abs(_gaussian_tail_radius(eps) - root_found_tail_radius(eps)) <= 1e-13
+
+    def test_tail_radius_matches_chdtri(self):
+        # 2 q^2 is the chi-squared(3) quantile; chdtri's own error reaches
+        # several ulp at other eps, so this bound holds on these 50 only
+        for eps in np.geomspace(1e-15, 0.5, 50):
+            ref = np.sqrt(0.5 * chdtri(3, eps))
+            assert abs(_gaussian_tail_radius(eps) - ref) <= 4e-16 * ref
+
+    def test_tail_radius_brackets_the_root(self):
+        for eps in np.geomspace(1e-15, 0.5, 50):
+            q = _gaussian_tail_radius(eps)
+            assert _gaussian_tail_mass(q) <= eps < _gaussian_tail_mass(np.nextafter(q, 0.0))
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ProfileError):

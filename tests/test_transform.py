@@ -21,6 +21,7 @@ from diracloc.transform import (
     _spherical_j01,
     density_field,
     grid_working_set,
+    ifft_in_place,
     log_slope,
     physical_memory,
     position_state_cartesian,
@@ -189,6 +190,17 @@ def grid_norm(ps):
 def nonzero_slots(psi, spin):
     """The three slots of a (4, ...) spinor of ``spin`` other than its zero one."""
     return np.delete(psi, spinor_layout(spin).zero, axis=0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_ifft_in_place_is_scipy_ifftn_to_the_bit(n):
+    import scipy.fft  # the oracle only; the library loads no scipy.fft
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
+    ref = scipy.fft.ifftn(a, axes=(1, 2, 3), norm="forward")
+    ifft_in_place(a, (1, 2, 3))
+    assert np.array_equal(a, ref)
 
 
 class TestPositionState:

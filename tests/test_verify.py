@@ -3,7 +3,6 @@
 import tracemalloc
 
 import pytest
-import scipy.fft  # noqa: F401  (imported by the first transform; kept out of the peak)
 
 from diracloc import verify
 from diracloc.dynamics import NRPacketParams

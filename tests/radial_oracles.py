@@ -1,9 +1,10 @@
-"""Position-space references for the momentum-space radial spread."""
+"""References for the radial path: position-space spreads, and a Bessel
+kernel that takes j1 at x <= 1 from scipy's ``spherical_jn``."""
 
 import numpy as np
 
 from diracloc.quadrature import gauss_legendre
-from diracloc.transform import radial_components
+from diracloc.transform import _spherical_j01, radial_components
 
 
 def position_space_delta_x(profile, n, r_max=40.0):
@@ -39,3 +40,13 @@ def two_panel_delta_x(profile, n, r_max=12.0):
 def two_panel_probability(profile, n, radius):
     """Reference probability inside ``radius``."""
     return _two_panel_moment(profile, n, radius, 2)
+
+
+def scipy_spherical_j01(x):
+    """The library's (j0(x), j1(x)), with scipy's ``spherical_jn(1, x)`` for j1 at x <= 1."""
+    from scipy.special import spherical_jn
+
+    j0, j1 = _spherical_j01(x)
+    small = x <= 1.0
+    j1[small] = spherical_jn(1, x[small])
+    return j0, j1

@@ -1,0 +1,55 @@
+"""The output-identity comparator, on stand-in package trees."""
+
+import pytest
+
+import output_identity
+
+FAKE_CLI = """
+import sys
+from pathlib import Path
+
+
+def main(argv):
+    out = Path(argv[argv.index("--out") + 1])
+    out.mkdir()
+    (out / "table.csv").write_text({table!r})
+    config = Path("config.ini")
+    if config.exists():
+        (out / "config.txt").write_text(config.read_text())
+    print("wrote table.csv")
+    return {code}
+"""
+
+
+def fake_tree(root, table="1.0,2.0\n", code=0):
+    package = root / "diracloc"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI.format(table=table, code=code))
+    return root
+
+
+@pytest.mark.parametrize(
+    "changed, expected",
+    [
+        ({}, []),
+        ({"table": "1.0,2.1\n"}, ["table.csv"]),
+        ({"code": 1}, ["exit 0 -> 1"]),
+    ],
+    ids=["identical", "one-byte", "exit-code"],
+)
+def test_comparator_catches_each_change(tmp_path, changed, expected):
+    base = fake_tree(tmp_path / "a")
+    other = fake_tree(tmp_path / "b", **changed)
+    runs = [output_identity.Run("plain", "figure1"),
+            output_identity.Run("configured", "rn", "[label]\nn = 2\n", ("--n", "2"))]
+    found = output_identity.compare(base, other, runs, tmp_path / "runs")
+    assert found == {"plain": expected, "configured": expected}
+
+
+def test_run_list_names_each_run_once():
+    runs = output_identity.fixed_runs()
+    ids = [run.id for run in runs]
+    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5)
+    allow = output_identity.read_allow(output_identity.ROOT / "tools" / "output_identity_allow.txt")
+    assert allow <= set(ids)

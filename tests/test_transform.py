@@ -1,6 +1,8 @@
 """Radial spherical-Bessel path, 3-D FFT path, and their agreement."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from diracloc.quadrature import BLOCK_POINTS, _leggauss, gauss_legendre
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
 from grid_oracles import angular_average, sampled_psi
-from radial_oracles import position_space_delta_x, two_panel_delta_x
+from radial_oracles import position_space_delta_x, scipy_spherical_j01, two_panel_delta_x
+from diracloc import transform
 from diracloc.transform import (
     SLAB_BYTES_PER_POINT,
     CartesianGrid,
@@ -89,14 +92,57 @@ class TestRadialComponents:
     @pytest.mark.parametrize("n, sigma_p", [(2, 0.5), (17, 1.3), (64, 2.0)])
     def test_shared_sin_cos_bessel_pair_is_spherical_jn(self, n, sigma_p):
         # figure1's 601 radii on [0, 6] against the default radial nodes,
-        # x = 0 (the r = 0 row) and the x <= 1 corner included
+        # x = 0 (the r = 0 row) and the x <= 1 corner included: the sin/cos
+        # forms are scipy's to the bit, the j1 series at x <= 1 is within
+        # 64 ulp of scipy (which is itself up to 44 ulp off the exact value
+        # on these grids)
         from scipy.special import spherical_jn
 
         p, _ = gauss_legendre(2048, 0.0, n * gaussian_profile(sigma_p).cutoff())
         x = np.multiply.outer(np.linspace(0.0, 6.0, 601), p)
         j0, j1 = _spherical_j01(x)
+        ref1 = spherical_jn(1, x)
+        large = x > 1.0
         assert np.array_equal(j0.view(np.int64), spherical_jn(0, x).view(np.int64))
-        assert np.array_equal(j1.view(np.int64), spherical_jn(1, x).view(np.int64))
+        assert np.array_equal(j1[large].view(np.int64), ref1[large].view(np.int64))
+        assert np.all(np.abs(j1 - ref1)[~large] <= 64 * np.spacing(ref1[~large]))
+
+    def test_j1_series_within_2_ulp_of_exact(self):
+        # the exact oracle: the same series in Fraction at each float x, out
+        # to a term below 2^-80 of the sum (the series alternates with
+        # decreasing terms at x <= 1), rounded once
+        def exact_j1(x):
+            u = -Fraction(x) ** 2 / 2
+            total, power, k = Fraction(0), Fraction(1), 0
+            while True:
+                term = power / (math.factorial(k) * math.prod(range(2 * k + 3, 0, -2)))
+                total += term
+                if abs(term) < total / 2**80:
+                    return float(Fraction(x) * total)
+                power *= u
+                k += 1
+
+        rng = np.random.default_rng(16)
+        tiny = [5e-324, 1e-323, 2.0**-1022, np.nextafter(2.0**-1022, 1.0), 1e-300]
+        x = np.concatenate([
+            rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-320.0, 0.0, 1000),
+            tiny, [np.nextafter(1.0, 0.0), 1.0],
+        ])
+        x = x[x > 0.0]
+        _, j1 = _spherical_j01(x)
+        ref = np.array([exact_j1(float(v)) for v in x])
+        assert np.all(np.abs(j1 - ref) <= 2 * np.spacing(ref))
+
+    @pytest.mark.parametrize("n, sigma_p", [(5, 1.0), (7, 1.0), (10, 1.0), (64, 2.0)])
+    def test_density_matches_scipy_kernel(self, monkeypatch, n, sigma_p):
+        # the j1 series moves figure1's curves at rounding level only
+        profile = gaussian_profile(sigma_p)
+        r = np.linspace(0.0, 6.0, 601)
+        rho = radial_density(profile, n, r)
+        monkeypatch.setattr(transform, "_spherical_j01", scipy_spherical_j01)
+        ref = radial_density(profile, n, r)
+        live = ref > 1e-300
+        assert np.all(np.abs(rho - ref)[live] <= 1e-13 * ref[live])
 
     def test_node_doubling_convergence(self, plain_profile):
         r = np.linspace(0.0, 6.0, 61)

@@ -1,0 +1,177 @@
+"""Byte-compare the CLI's outputs at another revision with this checkout's.
+
+    python tools/output_identity.py --against <rev> [--allow FILE]
+
+``<rev>`` is extracted with ``git archive`` into a temporary directory.
+One fixed list of runs is made on both trees, each run a fresh
+``python`` process with that tree's ``src`` on ``PYTHONPATH``:
+
+* the six commands at their defaults, with spin up and with spin down;
+* every ``cli-radial`` and ``cli-grid`` job of perfbench seeds 1-3, from
+  ``perfbench/jobs.py``'s ``make_jobs``.
+
+A run passes its config as ``config.ini`` and its output directory as
+``out``, both relative to its own working directory, so the two trees'
+runs see the same argv.  The exit code, stdout, stderr and every file
+under ``out`` are compared byte for byte.  One line is printed per run
+that differs, then a summary.  The exit status is 1 if a run differs
+that the ``--allow`` file does not name (one run id per line; ``#``
+starts a comment), else 0.  Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("figure1", "verify", "evolve", "rn", "moments", "overlap")
+SEEDS = (1, 2, 3)
+WORKLOADS = ("cli-radial", "cli-grid")
+LAUNCH = "import sys\nfrom diracloc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@dataclass(frozen=True)
+class Run:
+    """One CLI process: ``diracloc <cmd> [--config config.ini] <flags> --out out``."""
+
+    id: str
+    cmd: str
+    config: str = ""
+    flags: tuple = ()
+
+
+@dataclass(frozen=True)
+class Result:
+    code: int
+    stdout: bytes
+    stderr: bytes
+    files: dict  # path under out -> bytes; empty when no out directory was left
+
+
+def fixed_runs() -> list:
+    """The run list: defaults with either spin, then the perfbench jobs."""
+    runs = []
+    for spin, config in (("up", ""), ("down", "[label]\nspin = down\n")):
+        runs += [Run(f"default-{spin}/{cmd}", cmd, config) for cmd in COMMANDS]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from jobs import make_jobs
+
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            runs += [
+                Run(f"{workload}-{seed}/{job.id}", job.cmd, job.config_text(), tuple(job.flags))
+                for job in make_jobs(workload, seed)
+            ]
+    return runs
+
+
+def execute(src: Path, run: Run, work: Path) -> Result:
+    """Make ``run`` with the package under ``src``, in the empty directory ``work``."""
+    argv = [run.cmd]
+    if run.config:
+        (work / "config.ini").write_text(run.config)
+        argv += ["--config", "config.ini"]
+    argv += [*run.flags, "--out", "out"]
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCH, *argv], cwd=work, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    out = work / "out"
+    files = {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+    return Result(done.returncode, done.stdout, done.stderr, files)
+
+
+def differences(a: Result, b: Result) -> list:
+    """What differs between two results of one run, empty if nothing."""
+    found = []
+    if a.code != b.code:
+        found.append(f"exit {a.code} -> {b.code}")
+    found += [name for name in ("stdout", "stderr") if getattr(a, name) != getattr(b, name)]
+    for path in sorted(a.files.keys() | b.files.keys()):
+        if path not in b.files:
+            found.append(f"{path} gone")
+        elif path not in a.files:
+            found.append(f"{path} new")
+        elif a.files[path] != b.files[path]:
+            found.append(path)
+    return found
+
+
+def compare(src_a: Path, src_b: Path, runs: list, work: Path) -> dict:
+    """Run id -> differences, for every run made on both package trees.
+
+    Two runs at a time: the largest job holds about 150 MB.
+    """
+    def both(item):
+        index, run = item
+        results = []
+        for side, src in (("a", src_a), ("b", src_b)):
+            cwd = work / side / str(index)
+            cwd.mkdir(parents=True)
+            results.append(execute(src, run, cwd))
+        return run.id, differences(*results)
+
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        return dict(pool.map(both, enumerate(runs)))
+
+
+def read_allow(path) -> set:
+    if path is None:
+        return set()
+    lines = (line.split("#", 1)[0].strip() for line in Path(path).read_text().splitlines())
+    return {line for line in lines if line}
+
+
+def extract(rev: str, dest: Path) -> None:
+    """Write the tree of ``rev`` into ``dest`` with ``git archive``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--allow", default=None, help="file naming the runs that may differ")
+    args = parser.parse_args(argv)
+    allow = read_allow(args.allow)
+    runs = fixed_runs()
+    unknown = allow - {run.id for run in runs}
+    if unknown:
+        parser.error(f"--allow names runs not in the list: {', '.join(sorted(unknown))}")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="output-identity-") as tmp:
+        tree = Path(tmp) / "tree"
+        extract(args.against, tree)
+        found = compare(tree / "src", ROOT / "src", runs, Path(tmp) / "runs")
+    differ = {run_id: what for run_id, what in found.items() if what}
+    for run_id, what in differ.items():
+        tag = "allowed" if run_id in allow else "DIFFERS"
+        print(f"{tag} {run_id}: {'; '.join(what)}")
+    refused = sorted(differ.keys() - allow)
+    print(
+        f"{len(runs)} runs against {args.against} in {time.perf_counter() - start:.0f} s: "
+        f"{len(runs) - len(differ)} identical, {len(differ) - len(refused)} differ as "
+        f"allowed, {len(refused)} differ and are not allowed"
+    )
+    return 1 if refused else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,11 @@ integrand is evaluated in closed form: the Gaussian factors fold into
 one exponential and u^dagger(q) Q u(s) reduces, through the Pauli
 algebra, to a few real products of E(q) + m, E(s) + m and the momentum
 components, so no spinor stacks are built; node doubling still
-certifies every value.  The
+certifies every value.  The spherical rule's polar axis is the
+envelope centre c = n k, or p when c = 0 (``_rn_rule_axis``): where p is
+zero or parallel to it the integrand is axially symmetric up to terms
+linear in s, first harmonics in the azimuth, and 2 azimuth nodes
+integrate it exactly.  The
 mean velocity can be formed two ways, as the spinor bilinear of alpha
 or via the scalar weight p/E(p); the two coincide identically on
 positive-energy states and both are provided so the identity can be
@@ -359,19 +363,21 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
         raise ValueError(f"Q must be one of {sorted(Q_MATRICES)}, got {q_operator!r}")
     sign = spinor_layout(spin).sign
     p = np.asarray(p, dtype=float)
-    centre = n * np.asarray(profile.center, dtype=float)
-    width2 = 2.0 * (n * profile.sigma_p) ** 2
-    scale = abs(profile.amplitude) ** 2 / n**3
+    # |q - c|^2 + |s - c|^2 = 2 |s - mid|^2 + |p|^2 / 2 with mid = c + p/2 and
+    # c = n k: one squared distance per point, the constant folded into scale
+    mid = n * np.asarray(profile.center, dtype=float) + 0.5 * p
+    width2 = (n * profile.sigma_p) ** 2
+    scale = abs(profile.amplitude) ** 2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
 
     def evaluate(rule: SphericalRule) -> complex:
         real_sum = imag_sum = 0.0
         for block in rule.blocks():
             s = (block.x, block.y, block.z)
             q = tuple(s[k] - p[k] for k in range(3))
-            exponent = sum((q[k] - centre[k]) ** 2 + (s[k] - centre[k]) ** 2 for k in range(3))
+            dist2 = (s[0] - mid[0]) ** 2 + (s[1] - mid[1]) ** 2 + (s[2] - mid[2]) ** 2
             eq, es = energy_xyz(*q), energy_xyz(*s)
             eq_m, es_m = eq + MASS, es + MASS
-            weight = block.weights * np.exp(-exponent / width2)
+            weight = block.weights * np.exp(-dist2 / width2)
             weight /= np.sqrt(4.0 * eq * eq_m * es * es_m)
             real, imag = _bilinear_numerator(q, s, eq_m, es_m, q_operator, sign)
             real_sum += float(np.sum(weight * real))
@@ -379,6 +385,27 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
         return complex(scale * real_sum, scale * imag_sum)
 
     return evaluate
+
+
+PARALLEL_SINE = 1e-15  # p and c count as parallel below this sine of their angle
+
+
+def _rn_rule_axis(p: np.ndarray, centre: np.ndarray):
+    """(axis, axial): the polar axis of R_n's rule, and whether the
+    integrand is axially symmetric about it.
+
+    The integrand depends on s through |s|, s.p (in E(|s - p|)), s.c (in
+    the Gaussian exponent, c = n k the envelope centre) and terms linear
+    in s.  With c = 0 the axis is p (z if p = 0); otherwise it is c, and
+    the integrand is axial when p = 0 or p is parallel to c.  None
+    stands for z.
+    """
+    if not centre.any():
+        return (p if p.any() else None), True
+    if not p.any():
+        return centre, True
+    sine = np.linalg.norm(np.cross(p, centre)) / (np.linalg.norm(p) * np.linalg.norm(centre))
+    return centre, bool(sine <= PARALLEL_SINE)
 
 
 def convolution_Rn(
@@ -397,8 +424,15 @@ def convolution_Rn(
     envelope is broad: a graded spherical rule handles both.  The
     integrand is the closed-form spinor bilinear (see
     ``_bilinear_numerator``), not a 4 x 4 contraction of sampled
-    spinors.  The result is certified by node doubling; disagreement
-    beyond ``tol`` raises :class:`QuadratureError`.
+    spinors.  ``resolution`` is (inner radial order, outer radial order,
+    n_theta, n_phi).  The rule's polar axis is ``_rn_rule_axis``'s.
+    Where the integrand is axial about it, its only azimuthal terms are
+    the first harmonics of the parts linear in s, which the 2-point
+    trapezoid integrates exactly, so n_phi is 2 there and ``resolution``'s
+    n_phi is used only off the axis.  The result is certified by node
+    doubling of every entry (which resolves the second harmonic that 2
+    azimuth nodes would alias); disagreement beyond ``tol`` raises
+    :class:`QuadratureError`.
     """
     evaluate = _rn_integral(profile, n, p, q_operator, spin)
     p = np.asarray(p, dtype=float)
@@ -406,9 +440,10 @@ def convolution_Rn(
     inner = 2.0 * p_norm + 4.0
     s_max = n * profile.cutoff() + p_norm
     nr1, nr2, n_theta, n_phi = resolution
+    axis, axial = _rn_rule_axis(p, n * np.asarray(profile.center, dtype=float))
     value, _ = node_doubling(
         evaluate,
-        ((0.0, inner, s_max), (nr1, nr2), n_theta, n_phi),
+        ((0.0, inner, s_max), (nr1, nr2), n_theta, 2 if axial else n_phi, axis),
         tol=tol,
         label=f"R_n(p={tuple(float(c) for c in p)}, Q={q_operator}, n={n})",
     )

@@ -13,7 +13,10 @@ Two workhorses:
 * a spherical product rule (radial panels x Gauss-Legendre in cos(theta)
   x uniform phi) for 3-D integrands that combine a broad Gaussian
   envelope with O(1)-scale structure near the origin.  Graded radial
-  panels keep the rule spectrally accurate on both scales.
+  panels keep the rule spectrally accurate on both scales.  The polar
+  axis is z unless the caller turns it onto another direction: about an
+  axis of symmetry of the integrand the azimuth carries only low
+  harmonics, which a few trapezoid nodes integrate exactly.
 
 Convergence of any rule can be certified by doubling every node count
 and comparing (``node_doubling``); callers that promise a tolerance
@@ -22,6 +25,7 @@ raise :class:`QuadratureError` when the doubled rule disagrees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -119,7 +123,10 @@ class SphericalRule:
     Holds the 1-D factor rules; the flattened points (radial node
     slowest, azimuth fastest) are built on demand, all at once by ``x``,
     ``y``, ``z`` and ``weights`` or ``BLOCK_POINTS`` at a time by
-    ``blocks``, with the same arithmetic per point either way.
+    ``blocks``, with the same arithmetic per point either way.  With a
+    ``frame`` (rows e1, e2, e3, e3 the polar axis) each point of the
+    z-axis rule is carried to x_i = e1_i x + e2_i y + e3_i z; the
+    weights are unchanged.
     """
 
     r: np.ndarray
@@ -130,6 +137,7 @@ class SphericalRule:
     cos_phi: np.ndarray
     sin_phi: np.ndarray
     phi_weight: float
+    frame: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -138,13 +146,18 @@ class SphericalRule:
     def _rows(self, lo: int, hi: int) -> RuleBlock:
         """The points of radial nodes lo..hi-1, flattened."""
         r = self.r[lo:hi, None, None]
-        sth = self.sin_theta[None, :, None]
+        r_sin = r * self.sin_theta[None, :, None]
+        z = r * self.cos_theta[None, :, None]  # constant in phi: one per (r, theta)
         shape = (r.shape[0], self.cos_theta.size, self.cos_phi.size)
-        x = (r * sth * self.cos_phi[None, None, :]).ravel()
-        y = (r * sth * self.sin_phi[None, None, :]).ravel()
-        z = np.broadcast_to(r * self.cos_theta[None, :, None], shape).ravel()
+        x = r_sin * self.cos_phi[None, None, :]
+        y = r_sin * self.sin_phi[None, None, :]
+        if self.frame is None:
+            z = np.broadcast_to(z, shape)
+        else:
+            e1, e2, e3 = self.frame
+            x, y, z = (e1[i] * x + e2[i] * y + e3[i] * z for i in range(3))
         w = self.r2_weights[lo:hi, None, None] * self.theta_weights[None, :, None] * self.phi_weight
-        return RuleBlock(x, y, z, np.broadcast_to(w, shape).ravel())
+        return RuleBlock(x.ravel(), y.ravel(), z.ravel(), np.broadcast_to(w, shape).ravel())
 
     @cached_property
     def _points(self) -> RuleBlock:
@@ -180,15 +193,34 @@ def pairwise_sum(parts):
     return pairwise_sum(parts[:half]) + pairwise_sum(parts[half:])
 
 
+def _axis_frame(axis) -> np.ndarray | None:
+    """Rows (e1, e2, e3) of the rule frame with polar axis e3 along ``axis``.
+
+    None for an axis along +-z, whose rule is the z-axis rule itself.
+    Otherwise e1 = (e3_y, -e3_x, 0) / |(e3_x, e3_y)| lies in the xy
+    plane and e2 = e3 x e1.
+    """
+    e3 = np.asarray(axis, dtype=float)
+    if not e3.any():
+        raise ValueError("a rule axis must be a nonzero vector")
+    if not (e3[0] or e3[1]):
+        return None
+    e3 = e3 / np.linalg.norm(e3)
+    e1 = np.array([e3[1], -e3[0], 0.0]) / math.hypot(e3[0], e3[1])
+    return np.array([e1, np.cross(e3, e1), e3])
+
+
 def spherical_rule(
-    radial_breaks, radial_orders, n_theta: int = 48, n_phi: int = 32
+    radial_breaks, radial_orders, n_theta: int = 48, n_phi: int = 32, axis=None
 ) -> SphericalRule:
     """Product rule in spherical coordinates centred at the origin.
 
     Radial panels follow ``radial_breaks``/``radial_orders``; the polar
     angle uses Gauss-Legendre in cos(theta); the azimuth uses the
     ``n_phi``-point trapezoid rule, spectrally accurate for periodic
-    integrands.
+    integrands and exact for harmonics below ``n_phi`` (odd ones at
+    ``n_phi`` = 2 too).  The polar axis is z, or ``axis`` if given
+    (``_axis_frame``); an axis along +-z gives the z-axis rule bit for bit.
     """
     rad, wrad = panel_rule(radial_breaks, radial_orders)
     ct, wct = gauss_legendre(n_theta, -1.0, 1.0)
@@ -202,24 +234,29 @@ def spherical_rule(
         cos_phi=np.cos(phi),
         sin_phi=np.sin(phi),
         phi_weight=2.0 * np.pi / n_phi,
+        frame=None if axis is None else _axis_frame(axis),
     )
 
 
 def doubled(rule_args):
-    """Double every resolution entry of a spherical_rule argument tuple."""
-    breaks, orders, n_theta, n_phi = rule_args
-    return breaks, tuple(2 * o for o in orders), 2 * n_theta, 2 * n_phi
+    """Double every resolution entry of a spherical_rule argument tuple.
+
+    The tuple is (breaks, orders, n_theta, n_phi) with an optional fifth
+    entry, the rule axis, which is carried through unchanged.
+    """
+    breaks, orders, n_theta, n_phi, *axis = rule_args
+    return (breaks, tuple(2 * o for o in orders), 2 * n_theta, 2 * n_phi, *axis)
 
 
 def node_doubling(evaluate, rule_args, tol: float | None = None, label: str = "integral"):
     """Evaluate at base and doubled resolution; optionally enforce agreement.
 
-    ``evaluate`` maps a SphericalRule to a scalar.  Returns (value, diff)
-    where value comes from the doubled rule.
+    ``evaluate`` maps a SphericalRule to a scalar; ``rule_args`` are the
+    base rule's ``spherical_rule`` arguments (``doubled``).  Returns
+    (value, diff) where value comes from the doubled rule.
     """
-    coarse = evaluate(spherical_rule(rule_args[0], rule_args[1], rule_args[2], rule_args[3]))
-    b, o, nt, np_ = doubled(rule_args)
-    fine = evaluate(spherical_rule(b, o, nt, np_))
+    coarse = evaluate(spherical_rule(*rule_args))
+    fine = evaluate(spherical_rule(*doubled(rule_args)))
     diff = abs(fine - coarse)
     if tol is not None and diff > tol:
         raise QuadratureError(

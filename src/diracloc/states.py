@@ -121,8 +121,9 @@ def _gaussian_tail_radius(eps: float) -> float:
 
 
 def _profile_rule(profile: MomentumProfile, n_radial=256, n_theta=64, n_phi=32):
-    cut = profile.cutoff()
-    return spherical_rule((0.0, cut), (n_radial,), n_theta, n_phi)
+    """The profile's spherical rule, its polar axis on the centre (z if none)."""
+    axis = None if profile.is_symmetric else profile.center
+    return spherical_rule((0.0, profile.cutoff()), (n_radial,), n_theta, n_phi, axis)
 
 
 def check_profile_conditions(profile: MomentumProfile):
@@ -137,12 +138,6 @@ def check_profile_conditions(profile: MomentumProfile):
     """
     rule = _profile_rule(profile)
     x, y, z = rule.x, rule.y, rule.z
-    kx, ky, _ = profile.center
-    if kx or ky:
-        e3 = np.asarray(profile.center) / np.linalg.norm(profile.center)
-        e1 = np.array([e3[1], -e3[0], 0.0]) / math.hypot(e3[0], e3[1])
-        e2 = np.cross(e3, e1)
-        x, y, z = (e1[i] * rule.x + e2[i] * rule.y + e3[i] * rule.z for i in range(3))
     f2 = np.abs(profile(x, y, z)) ** 2
     norm = float(np.sum(rule.weights * f2))
     radius = np.sqrt(x**2 + y**2 + z**2)

@@ -318,11 +318,15 @@ def radial_components(
     envelope = n**-1.5 * profile(p / n, 0.0, 0.0)
     e = energy_xyz(p, 0.0, 0.0)
     cal = np.sqrt(2.0 * e * (e + MASS))
-    # sqrt(2/pi) int kernel(p) j_l(p r) p^2 dp for the two kernels
+    # sqrt(2/pi) int kernel(p) j_l(p r) p^2 dp for the two kernels, each row
+    # by numpy's pairwise sum, not BLAS: a threaded dgemv sums some rows in
+    # another order, so the bits would depend on the BLAS thread count
     j0, j1 = _spherical_j01(np.multiply.outer(np.atleast_1d(r), p))
     scale = np.sqrt(2.0 / np.pi)
-    g0 = (scale * (j0 @ (w * (envelope * (e + MASS) / cal) * p * p))).astype(complex)
-    g1 = (scale * (j1 @ (w * (envelope * p / cal) * p * p))).astype(complex)
+    j0 *= w * (envelope * (e + MASS) / cal) * p * p
+    j1 *= w * (envelope * p / cal) * p * p
+    g0 = (scale * np.sum(j0, axis=1)).astype(complex)
+    g1 = (scale * np.sum(j1, axis=1)).astype(complex)
     if np.ndim(r) == 0:
         return complex(g0[0]), complex(g1[0])
     return g0, g1

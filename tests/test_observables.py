@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracloc import observables, quadrature
 from diracloc.dynamics import probability_outside
 from diracloc.observables import (
     Q_MATRICES,
@@ -56,6 +57,7 @@ from momentum_oracles import (
     einsum_mean_velocity,
     finite_difference_position_mean,
     spinor_norm,
+    z_axis_rn,
 )
 
 
@@ -495,8 +497,20 @@ class TestConvolutionRn:
         assert errs[0] > errs[1] > errs[2]
 
     def test_doubling_detector(self, plain_profile):
+        # c = 0: the axial branch, 2 -> 4 azimuth nodes about p
         with pytest.raises(QuadratureError):
             convolution_Rn(plain_profile, 4, (1, 0, 0), tol=1e-18)
+
+    def test_doubling_detector_off_axis(self):
+        with pytest.raises(QuadratureError):
+            convolution_Rn(OFF_AXIS, 4, (0.5, 1.0, -0.3), "alpha2", tol=1e-18)
+
+    def test_doubling_catches_a_misjudged_axial_branch(self, monkeypatch):
+        # 2 azimuth nodes alias the second harmonic of a p off the axis c;
+        # the 4 of the doubled rule resolve it, so the two disagree
+        monkeypatch.setattr(observables, "PARALLEL_SINE", 1.0)
+        with pytest.raises(QuadratureError):
+            convolution_Rn(OFF_AXIS, 4, (0.5, 1.0, -0.3), "alpha2")
 
     def test_unknown_operator_rejected(self, plain_profile):
         with pytest.raises(ValueError):
@@ -511,6 +525,94 @@ class TestConvolutionRn:
         lhs = density_fourier(ps, p) * (2 * np.pi) ** 1.5  # a = 0: unit phase
         rhs = convolution_Rn(plain_profile, 3, p)
         assert abs(lhs - rhs) <= 1e-3
+
+
+OFF_AXIS = boosted_gaussian_profile((0.3, -0.2, 0.4))
+
+
+def unit_vector(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+RELATIONS = ("zero", "parallel", "antiparallel", "near", "generic")
+
+
+@st.composite
+def rn_geometry(draw, relation):
+    """(v, p): v is zero or of speed <= 0.9 along u, and p is zero, parallel,
+    antiparallel, 1e-9 rad off or in a generic direction relative to u."""
+    angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+    u = unit_vector(*draw(angles))
+    speed = draw(st.one_of(st.just(0.0), st.floats(0.1, 0.9)))
+    size = draw(st.floats(0.2, 2.0))
+    if relation == "zero":
+        p = np.zeros(3)
+    elif relation == "parallel":
+        p = size * u
+    elif relation == "antiparallel":
+        p = -size * u
+    elif relation == "near":
+        w = np.cross(u, (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0))
+        p = size * (np.cos(1e-9) * u + np.sin(1e-9) * w / np.linalg.norm(w))
+    else:
+        p = size * unit_vector(*draw(angles))
+    return tuple(speed * u), tuple(p)
+
+
+class TestAlignedRnRule:
+    """R_n on the rule about the state's own axis against the z-axis oracle."""
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data(), q_spin=st.sampled_from(ALL_Q_SPIN), n=st.integers(1, 64))
+    def test_matches_z_axis_oracle(self, relation, data, q_spin, n):
+        v, p = data.draw(rn_geometry(relation))
+        profile = boosted_gaussian_profile(v)
+        value = convolution_Rn(profile, n, p, *q_spin)
+        assert abs(value - z_axis_rn(profile, n, p, *q_spin)) <= 1e-13
+
+    def test_unit_scale_p_across_the_axis(self):
+        # n = 3, |p| = 1.63 at 91 degrees from c: E(|s - p|) carries azimuthal
+        # harmonics about c that a 16 -> 32 node rule leaves at 2.7e-12
+        profile = boosted_gaussian_profile((0.143339, -0.360207, -0.364857))
+        p = (1.486064, 0.661425, -0.015308)
+        value = convolution_Rn(profile, 3, p, "alpha1")
+        oracle = z_axis_rn(profile, 3, p, "alpha1", resolution=(128, 192, 96, 128))
+        assert abs(value - oracle) <= 1e-13
+
+    def test_fast_state_off_the_z_axis_is_certified(self):
+        # at |v| = 0.99 the envelope is about 0.14 rad wide around c: a rule
+        # about z resolves it only to 4e-4 at 32 -> 64 azimuth nodes and
+        # refuses the value, a rule about c has it axial
+        profile = boosted_gaussian_profile(0.99 * np.array([0.48, -0.6, 0.64]))
+        p = (0.5, 1.0, -0.3)
+        value = convolution_Rn(profile, 8, p, "alpha1")
+        oracle = z_axis_rn(profile, 8, p, "alpha1", resolution=(128, 192, 192, 256))
+        assert abs(value - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("v, p, axis, n_phi", [
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), "p", 2),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), None, 2),
+        ((0.3, -0.2, 0.4), (0.0, 0.0, 0.0), "c", 2),
+        ((0.3, -0.2, 0.4), (0.6, -0.4, 0.8), "c", 2),
+        ((0.3, -0.2, 0.4), (-0.3, 0.2, -0.4), "c", 2),
+        ((0.3, -0.2, 0.4), (0.5, 1.0, -0.3), "c", 32),
+    ])
+    def test_azimuth_count_and_axis(self, monkeypatch, v, p, axis, n_phi):
+        calls = []
+        original = quadrature.spherical_rule
+
+        def spy(radial_breaks, radial_orders, n_theta=48, n_phi=32, axis=None):
+            calls.append((n_phi, axis))
+            return original(radial_breaks, radial_orders, n_theta, n_phi, axis)
+
+        monkeypatch.setattr(quadrature, "spherical_rule", spy)
+        profile = boosted_gaussian_profile(v)
+        convolution_Rn(profile, 4, p)
+        assert [count for count, _ in calls] == [n_phi, 2 * n_phi]
+        expected = {"p": p, "c": 4 * np.asarray(profile.center), None: None}[axis]
+        for _, used in calls:
+            assert used is None if expected is None else np.array_equal(used, expected)
 
 
 class TestAnLimit:

@@ -50,6 +50,12 @@ def test_comparator_catches_each_change(tmp_path, changed, expected):
 def test_run_list_names_each_run_once():
     runs = output_identity.fixed_runs()
     ids = [run.id for run in runs]
-    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5)
+    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5) + 6 + 4 + 1
     allow = output_identity.read_allow(output_identity.ROOT / "tools" / "output_identity_allow.txt")
     assert allow <= set(ids)
+
+
+def test_readme_block_sets_every_section():
+    config = output_identity.readme_config()
+    for section in ("profile", "label", "grid", "evolve", "rn", "overlap", "output"):
+        assert f"[{section}]" in config

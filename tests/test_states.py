@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import chdtri, erfc
 
-from diracloc.quadrature import BLOCK_POINTS, spherical_rule
+from diracloc.quadrature import BLOCK_POINTS, doubled, spherical_rule
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
     LocalizationLabel,
@@ -134,6 +134,23 @@ class TestBoostedProfile:
         _, mean = check_profile_conditions(boosted_gaussian_profile((0.0, 0.0, speed), sigma_p))
         assert np.abs(mean - [0.0, 0.0, speed]).max() <= 1e-12
 
+    @pytest.mark.parametrize("v", [(0.3, -0.2, 0.4), (0.0, 0.7, 0.1), (-0.5, 0.0, 0.0)])
+    def test_quadrature_is_the_hand_rotated_rule(self, v):
+        # the rule frame: e3 the centre's direction, e1 = (e3_y, -e3_x, 0)
+        # normalized and e2 = e3 x e1, applied per coordinate to the z-axis rule
+        prof = boosted_gaussian_profile(v)
+        rule = spherical_rule((0.0, prof.cutoff()), (256,), 64, 32)
+        e3 = np.asarray(prof.center) / np.linalg.norm(prof.center)
+        e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
+        e2 = np.cross(e3, e1)
+        x, y, z = (e1[i] * rule.x + e2[i] * rule.y + e3[i] * rule.z for i in range(3))
+        f2 = np.abs(prof(x, y, z)) ** 2
+        radius = np.sqrt(x**2 + y**2 + z**2)
+        mean = [np.sum(rule.weights * f2 * c / radius) for c in (x, y, z)]
+        norm, got = check_profile_conditions(prof)
+        assert norm == float(np.sum(rule.weights * f2))
+        assert got.tolist() == [float(m) for m in mean]
+
     def test_off_axis_near_lightspeed(self):
         # the shift depends on |v| only; an origin-centred quadrature root
         # could not even bracket this one
@@ -237,6 +254,46 @@ class TestMomentumState:
         for name in ("x", "y", "z", "weights"):
             joined = np.concatenate([getattr(b, name) for b in blocks])
             assert np.array_equal(joined, getattr(rule, name))
+
+
+class TestRuleAxis:
+    BREAKS, ORDERS = (0.0, 4.0, 30.0), (24, 40)
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 2.5), (0.0, 0.0, -1.0)])
+    def test_z_axis_is_the_plain_rule(self, axis):
+        plain = spherical_rule(self.BREAKS, self.ORDERS, 12, 8)
+        turned = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
+        for name in ("x", "y", "z", "weights"):
+            assert np.array_equal(getattr(turned, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.2, 0.4), (-1e-9, 0.0, -1.0)])
+    def test_turned_rule_is_the_plain_rule_about_the_axis(self, axis):
+        plain = spherical_rule(self.BREAKS, self.ORDERS, 12, 8)
+        turned = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
+        e3 = np.asarray(axis) / np.linalg.norm(axis)
+        points = np.stack([turned.x, turned.y, turned.z])
+        radius = np.sqrt(plain.x**2 + plain.y**2 + plain.z**2)
+        assert np.array_equal(turned.weights, plain.weights)
+        assert np.abs(e3 @ points - plain.z).max() <= 1e-14 * radius.max()
+        assert np.abs(np.linalg.norm(points, axis=0) - radius).max() <= 1e-14 * radius.max()
+
+    def test_turned_rule_blocks_are_the_whole_rule_in_pieces(self):
+        rule = spherical_rule((0.0, 4.0, 30.0), (96, 256), 48, 32, (0.3, -0.2, 0.4))
+        blocks = list(rule.blocks())
+        for name in ("x", "y", "z", "weights"):
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert np.array_equal(joined, getattr(rule, name))
+
+    def test_zero_axis_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            spherical_rule(self.BREAKS, self.ORDERS, 12, 8, (0.0, 0.0, 0.0))
+
+    def test_doubling_keeps_the_axis(self):
+        axis = (0.3, -0.2, 0.4)
+        assert doubled((self.BREAKS, self.ORDERS, 12, 2, axis)) == (
+            self.BREAKS, (48, 80), 24, 4, axis
+        )
+        assert doubled((self.BREAKS, self.ORDERS, 12, 2)) == (self.BREAKS, (48, 80), 24, 4)
 
 
 class TestStatePointwiseStructure:

@@ -8,7 +8,13 @@ One fixed list of runs is made on both trees, each run a fresh
 
 * the six commands at their defaults, with spin up and with spin down;
 * every ``cli-radial`` and ``cli-grid`` job of perfbench seeds 1-3, from
-  ``perfbench/jobs.py``'s ``make_jobs``.
+  ``perfbench/jobs.py``'s ``make_jobs``;
+* the six commands on the README's ``ini`` block;
+* the boosted (``v_target = 0 0 0.5``) runs of CI: ``rn``, ``overlap``,
+  ``evolve`` and ``moments --grid 128,12``;
+* an ``rn`` run on a boosted state off every axis (v = 0.3 -0.2 0.4,
+  p = 0.5 1 -0.3, Q = alpha2, spin down), whose p is not parallel to
+  the envelope centre.
 
 A run passes its config as ``config.ini`` and its output directory as
 ``out``, both relative to its own working directory, so the two trees'
@@ -38,6 +44,11 @@ COMMANDS = ("figure1", "verify", "evolve", "rn", "moments", "overlap")
 SEEDS = (1, 2, 3)
 WORKLOADS = ("cli-radial", "cli-grid")
 LAUNCH = "import sys\nfrom diracloc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+BOOSTED = "[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n"
+OFF_AXIS_RN = (
+    "[profile]\nkind = boosted_gaussian\nv_target = 0.3 -0.2 0.4\n"
+    "[label]\nspin = down\n[rn]\np = 0.5 1 -0.3\nq = alpha2\n"
+)
 
 
 @dataclass(frozen=True)
@@ -58,8 +69,16 @@ class Result:
     files: dict  # path under out -> bytes; empty when no out directory was left
 
 
+def readme_config() -> str:
+    """The README's ``ini`` block."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```ini\n") + len("```ini\n")
+    return text[start:text.index("```", start)]
+
+
 def fixed_runs() -> list:
-    """The run list: defaults with either spin, then the perfbench jobs."""
+    """The run list: defaults with either spin, the perfbench jobs, the
+    README block, CI's boosted runs and the off-axis ``rn``."""
     runs = []
     for spin, config in (("up", ""), ("down", "[label]\nspin = down\n")):
         runs += [Run(f"default-{spin}/{cmd}", cmd, config) for cmd in COMMANDS]
@@ -72,6 +91,10 @@ def fixed_runs() -> list:
                 Run(f"{workload}-{seed}/{job.id}", job.cmd, job.config_text(), tuple(job.flags))
                 for job in make_jobs(workload, seed)
             ]
+    runs += [Run(f"readme/{cmd}", cmd, readme_config()) for cmd in COMMANDS]
+    runs += [Run(f"boosted/{cmd}", cmd, BOOSTED) for cmd in ("rn", "overlap", "evolve")]
+    runs.append(Run("boosted/moments-grid-128-12", "moments", BOOSTED, ("--grid", "128,12")))
+    runs.append(Run("off-axis/rn", "rn", OFF_AXIS_RN))
     return runs
 
 

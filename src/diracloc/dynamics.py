@@ -62,7 +62,7 @@ def probability_outside(rho: np.ndarray, grid: CartesianGrid, radius: float) -> 
     Each cell counts with its ``CartesianGrid.outside_share``.
     """
     share = grid.outside_share(grid.radius(), radius)
-    return float(np.vdot(share, rho) * grid.cell_volume)
+    return float(np.sum(share * rho) * grid.cell_volume)
 
 
 @dataclass

@@ -21,9 +21,11 @@ zero or parallel to it the integrand is axially symmetric up to terms
 linear in s, first harmonics in the azimuth, and 2 azimuth nodes
 integrate it exactly.  The
 mean velocity can be formed two ways, as the spinor bilinear of alpha
-or via the scalar weight p/E(p); the two coincide identically on
-positive-energy states and both are provided so the identity can be
-checked under a shared quadrature.
+(``packed_current`` of the sampled spinor) or via the scalar weight
+p/E(p); the two coincide identically on positive-energy states and both
+are provided so the identity can be checked under a shared quadrature.
+Every momentum-space rule is walked one ``SphericalRule.blocks`` block
+at a time, the block sums added with ``pairwise_sum``.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
 gives u_s^dagger u_s = 1, u_up^dagger u_down = 0 and
@@ -41,11 +43,8 @@ over a grid snapshot (``snapshot_pass``): psi is read one slab of the
 first, contiguous grid axis at a time (``PositionState.slabs``,
 ``BLOCK_POINTS`` cells each).  psi holds the three nonzero slots of the
 eigenspinor layout, and the slab's (rho, j) comes from the closed forms
-``spinor.bilinear_density`` (the slots' |.|^2 in slot order) and
-``packed_current`` (with m, l and t the mass, longitudinal and
-transverse slots and s = +-1 by spin, j = (2 Re(m* t), 2s Im(m* t),
-2s Re(m* l)): two pointwise products).  The slab leaves behind its
-partial sums for ``moments`` and for the boost check
+``spinor.bilinear_density`` and ``packed_current``.  The slab leaves
+behind its partial sums for ``moments`` and for the boost check
 (``symmetry.verify_boost_against_field`` needs sum x_k j3 besides the
 density moments), its largest |j| - rho, its share of the probability
 outside a sphere and its rows of the x1-axis slice.  Temporaries are
@@ -72,7 +71,6 @@ from .quadrature import (
 from .spinor import (
     ALPHA,
     I4,
-    bilinear_current,
     bilinear_density,
     energy_xyz,
     packed_current,
@@ -171,9 +169,9 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
     ``moments`` sums and the x_k j3 sums of the boost check), its share
     of the probability outside ``radius`` (if given), its largest |j| - rho
     and its rows of the x1-axis slice are taken.  Temporaries are one
-    slab in size.  The slab partials are added pairwise, so the sums
-    match whole-field ``np.sum`` to the last bit; the leakage dot product
-    does not (BLAS orders it its own way).
+    slab in size.  The slab partials are added pairwise, so the sums,
+    the leakage among them, match whole-field ``np.sum`` to the last bit
+    and do not depend on the BLAS thread count.
     """
     grid = ps.grid
     x = grid.axis()
@@ -191,7 +189,7 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
             np.sum(x[None, None, :] * rho),
             np.sum(r**2 * rho),
             *np.sum(j, axis=(1, 2, 3)),
-            0.0 if radius is None else np.vdot(grid.outside_share(r, radius), rho),
+            0.0 if radius is None else np.sum(grid.outside_share(r, radius) * rho),
             np.sum(x[rows, None, None] * j[2]),
             np.sum(x[None, :, None] * j[2]),
             np.sum(x[None, None, :] * j[2]),
@@ -212,36 +210,35 @@ def moments(ps: PositionState) -> MomentSet:
     return snapshot_pass(ps).moments()
 
 
-def _state_rule(
-    state: MomentumState, n_radial=(96, 256), n_theta: int = 48, n_phi: int = 32
-) -> SphericalRule:
+def _state_rule(state: MomentumState) -> SphericalRule:
     """Momentum-space rule resolving both the O(1) spinor scale and the envelope."""
     p_max = state.momentum_cutoff()
     inner = min(4.0, 0.5 * p_max)
-    return spherical_rule((0.0, inner, p_max), n_radial, n_theta, n_phi)
+    return spherical_rule((0.0, inner, p_max), (96, 256), 48, 32)
 
 
-def mean_velocity_two_ways(state: MomentumState, rule: SphericalRule | None = None):
+def mean_velocity_two_ways(state: MomentumState):
     """(spinor form, scalar form) of <xdot> under one shared quadrature.
 
     spinor form: int phi^dagger alpha phi d^3p, the closed-form current
-                 ``spinor.bilinear_current`` of the sampled spinor
+                 ``spinor.packed_current`` of the sampled spinor
     scalar form: int (p/E(p)) phi^dagger phi d^3p
+
+    Both are summed one ``SphericalRule.blocks`` block at a time, the
+    block sums added pairwise.
     """
-    if rule is None:
-        rule = _state_rule(state)
-    phi = state.spinor(rule.x, rule.y, rule.z)
-    spinor_form = bilinear_current(phi) @ rule.weights
-    dens = bilinear_density(phi)
-    e = energy_xyz(rule.x, rule.y, rule.z)
-    scalar_form = np.array(
-        [
-            np.sum(rule.weights * rule.x / e * dens),
-            np.sum(rule.weights * rule.y / e * dens),
-            np.sum(rule.weights * rule.z / e * dens),
-        ]
-    )
-    return spinor_form, scalar_form
+    layout = spinor_layout(state.label.spin)
+    partials = []
+    for block in _state_rule(state).blocks():
+        p = np.stack(block[:3])
+        phi = state.spinor(*p)
+        flow = block.weights * bilinear_density(phi) / energy_xyz(*p)
+        partials.append(np.concatenate([
+            np.sum(block.weights * packed_current(phi, layout), axis=1),
+            np.sum(flow * p, axis=1),
+        ]))
+    sums = pairwise_sum(partials)
+    return sums[:3], sums[3:]
 
 
 def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> complex:
@@ -460,16 +457,24 @@ def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
 
     s = +1 or -1 by spin: i u_s^dagger grad u_s = s (p x z)/(2E(E + m)) is
     the spin term separating Dirac's position from Newton-Wigner's.  Both
-    integrals are scalar sums on the state's spherical rule; used to
-    cross-check the position-grid moments.
+    integrals are scalar sums on the state's spherical rule, taken one
+    block at a time and added pairwise; used to cross-check the
+    position-grid moments.
     """
-    rule = _state_rule(state)
-    density = rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2
-    e = energy_xyz(rule.x, rule.y, rule.z)
-    flow = density * (state.time / e)
+    sign = spinor_layout(state.label.spin).sign
+    partials = []
+    for block in _state_rule(state).blocks():
+        p = np.stack(block[:3])
+        density = block.weights * np.abs(state.envelope(*p)) ** 2
+        e = energy_xyz(*p)
+        flow = density * (state.time / e)
+        spin = density * (sign / (2.0 * e * (e + MASS)))
+        partials.append(np.array([
+            *np.sum(flow * p, axis=1), np.sum(spin * p[1]), np.sum(spin * p[0])
+        ]))
+    sums = pairwise_sum(partials)
     mean = np.array(state.label.a, dtype=float)
-    mean += [np.sum(flow * rule.x), np.sum(flow * rule.y), np.sum(flow * rule.z)]
-    spin = density * (spinor_layout(state.label.spin).sign / (2.0 * e * (e + MASS)))
-    mean[0] += np.sum(spin * rule.y)
-    mean[1] -= np.sum(spin * rule.x)
+    mean += sums[:3]
+    mean[0] += sums[3]
+    mean[1] -= sums[4]
     return mean

@@ -16,7 +16,10 @@ Two workhorses:
   panels keep the rule spectrally accurate on both scales.  The polar
   axis is z unless the caller turns it onto another direction: about an
   axis of symmetry of the integrand the azimuth carries only low
-  harmonics, which a few trapezoid nodes integrate exactly.
+  harmonics, which a few trapezoid nodes integrate exactly.  Every
+  caller walks the rule in blocks of whole radial nodes
+  (``SphericalRule.blocks``) and adds the block sums with
+  ``pairwise_sum``; the whole rule is never built.
 
 Convergence of any rule can be certified by doubling every node count
 and comparing (``node_doubling``); callers that promise a tolerance
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -121,12 +124,10 @@ class SphericalRule:
     """3-D product rule: sum(weights * f(x, y, z)) ~ integral.
 
     Holds the 1-D factor rules; the flattened points (radial node
-    slowest, azimuth fastest) are built on demand, all at once by ``x``,
-    ``y``, ``z`` and ``weights`` or ``BLOCK_POINTS`` at a time by
-    ``blocks``, with the same arithmetic per point either way.  With a
-    ``frame`` (rows e1, e2, e3, e3 the polar axis) each point of the
-    z-axis rule is carried to x_i = e1_i x + e2_i y + e3_i z; the
-    weights are unchanged.
+    slowest, azimuth fastest) are built only by ``blocks``, a run of
+    whole radial nodes at a time.  With a ``frame`` (rows e1, e2, e3, e3
+    the polar axis) each point of the z-axis rule is carried to
+    x_i = e1_i x + e2_i y + e3_i z; the weights are unchanged.
     """
 
     r: np.ndarray
@@ -138,10 +139,6 @@ class SphericalRule:
     sin_phi: np.ndarray
     phi_weight: float
     frame: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.r.size * self.cos_theta.size * self.cos_phi.size
 
     def _rows(self, lo: int, hi: int) -> RuleBlock:
         """The points of radial nodes lo..hi-1, flattened."""
@@ -159,29 +156,19 @@ class SphericalRule:
         w = self.r2_weights[lo:hi, None, None] * self.theta_weights[None, :, None] * self.phi_weight
         return RuleBlock(x.ravel(), y.ravel(), z.ravel(), np.broadcast_to(w, shape).ravel())
 
-    @cached_property
-    def _points(self) -> RuleBlock:
-        return self._rows(0, self.r.size)
-
-    x = property(lambda self: self._points.x)
-    y = property(lambda self: self._points.y)
-    z = property(lambda self: self._points.z)
-    weights = property(lambda self: self._points.weights)
-
     def blocks(self):
-        """Consecutive sub-rules of at most ``BLOCK_POINTS`` points, in order.
+        """Consecutive sub-rules of whole radial nodes, in order.
 
-        Each is cut from the few radial nodes it spans, so the whole rule
-        is never built.  An integrand built from many elementwise
-        temporaries runs about twice as fast block by block, with every
-        temporary cache-sized, as over a multi-million-point rule at once.
+        Each holds as many nodes as fit in ``BLOCK_POINTS`` points, or one
+        node if a node alone has more, so the whole rule is never built.
+        An integrand built from many elementwise temporaries runs about
+        twice as fast block by block, with every temporary cache-sized,
+        as over a multi-million-point rule at once.  Callers add the
+        block partials with ``pairwise_sum``.
         """
-        per_node = self.cos_theta.size * self.cos_phi.size
-        for lo in range(0, self.size, BLOCK_POINTS):
-            hi = min(lo + BLOCK_POINTS, self.size)
-            first = lo // per_node
-            part = slice(lo - first * per_node, hi - first * per_node)
-            yield RuleBlock(*(a[part] for a in self._rows(first, -(-hi // per_node))))
+        step = max(1, BLOCK_POINTS // (self.cos_theta.size * self.cos_phi.size))
+        for lo in range(0, self.r.size, step):
+            yield self._rows(lo, lo + step)
 
 
 def pairwise_sum(parts):

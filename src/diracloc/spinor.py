@@ -22,10 +22,10 @@ closed-form normalized eigenspinors carrying spin labels +1/2 and -1/2.
 ``spinor_layout`` is the one record of which slot of such a spinor
 holds which entry; ``fill_eigenspinor`` writes it, whole or as its three
 nonzero slots, into a caller's array.  ``bilinear_density`` and
-``packed_current`` are the one closed form of the pointwise pair
-(psi^dagger psi, psi^dagger alpha psi) that every grid field and every
-slab pass over a position-space spinor uses; ``bilinear_current`` is
-the four-slot form the momentum-space spinor's current takes.
+``packed_current`` read such a spinor the same two ways and are the one
+closed form of the pointwise pair (psi^dagger psi, psi^dagger alpha psi):
+every grid field, every slab pass over a position-space spinor and the
+momentum-space mean velocity use them.
 
 All other functions are pure and broadcast over trailing momentum axes,
 so they are safe to call concurrently.
@@ -135,10 +135,11 @@ class SpinorLayout(NamedTuple):
     transverse: int
     sign: float
 
-    def packed(self) -> tuple[int, int, int]:
-        """(mass, longitudinal, transverse) indices into the three nonzero
-        slots stacked in slot order."""
-        return tuple(k - (k > self.zero) for k in (self.mass, self.longitudinal, self.transverse))
+    def indices(self, count: int) -> tuple[int, int, int]:
+        """(mass, longitudinal, transverse) indices into a stack of ``count``
+        slots: the whole spinor (4) or its three nonzero slots in slot order (3)."""
+        whole = (self.mass, self.longitudinal, self.transverse)
+        return whole if count == 4 else tuple(k - (k > self.zero) for k in whole)
 
 
 # spin=+1/2: ((E+1), 0, p3, p1+i p2)/calE, column one of U;
@@ -161,7 +162,7 @@ def fill_eigenspinor(out, weight, e_plus_m, px, py, pz, spin):
     """Write weight * calE u_spin(p) into ``out``, a complex array.
 
     ``out`` is either the whole (4, ...) spinor or a (3, ...) stack of its
-    nonzero slots in slot order (``SpinorLayout.packed``).  ``weight`` is
+    nonzero slots in slot order (``SpinorLayout.indices``).  ``weight`` is
     the scalar factor already divided by calE; it may be the view
     ``out[spinor_layout(spin).zero, ...]`` of a whole spinor, which is
     zeroed last, or the transverse slot of a packed one, which is
@@ -169,14 +170,11 @@ def fill_eigenspinor(out, weight, e_plus_m, px, py, pz, spin):
     ``out[0]``.
     """
     layout = spinor_layout(spin)
-    whole = len(out) == 4
-    mass, longitudinal, transverse = (
-        (layout.mass, layout.longitudinal, layout.transverse) if whole else layout.packed()
-    )
+    mass, longitudinal, transverse = layout.indices(len(out))
     np.multiply(weight, e_plus_m, out=out[mass, ...])
     np.multiply(weight, layout.sign * pz, out=out[longitudinal, ...])
     np.multiply(weight, px + (layout.sign * 1j) * py, out=out[transverse, ...])
-    if whole:
+    if len(out) == 4:
         out[layout.zero, ...] = 0.0
     return out
 
@@ -197,42 +195,19 @@ def bilinear_density(psi, out=None):
     return rho
 
 
-def bilinear_current(psi, out=None):
-    """j = psi^dagger alpha psi (units of c) of a (4, ...) spinor array.
-
-    Writing psi as upper and lower two-spinors, alpha_i = [[0, sigma_i],
-    [sigma_i, 0]] gives j = 2 Re(upper^dagger sigma lower); with a = u0* l1,
-    b = u1* l0, c = u0* l0, d = u1* l1,
-
-        j1 = 2 Re(a + b),   j2 = 2 Im(a - b),   j3 = 2 Re(c - d).
-    """
-    u0, u1, l0, l1 = psi
-    j = np.empty((3,) + u0.shape) if out is None else out
-    a = np.conj(u0)
-    a *= l1
-    b = np.conj(u1)
-    b *= l0
-    np.add(a.real, b.real, out=j[0])
-    np.subtract(a.imag, b.imag, out=j[1])
-    np.conj(u0, out=a)
-    a *= l0
-    np.conj(u1, out=b)
-    b *= l1
-    np.subtract(a.real, b.real, out=j[2])
-    j *= 2.0
-    return j
-
-
 def packed_current(slots, layout: SpinorLayout, out=None):
-    """j = psi^dagger alpha psi of the three nonzero slots of ``layout``.
+    """j = psi^dagger alpha psi (units of c) of an eigenspinor of ``layout``.
 
-    One upper slot of an eigenspinor is 0, so of the four products in
-    ``bilinear_current`` only those of the mass slot m survive: with l
-    and t the longitudinal and transverse slots and s the layout's sign,
+    ``slots`` is the whole (4, ...) spinor or a (3, ...) stack of its
+    nonzero slots, read through ``SpinorLayout.indices``.  Writing psi
+    as upper and lower two-spinors, j = 2 Re(upper^dagger sigma lower);
+    one upper slot is 0, so only the products of the mass slot m
+    survive: with l and t the longitudinal and transverse slots and s
+    the layout's sign,
 
         j1 = 2 Re(m* t),   j2 = 2 s Im(m* t),   j3 = 2 s Re(m* l).
     """
-    mass, longitudinal, transverse = layout.packed()
+    mass, longitudinal, transverse = layout.indices(len(slots))
     m = slots[mass]
     j = np.empty((3,) + m.shape) if out is None else out
     a = np.conj(m)

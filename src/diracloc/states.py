@@ -120,36 +120,31 @@ def _gaussian_tail_radius(eps: float) -> float:
             hi = mid
 
 
-def _profile_rule(profile: MomentumProfile, n_radial=256, n_theta=64, n_phi=32):
+def _profile_rule(profile: MomentumProfile):
     """The profile's spherical rule, its polar axis on the centre (z if none)."""
     axis = None if profile.is_symmetric else profile.center
-    return spherical_rule((0.0, profile.cutoff()), (n_radial,), n_theta, n_phi, axis)
+    return spherical_rule((0.0, profile.cutoff()), (256,), 64, 32, axis)
 
 
 def check_profile_conditions(profile: MomentumProfile):
     """Return (norm, mean_direction): the two defining profile integrals.
 
     norm = integral |f|^2 d^3p and mean_direction =
-    integral |f|^2 p/|p| d^3p, evaluated by the module quadrature.
-    Callers assert norm ~ 1 and mean_direction ~ v.  The rule's polar
-    axis is turned onto the profile centre, about which both integrands
-    are axially symmetric; off that axis a shift of several widths is
-    resolved only to ~1e-4.
+    integral |f|^2 p/|p| d^3p, evaluated by the module quadrature one
+    ``SphericalRule.blocks`` block at a time, the block sums added
+    pairwise.  Callers assert norm ~ 1 and mean_direction ~ v.  The
+    rule's polar axis is turned onto the profile centre, about which
+    both integrands are axially symmetric; off that axis a shift of
+    several widths is resolved only to ~1e-4.
     """
-    rule = _profile_rule(profile)
-    x, y, z = rule.x, rule.y, rule.z
-    f2 = np.abs(profile(x, y, z)) ** 2
-    norm = float(np.sum(rule.weights * f2))
-    radius = np.sqrt(x**2 + y**2 + z**2)
-    safe = np.where(radius > 0, radius, 1.0)
-    mean = np.array(
-        [
-            np.sum(rule.weights * f2 * x / safe),
-            np.sum(rule.weights * f2 * y / safe),
-            np.sum(rule.weights * f2 * z / safe),
-        ]
-    )
-    return norm, mean
+    partials = []
+    for block in _profile_rule(profile).blocks():
+        p = np.stack(block[:3])
+        density = block.weights * np.abs(profile(*p)) ** 2
+        radius = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)  # > 0: no node at the origin
+        partials.append(np.array([np.sum(density), *np.sum(density * p / radius, axis=1)]))
+    sums = pairwise_sum(partials)
+    return float(sums[0]), sums[1:]
 
 
 def gaussian_profile(sigma_p: float = 1.0) -> MomentumProfile:
@@ -298,7 +293,7 @@ class MomentumState:
         """Radius containing all but ``mass_tol`` of the |phi|^2 mass."""
         return self.label.n * self.profile.support_radius(mass_tol)
 
-    def norm(self, n_radial: int = 512, n_theta: int = 64, n_phi: int = 32) -> float:
+    def norm(self) -> float:
         """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
 
         The envelope is evaluated one ``SphericalRule.blocks`` block at a
@@ -306,7 +301,7 @@ class MomentumState:
         pairwise sum of the block sums is bit-identical to one sum over the
         whole rule.
         """
-        rule = spherical_rule((0.0, self.momentum_cutoff()), (n_radial,), n_theta, n_phi)
+        rule = spherical_rule((0.0, self.momentum_cutoff()), (512,), 64, 32)
         sums = [
             np.sum(block.weights * np.abs(self.envelope(block.x, block.y, block.z)) ** 2)
             for block in rule.blocks()

@@ -142,7 +142,7 @@ class PositionState:
 
     A positive-energy eigenspinor has one slot that is exactly 0
     (``layout.zero``); ``psi`` holds the other three in slot order, and
-    ``layout.packed()`` says which of them is which.
+    ``layout.indices(3)`` says which of them is which.
     """
 
     grid: CartesianGrid
@@ -245,7 +245,7 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
         slab = np.empty((3, n, step, n), dtype=complex)
         # the transverse slot holds the scalar weight until fill_eigenspinor
         # writes it, last
-        weight = slab[layout.packed()[2]]
+        weight = slab[layout.indices(3)[2]]
         np.multiply(fxy[:, cols], fz, out=weight)
         e = energy_xyz(px, py, pz)
         weight /= np.sqrt(2.0 * e * (e + MASS))

@@ -1,9 +1,11 @@
 """Spinor-stack references for the momentum-space reductions.
 
-Each routine samples the full (4, M) spinor phi = state.spinor and
-contracts it; the library forms use the eigenspinor identities
-u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)), or the
-closed-form bilinear j = 2 Re(upper^dagger sigma lower), instead.
+Each routine samples the full (4, M) spinor phi = state.spinor on a
+whole rule (``whole``: its blocks concatenated) and contracts it; the
+library forms walk the rule block by block and use the eigenspinor
+identities u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)),
+or the eigenspinor's closed-form current, instead.  ``bilinear_current``
+is the general four-slot current j = 2 Re(upper^dagger sigma lower).
 ``a_n_limit`` is a second quadrature of R_n(0) for Q = alpha_k, and
 ``z_axis_rn`` is R_n on a fine spherical rule about the z axis, whatever
 the direction of p and of the envelope centre.
@@ -12,14 +14,45 @@ the direction of p and of the envelope centre.
 import numpy as np
 
 from diracloc.observables import _rn_integral, _state_rule
-from diracloc.quadrature import spherical_rule
+from diracloc.quadrature import RuleBlock, spherical_rule
 from diracloc.spinor import ALPHA
 from diracloc.units import MASS
 
 
-def spinor_norm(state, n_radial=512, n_theta=64, n_phi=32):
+def whole(rule):
+    """All points and weights of ``rule`` at once: its blocks concatenated."""
+    return RuleBlock(*(np.concatenate(parts) for parts in zip(*rule.blocks())))
+
+
+def bilinear_current(psi):
+    """j = psi^dagger alpha psi (units of c) of any (4, ...) spinor array.
+
+    Writing psi as upper and lower two-spinors, alpha_i = [[0, sigma_i],
+    [sigma_i, 0]] gives j = 2 Re(upper^dagger sigma lower); with a = u0* l1,
+    b = u1* l0, c = u0* l0, d = u1* l1,
+
+        j1 = 2 Re(a + b),   j2 = 2 Im(a - b),   j3 = 2 Re(c - d).
+    """
+    u0, u1, l0, l1 = psi
+    j = np.empty((3,) + u0.shape)
+    a = np.conj(u0)
+    a *= l1
+    b = np.conj(u1)
+    b *= l0
+    np.add(a.real, b.real, out=j[0])
+    np.subtract(a.imag, b.imag, out=j[1])
+    np.conj(u0, out=a)
+    a *= l0
+    np.conj(u1, out=b)
+    b *= l1
+    np.subtract(a.real, b.real, out=j[2])
+    j *= 2.0
+    return j
+
+
+def spinor_norm(state):
     """||phi|| from sum_a |phi_a|^2 on the rule of MomentumState.norm."""
-    rule = spherical_rule((0.0, state.momentum_cutoff()), (n_radial,), n_theta, n_phi)
+    rule = whole(spherical_rule((0.0, state.momentum_cutoff()), (512,), 64, 32))
     phi = state.spinor(rule.x, rule.y, rule.z)
     dens = np.sum(np.abs(phi) ** 2, axis=0)
     return float(np.sqrt(np.sum(rule.weights * dens)))
@@ -27,7 +60,7 @@ def spinor_norm(state, n_radial=512, n_theta=64, n_phi=32):
 
 def finite_difference_position_mean(state, step=1e-5):
     """<x> = int phi^dagger (i d/dp) phi d^3p with central differences of phi."""
-    rule = _state_rule(state)
+    rule = whole(_state_rule(state))
     phi = state.spinor(rule.x, rule.y, rule.z)
     out = np.empty(3)
     for axis in range(3):
@@ -40,8 +73,10 @@ def finite_difference_position_mean(state, step=1e-5):
     return out
 
 
-def einsum_mean_velocity(state, rule):
-    """<xdot> = int phi^dagger alpha phi d^3p by the full 4 x 4 ALPHA contraction."""
+def einsum_mean_velocity(state):
+    """<xdot> = int phi^dagger alpha phi d^3p by the full 4 x 4 ALPHA contraction
+    on the rule of ``mean_velocity_two_ways``."""
+    rule = whole(_state_rule(state))
     phi = state.spinor(rule.x, rule.y, rule.z)
     return np.einsum("m,am,iab,bm->i", rule.weights, phi.conj(), ALPHA, phi).real
 
@@ -67,7 +102,7 @@ def a_n_limit(profile, n, axis):
     cut = profile.cutoff()
     breaks = _graded_breaks(4.0 / n, cut)
     orders = tuple(64 for _ in breaks[:-2]) + (160,)
-    rule = spherical_rule(breaks, orders, n_theta=64, n_phi=32)
+    rule = whole(spherical_rule(breaks, orders, n_theta=64, n_phi=32))
     f2 = np.abs(profile(rule.x, rule.y, rule.z)) ** 2
     comp = (rule.x, rule.y, rule.z)[axis]
     radius2 = rule.x**2 + rule.y**2 + rule.z**2

@@ -165,20 +165,22 @@ class TestFigure1:
         ).read_bytes()
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
-        # a threaded BLAS matrix-vector product sums some rows in another
-        # order; the radial transform's sums must not depend on the split
+        # a threaded BLAS matrix-vector product or dot product sums in
+        # another order per thread count; neither figure1's radial transform
+        # nor evolve's light-cone leakage may depend on the split
         src = str(Path(cli.__file__).resolve().parents[1])
         launch = "import sys\nfrom diracloc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", launch, "figure1", "--out", str(out)],
-                                  capture_output=True, env=env)
-            assert done.returncode == 0, done.stderr
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 4
-        assert outputs[0] == outputs[1]
+        for command, files in (("figure1", 4), ("evolve", 4)):
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / command / threads
+                env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                done = subprocess.run([sys.executable, "-c", launch, command, "--out", str(out)],
+                                      capture_output=True, env=env)
+                assert done.returncode == 0, done.stderr
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert len(outputs[0]) == files
+            assert outputs[0] == outputs[1], command
 
     @pytest.mark.parametrize("n, sigma_p", [(46, 1.135), (64, 2.0), (44, 1.9772)])
     def test_norm_resolved_at_large_n_sigma(self, tmp_path, n, sigma_p):

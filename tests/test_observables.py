@@ -15,7 +15,6 @@ from diracloc.observables import (
     _bilinear_numerator,
     _margin,
     _rn_integral,
-    _state_rule,
     convolution_Rn,
     current,
     mean_velocity_two_ways,
@@ -29,7 +28,6 @@ from diracloc.spinor import (
     ALPHA,
     SPIN_DOWN,
     SPIN_UP,
-    bilinear_current,
     bilinear_density,
     eigenspinor_components,
     energy_xyz,
@@ -54,9 +52,11 @@ from diracloc.transform import (
 from grid_oracles import causality_margin, density_fourier, field_moments
 from momentum_oracles import (
     a_n_limit,
+    bilinear_current,
     einsum_mean_velocity,
     finite_difference_position_mean,
     spinor_norm,
+    whole,
     z_axis_rn,
 )
 
@@ -110,14 +110,16 @@ class TestDensityAndCurrent:
 
     @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
     def test_packed_bilinears_equal_four_slot_forms(self, spin):
-        # the zero slot adds nothing, to the bit, to either bilinear
+        # the zero slot adds nothing, to the bit, to either bilinear, and the
+        # closed-form current reads the whole spinor and its slots alike
         rng = np.random.default_rng(7)
         shape = (3, 4, 32)
         slots = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         layout = spinor_layout(spin)
-        whole = np.insert(slots, layout.zero, 0.0, axis=0)
-        assert np.array_equal(bilinear_density(slots), bilinear_density(whole))
-        assert np.array_equal(packed_current(slots, layout), bilinear_current(whole))
+        spinor = np.insert(slots, layout.zero, 0.0, axis=0)
+        assert np.array_equal(bilinear_density(slots), bilinear_density(spinor))
+        assert np.array_equal(packed_current(spinor, layout), packed_current(slots, layout))
+        assert np.array_equal(packed_current(spinor, layout), bilinear_current(spinor))
 
     def test_closed_form_current_matches_einsum_on_state(self, ps5):
         scale = density_field(ps5).max()
@@ -249,9 +251,8 @@ class TestMeanVelocity:
     @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
     def test_spinor_form_matches_alpha_contraction(self, spin):
         state = make_state(a=(0.6, -0.9, 0.4), v=(0.35, -0.3, 0.45), spin=spin, n=3)
-        rule = _state_rule(state)
-        sf, _ = mean_velocity_two_ways(state, rule)
-        assert np.abs(sf - einsum_mean_velocity(state, rule)).max() <= 1e-15
+        sf, _ = mean_velocity_two_ways(state)
+        assert np.abs(sf - einsum_mean_velocity(state)).max() <= 1e-15
 
     def test_converges_to_target(self):
         sf, cf = mean_velocity_two_ways(make_state(v=(0, 0, 0.3), n=10))
@@ -336,6 +337,27 @@ SPINS = st.sampled_from((SPIN_UP, SPIN_DOWN))
 POINTS = st.tuples(*[st.floats(-1.1, 1.1) for _ in range(3)])  # |a| <= 1.91
 
 
+BOOSTED_STATE = replace(make_state(a=(0.4, -0.7, 1.2), v=(0.2, -0.1, 0.3), n=3), time=0.5)
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda: check_profile_conditions(BOOSTED_STATE.profile),
+    lambda: mean_velocity_two_ways(BOOSTED_STATE),
+    lambda: position_mean_from_momentum(BOOSTED_STATE),
+], ids=["check_profile_conditions", "mean_velocity_two_ways", "position_mean_from_momentum"])
+def test_rule_reduction_peak_memory_is_block_sized(reduce):
+    # each walks its 0.5-0.55 M-point rule block by block: the whole rule's
+    # x, y, z and weights alone would be 16.8 MB or more
+    reduce()  # warm the node caches
+    tracemalloc.start()
+    try:
+        reduce()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * BLOCK_POINTS
+
+
 class TestScalarReductions:
     """The eigenspinor-free forms against the spinor-stack references."""
 
@@ -414,6 +436,7 @@ def einsum_rn_integral(profile, n, p, q_operator, spin):
     p = np.asarray(p, dtype=float)
 
     def evaluate(rule):
+        rule = whole(rule)
         ua = eigenspinor_components(rule.x - p[0], rule.y - p[1], rule.z - p[2], spin)
         ub = eigenspinor_components(rule.x, rule.y, rule.z, spin)
         bilinear = np.einsum("am,ab,bm->m", ua.conj(), qmat, ub)

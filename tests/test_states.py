@@ -25,6 +25,7 @@ from diracloc.states import (
     mean_flow,
     mean_flow_root,
 )
+from momentum_oracles import whole
 
 
 def quadrature_shift(speed, sigma_p, xtol=1e-13):
@@ -47,6 +48,34 @@ def root_found_tail_radius(eps):
         return erfc(q) + 2.0 * q * np.exp(-q * q) / np.sqrt(np.pi) - eps
 
     return brentq(outside, 0.0, 30.0, xtol=1e-15)
+
+
+def outer_product_points(rule):
+    """x, y, z and weights of every point of ``rule`` in its order (radial
+    node slowest, azimuth fastest), built at once from the factor rules."""
+    r = rule.r[:, None, None]
+    r_sin = r * rule.sin_theta[None, :, None]
+    x = r_sin * rule.cos_phi[None, None, :]
+    y = r_sin * rule.sin_phi[None, None, :]
+    z = np.broadcast_to(r * rule.cos_theta[None, :, None], x.shape)
+    if rule.frame is not None:
+        e1, e2, e3 = rule.frame
+        x, y, z = (e1[i] * x + e2[i] * y + e3[i] * z for i in range(3))
+    w = rule.r2_weights[:, None, None] * rule.theta_weights[None, :, None] * rule.phi_weight
+    return [a.ravel() for a in (x, y, z, np.broadcast_to(w, x.shape))]
+
+
+def assert_blocks_tile(rule):
+    """The blocks are runs of whole radial nodes, as many as fit in
+    BLOCK_POINTS (at least one), and together are the rule to the bit."""
+    per_node = rule.cos_theta.size * rule.cos_phi.size
+    step = max(1, BLOCK_POINTS // per_node)
+    blocks = list(rule.blocks())
+    sizes = [min(step, rule.r.size - lo) * per_node for lo in range(0, rule.r.size, step)]
+    assert [b.weights.size for b in blocks] == sizes
+    assert all(b.weights.size <= max(BLOCK_POINTS, per_node) for b in blocks)
+    for got, expected in zip(zip(*blocks), outer_product_points(rule)):
+        assert np.array_equal(np.concatenate(got), expected)
 
 
 class TestGaussianProfile:
@@ -139,7 +168,7 @@ class TestBoostedProfile:
         # the rule frame: e3 the centre's direction, e1 = (e3_y, -e3_x, 0)
         # normalized and e2 = e3 x e1, applied per coordinate to the z-axis rule
         prof = boosted_gaussian_profile(v)
-        rule = spherical_rule((0.0, prof.cutoff()), (256,), 64, 32)
+        rule = whole(spherical_rule((0.0, prof.cutoff()), (256,), 64, 32))
         e3 = np.asarray(prof.center) / np.linalg.norm(prof.center)
         e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
         e2 = np.cross(e3, e1)
@@ -226,9 +255,9 @@ class TestMomentumState:
     @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
     def test_norm_blocks_add_to_whole_rule_sum(self, v):
         state = make_state(v=v, n=3)
-        rule = spherical_rule((0.0, state.momentum_cutoff()), (512,), 64, 32)
-        whole = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
-        assert state.norm() == float(np.sqrt(whole))
+        rule = whole(spherical_rule((0.0, state.momentum_cutoff()), (512,), 64, 32))
+        total = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
+        assert state.norm() == float(np.sqrt(total))
 
     def test_norm_peak_memory_is_block_sized(self):
         # the 2^20-point rule (33.6 MB as x, y, z and weights) is never built
@@ -243,17 +272,14 @@ class TestMomentumState:
             tracemalloc.stop()
         assert peak <= 128 * BLOCK_POINTS
 
-    @pytest.mark.parametrize("orders, n_theta, n_phi", [((96, 256), 48, 32), ((7,), 5, 3)])
+    @pytest.mark.parametrize("orders, n_theta, n_phi", [
+        ((96, 256), 48, 32), ((7,), 5, 3), ((3,), 200, 200),
+    ])
     def test_rule_blocks_are_the_whole_rule_in_pieces(self, orders, n_theta, n_phi):
-        # 48 x 32 points per radial node do not divide BLOCK_POINTS, so blocks
-        # start and end inside a node's points
+        # 48 x 32 points per radial node do not divide BLOCK_POINTS, and
+        # 200 x 200 exceed it: one node per block
         breaks = (0.0, 4.0, 30.0)[: len(orders) + 1]
-        rule = spherical_rule(breaks, orders, n_theta, n_phi)
-        blocks = list(rule.blocks())
-        assert [b.weights.size for b in blocks[:-1]] == [BLOCK_POINTS] * (len(blocks) - 1)
-        for name in ("x", "y", "z", "weights"):
-            joined = np.concatenate([getattr(b, name) for b in blocks])
-            assert np.array_equal(joined, getattr(rule, name))
+        assert_blocks_tile(spherical_rule(breaks, orders, n_theta, n_phi))
 
 
 class TestRuleAxis:
@@ -261,15 +287,15 @@ class TestRuleAxis:
 
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 2.5), (0.0, 0.0, -1.0)])
     def test_z_axis_is_the_plain_rule(self, axis):
-        plain = spherical_rule(self.BREAKS, self.ORDERS, 12, 8)
-        turned = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
+        plain = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8))
+        turned = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis))
         for name in ("x", "y", "z", "weights"):
             assert np.array_equal(getattr(turned, name), getattr(plain, name))
 
     @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.2, 0.4), (-1e-9, 0.0, -1.0)])
     def test_turned_rule_is_the_plain_rule_about_the_axis(self, axis):
-        plain = spherical_rule(self.BREAKS, self.ORDERS, 12, 8)
-        turned = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
+        plain = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8))
+        turned = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis))
         e3 = np.asarray(axis) / np.linalg.norm(axis)
         points = np.stack([turned.x, turned.y, turned.z])
         radius = np.sqrt(plain.x**2 + plain.y**2 + plain.z**2)
@@ -278,11 +304,7 @@ class TestRuleAxis:
         assert np.abs(np.linalg.norm(points, axis=0) - radius).max() <= 1e-14 * radius.max()
 
     def test_turned_rule_blocks_are_the_whole_rule_in_pieces(self):
-        rule = spherical_rule((0.0, 4.0, 30.0), (96, 256), 48, 32, (0.3, -0.2, 0.4))
-        blocks = list(rule.blocks())
-        for name in ("x", "y", "z", "weights"):
-            joined = np.concatenate([getattr(b, name) for b in blocks])
-            assert np.array_equal(joined, getattr(rule, name))
+        assert_blocks_tile(spherical_rule((0.0, 4.0, 30.0), (96, 256), 48, 32, (0.3, -0.2, 0.4)))
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -14,7 +14,10 @@ One fixed list of runs is made on both trees, each run a fresh
   ``evolve`` and ``moments --grid 128,12``;
 * an ``rn`` run on a boosted state off every axis (v = 0.3 -0.2 0.4,
   p = 0.5 1 -0.3, Q = alpha2, spin down), whose p is not parallel to
-  the envelope centre.
+  the envelope centre;
+* CI's spin-down ``moments --grid 128,12``;
+* the seven runs that must exit with an error and write nothing
+  (``ERROR_RUNS``), whose exit codes ``tests/test_cli.py`` asserts.
 
 A run passes its config as ``config.ini`` and its output directory as
 ``out``, both relative to its own working directory, so the two trees'
@@ -50,6 +53,8 @@ OFF_AXIS_RN = (
     "[label]\nspin = down\n[rn]\np = 0.5 1 -0.3\nq = alpha2\n"
 )
 
+SPIN_DOWN = "[label]\nspin = down\n"
+
 
 @dataclass(frozen=True)
 class Run:
@@ -59,6 +64,18 @@ class Run:
     cmd: str
     config: str = ""
     flags: tuple = ()
+
+
+ERROR_RUNS = (
+    Run("error/moments-boosted-n-10", "moments", BOOSTED, ("--n", "10")),
+    Run("error/figure1-n-5-200", "figure1", flags=("--n", "5,200")),
+    Run("error/figure1-r-max-2.9", "figure1", "[grid]\nr_max = 2.9\nr_count = 291\n",
+        ("--n", "20")),
+    Run("error/evolve-r0-negative", "evolve", "[evolve]\nr0 = -1\n"),
+    Run("error/evolve-unknown-key", "evolve", "[evolve]\ntime = 0 2\n"),
+    Run("error/overlap-a-nan", "overlap", "[label]\na = nan 0 0\n"),
+    Run("error/moments-grid-100-16", "moments", flags=("--grid", "100,16")),
+)
 
 
 @dataclass(frozen=True)
@@ -78,9 +95,10 @@ def readme_config() -> str:
 
 def fixed_runs() -> list:
     """The run list: defaults with either spin, the perfbench jobs, the
-    README block, CI's boosted runs and the off-axis ``rn``."""
+    README block, CI's boosted and spin-down runs, the off-axis ``rn`` and
+    the error exits."""
     runs = []
-    for spin, config in (("up", ""), ("down", "[label]\nspin = down\n")):
+    for spin, config in (("up", ""), ("down", SPIN_DOWN)):
         runs += [Run(f"default-{spin}/{cmd}", cmd, config) for cmd in COMMANDS]
     sys.path.insert(0, str(ROOT / "perfbench"))
     from jobs import make_jobs
@@ -95,7 +113,8 @@ def fixed_runs() -> list:
     runs += [Run(f"boosted/{cmd}", cmd, BOOSTED) for cmd in ("rn", "overlap", "evolve")]
     runs.append(Run("boosted/moments-grid-128-12", "moments", BOOSTED, ("--grid", "128,12")))
     runs.append(Run("off-axis/rn", "rn", OFF_AXIS_RN))
-    return runs
+    runs.append(Run("spin-down/moments-grid-128-12", "moments", SPIN_DOWN, ("--grid", "128,12")))
+    return runs + list(ERROR_RUNS)
 
 
 def execute(src: Path, run: Run, work: Path) -> Result:

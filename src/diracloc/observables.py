@@ -23,9 +23,10 @@ integrate it exactly.  The
 mean velocity can be formed two ways, as the spinor bilinear of alpha
 (``packed_current`` of the sampled spinor) or via the scalar weight
 p/E(p); the two coincide identically on positive-energy states and both
-are provided so the identity can be checked under a shared quadrature.
-Every momentum-space rule is walked one ``SphericalRule.blocks`` block
-at a time, the block sums added with ``pairwise_sum``.
+are provided so the identity can be checked under a shared quadrature,
+``states.momentum_rule``, turned onto the envelope centre.  Every
+momentum-space rule is walked one ``SphericalRule.blocks`` block at a
+time, the block sums added with ``pairwise_sum``.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
 gives u_s^dagger u_s = 1, u_up^dagger u_down = 0 and
@@ -65,7 +66,6 @@ from .quadrature import (
     gauss_legendre,
     node_doubling,
     pairwise_sum,
-    spherical_rule,
     tensor_integrate,
 )
 from .spinor import (
@@ -76,7 +76,7 @@ from .spinor import (
     packed_current,
     spinor_layout,
 )
-from .states import MomentumProfile, MomentumState
+from .states import MomentumProfile, MomentumState, momentum_rule
 from .transform import CartesianGrid, PositionState
 from .units import MASS
 
@@ -210,13 +210,6 @@ def moments(ps: PositionState) -> MomentSet:
     return snapshot_pass(ps).moments()
 
 
-def _state_rule(state: MomentumState) -> SphericalRule:
-    """Momentum-space rule resolving both the O(1) spinor scale and the envelope."""
-    p_max = state.momentum_cutoff()
-    inner = min(4.0, 0.5 * p_max)
-    return spherical_rule((0.0, inner, p_max), (96, 256), 48, 32)
-
-
 def mean_velocity_two_ways(state: MomentumState):
     """(spinor form, scalar form) of <xdot> under one shared quadrature.
 
@@ -224,12 +217,13 @@ def mean_velocity_two_ways(state: MomentumState):
                  ``spinor.packed_current`` of the sampled spinor
     scalar form: int (p/E(p)) phi^dagger phi d^3p
 
-    Both are summed one ``SphericalRule.blocks`` block at a time, the
-    block sums added pairwise.
+    Both are summed on ``states.momentum_rule`` one
+    ``SphericalRule.blocks`` block at a time, the block sums added
+    pairwise.
     """
     layout = spinor_layout(state.label.spin)
     partials = []
-    for block in _state_rule(state).blocks():
+    for block in momentum_rule(state.profile, state.label.n).blocks():
         p = np.stack(block[:3])
         phi = state.spinor(*p)
         flow = block.weights * bilinear_density(phi) / energy_xyz(*p)
@@ -411,7 +405,6 @@ def convolution_Rn(
     p,
     q_operator: str = "identity",
     spin=0.5,
-    resolution=(64, 96, 48, 32),
     tol: float = 1e-6,
 ) -> complex:
     """The momentum-space convolution R_n(p) for Q in {identity, alpha_i}.
@@ -421,26 +414,24 @@ def convolution_Rn(
     envelope is broad: a graded spherical rule handles both.  The
     integrand is the closed-form spinor bilinear (see
     ``_bilinear_numerator``), not a 4 x 4 contraction of sampled
-    spinors.  ``resolution`` is (inner radial order, outer radial order,
-    n_theta, n_phi).  The rule's polar axis is ``_rn_rule_axis``'s.
+    spinors.  The base rule has 64 inner and 96 outer radial nodes, 48
+    polar and 32 azimuth nodes, its polar axis ``_rn_rule_axis``'s.
     Where the integrand is axial about it, its only azimuthal terms are
     the first harmonics of the parts linear in s, which the 2-point
-    trapezoid integrates exactly, so n_phi is 2 there and ``resolution``'s
-    n_phi is used only off the axis.  The result is certified by node
-    doubling of every entry (which resolves the second harmonic that 2
-    azimuth nodes would alias); disagreement beyond ``tol`` raises
-    :class:`QuadratureError`.
+    trapezoid integrates exactly, so n_phi is 2 there and 32 only off
+    the axis.  The result is certified by node doubling of every entry
+    (which resolves the second harmonic that 2 azimuth nodes would
+    alias); disagreement beyond ``tol`` raises :class:`QuadratureError`.
     """
     evaluate = _rn_integral(profile, n, p, q_operator, spin)
     p = np.asarray(p, dtype=float)
     p_norm = float(np.linalg.norm(p))
     inner = 2.0 * p_norm + 4.0
     s_max = n * profile.cutoff() + p_norm
-    nr1, nr2, n_theta, n_phi = resolution
     axis, axial = _rn_rule_axis(p, n * np.asarray(profile.center, dtype=float))
     value, _ = node_doubling(
         evaluate,
-        ((0.0, inner, s_max), (nr1, nr2), n_theta, 2 if axial else n_phi, axis),
+        ((0.0, inner, s_max), (64, 96), 48, 2 if axial else 32, axis),
         tol=tol,
         label=f"R_n(p={tuple(float(c) for c in p)}, Q={q_operator}, n={n})",
     )
@@ -457,13 +448,13 @@ def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
 
     s = +1 or -1 by spin: i u_s^dagger grad u_s = s (p x z)/(2E(E + m)) is
     the spin term separating Dirac's position from Newton-Wigner's.  Both
-    integrals are scalar sums on the state's spherical rule, taken one
+    integrals are scalar sums on ``states.momentum_rule``, taken one
     block at a time and added pairwise; used to cross-check the
     position-grid moments.
     """
     sign = spinor_layout(state.label.spin).sign
     partials = []
-    for block in _state_rule(state).blocks():
+    for block in momentum_rule(state.profile, state.label.n).blocks():
         p = np.stack(block[:3])
         density = block.weights * np.abs(state.envelope(*p)) ** 2
         e = energy_xyz(*p)

@@ -252,16 +252,16 @@ def node_doubling(evaluate, rule_args, tol: float | None = None, label: str = "i
     return fine, diff
 
 
-def tensor_integrate(func, axes_rules, chunk: int = 8) -> complex:
+def tensor_integrate(func, axes_rules) -> complex:
     """Integrate func(px, py, pz) over a tensor-product Gauss-Legendre grid.
 
     axes_rules: three (nodes, weights) pairs.  The first axis is processed
-    in chunks so the full 3-D grid never has to be materialized at once.
+    8 nodes at a time, so the full 3-D grid is never materialized at once.
     """
     (x1, w1), (x2, w2), (x3, w3) = axes_rules
     total = 0.0 + 0.0j
-    for lo in range(0, x1.size, chunk):
-        hi = min(lo + chunk, x1.size)
+    for lo in range(0, x1.size, 8):
+        hi = min(lo + 8, x1.size)
         px = x1[lo:hi, None, None]
         vals = func(px, x2[None, :, None], x3[None, None, :])
         total += np.einsum("i,j,k,ijk->", w1[lo:hi], w2, w3, vals)

@@ -33,7 +33,7 @@ so they are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -252,23 +252,17 @@ class DerivativeBoundReport:
 
     max_component: float
     max_derivative: float
-    worst_mass_ratio: float  # max |du_a/dp_k| / (2/m), must stay < 1 + slack
-    worst_radial_ratio: float  # max |du_a/dp_k| * |p| / 2, must stay < 1 + slack
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    worst_mass_ratio: float  # max |du_a/dp_k| / (2/m)
+    worst_radial_ratio: float  # max |du_a/dp_k| * |p| / 2
 
 
-def spinor_derivative_bounds(
-    samples, spin=SPIN_UP, step: float = 1e-5, slack: float = 1e-3
-) -> DerivativeBoundReport:
-    """Check |u_a| <= 1 and the first-derivative bounds 2/m and 2/|p|.
+def spinor_derivative_bounds(samples, spin=SPIN_UP, step: float = 1e-5) -> DerivativeBoundReport:
+    """The largest |u_a| and first derivatives against the bounds 2/m and 2/|p|.
 
-    Derivatives are taken by central differences with the given step;
-    the slack absorbs truncation error.  Samples at p = 0 are skipped
-    for the 2/|p| bound, which is vacuous there.
+    Derivatives are taken by central differences with the given step.
+    The bounds hold when every ratio is at most 1; the caller judges the
+    truncation error it allows.  Samples at p = 0 are skipped for the
+    2/|p| bound, which is vacuous there.
     """
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.size == 0:
@@ -290,18 +284,9 @@ def spinor_derivative_bounds(
     with np.errstate(divide="ignore"):
         radial_ratio = np.where(radius > 0, der_mag * radius / 2.0, 0.0)
 
-    violations = []
-    for m in np.nonzero(comp_mag > 1.0 + slack)[0]:
-        violations.append(("component", tuple(pts[m]), float(comp_mag[m])))
-    for m in np.nonzero(mass_ratio > 1.0 + slack)[0]:
-        violations.append(("derivative_mass", tuple(pts[m]), float(der_mag[m])))
-    for m in np.nonzero(radial_ratio > 1.0 + slack)[0]:
-        violations.append(("derivative_radial", tuple(pts[m]), float(der_mag[m])))
-
     return DerivativeBoundReport(
         max_component=float(comp_mag.max()),
         max_derivative=float(der_mag.max()),
         worst_mass_ratio=float(mass_ratio.max()),
         worst_radial_ratio=float(radial_ratio.max()),
-        violations=violations,
     )

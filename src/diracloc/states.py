@@ -21,9 +21,13 @@ For the Gaussian that mean flow has the closed form
 is found on it by bisection down to adjacent doubles, in pure Python
 (scipy's ``brentq`` on the same function is the oracle in the tests).
 ``check_profile_conditions`` evaluates both defining integrals by
-quadrature, on a spherical rule whose polar axis is turned onto the
-shift; it is the oracle for the closed form.
+quadrature; it is the oracle for the closed form.
 
+Every momentum-space reduction of a state (its norm, the profile
+conditions, and <xdot> and <x> in :mod:`diracloc.observables`) is
+integrated on one rule, ``momentum_rule``, whose polar axis is the
+envelope centre: about it the Gaussian is axially symmetric, so a state
+moving in any direction is resolved as well as one moving along z.
 Because the eigenspinor is unit, ``MomentumState.norm`` integrates the
 scalar envelope alone; ``MomentumState.spinor`` builds the full
 four-component phi for the callers that need it.
@@ -43,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import pairwise_sum, spherical_rule
+from .quadrature import SphericalRule, pairwise_sum, spherical_rule
 from .spinor import SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
 from .units import MASS
 
@@ -100,30 +104,44 @@ def _gaussian_tail_mass(q: float) -> float:
     return math.erfc(q) + 2.0 / math.sqrt(math.pi) * q * math.exp(-q * q)
 
 
-def _gaussian_tail_radius(eps: float) -> float:
-    """The q with tail mass(q) <= eps < tail mass(prev double of q), 0 < eps < 1.
-
-    2|x|^2 of the unit-width Gaussian pi^{-3/2} e^{-x^2} is chi-squared
-    with three degrees of freedom, so q is sqrt(chdtri(3, eps) / 2)
-    (scipy's ``chdtri`` is the oracle in the tests).  Bisection keeps
-    the bracket until its ends are adjacent doubles; the mass underflows
-    to 0 at q = 30.
-    """
-    lo, hi = 0.0, 30.0
+def _bisect(below, lo: float, hi: float) -> float:
+    """The end hi of a bracket with below(lo) and not below(hi), once lo and
+    hi are adjacent doubles; ``below`` must hold at lo and fail at hi."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return hi
-        if _gaussian_tail_mass(mid) > eps:
+        if below(mid):
             lo = mid
         else:
             hi = mid
 
 
-def _profile_rule(profile: MomentumProfile):
-    """The profile's spherical rule, its polar axis on the centre (z if none)."""
+def _gaussian_tail_radius(eps: float) -> float:
+    """The q with tail mass(q) <= eps < tail mass(prev double of q), 0 < eps < 1.
+
+    2|x|^2 of the unit-width Gaussian pi^{-3/2} e^{-x^2} is chi-squared
+    with three degrees of freedom, so q is sqrt(chdtri(3, eps) / 2)
+    (scipy's ``chdtri`` is the oracle in the tests).  ``_bisect`` keeps
+    the bracket until its ends are adjacent doubles; the mass underflows
+    to 0 at q = 30.
+    """
+    return _bisect(lambda q: _gaussian_tail_mass(q) > eps, 0.0, 30.0)
+
+
+def momentum_rule(profile: MomentumProfile, n: int) -> SphericalRule:
+    """The spherical rule of every momentum-space reduction at sequence index n.
+
+    Radial panels [0, min(4, p_max/2)] and [min(4, p_max/2), p_max] with
+    p_max = n * profile.cutoff(), 128 nodes each, resolve both the O(1)
+    spinor scale and the envelope; 64 polar and 32 azimuth nodes.  The
+    polar axis is the profile centre (z if none), about which the
+    envelope is axially symmetric, so one rule serves every direction of
+    v.  The rule has 2^19 points in 16 equal blocks.
+    """
+    p_max = n * profile.cutoff()
     axis = None if profile.is_symmetric else profile.center
-    return spherical_rule((0.0, profile.cutoff()), (256,), 64, 32, axis)
+    return spherical_rule((0.0, min(4.0, 0.5 * p_max), p_max), (128, 128), 64, 32, axis)
 
 
 def check_profile_conditions(profile: MomentumProfile):
@@ -133,12 +151,12 @@ def check_profile_conditions(profile: MomentumProfile):
     integral |f|^2 p/|p| d^3p, evaluated by the module quadrature one
     ``SphericalRule.blocks`` block at a time, the block sums added
     pairwise.  Callers assert norm ~ 1 and mean_direction ~ v.  The
-    rule's polar axis is turned onto the profile centre, about which
-    both integrands are axially symmetric; off that axis a shift of
-    several widths is resolved only to ~1e-4.
+    rule is ``momentum_rule(profile, 1)``, whose polar axis is the
+    profile centre, about which both integrands are axially symmetric;
+    off that axis a shift of several widths is resolved only to ~1e-4.
     """
     partials = []
-    for block in _profile_rule(profile).blocks():
+    for block in momentum_rule(profile, 1).blocks():
         p = np.stack(block[:3])
         density = block.weights * np.abs(profile(*p)) ** 2
         radius = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)  # > 0: no node at the origin
@@ -178,18 +196,10 @@ def mean_flow(m: float) -> float:
 def mean_flow_root(speed: float) -> float:
     """The m in (0, 64] with mean_flow(prev double of m) < speed <= mean_flow(m).
 
-    Bisection keeps that bracket until its ends are adjacent doubles;
+    ``_bisect`` keeps that bracket until its ends are adjacent doubles;
     mean_flow(64) = 1 - 1/64^2 exceeds every allowed speed.
     """
-    lo, hi = 0.0, 64.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if mean_flow(mid) < speed:
-            lo = mid
-        else:
-            hi = mid
+    return _bisect(lambda m: mean_flow(m) < speed, 0.0, 64.0)
 
 
 def boosted_gaussian_profile(v_target, sigma_p: float = 1.0) -> MomentumProfile:
@@ -296,15 +306,14 @@ class MomentumState:
     def norm(self) -> float:
         """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
 
-        The envelope is evaluated one ``SphericalRule.blocks`` block at a
-        time, so the rule is never built whole; for a power-of-two rule the
-        pairwise sum of the block sums is bit-identical to one sum over the
-        whole rule.
+        The envelope is evaluated on ``momentum_rule`` one
+        ``SphericalRule.blocks`` block at a time, so the rule is never
+        built whole; for a power-of-two rule the pairwise sum of the block
+        sums is bit-identical to one sum over the whole rule.
         """
-        rule = spherical_rule((0.0, self.momentum_cutoff()), (512,), 64, 32)
         sums = [
             np.sum(block.weights * np.abs(self.envelope(block.x, block.y, block.z)) ** 2)
-            for block in rule.blocks()
+            for block in momentum_rule(self.profile, self.label.n).blocks()
         ]
         return float(np.sqrt(pairwise_sum(sums)))
 

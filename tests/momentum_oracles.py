@@ -13,9 +13,10 @@ the direction of p and of the envelope centre.
 
 import numpy as np
 
-from diracloc.observables import _rn_integral, _state_rule
+from diracloc.observables import _rn_integral
 from diracloc.quadrature import RuleBlock, spherical_rule
 from diracloc.spinor import ALPHA
+from diracloc.states import momentum_rule
 from diracloc.units import MASS
 
 
@@ -52,7 +53,7 @@ def bilinear_current(psi):
 
 def spinor_norm(state):
     """||phi|| from sum_a |phi_a|^2 on the rule of MomentumState.norm."""
-    rule = whole(spherical_rule((0.0, state.momentum_cutoff()), (512,), 64, 32))
+    rule = whole(momentum_rule(state.profile, state.label.n))
     phi = state.spinor(rule.x, rule.y, rule.z)
     dens = np.sum(np.abs(phi) ** 2, axis=0)
     return float(np.sqrt(np.sum(rule.weights * dens)))
@@ -60,7 +61,7 @@ def spinor_norm(state):
 
 def finite_difference_position_mean(state, step=1e-5):
     """<x> = int phi^dagger (i d/dp) phi d^3p with central differences of phi."""
-    rule = whole(_state_rule(state))
+    rule = whole(momentum_rule(state.profile, state.label.n))
     phi = state.spinor(rule.x, rule.y, rule.z)
     out = np.empty(3)
     for axis in range(3):
@@ -76,7 +77,7 @@ def finite_difference_position_mean(state, step=1e-5):
 def einsum_mean_velocity(state):
     """<xdot> = int phi^dagger alpha phi d^3p by the full 4 x 4 ALPHA contraction
     on the rule of ``mean_velocity_two_ways``."""
-    rule = whole(_state_rule(state))
+    rule = whole(momentum_rule(state.profile, state.label.n))
     phi = state.spinor(rule.x, rule.y, rule.z)
     return np.einsum("m,am,iab,bm->i", rule.weights, phi.conj(), ALPHA, phi).real
 

@@ -265,6 +265,16 @@ class TestEvolve:
         for t in (0, 0.5, 1):
             assert (tmp_path / f"slice_t{t:g}.csv").exists()
 
+    def test_fast_off_axis_momentum_norm(self, tmp_path):
+        # the norm's rule is turned onto the envelope centre, so a state
+        # moving at 0.99 along x is as well resolved as one along z
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text("[profile]\nkind = boosted_gaussian\nv_target = 0.99 0 0\n")
+        assert run(["evolve", "--config", str(cfg), "--n", "1", "--grid", "64,16",
+                    "--out", str(tmp_path)]) == 0
+        norms = read_json(tmp_path / "evolution_report.json")["momentum_norms"]
+        assert max(abs(norm - 1.0) for norm in norms) <= 1e-12
+
     def test_slice_has_expected_columns(self, tmp_path):
         cfg = self._times_config(tmp_path, "0")
         run(["evolve", "--out", str(tmp_path), "--n", "2", "--grid", "64,16",

@@ -201,6 +201,11 @@ class TestMoments:
         momentum_mean = position_mean_from_momentum(state)
         assert np.abs(grid_mean - momentum_mean).max() <= 1e-4
 
+    def test_mean_position_of_fast_off_axis_state_matches_grid(self):
+        state = replace(make_state(a=(0.5, -0.3, 1.0), v=(0.6, 0.6, 0.5), n=2), time=1.0)
+        grid_mean = moments(position_state_cartesian(state, CartesianGrid(128, 16.0))).mean_x
+        assert np.abs(grid_mean - position_mean_from_momentum(state)).max() <= 1e-8
+
 
 class TestSnapshotPass:
     """One slab pass against oracles built on whole (rho, j) fields."""
@@ -253,6 +258,15 @@ class TestMeanVelocity:
         state = make_state(a=(0.6, -0.9, 0.4), v=(0.35, -0.3, 0.45), spin=spin, n=3)
         sf, _ = mean_velocity_two_ways(state)
         assert np.abs(sf - einsum_mean_velocity(state)).max() <= 1e-15
+
+    def test_fast_state_along_x_is_the_rotated_state_along_z(self):
+        # rotation carrying z onto x: the rule follows the envelope centre,
+        # so both states are integrated on one rule about their own axis
+        turn = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+        along_x = mean_velocity_two_ways(make_state(v=(0.99, 0.0, 0.0)))
+        along_z = mean_velocity_two_ways(make_state(v=(0.0, 0.0, 0.99)))
+        for got, rotated in zip(along_x, along_z):
+            assert np.abs(got - turn @ rotated).max() <= 1e-13
 
     def test_converges_to_target(self):
         sf, cf = mean_velocity_two_ways(make_state(v=(0, 0, 0.3), n=10))

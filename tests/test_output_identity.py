@@ -50,8 +50,9 @@ def test_comparator_catches_each_change(tmp_path, changed, expected):
 def test_run_list_names_each_run_once():
     runs = output_identity.fixed_runs()
     ids = [run.id for run in runs]
-    # defaults, perfbench jobs, README, boosted, off-axis rn, spin-down moments, errors
-    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5) + 6 + 4 + 1 + 1 + 7
+    # defaults, perfbench jobs, README, boosted, off-axis rn, spin-down moments,
+    # fast off-axis evolve, errors
+    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5) + 6 + 4 + 1 + 1 + 1 + 7
     allow = output_identity.read_allow(output_identity.ROOT / "tools" / "output_identity_allow.txt")
     assert allow <= set(ids)
 

@@ -168,7 +168,8 @@ class TestBoostedProfile:
         # the rule frame: e3 the centre's direction, e1 = (e3_y, -e3_x, 0)
         # normalized and e2 = e3 x e1, applied per coordinate to the z-axis rule
         prof = boosted_gaussian_profile(v)
-        rule = whole(spherical_rule((0.0, prof.cutoff()), (256,), 64, 32))
+        cut = prof.cutoff()
+        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 32))
         e3 = np.asarray(prof.center) / np.linalg.norm(prof.center)
         e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
         e2 = np.cross(e3, e1)
@@ -255,12 +256,21 @@ class TestMomentumState:
     @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
     def test_norm_blocks_add_to_whole_rule_sum(self, v):
         state = make_state(v=v, n=3)
-        rule = whole(spherical_rule((0.0, state.momentum_cutoff()), (512,), 64, 32))
+        cut = state.momentum_cutoff()
+        axis = None if state.profile.is_symmetric else state.profile.center
+        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 32, axis))
         total = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
         assert state.norm() == float(np.sqrt(total))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.6, 0.6, 0.5)])
+    def test_norm_of_fast_off_axis_state(self, direction, n):
+        # the rule's polar axis follows the envelope centre in any direction
+        v = 0.99 * np.asarray(direction) / np.linalg.norm(direction)
+        assert abs(make_state(v=v, n=n).norm() - 1.0) <= 1e-13
+
     def test_norm_peak_memory_is_block_sized(self):
-        # the 2^20-point rule (33.6 MB as x, y, z and weights) is never built
+        # the 2^19-point rule (16.8 MB as x, y, z and weights) is never built
         # whole; only its blocks and their temporaries are
         state = make_state(v=(0.2, -0.1, 0.3), n=2)
         state.norm()  # warm the node caches

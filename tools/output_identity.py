@@ -16,6 +16,8 @@ One fixed list of runs is made on both trees, each run a fresh
   p = 0.5 1 -0.3, Q = alpha2, spin down), whose p is not parallel to
   the envelope centre;
 * CI's spin-down ``moments --grid 128,12``;
+* an ``evolve --n 1 --grid 64,16`` run on a state moving at 0.99 along
+  x, off the z axis of the default spherical rule;
 * the seven runs that must exit with an error and write nothing
   (``ERROR_RUNS``), whose exit codes ``tests/test_cli.py`` asserts.
 
@@ -54,6 +56,7 @@ OFF_AXIS_RN = (
 )
 
 SPIN_DOWN = "[label]\nspin = down\n"
+FAST_OFF_AXIS = "[profile]\nkind = boosted_gaussian\nv_target = 0.99 0 0\n"
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,8 @@ def readme_config() -> str:
 
 def fixed_runs() -> list:
     """The run list: defaults with either spin, the perfbench jobs, the
-    README block, CI's boosted and spin-down runs, the off-axis ``rn`` and
-    the error exits."""
+    README block, CI's boosted and spin-down runs, the off-axis ``rn``, the
+    fast off-axis ``evolve`` and the error exits."""
     runs = []
     for spin, config in (("up", ""), ("down", SPIN_DOWN)):
         runs += [Run(f"default-{spin}/{cmd}", cmd, config) for cmd in COMMANDS]
@@ -114,6 +117,8 @@ def fixed_runs() -> list:
     runs.append(Run("boosted/moments-grid-128-12", "moments", BOOSTED, ("--grid", "128,12")))
     runs.append(Run("off-axis/rn", "rn", OFF_AXIS_RN))
     runs.append(Run("spin-down/moments-grid-128-12", "moments", SPIN_DOWN, ("--grid", "128,12")))
+    runs.append(Run("fast-off-axis/evolve", "evolve", FAST_OFF_AXIS,
+                    ("--n", "1", "--grid", "64,16")))
     return runs + list(ERROR_RUNS)
 
 

@@ -28,6 +28,11 @@ conditions, and <xdot> and <x> in :mod:`diracloc.observables`) is
 integrated on one rule, ``momentum_rule``, whose polar axis is the
 envelope centre: about it the Gaussian is axially symmetric, so a state
 moving in any direction is resolved as well as one moving along z.
+Every other factor of those integrands (|p|, E(p), the components of
+p, p/|p|, and the spin term s (p x z)/(2E(E + m))) is axial or linear
+in p, so about the centre each integrand is an axial function times 1,
+cos phi or sin phi; the 2-point trapezoid in the azimuth integrates
+that exactly, and the rule is one ``BLOCK_POINTS`` block of 2^15 points.
 Because the eigenspinor is unit, ``MomentumState.norm`` integrates the
 scalar envelope alone; ``MomentumState.spinor`` builds the full
 four-component phi for the callers that need it.
@@ -134,14 +139,17 @@ def momentum_rule(profile: MomentumProfile, n: int) -> SphericalRule:
 
     Radial panels [0, min(4, p_max/2)] and [min(4, p_max/2), p_max] with
     p_max = n * profile.cutoff(), 128 nodes each, resolve both the O(1)
-    spinor scale and the envelope; 64 polar and 32 azimuth nodes.  The
+    spinor scale and the envelope; 64 polar and 2 azimuth nodes.  The
     polar axis is the profile centre (z if none), about which the
     envelope is axially symmetric, so one rule serves every direction of
-    v.  The rule has 2^19 points in 16 equal blocks.
+    v.  Every integrand of the reductions is, about that axis, an axial
+    function times 1, cos phi or sin phi, which the 2-point trapezoid in
+    phi integrates exactly.  The rule has 2^15 points, one
+    ``BLOCK_POINTS`` block.
     """
     p_max = n * profile.cutoff()
     axis = None if profile.is_symmetric else profile.center
-    return spherical_rule((0.0, min(4.0, 0.5 * p_max), p_max), (128, 128), 64, 32, axis)
+    return spherical_rule((0.0, min(4.0, 0.5 * p_max), p_max), (128, 128), 64, 2, axis)
 
 
 def check_profile_conditions(profile: MomentumProfile):
@@ -152,8 +160,8 @@ def check_profile_conditions(profile: MomentumProfile):
     ``SphericalRule.blocks`` block at a time, the block sums added
     pairwise.  Callers assert norm ~ 1 and mean_direction ~ v.  The
     rule is ``momentum_rule(profile, 1)``, whose polar axis is the
-    profile centre, about which both integrands are axially symmetric;
-    off that axis a shift of several widths is resolved only to ~1e-4.
+    profile centre, about which |f|^2 is axially symmetric and p/|p| a
+    first harmonic in the azimuth.
     """
     partials = []
     for block in momentum_rule(profile, 1).blocks():
@@ -307,9 +315,9 @@ class MomentumState:
         """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
 
         The envelope is evaluated on ``momentum_rule`` one
-        ``SphericalRule.blocks`` block at a time, so the rule is never
-        built whole; for a power-of-two rule the pairwise sum of the block
-        sums is bit-identical to one sum over the whole rule.
+        ``SphericalRule.blocks`` block at a time and the block sums are
+        added pairwise; for a power-of-two rule that is bit-identical to
+        one sum over the whole rule.
         """
         sums = [
             np.sum(block.weights * np.abs(self.envelope(block.x, block.y, block.z)) ** 2)

@@ -8,16 +8,38 @@ or the eigenspinor's closed-form current, instead.  ``bilinear_current``
 is the general four-slot current j = 2 Re(upper^dagger sigma lower).
 ``a_n_limit`` is a second quadrature of R_n(0) for Q = alpha_k, and
 ``z_axis_rn`` is R_n on a fine spherical rule about the z axis, whatever
-the direction of p and of the envelope centre.
+the direction of p and of the envelope centre.  ``oracle_momentum_rule``
+is ``momentum_rule`` with 32 azimuth nodes in place of 2, and inside
+``on_oracle_rule`` every library reduction integrates on it.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
+from diracloc import observables, states
 from diracloc.observables import _rn_integral
 from diracloc.quadrature import RuleBlock, spherical_rule
 from diracloc.spinor import ALPHA
 from diracloc.states import momentum_rule
 from diracloc.units import MASS
+
+
+def oracle_momentum_rule(profile, n):
+    """``states.momentum_rule`` with 32 azimuth nodes: 2^19 points in 16 blocks."""
+    p_max = n * profile.cutoff()
+    axis = None if profile.is_symmetric else profile.center
+    return spherical_rule((0.0, min(4.0, 0.5 * p_max), p_max), (128, 128), 64, 32, axis)
+
+
+@contextmanager
+def on_oracle_rule():
+    """The norm, the profile check, <xdot> and <x> integrate on
+    ``oracle_momentum_rule`` while the context is open."""
+    with mock.patch.object(states, "momentum_rule", oracle_momentum_rule), \
+            mock.patch.object(observables, "momentum_rule", oracle_momentum_rule):
+        yield
 
 
 def whole(rule):
@@ -76,10 +98,16 @@ def finite_difference_position_mean(state, step=1e-5):
 
 def einsum_mean_velocity(state):
     """<xdot> = int phi^dagger alpha phi d^3p by the full 4 x 4 ALPHA contraction
-    on the rule of ``mean_velocity_two_ways``."""
+    on the rule of ``mean_velocity_two_ways``.
+
+    The contraction is taken per point and the weighted points summed by
+    ``np.sum``, whose pairwise sum the library's own sums share; one
+    einsum over the points would add them in a single running sum.
+    """
     rule = whole(momentum_rule(state.profile, state.label.n))
     phi = state.spinor(rule.x, rule.y, rule.z)
-    return np.einsum("m,am,iab,bm->i", rule.weights, phi.conj(), ALPHA, phi).real
+    current = np.einsum("am,iab,bm->im", phi.conj(), ALPHA, phi).real
+    return np.sum(rule.weights * current, axis=1)
 
 
 def _graded_breaks(inner_scale, outer, factor=4.0):

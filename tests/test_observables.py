@@ -55,6 +55,7 @@ from momentum_oracles import (
     bilinear_current,
     einsum_mean_velocity,
     finite_difference_position_mean,
+    on_oracle_rule,
     spinor_norm,
     whole,
     z_axis_rn,
@@ -360,8 +361,8 @@ BOOSTED_STATE = replace(make_state(a=(0.4, -0.7, 1.2), v=(0.2, -0.1, 0.3), n=3),
     lambda: position_mean_from_momentum(BOOSTED_STATE),
 ], ids=["check_profile_conditions", "mean_velocity_two_ways", "position_mean_from_momentum"])
 def test_rule_reduction_peak_memory_is_block_sized(reduce):
-    # each walks its 0.5-0.55 M-point rule block by block: the whole rule's
-    # x, y, z and weights alone would be 16.8 MB or more
+    # each walks its rule block by block, so only one block's points and
+    # their temporaries are live at a time
     reduce()  # warm the node caches
     tracemalloc.start()
     try:
@@ -370,6 +371,33 @@ def test_rule_reduction_peak_memory_is_block_sized(reduce):
     finally:
         tracemalloc.stop()
     assert peak <= 320 * BLOCK_POINTS
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    v=off_axis_velocity(0.99).filter(lambda v: np.linalg.norm(v) <= 0.99),
+    n=st.integers(1, 20),
+    sigma_p=st.floats(0.5, 2.0),
+    t=st.floats(0.0, 2.0),
+    a=POINTS,
+    spin=SPINS,
+)
+def test_two_azimuth_nodes_match_the_32_node_rule(v, n, sigma_p, t, a, spin):
+    # about the envelope centre every integrand is an axial function times
+    # 1, cos phi or sin phi, which the 2-point trapezoid integrates exactly
+    state = replace(make_state(a=a, v=v, spin=spin, n=n, sigma_p=sigma_p), time=t)
+
+    def reductions():
+        norm, mean = check_profile_conditions(state.profile)
+        return np.concatenate([
+            [state.norm(), norm], mean, *mean_velocity_two_ways(state),
+            position_mean_from_momentum(state),
+        ])
+
+    got = reductions()
+    with on_oracle_rule():
+        expected = reductions()
+    assert np.abs(got - expected).max() <= 1e-14
 
 
 class TestScalarReductions:

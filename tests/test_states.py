@@ -169,7 +169,7 @@ class TestBoostedProfile:
         # normalized and e2 = e3 x e1, applied per coordinate to the z-axis rule
         prof = boosted_gaussian_profile(v)
         cut = prof.cutoff()
-        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 32))
+        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2))
         e3 = np.asarray(prof.center) / np.linalg.norm(prof.center)
         e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
         e2 = np.cross(e3, e1)
@@ -258,7 +258,7 @@ class TestMomentumState:
         state = make_state(v=v, n=3)
         cut = state.momentum_cutoff()
         axis = None if state.profile.is_symmetric else state.profile.center
-        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 32, axis))
+        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2, axis))
         total = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
         assert state.norm() == float(np.sqrt(total))
 
@@ -270,8 +270,8 @@ class TestMomentumState:
         assert abs(make_state(v=v, n=n).norm() - 1.0) <= 1e-13
 
     def test_norm_peak_memory_is_block_sized(self):
-        # the 2^19-point rule (16.8 MB as x, y, z and weights) is never built
-        # whole; only its blocks and their temporaries are
+        # the rule is walked as blocks: only one block and its temporaries
+        # are live at a time
         state = make_state(v=(0.2, -0.1, 0.3), n=2)
         state.norm()  # warm the node caches
         tracemalloc.start()

@@ -63,6 +63,7 @@ from .transform import (
     density_field,
     position_state_cartesian,
     radial_components,
+    radial_curve,
     radial_density,
     radial_probability,
 )

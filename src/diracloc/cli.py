@@ -60,10 +60,8 @@ from .transform import (
     GridError,
     log_slope,
     position_state_cartesian,
+    radial_curve,
     radial_delta_x,
-    radial_density,
-    radial_probability,
-    tail_estimate,
 )
 from .verify import DEFAULT_TOLERANCES, run_checks
 
@@ -258,12 +256,16 @@ def _state(cfg: RunConfig, profile, n: int, a=None, spin=None) -> MomentumState:
 def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     """Emit rho_n(r) CSV curves plus a summary JSON.
 
-    ``rho_at_origin`` and ``tail_log_slope`` come from the emitted table;
-    ``prob_inside_r1``, ``norm`` (plus the table's tail bound) and
-    ``delta_x`` are integrated on their own nodes, since the table stops
-    resolving the state once n sigma_p is large.  A curve whose norm is
-    not within the ``state_norms`` bound of 1 is refused with
-    ``QuadratureError``, so no curve and no summary is written.
+    Each curve comes from ``radial_curve``: the table, the norm and
+    ``prob_inside_r1`` from one trapezoid momentum rule and its rffts,
+    certified by halving the rule's step, so they resolve the state
+    whatever its width.  The norm is the mass out to 20/m beyond r_max
+    and over 60 widths 1/(n sigma_p).  ``delta_x`` is the full-space
+    spread from ``radial_delta_x``; ``rho_at_origin`` and
+    ``tail_log_slope`` come from the emitted table.
+    A curve the step halving cannot certify (``QuadratureError``), or
+    whose norm is not within the ``state_norms`` bound of 1, is refused,
+    so no curve and no summary is written.
     """
     if any(cfg.a) or any(cfg.v_target) or cfg.profile_kind != "gaussian":
         raise ConfigError("figure1 requires the symmetric case: a = 0, v = 0, gaussian profile")
@@ -273,19 +275,20 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     summary = {"sigma_p": cfg.sigma_p, "r_max": cfg.r_max, "r_count": cfg.r_count, "curves": {}}
     files = {}
     for n in cfg.n_list:
-        rho = radial_density(profile, n, r)
-        norm = radial_probability(profile, n, cfg.r_max) + tail_estimate(r, rho)
-        if not abs(norm - 1.0) <= bound:
+        curve = radial_curve(profile, n, cfg.r_max, cfg.r_count, (1.0,))
+        if not abs(curve.norm - 1.0) <= bound:
             raise QuadratureError(
-                f"n = {n}, sigma_p = {cfg.sigma_p:g}: norm {norm!r} is not within {bound:g} of 1"
+                f"n = {n}, sigma_p = {cfg.sigma_p:g}: norm {curve.norm!r} is not within "
+                f"{bound:g} of 1"
             )
+        rho = curve.rho
         name = f"rho_n{n}.csv"
         files[name] = [["r", "rho"], *zip(r.tolist(), rho.tolist())]
         summary["curves"][str(n)] = {
             "file": name,
-            "norm": norm,
+            "norm": curve.norm,
             "rho_at_origin": float(rho[0]),
-            "prob_inside_r1": radial_probability(profile, n, 1.0),
+            "prob_inside_r1": curve.probabilities[0],
             "delta_x": radial_delta_x(profile, n),
             "tail_log_slope": log_slope(r, rho, *_slope_window(cfg.r_max)),
         }

@@ -48,7 +48,7 @@ found by bisection on the closed-form chi-squared(3) survival function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,9 +248,6 @@ class LocalizationLabel:
         if self.n < 1:
             raise ValueError(f"sequence index must be >= 1, got {self.n}")
 
-    def with_n(self, n: int) -> "LocalizationLabel":
-        return replace(self, n=int(n))
-
 
 @dataclass(frozen=True)
 class MomentumState:
@@ -302,10 +299,6 @@ class MomentumState:
         e_plus_m = e + MASS
         weight /= np.sqrt(2.0 * e * e_plus_m)
         return fill_eigenspinor(out, weight, e_plus_m, px, py, pz, self.label.spin)
-
-    def momentum_cutoff(self) -> float:
-        """Radius enclosing the envelope to the 1e-14 amplitude level."""
-        return self.label.n * self.profile.cutoff()
 
     def momentum_support(self, mass_tol: float = 1e-2) -> float:
         """Radius containing all but ``mass_tol`` of the |phi|^2 mass."""

@@ -2,19 +2,24 @@
 
 Two routes:
 
-* ``radial_components``/``radial_density``: for spherically symmetric
-  profiles with a = 0, v = 0 the position spinor reduces to two radial
-  amplitudes obtained from order-0 and order-1 spherical Bessel
-  transforms,
+* ``radial_curve``/``radial_components``/``radial_density``: for
+  spherically symmetric profiles with a = 0, v = 0 the position spinor
+  reduces to two radial amplitudes obtained from order-0 and order-1
+  spherical Bessel transforms,
 
       g0(r) = sqrt(2/pi) int F(p) (E+1)/calE j0(pr) p^2 dp
       g1(r) = sqrt(2/pi) int F(p)  p   /calE j1(pr) p^2 dp
 
-  with F(p) = n^(-3/2) f(p/n); ``radial_density(profile, n, r)``
-  returns the density |g0|^2 + |g1|^2 at the radii r as a plain array.
-  This is the fast path used for the localized-density curves; a curve
-  tabulated out to r_max is fitted by ``log_slope`` and its mass beyond
-  r_max bounded by ``tail_estimate``, both functions of (r, rho).
+  with F(p) = n^(-3/2) f(p/n).  Extended to negative p both integrands
+  are even and analytic in the strip |Im p| < m, where E has its branch
+  points, and decay like a Gaussian, so the trapezoid rule on p_k = k h
+  converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)
+  385).  ``radial_curve`` tabulates rho = g0^2 + g1^2 on a uniform
+  table from rffts of that rule, takes the norm and P(|x| < R) from one
+  more rfft, with no radial quadrature, and certifies all of it by
+  halving h.  ``radial_components`` is the same rule summed directly at
+  any radii, in blocks; ``radial_density(profile, n, r)`` returns
+  g0^2 + g1^2 from it.  ``log_slope`` fits a tabulated tail.
 
 * ``position_state_cartesian``: a componentwise 3-D inverse FFT of phi
   sampled on the reciprocal grid.  The envelope, the phase exp(-i a.p),
@@ -32,16 +37,16 @@ Two routes:
   the momentum mass (the refusal names a grid that covers the state)
   or when its working set exceeds physical memory.
 
-Radial integrals use Gauss-Legendre on [0, p_max] with p_max set by
-the profile cutoff (Gaussian tail < 1e-14), 2048 nodes by default, and
-j0 and j1 from one shared sin and cos of p r (``_spherical_j01``, bit
-for bit scipy's ``spherical_jn``), except j1 at p r <= 1, where that
-form cancels: there j1 is the series x sum_k (-x^2/2)^k / (k! (2k+3)!!),
-within 2 ulp of the exact value.  Convergence is certified by node
-doubling in the tests.  ``radial_probability`` integrates 4 pi r^2 rho_n on its own
-Gauss-Legendre nodes, one panel over the core r < 10/(n sigma_p) and
-one beyond, so it resolves the state whatever its width; a tabulated
-curve would not once 1/(n sigma_p) nears the table spacing.
+The radial rule's nodes stop at p_max = n cutoff (Gaussian tail
+< 1e-14); j0 and j1 come from one shared sin and cos of p r
+(``_spherical_j01``, bit for bit scipy's ``spherical_jn``), except j1
+at p r <= 1, where that form cancels: there j1 is the series
+x sum_k (-x^2/2)^k / (k! (2k+3)!!), within 2 ulp of the exact value.
+The norm's radius grid reaches 20/m beyond r_max, and over 60 widths
+1/(n sigma_p) of the state: by Paley-Wiener rho decays like e^(-2 m r),
+since phi is analytic for |Im p| < m, and by Hegerfeldt (Phys. Rev. D
+10 (1974) 3320) no faster than exponentially, so the mass it leaves out
+is below e^(-40).
 
 ``radial_delta_x`` needs no transform at all: <x^2> = int |grad_p phi|^2
 d^3p reduces to a 1-D momentum integral with a closed-form spinor term,
@@ -56,12 +61,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import BLOCK_POINTS, gauss_legendre, panel_rule
+from .quadrature import BLOCK_POINTS, QuadratureError, panel_rule
 from .spinor import SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
 from .states import MomentumProfile, MomentumState
 from .units import MASS
 
-RADIAL_NODES = 2048
+# The trapezoid momentum rule of the radial path (``radial_curve``).  rho
+# decays like e^(-2 m r), so the rule's images and the mass TAIL_RADIUS
+# beyond the farthest radius asked are below e^(-40) of it.
+TAIL_RADIUS = 20.0 / MASS
+# at least this many nodes of step h on [0, n cutoff]: the rule stops at the
+# cutoff, where the envelope is 1e-14 of its peak, and its end error of about
+# h f(p_max) then stays near 1e-14 of rho(0) however narrow the envelope is;
+# the radius grid, pi/h long, then spans over 60 widths 1/(n sigma_p)
+MIN_NODES = 160
+# pi/dr >= 2.2 p_max: the density's transform, which reaches 2 p_max, and
+# every momentum node stay below the fold of the radius grid
+RADIUS_STEPS_PER_MOMENTUM = 2.2
+# rows nearer the origin than this, and than 5/(n sigma_p), are direct sums:
+# there the FFT's g1 = S1/r^2 - C1/r cancels
+DIRECT_RADIUS = 0.05
+# step-halving bounds: the table relative to rho(0), the norm and the
+# probabilities absolute
+TABLE_TOL = 1e-12
+PROBABILITY_TOL = 1e-12
+# the h/2 rule's transforms: 2^21 points, 16 MB per real array
+MAX_FFT_LENGTH = 2**21
 # share of the momentum-space probability a grid may leave beyond its Nyquist momentum
 MASS_TOL = 1e-2
 # bytes per cell of position_state_cartesian's result: the three nonzero
@@ -299,43 +324,73 @@ def _spherical_j01(x):
     return j0, j1
 
 
-def radial_components(
-    profile: MomentumProfile, n: int, r, n_nodes: int = RADIAL_NODES
-):
-    """Radial amplitudes (g0, g1) of the upper and lower spinor parts.
+def _kernels(profile: MomentumProfile, n: int, p: np.ndarray):
+    """sqrt(2/pi) F(p) (E+m)/calE and sqrt(2/pi) F(p) p/calE at the momenta ``p``."""
+    e = energy_xyz(p, 0.0, 0.0)
+    envelope = np.sqrt(2.0 / np.pi) * n**-1.5 * profile(p / n, 0.0, 0.0)
+    envelope /= np.sqrt(2.0 * e * (e + MASS))
+    return envelope * (e + MASS), envelope * p
+
+
+def _trapezoid_sums(profile: MomentumProfile, n: int, r: np.ndarray, n_nodes: int, step: float):
+    """(g0, g1) at the radii ``r`` by the trapezoid rule of step h = ``step``
+    on p_k = k h, k = 1..n_nodes, and by the rule of step 2h on its even nodes.
+
+    Returns two (2, r.size) arrays, rows g0 and g1.  The (r, p) kernel is
+    walked in blocks of at most ``BLOCK_POINTS`` entries: rows of radii by
+    runs of nodes, each run of even length whenever there is more than
+    one, so the even nodes k are the odd columns of every block.  Each row
+    is summed by numpy's pairwise sum, not BLAS, whose threads would add
+    some rows in another order.
+    """
+    p = step * np.arange(1, n_nodes + 1)
+    k0, k1 = _kernels(profile, n, p)
+    weights = np.stack([k0, k1]) * (step * p * p)
+    cols = min(n_nodes, BLOCK_POINTS)
+    rows = max(1, BLOCK_POINTS // cols)
+    sums = np.zeros((2, 2, r.size))  # [all nodes, even nodes] x [g0, g1] x radius
+    for lo in range(0, r.size, rows):
+        radii = slice(lo, lo + rows)
+        for start in range(0, n_nodes, cols):
+            nodes = slice(start, start + cols)
+            for g, j in enumerate(_spherical_j01(np.multiply.outer(r[radii], p[nodes]))):
+                j *= weights[g, nodes]
+                sums[0, g, radii] += j.sum(axis=1)
+                sums[1, g, radii] += j[:, 1::2].sum(axis=1)
+    return sums[0], 2.0 * sums[1]
+
+
+def radial_components(profile: MomentumProfile, n: int, r, n_nodes: int, step: float):
+    """Radial amplitudes (g0, g1) of the upper and lower spinor parts at the radii ``r``.
 
     Valid only for spherically symmetric profiles (a = 0, v = 0); the
     angular content of the lower components is carried analytically by
     the unit vector x/r, so only these two radial profiles are needed.
+    Direct trapezoid sums on the nodes p_k = k ``step``, k = 1..``n_nodes``.
     """
     if not profile.is_symmetric:
         raise ValueError("radial reduction requires a spherically symmetric profile")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radii must be nonnegative")
-    p_max = n * profile.cutoff()
-    p, w = gauss_legendre(n_nodes, 0.0, p_max)
-    envelope = n**-1.5 * profile(p / n, 0.0, 0.0)
-    e = energy_xyz(p, 0.0, 0.0)
-    cal = np.sqrt(2.0 * e * (e + MASS))
-    # sqrt(2/pi) int kernel(p) j_l(p r) p^2 dp for the two kernels, each row
-    # by numpy's pairwise sum, not BLAS: a threaded dgemv sums some rows in
-    # another order, so the bits would depend on the BLAS thread count
-    j0, j1 = _spherical_j01(np.multiply.outer(np.atleast_1d(r), p))
-    scale = np.sqrt(2.0 / np.pi)
-    j0 *= w * (envelope * (e + MASS) / cal) * p * p
-    j1 *= w * (envelope * p / cal) * p * p
-    g0 = (scale * np.sum(j0, axis=1)).astype(complex)
-    g1 = (scale * np.sum(j1, axis=1)).astype(complex)
+    (g0, g1), _ = _trapezoid_sums(profile, n, np.atleast_1d(r), n_nodes, step)
     if np.ndim(r) == 0:
-        return complex(g0[0]), complex(g1[0])
+        return float(g0[0]), float(g1[0])
     return g0, g1
 
 
 def radial_density(profile: MomentumProfile, n: int, r) -> np.ndarray:
-    """rho_n(r) = |g0|^2 + |g1|^2 at the radii ``r``."""
-    g0, g1 = radial_components(profile, n, r)
-    return np.abs(g0) ** 2 + np.abs(g1) ** 2
+    """rho_n(r) = g0^2 + g1^2 at the radii ``r``, by direct trapezoid sums.
+
+    The step h <= pi/(max r + ``TAIL_RADIUS``) keeps the rule's images,
+    which sit at 2 pi/h - r, ``TAIL_RADIUS`` beyond every radius asked,
+    and h <= n cutoff / ``MIN_NODES`` bounds the rule's end error.
+    """
+    r = np.asarray(r, dtype=float)
+    p_max = n * profile.cutoff()
+    h = min(math.pi / (float(np.max(r, initial=0.0)) + TAIL_RADIUS), p_max / MIN_NODES)
+    g0, g1 = radial_components(profile, n, r, math.ceil(p_max / h), h)
+    return g0 * g0 + g1 * g1
 
 
 def log_slope(r: np.ndarray, rho: np.ndarray, r_lo: float, r_hi: float) -> float:
@@ -344,39 +399,144 @@ def log_slope(r: np.ndarray, rho: np.ndarray, r_lo: float, r_hi: float) -> float
     return float(np.polyfit(r[mask], np.log(rho[mask]), 1)[0])
 
 
-def tail_estimate(r: np.ndarray, rho: np.ndarray) -> float:
-    """Bound the probability beyond the last radius via an exponential fit.
+@dataclass(frozen=True)
+class RadialCurve:
+    """rho_n on a uniform table, its norm and P(|x| < R) at chosen radii,
+    with the differences between the trapezoid rules of step h and h/2.
 
-    Fits log rho over the outermost 20 % of the radii; positive-energy
-    densities decay exponentially, so the extrapolated integral
-    4 pi r^2 rho(R) e^(lambda (r - R)) bounds the missing mass.
+    The values are those of the h/2 rule.  ``norm`` is 4 pi int r^2 rho
+    over the whole radius grid, which reaches ``TAIL_RADIUS`` beyond r_max
+    and pi ``MIN_NODES``/p_max = 20 pi/(n sigma_p), over 60 widths of the
+    state, so it leaves out less than e^(-40) of the mass; ``table_halving`` is the largest table difference relative to rho(0),
+    ``probability_halving`` the largest difference of the norm or a
+    probability.
     """
-    R = r[-1]
-    if np.count_nonzero(rho[r >= 0.8 * R] > 0) < 2:
-        return 0.0
-    slope = log_slope(r, rho, 0.8 * R, R)
-    if slope >= 0:  # no decay detected; refuse to certify
-        return float("inf")
-    lam = -slope
-    dens = rho[-1]
-    return float(4.0 * np.pi * dens * (R * R / lam + 2.0 * R / lam**2 + 2.0 / lam**3))
+
+    rho: np.ndarray
+    norm: float
+    probabilities: tuple
+    table_halving: float
+    probability_halving: float
+
+
+def _fft_density(coeffs: np.ndarray, length: int, dr: float, direct: np.ndarray) -> np.ndarray:
+    """rho at r_j = j dr, j = 0..length/2, from the trapezoid terms ``coeffs``.
+
+    With h dr = 2 pi/length, p_k r_j = 2 pi k j/length, so the sine and
+    cosine sums S0, S1 and C1 of the rows of ``coeffs`` (w F (E+m) p/calE,
+    w F p/calE and w F p^2/calE, times sqrt(2/pi)) come from one rfft,
+    and g0 = S0/r, g1 = S1/r^2 - C1/r.  The rows j < len(direct[0]),
+    where g1's two terms cancel, are taken from ``direct`` instead.
+    """
+    s = np.fft.rfft(coeffs, n=length)[:, 1:]
+    r = dr * np.arange(1, length // 2 + 1)
+    g0 = -s[0].imag / r
+    g1 = (-s[1].imag / r - s[2].real) / r
+    rho = np.empty(length // 2 + 1)
+    rho[1:] = g0 * g0 + g1 * g1
+    rows = direct.shape[1]
+    rho[:rows] = direct[0] ** 2 + direct[1] ** 2
+    return rho
+
+
+def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> list:
+    """The norm, then P(|x| < R) for each R in ``radii``, from rho at r_j = j dr, j = 0..M.
+
+    The norm is the trapezoid sum of 4 pi r^2 rho over the whole grid.
+    P(|x| < R) = (2R^2/pi) int q rho^(q) j1(qR) dq, where
+    rho^(q) = (4 pi/q) int r rho(r) sin(qr) dr is the trapezoid sum over
+    the r_j, taken by one rfft on q_m = m h with h dr = pi/M, and the q
+    integral is the trapezoid sum on the same q_m.  Every integrand is
+    even and analytic, so every sum converges geometrically; h dr = pi/M
+    turns the double sum into 8 pi R^2/M sum_m T_m j1(q_m R), with
+    T_m = sum_j r_j rho_j sin(q_m r_j).
+    """
+    m = rho.size - 1
+    r = dr * np.arange(m + 1)
+    x = r * rho
+    t = -np.fft.rfft(x, n=2 * m).imag[1:]
+    q = (math.pi / (m * dr)) * np.arange(1, m + 1)
+    norm = 4.0 * math.pi * dr * float(np.sum(r * x))
+    return [norm] + [
+        8.0 * math.pi * R * R / m * float(np.sum(t * _spherical_j01(q * R)[1])) for R in radii
+    ]
+
+
+def radial_curve(
+    profile: MomentumProfile, n: int, r_max: float, r_count: int, radii=()
+) -> RadialCurve:
+    """rho_n at r_i = i r_max/(r_count - 1), the norm, and P(|x| < R) for R in ``radii``.
+
+    One trapezoid rule in p, nodes p_k = k h/2 on [0, p_max], p_max =
+    n cutoff, on the radius grid r_j = j dr, dr = the table spacing over
+    k, where k is the least integer with pi/dr >= ``RADIUS_STEPS_PER_MOMENTUM``
+    p_max: then every node sits below the fold of the transforms, and so
+    does the density's transform, which reaches 2 p_max.  pi/h = M dr,
+    with M the least power of two that puts pi/h ``TAIL_RADIUS`` beyond
+    every radius asked and gives the rule of step h ``MIN_NODES`` nodes.
+    The amplitudes and the density's transform come from rffts
+    (``_fft_density``, ``_fft_probabilities``); the rows within
+    min(5/(n sigma_p), ``DIRECT_RADIUS``) of the origin are direct sums.
+    The table is every k-th row.  A rule whose transforms would exceed
+    ``MAX_FFT_LENGTH`` points is refused before anything is allocated.
+
+    Certified by halving h: the rule of step h is the even nodes of the
+    h/2 rule, so it costs no second kernel evaluation.  A table difference
+    beyond ``TABLE_TOL`` rho(0), or a difference of the norm or a
+    probability beyond ``PROBABILITY_TOL``, raises ``QuadratureError``.
+    """
+    if not profile.is_symmetric:
+        raise ValueError("radial reduction requires a spherically symmetric profile")
+    if not (r_max > 0 and r_count >= 2):
+        raise ValueError("a radial table needs r_max > 0 and r_count >= 2")
+    p_max = n * profile.cutoff()
+    spacing = r_max / (r_count - 1)
+    k = math.ceil(RADIUS_STEPS_PER_MOMENTUM * p_max * spacing / math.pi)
+    dr = spacing / k
+    r_far = max((r_max, *radii)) + TAIL_RADIUS
+    m = 2 ** max(1, math.ceil(math.log2(max(r_far, math.pi * MIN_NODES / p_max) / dr)))
+    if 4 * m > MAX_FFT_LENGTH:
+        raise QuadratureError(
+            f"n = {n}, sigma_p = {profile.sigma_p:g}: the radial rule needs an FFT of "
+            f"length {4 * m} > {MAX_FFT_LENGTH}; use fewer table radii or a smaller r_max"
+        )
+    h = math.pi / (m * dr)
+    nodes = 2 * math.ceil(p_max / h)
+    p = 0.5 * h * np.arange(nodes + 1)
+    k0, k1 = _kernels(profile, n, p)
+    fine = np.stack([k0 * p, k1, k1 * p]) * (0.5 * h)
+    rows = int(min(5.0 / (n * profile.sigma_p), DIRECT_RADIUS) / dr) + 1
+    direct = _trapezoid_sums(profile, n, dr * np.arange(rows), nodes, 0.5 * h)
+    rho_fine = _fft_density(fine, 4 * m, dr, direct[0])
+    rho_coarse = _fft_density(2.0 * fine[:, ::2], 2 * m, dr, direct[1])
+    table = k * np.arange(r_count)
+    rho = rho_fine[table]
+    norm, *probabilities = _fft_probabilities(rho_fine, dr, radii)
+    coarse = _fft_probabilities(rho_coarse, dr, radii)
+    curve = RadialCurve(
+        rho=rho,
+        norm=norm,
+        probabilities=tuple(probabilities),
+        table_halving=float(np.max(np.abs(rho - rho_coarse[table])) / rho[0]),
+        probability_halving=max(abs(a - b) for a, b in zip((norm, *probabilities), coarse)),
+    )
+    where = f"n = {n}, sigma_p = {profile.sigma_p:g}"
+    if not curve.table_halving <= TABLE_TOL:
+        raise QuadratureError(
+            f"{where}: the table moves by {curve.table_halving:.3e} rho(0) when the "
+            f"momentum step is halved, beyond {TABLE_TOL:g}"
+        )
+    if not curve.probability_halving <= PROBABILITY_TOL:
+        raise QuadratureError(
+            f"{where}: the norm or a probability moves by {curve.probability_halving:.3e} "
+            f"when the momentum step is halved, beyond {PROBABILITY_TOL:g}"
+        )
+    return curve
 
 
 def radial_probability(profile: MomentumProfile, n: int, radius: float) -> float:
-    """Probability inside ``radius``: Gauss-Legendre quadrature of 4 pi r^2 rho_n.
-
-    The state has width ~1/(n sigma_p), so the rule does not depend on
-    any table: 64 nodes over the core [0, min(radius, 10/(n sigma_p))]
-    and 128 nodes beyond it.
-    """
-    core = min(radius, 10.0 / (n * profile.sigma_p))
-    total = 0.0
-    for lo, hi, order in ((0.0, core, 64), (core, radius, 128)):
-        if lo < hi:
-            r, w = gauss_legendre(order, lo, hi)
-            rho = radial_density(profile, n, r)
-            total += float(np.sum(w * 4.0 * np.pi * r * r * rho))
-    return total
+    """Probability inside ``radius``, from ``radial_curve``'s certified rule."""
+    return radial_curve(profile, n, radius, 2, (radius,)).probabilities[0]
 
 
 def radial_delta_x(profile: MomentumProfile, n: int) -> float:

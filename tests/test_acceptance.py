@@ -20,9 +20,8 @@ from diracloc.transform import (
     CartesianGrid,
     density_field,
     position_state_cartesian,
+    radial_curve,
     radial_density,
-    radial_probability,
-    tail_estimate,
 )
 from grid_oracles import angular_average
 
@@ -46,18 +45,16 @@ def inverse_n_fit(n_values, errors):
 def test_criterion_1_figure_reproduction():
     start = time.perf_counter()
     profile = gaussian_profile(1.0)
-    r = np.linspace(0.0, 6.0, 601)
-    curves = {n: radial_density(profile, n, r) for n in (5, 7, 10)}
+    curves = {n: radial_curve(profile, n, 6.0, 601, (1.0,)) for n in (5, 7, 10)}
 
-    norms = {n: radial_probability(profile, n, 6.0) + tail_estimate(r, rho)
-             for n, rho in curves.items()}
+    norms = {n: curve.norm for n, curve in curves.items()}
     for n, norm in norms.items():
         assert abs(norm - 1.0) <= 1e-4, f"norm(n={n}) = {norm}"
 
-    rho0 = [curves[n][0] for n in (5, 7, 10)]
+    rho0 = [curves[n].rho[0] for n in (5, 7, 10)]
     assert rho0[0] < rho0[1] < rho0[2]
 
-    inside = {n: radial_probability(profile, n, 1.0) for n in (5, 7, 10)}
+    inside = {n: curves[n].probabilities[0] for n in (5, 7, 10)}
     assert inside[5] < inside[7] < inside[10]
     assert inside[10] > 0.9
 

@@ -7,12 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diracloc.cli as cli
+import diracloc.transform as transform
 import diracloc.verify as verify
 from diracloc.cli import main
 from diracloc.dynamics import evolve_free
@@ -22,7 +24,7 @@ from diracloc.transform import (
     CartesianGrid,
     density_field,
     position_state_cartesian,
-    radial_density,
+    radial_curve,
 )
 from radial_oracles import two_panel_delta_x, two_panel_probability
 
@@ -153,7 +155,8 @@ class TestFigure1:
         rows = np.loadtxt(outputs / "rho_n5.csv", delimiter=",", skiprows=1)
         r = np.linspace(0.0, 6.0, 601)
         assert np.array_equal(rows[:, 0], r)
-        assert np.array_equal(rows[:, 1], radial_density(gaussian_profile(1.0), 5, r))
+        curve = radial_curve(gaussian_profile(1.0), 5, 6.0, 601, (1.0,))
+        assert np.array_equal(rows[:, 1], curve.rho)
 
     def test_deterministic_bytes(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -197,13 +200,45 @@ class TestFigure1:
         expected = two_panel_probability(profile, n, 1.0)
         assert entry["prob_inside_r1"] == pytest.approx(expected, rel=1e-12)
 
-    def test_unresolved_curve_is_refused(self, tmp_path, capsys):
-        # at n = 200 the tail fit finds no decay, so the norm is infinite;
-        # the n = 5 curve certified before it is not written either
+    def test_uncertified_curve_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a step-halving tolerance of 0 certifies no table: the command
+        # exits 1 and writes no curve and no summary
+        monkeypatch.setattr(transform, "TABLE_TOL", 0.0)
         out = tmp_path / "out"
         assert run(["figure1", "--out", str(out), "--n", "5,200"]) == 1
         assert not out.exists()
-        assert "n = 200, sigma_p = 1: norm inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "figure1: n = 5, sigma_p = 1: the table moves by" in err
+        assert "when the momentum step is halved, beyond 0" in err
+
+    @pytest.mark.parametrize("sigma_p, n_list", [
+        (0.5, "1"),  # a broad state: the old tail fit read norm 1.000169
+        (0.2, "1"),  # broader still: the old fit read norm 1.338
+        (2.0, "100"),  # the old fit read norm inf
+        (50.0, "5"),  # the old fit read norm 20.24
+        (1.0, "5,200"),
+    ])
+    def test_resolved_curves_are_certified(self, tmp_path, sigma_p, n_list):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[profile]\nsigma_p = {sigma_p}\n")
+        out = tmp_path / "out"
+        assert run(["figure1", "--config", str(cfg), "--out", str(out), "--n", n_list]) == 0
+        curves = read_json(out / "figure1_summary.json")["curves"]
+        assert sorted(curves) == sorted(n_list.split(","))
+        for entry in curves.values():
+            assert abs(entry["norm"] - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("sigma_p, n", [(2.0, 64), (1.0, 200)])
+    def test_memory_peak_bounded(self, sigma_p, n):
+        # every direct sum walks BLOCK_POINTS blocks; the rffts hold a few
+        # arrays of the rule's length
+        tracemalloc.start()
+        try:
+            cli.cmd_figure1(cli.RunConfig(sigma_p=sigma_p, n_list=(n,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("r_max, r_count", [(2.9, 291), (6.0, 2)])
     def test_short_slope_window_is_config_error(self, tmp_path, r_max, r_count):

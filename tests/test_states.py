@@ -233,11 +233,6 @@ class TestLocalizationLabel:
         with pytest.raises(ValueError):
             LocalizationLabel(spin=0.25)
 
-    def test_with_n(self):
-        lab = LocalizationLabel(a=(1, 2, 3), n=2)
-        assert lab.with_n(7).n == 7
-        assert lab.with_n(7).a == (1.0, 2.0, 3.0)
-
 
 class TestMomentumState:
     def test_origin_value(self):
@@ -256,7 +251,7 @@ class TestMomentumState:
     @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
     def test_norm_blocks_add_to_whole_rule_sum(self, v):
         state = make_state(v=v, n=3)
-        cut = state.momentum_cutoff()
+        cut = state.label.n * state.profile.cutoff()
         axis = None if state.profile.is_symmetric else state.profile.center
         rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2, axis))
         total = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)

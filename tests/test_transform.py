@@ -11,11 +11,17 @@ from hypothesis import strategies as st
 
 from diracloc.dynamics import evolve_free
 from diracloc.observables import moments
-from diracloc.quadrature import BLOCK_POINTS, _leggauss, gauss_legendre
+from diracloc.quadrature import BLOCK_POINTS, QuadratureError, _leggauss, gauss_legendre
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
 from grid_oracles import angular_average, sampled_psi
-from radial_oracles import position_space_delta_x, scipy_spherical_j01, two_panel_delta_x
+from radial_oracles import (
+    gl_radial_density,
+    position_space_delta_x,
+    scipy_spherical_j01,
+    two_panel_delta_x,
+    two_panel_probability,
+)
 from diracloc import transform
 from diracloc.transform import (
     SLAB_BYTES_PER_POINT,
@@ -29,11 +35,11 @@ from diracloc.transform import (
     physical_memory,
     position_state_cartesian,
     radial_components,
+    radial_curve,
     radial_delta_x,
     radial_density,
     radial_probability,
     slab_columns,
-    tail_estimate,
 )
 
 
@@ -72,7 +78,7 @@ class TestGaussLegendre:
 
 class TestRadialComponents:
     def test_lower_component_vanishes_at_origin(self, plain_profile):
-        g0, g1 = radial_components(plain_profile, 5, 0.0)
+        g0, g1 = radial_components(plain_profile, 5, 0.0, 400, 0.1)
         assert g1 == 0.0
         assert g0.real > 0.0
 
@@ -144,23 +150,55 @@ class TestRadialComponents:
         live = ref > 1e-300
         assert np.all(np.abs(rho - ref)[live] <= 1e-13 * ref[live])
 
-    def test_node_doubling_convergence(self, plain_profile):
+    def test_step_halving_convergence(self, plain_profile):
+        # the trapezoid rule converges geometrically: at h = 0.1 it is
+        # already at rounding level, at h = 0.4 it is not
         r = np.linspace(0.0, 6.0, 61)
-        g0a, g1a = radial_components(plain_profile, 7, r, n_nodes=2048)
-        g0b, g1b = radial_components(plain_profile, 7, r, n_nodes=4096)
-        assert np.abs(g0a - g0b).max() < 1e-8
-        assert np.abs(g1a - g1b).max() < 1e-8
+        g0a, g1a = radial_components(plain_profile, 7, r, 560, 0.1)
+        g0b, g1b = radial_components(plain_profile, 7, r, 1120, 0.05)
+        g0c, g1c = radial_components(plain_profile, 7, r, 140, 0.4)
+        scale = g0b[0]
+        assert np.abs(g0a - g0b).max() < 1e-14 * scale
+        assert np.abs(g1a - g1b).max() < 1e-14 * scale
+        assert np.abs(g0c - g0b).max() > 1e-10 * scale
+
+    def test_even_nodes_are_the_doubled_step(self, plain_profile):
+        # the coarse sums of the step-halving certificate are the rule of
+        # step 2h itself, with no second kernel evaluation
+        r = np.linspace(0.0, 0.05, 6)
+        fine, coarse = transform._trapezoid_sums(plain_profile, 5, r, 1000, 0.04)
+        assert np.allclose(fine, radial_components(plain_profile, 5, r, 1000, 0.04),
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(coarse, radial_components(plain_profile, 5, r, 500, 0.08),
+                           rtol=1e-14, atol=0.0)
+
+    def test_direct_sums_walk_bounded_blocks(self, plain_profile, monkeypatch):
+        # more nodes than a block holds: the node runs split, the sums do not move
+        r = np.linspace(0.0, 2.0, 9)
+        whole = radial_components(plain_profile, 9, r, 3000, 0.03)
+        seen = []
+        kernel = transform._spherical_j01
+
+        def spy(x):
+            seen.append(x.size)
+            return kernel(x)
+
+        monkeypatch.setattr(transform, "BLOCK_POINTS", 1024)
+        monkeypatch.setattr(transform, "_spherical_j01", spy)
+        blocked = radial_components(plain_profile, 9, r, 3000, 0.03)
+        assert max(seen) <= 1024 and len(seen) == 9 * 3
+        assert np.abs(np.subtract(whole, blocked)).max() <= 1e-14 * whole[0][0]
 
     def test_asymmetric_profile_rejected(self):
         from diracloc.states import boosted_gaussian_profile
 
         prof = boosted_gaussian_profile((0.0, 0.0, 0.3))
         with pytest.raises(ValueError):
-            radial_components(prof, 2, 1.0)
+            radial_components(prof, 2, 1.0, 400, 0.1)
 
     def test_negative_radius_rejected(self, plain_profile):
         with pytest.raises(ValueError):
-            radial_components(plain_profile, 2, -0.5)
+            radial_components(plain_profile, 2, -0.5, 400, 0.1)
 
 
 class TestRadialDeltaX:
@@ -180,6 +218,56 @@ class TestRadialDeltaX:
 
         with pytest.raises(ValueError):
             radial_delta_x(boosted_gaussian_profile((0.0, 0.0, 0.3)), 2)
+
+
+class TestRadialCurve:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 200),
+        spread=st.floats(0.0, 1.0),
+        r_max=st.floats(1.0, 20.0),
+        r_count=st.integers(2, 201),
+    )
+    def test_table_matches_gauss_legendre_oracle(self, n, spread, r_max, r_count):
+        # sigma_p on [0.5, 50] with n sigma_p <= 200, where 16384 Gauss-Legendre
+        # nodes still resolve sin(p r) out to r = 20
+        sigma_p = 0.5 * min(100.0, 400.0 / n) ** spread
+        profile = gaussian_profile(sigma_p)
+        curve = radial_curve(profile, n, r_max, r_count)
+        ref = gl_radial_density(profile, n, np.linspace(0.0, r_max, r_count), 16384)
+        assert np.abs(curve.rho - ref).max() <= 1e-13 * ref[0]
+        assert abs(curve.norm - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n, sigma_p", [(5, 1.0), (64, 2.0), (100, 2.0), (5, 50.0)])
+    def test_probability_matches_two_panel_oracle(self, n, sigma_p):
+        profile = gaussian_profile(sigma_p)
+        curve = radial_curve(profile, n, 6.0, 601, (1.0,))
+        expected = two_panel_probability(profile, n, 1.0)
+        assert curve.probabilities[0] == pytest.approx(expected, rel=1e-12)
+        assert curve.table_halving <= 1e-14 and curve.probability_halving <= 1e-14
+
+    def test_halving_catches_an_aliased_rule(self, plain_profile, monkeypatch):
+        # with no tail margin the rule's images reach back onto the table
+        monkeypatch.setattr(transform, "TAIL_RADIUS", 0.0)
+        monkeypatch.setattr(transform, "MIN_NODES", 1)
+        with pytest.raises(QuadratureError, match="momentum step is halved"):
+            radial_curve(plain_profile, 5, 6.0, 601)
+
+    def test_oversized_rule_refused_before_allocating(self):
+        # n sigma_p = 10^4 would need a 2^23-point transform
+        tracemalloc.start()
+        with pytest.raises(QuadratureError, match="FFT of length"):
+            radial_curve(gaussian_profile(50.0), 200, 6.0, 601)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_table_rows_are_radial_density(self, plain_profile):
+        # the FFT rows and the direct rows agree with direct sums at the same radii
+        r = np.linspace(0.0, 6.0, 601)
+        curve = radial_curve(plain_profile, 10, 6.0, 601)
+        direct = radial_density(plain_profile, 10, r)
+        assert np.abs(curve.rho - direct).max() <= 1e-13 * curve.rho[0]
 
 
 class TestRadialDensity:
@@ -207,11 +295,11 @@ class TestRadialDensity:
         slope = log_slope(r, radial_density(plain_profile, 5, r), 3.0, 6.0)
         assert slope < 0.0
 
-    def test_table_norm_with_tail_estimate(self, plain_profile):
-        r = np.linspace(0.0, 6.0, 601)
-        rho = radial_density(plain_profile, 7, r)
-        total = radial_probability(plain_profile, 7, 6.0) + tail_estimate(r, rho)
-        assert abs(total - 1.0) <= 1e-4
+    def test_table_norm_over_the_tail(self, plain_profile):
+        # the norm's radius grid reaches 20/m past the table: no tail fit
+        curve = radial_curve(plain_profile, 7, 6.0, 601, (6.0,))
+        assert abs(curve.norm - 1.0) <= 1e-14
+        assert 0.0 < 1.0 - curve.probabilities[0] < 1e-9
 
 
 class TestCartesianGrid:
@@ -361,7 +449,7 @@ class TestOracleEquivalence:
         centre = ps5.grid.n_points // 2
         mask = (x >= 0.0) & (x <= 2.0)
         rho_axis = density_field(ps5)[mask, centre, centre]
-        g0, g1 = radial_components(plain_profile, 5, x[mask])
+        g0, g1 = radial_components(plain_profile, 5, x[mask], 400, 0.1)
         rho_radial = np.abs(g0) ** 2 + np.abs(g1) ** 2
         rel = np.abs(rho_axis - rho_radial).max() / rho_radial.max()
         assert rel <= 1e-2

@@ -19,7 +19,8 @@ One fixed list of runs is made on both trees, each run a fresh
 * an ``evolve --n 1 --grid 64,16`` run on a state moving at 0.99 along
   x, off the z axis of the default spherical rule;
 * the seven runs that must exit with an error and write nothing
-  (``ERROR_RUNS``), whose exit codes ``tests/test_cli.py`` asserts.
+  (``ERROR_RUNS``), whose exit codes ``tests/test_cli.py`` asserts; one
+  sets figure1's step-halving tolerance to 0 before the command runs.
 
 A run passes its config as ``config.ini`` and its output directory as
 ``out``, both relative to its own working directory, so the two trees'
@@ -61,17 +62,22 @@ FAST_OFF_AXIS = "[profile]\nkind = boosted_gaussian\nv_target = 0.99 0 0\n"
 
 @dataclass(frozen=True)
 class Run:
-    """One CLI process: ``diracloc <cmd> [--config config.ini] <flags> --out out``."""
+    """One CLI process: ``diracloc <cmd> [--config config.ini] <flags> --out out``.
+
+    ``setup`` is Python run in that process before the command, on either tree.
+    """
 
     id: str
     cmd: str
     config: str = ""
     flags: tuple = ()
+    setup: str = ""
 
 
 ERROR_RUNS = (
     Run("error/moments-boosted-n-10", "moments", BOOSTED, ("--n", "10")),
-    Run("error/figure1-n-5-200", "figure1", flags=("--n", "5,200")),
+    Run("error/figure1-halving-tol-0", "figure1", flags=("--n", "5,200"),
+        setup="import diracloc.transform\ndiracloc.transform.TABLE_TOL = 0.0\n"),
     Run("error/figure1-r-max-2.9", "figure1", "[grid]\nr_max = 2.9\nr_count = 291\n",
         ("--n", "20")),
     Run("error/evolve-r0-negative", "evolve", "[evolve]\nr0 = -1\n"),
@@ -130,7 +136,7 @@ def execute(src: Path, run: Run, work: Path) -> Result:
         argv += ["--config", "config.ini"]
     argv += [*run.flags, "--out", "out"]
     done = subprocess.run(
-        [sys.executable, "-c", LAUNCH, *argv], cwd=work, capture_output=True,
+        [sys.executable, "-c", run.setup + LAUNCH, *argv], cwd=work, capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     out = work / "out"

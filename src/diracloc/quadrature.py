@@ -17,9 +17,13 @@ Two workhorses:
   axis is z unless the caller turns it onto another direction: about an
   axis of symmetry of the integrand the azimuth carries only low
   harmonics, which a few trapezoid nodes integrate exactly.  Every
-  caller walks the rule in blocks of whole radial nodes
-  (``SphericalRule.blocks``) and adds the block sums with
-  ``pairwise_sum``; the whole rule is never built.
+  caller walks the rule in blocks of whole radial nodes and adds the
+  block sums with ``pairwise_sum``; the whole rule is never built.
+  A block is either the points' world coordinates
+  (``SphericalRule.blocks``) or, for an integrand that depends on a
+  point only through its radius and a few projections of its
+  direction, radial nodes against the unit directions
+  (``SphericalRule.directions``).
 
 Convergence of any rule can be certified by doubling every node count
 and comparing (``node_doubling``); callers that promise a tolerance
@@ -170,6 +174,28 @@ class SphericalRule:
         for lo in range(0, self.r.size, step):
             yield self._rows(lo, lo + step)
 
+    def directions(self):
+        """(d, weights): the angular factor of the rule.
+
+        d is (3, n_theta * n_phi), the unit directions in the world frame
+        (polar node slowest, azimuth fastest), and weights their polar
+        times azimuth weights, so the rule is the radial nodes r (weights
+        ``r2_weights``) times these directions: points r d.  An integrand
+        that depends on s only through |s| and a few projections s.a
+        can form each projection once per direction instead of once per
+        point.
+        """
+        local = (
+            self.sin_theta[:, None] * self.cos_phi,
+            self.sin_theta[:, None] * self.sin_phi,
+            np.broadcast_to(self.cos_theta[:, None], (self.cos_theta.size, self.cos_phi.size)),
+        )
+        if self.frame is not None:
+            e1, e2, e3 = self.frame
+            local = tuple(e1[i] * local[0] + e2[i] * local[1] + e3[i] * local[2] for i in range(3))
+        d = np.stack([c.ravel() for c in local])
+        return d, np.repeat(self.theta_weights * self.phi_weight, self.cos_phi.size)
+
 
 def pairwise_sum(parts):
     """Sum by recursive halving: for 2^k equal blocks of a 2^m-element array this
@@ -183,9 +209,10 @@ def pairwise_sum(parts):
 def _axis_frame(axis) -> np.ndarray | None:
     """Rows (e1, e2, e3) of the rule frame with polar axis e3 along ``axis``.
 
-    None for an axis along +-z, whose rule is the z-axis rule itself.
-    Otherwise e1 = (e3_y, -e3_x, 0) / |(e3_x, e3_y)| lies in the xy
-    plane and e2 = e3 x e1.
+    None for an axis along +-z, whose rule is the z-axis rule itself,
+    and for one whose unit vector is off z by a subnormal |(e3_x, e3_y)|,
+    which carries too few digits to divide by.  Otherwise e1 = (e3_y,
+    -e3_x, 0) / |(e3_x, e3_y)| lies in the xy plane and e2 = e3 x e1.
     """
     e3 = np.asarray(axis, dtype=float)
     if not e3.any():
@@ -193,7 +220,10 @@ def _axis_frame(axis) -> np.ndarray | None:
     if not (e3[0] or e3[1]):
         return None
     e3 = e3 / np.linalg.norm(e3)
-    e1 = np.array([e3[1], -e3[0], 0.0]) / math.hypot(e3[0], e3[1])
+    transverse = math.hypot(e3[0], e3[1])
+    if transverse < np.finfo(float).tiny:
+        return None
+    e1 = np.array([e3[1], -e3[0], 0.0]) / transverse
     return np.array([e1, np.cross(e3, e1), e3])
 
 

@@ -6,11 +6,14 @@ library forms walk the rule block by block and use the eigenspinor
 identities u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)),
 or the eigenspinor's closed-form current, instead.  ``bilinear_current``
 is the general four-slot current j = 2 Re(upper^dagger sigma lower).
-``a_n_limit`` is a second quadrature of R_n(0) for Q = alpha_k, and
-``z_axis_rn`` is R_n on a fine spherical rule about the z axis, whatever
-the direction of p and of the envelope centre.  ``oracle_momentum_rule``
-is ``momentum_rule`` with 32 azimuth nodes in place of 2, and inside
-``on_oracle_rule`` every library reduction integrates on it.
+``a_n_limit`` is a second quadrature of R_n(0) for Q = alpha_k,
+``pointwise_rn_integral`` is R_n on a rule from the world coordinates of
+every point (the library walks the rule's radial and angular factors),
+and ``z_axis_rn`` is it on a fine spherical rule about the z axis,
+whatever the direction of p and of the envelope centre.
+``oracle_momentum_rule`` is ``momentum_rule`` with 32 azimuth nodes in
+place of 2, and inside ``on_oracle_rule`` every library reduction
+integrates on it.
 """
 
 from contextlib import contextmanager
@@ -19,9 +22,8 @@ from unittest import mock
 import numpy as np
 
 from diracloc import observables, states
-from diracloc.observables import _rn_integral
 from diracloc.quadrature import RuleBlock, spherical_rule
-from diracloc.spinor import ALPHA
+from diracloc.spinor import ALPHA, energy_xyz, spinor_layout
 from diracloc.states import momentum_rule
 from diracloc.units import MASS
 
@@ -139,6 +141,62 @@ def a_n_limit(profile, n, axis):
     return float(np.sum(rule.weights * f2 * kernel))
 
 
+def bilinear_numerator(q, s, eq_m, es_m, q_operator, sign):
+    """calE(q) calE(s) u(q)^dagger Q u(s) as (real, imaginary) arrays.
+
+    ``eq_m`` and ``es_m`` are E(q) + m and E(s) + m.  The eigenspinor is
+    u = (E + m, sigma.p) chi / calE with chi the spin-up or spin-down
+    Pauli spinor (``sign`` = +1 or -1), so sigma_i sigma_j = delta_ij +
+    i eps_ijk sigma_k and chi^dagger sigma chi = (0, 0, sign) give
+
+        identity: (E_q+m)(E_s+m) + q.s + sign i (q x s)_3
+        alpha_i:  (E_q+m)(s_i + sign i eps_ij3 s_j)
+                  + (E_s+m)(q_i + sign i eps_ji3 q_j)
+    """
+    if q_operator == "identity":
+        real = eq_m * es_m + q[0] * s[0] + q[1] * s[1] + q[2] * s[2]
+        return real, sign * (q[0] * s[1] - q[1] * s[0])
+    i = int(q_operator[-1]) - 1
+    real = eq_m * s[i] + es_m * q[i]
+    if i == 0:
+        return real, sign * (eq_m * s[1] - es_m * q[1])
+    if i == 1:
+        return real, sign * (es_m * q[0] - eq_m * s[0])
+    return real, 0.0
+
+
+def pointwise_rn_integral(profile, n, p, q_operator="identity", spin=0.5):
+    """The map rule -> R_n(p) on that rule from every point's world coordinates.
+
+    Per rule block: q = s - p, E(q) and E(s) from three components each,
+    the Gaussian exponent from |s - mid|^2 summed over components, and
+    ``bilinear_numerator`` over calE(q) calE(s); the block sums are added
+    in order.
+    """
+    sign = spinor_layout(spin).sign
+    p = np.asarray(p, dtype=float)
+    mid = n * np.asarray(profile.center, dtype=float) + 0.5 * p
+    width2 = (n * profile.sigma_p) ** 2
+    scale = abs(profile.amplitude) ** 2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
+
+    def evaluate(rule):
+        real_sum = imag_sum = 0.0
+        for block in rule.blocks():
+            s = (block.x, block.y, block.z)
+            q = tuple(s[k] - p[k] for k in range(3))
+            dist2 = (s[0] - mid[0]) ** 2 + (s[1] - mid[1]) ** 2 + (s[2] - mid[2]) ** 2
+            eq, es = energy_xyz(*q), energy_xyz(*s)
+            eq_m, es_m = eq + MASS, es + MASS
+            weight = block.weights * np.exp(-dist2 / width2)
+            weight /= np.sqrt(4.0 * eq * eq_m * es * es_m)
+            real, imag = bilinear_numerator(q, s, eq_m, es_m, q_operator, sign)
+            real_sum += float(np.sum(weight * real))
+            imag_sum += float(np.sum(weight * imag))
+        return complex(scale * real_sum, scale * imag_sum)
+
+    return evaluate
+
+
 def z_axis_rn(profile, n, p, q_operator="identity", spin=0.5, resolution=(128, 192, 96, 64)):
     """R_n(p) on the z-axis rule of ``convolution_Rn``'s panels at ``resolution``.
 
@@ -149,4 +207,4 @@ def z_axis_rn(profile, n, p, q_operator="identity", spin=0.5, resolution=(128, 1
     p_norm = float(np.linalg.norm(p))
     rule = spherical_rule((0.0, 2.0 * p_norm + 4.0, n * profile.cutoff() + p_norm),
                           resolution[:2], *resolution[2:])
-    return _rn_integral(profile, n, p, q_operator, spin)(rule)
+    return pointwise_rn_integral(profile, n, p, q_operator, spin)(rule)

@@ -12,7 +12,6 @@ from diracloc import observables, quadrature
 from diracloc.dynamics import probability_outside
 from diracloc.observables import (
     Q_MATRICES,
-    _bilinear_numerator,
     _margin,
     _rn_integral,
     convolution_Rn,
@@ -53,9 +52,11 @@ from grid_oracles import causality_margin, density_fourier, field_moments
 from momentum_oracles import (
     a_n_limit,
     bilinear_current,
+    bilinear_numerator,
     einsum_mean_velocity,
     finite_difference_position_mean,
     on_oracle_rule,
+    pointwise_rn_integral,
     spinor_norm,
     whole,
     z_axis_rn,
@@ -499,7 +500,7 @@ class TestRnClosedForm:
         q = rng.uniform(-5.0, 5.0, size=(3, 500))
         s = rng.uniform(-5.0, 5.0, size=(3, 500))
         eq, es = energy_xyz(*q), energy_xyz(*s)
-        real, imag = _bilinear_numerator(q, s, eq + 1.0, es + 1.0, q_operator, spin * 2.0)
+        real, imag = bilinear_numerator(q, s, eq + 1.0, es + 1.0, q_operator, spin * 2.0)
         cal = np.sqrt(4.0 * eq * (eq + 1.0) * es * (es + 1.0))
         ua = eigenspinor_components(*q, spin)
         ub = eigenspinor_components(*s, spin)
@@ -534,6 +535,33 @@ class TestRnClosedForm:
         closed = _rn_integral(profile, n, p, *q_spin)(rule)
         oracle = einsum_rn_integral(profile, n, p, *q_spin)(rule)
         assert abs(closed - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(
+        v_angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)),
+        speed=st.floats(0.0, 0.99),
+        p_angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)),
+        p_norm=st.floats(0.0, 3.0),
+        n=st.integers(1, 64),
+        q_spin=st.sampled_from(ALL_Q_SPIN),
+        n_phi=st.sampled_from((2, 32)),
+        axis_angles=st.one_of(
+            st.none(), st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi))
+        ),
+    )
+    def test_factored_kernel_matches_pointwise(
+        self, v_angles, speed, p_angles, p_norm, n, q_spin, n_phi, axis_angles
+    ):
+        # convolution_Rn's base panels, about z or a turned axis, against the
+        # world coordinates of every point of the same rule
+        profile = boosted_gaussian_profile(speed * unit_vector(*v_angles))
+        p = p_norm * unit_vector(*p_angles)
+        axis = None if axis_angles is None else unit_vector(*axis_angles)
+        rule = spherical_rule((0.0, 2.0 * p_norm + 4.0, n * profile.cutoff() + p_norm),
+                              (64, 96), 48, n_phi, axis)
+        factored = _rn_integral(profile, n, p, *q_spin)(rule)
+        pointwise = pointwise_rn_integral(profile, n, p, *q_spin)(rule)
+        assert abs(factored - pointwise) <= 1e-13 * max(1.0, abs(pointwise))
 
     def test_returns_python_complex(self, plain_profile):
         # the rn CSV writes repr() of the parts, which must stay plain floats
@@ -580,6 +608,20 @@ class TestConvolutionRn:
     def test_unknown_operator_rejected(self, plain_profile):
         with pytest.raises(ValueError):
             convolution_Rn(plain_profile, 4, (0, 0, 0), "alpha4")
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_memory_peak_bounded(self, n):
+        # the perfbench seed-1 rn-0 inputs, off the axis: 32 (64) azimuth nodes
+        profile = boosted_gaussian_profile((0.143339, -0.360207, -0.364857))
+        p = (1.486064, 0.661425, -0.015308)
+        convolution_Rn(profile, n, p, "alpha1")  # node caches filled
+        tracemalloc.start()
+        try:
+            convolution_Rn(profile, n, p, "alpha1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_matches_density_transform(self, plain_profile):
         # Fourier transform of the sampled density, divided by the point
@@ -653,6 +695,16 @@ class TestAlignedRnRule:
         p = (0.5, 1.0, -0.3)
         value = convolution_Rn(profile, 8, p, "alpha1")
         oracle = z_axis_rn(profile, 8, p, "alpha1", resolution=(128, 192, 192, 256))
+        assert abs(value - oracle) <= 1e-13
+
+    @pytest.mark.parametrize("q_operator", ["identity", "alpha1"])
+    def test_fast_state_at_large_n_off_the_z_axis(self, q_operator):
+        # n = 64, |v| = 0.99: |mid| = 452 against a width of 64, where the
+        # expansion r^2 - 2 r d.mid + |mid|^2 would cancel most
+        profile = boosted_gaussian_profile(0.99 * np.array([0.48, -0.6, 0.64]))
+        p = (0.5, 1.0, -0.3)
+        value = convolution_Rn(profile, 64, p, q_operator)
+        oracle = z_axis_rn(profile, 64, p, q_operator, resolution=(128, 192, 192, 256))
         assert abs(value - oracle) <= 1e-13
 
     @pytest.mark.parametrize("v, p, axis, n_phi", [

@@ -290,8 +290,9 @@ class TestMomentumState:
 class TestRuleAxis:
     BREAKS, ORDERS = (0.0, 4.0, 30.0), (24, 40)
 
-    @pytest.mark.parametrize("axis", [(0.0, 0.0, 2.5), (0.0, 0.0, -1.0)])
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 2.5), (0.0, 0.0, -1.0), (5e-324, 5e-324, 1.0)])
     def test_z_axis_is_the_plain_rule(self, axis):
+        # a subnormal transverse part has too few digits to turn a frame by
         plain = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8))
         turned = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis))
         for name in ("x", "y", "z", "weights"):
@@ -310,6 +311,19 @@ class TestRuleAxis:
 
     def test_turned_rule_blocks_are_the_whole_rule_in_pieces(self):
         assert_blocks_tile(spherical_rule((0.0, 4.0, 30.0), (96, 256), 48, 32, (0.3, -0.2, 0.4)))
+
+    @pytest.mark.parametrize("axis", [None, (0.3, -0.2, 0.4)])
+    def test_directions_are_the_rule_factored(self, axis):
+        # the points are r d and the weights r2_weights times the angular ones
+        rule = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
+        points = whole(rule)
+        d, angular = rule.directions()
+        assert d.shape == (3, 96) and angular.shape == (96,)
+        assert np.abs(np.linalg.norm(d, axis=0) - 1.0).max() <= 4e-16
+        for got, expected in zip(rule.r[:, None] * d[:, None, :], points[:3]):
+            assert np.abs(got.ravel() - expected).max() <= 1e-14 * rule.r.max()
+        weights = (rule.r2_weights[:, None] * angular).ravel()
+        assert np.abs(weights - points.weights).max() <= 4e-16 * points.weights.max()
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -23,14 +23,14 @@ coordinates of a point.  The spherical rule's polar axis is the
 envelope centre c = n k, or p when c = 0 (``_rn_rule_axis``): where p is
 zero or parallel to it the integrand is axially symmetric up to terms
 linear in s, first harmonics in the azimuth, and 2 azimuth nodes
-integrate it exactly.  The
-mean velocity can be formed two ways, as the spinor bilinear of alpha
-(``packed_current`` of the sampled spinor) or via the scalar weight
-p/E(p); the two coincide identically on positive-energy states and both
-are provided so the identity can be checked under a shared quadrature,
-``states.momentum_rule``, turned onto the envelope centre.  Every
-other momentum-space rule is walked one ``SphericalRule.blocks`` block
-at a time; every rule's block sums are added with ``pairwise_sum``.
+integrate it exactly; R_n's block sums are added with ``pairwise_sum``.
+The mean velocity can be formed two ways, as the spinor bilinear of
+alpha (``packed_current`` of the sampled spinor) or via the scalar
+weight p/E(p); the two coincide identically on positive-energy states
+and both are provided so the identity can be checked under a shared
+quadrature, ``states.momentum_rule``, turned onto the envelope centre.
+That rule has ``BLOCK_POINTS`` points, so <xdot> and <x> each take
+them all at once (``SphericalRule.points``) and add them with ``np.sum``.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
 gives u_s^dagger u_s = 1, u_up^dagger u_down = 0 and
@@ -223,22 +223,13 @@ def mean_velocity_two_ways(state: MomentumState):
                  ``spinor.packed_current`` of the sampled spinor
     scalar form: int (p/E(p)) phi^dagger phi d^3p
 
-    Both are summed on ``states.momentum_rule`` one
-    ``SphericalRule.blocks`` block at a time, the block sums added
-    pairwise.
+    Both are sums over the points of ``states.momentum_rule``.
     """
-    layout = spinor_layout(state.label.spin)
-    partials = []
-    for block in momentum_rule(state.profile, state.label.n).blocks():
-        p = np.stack(block[:3])
-        phi = state.spinor(*p)
-        flow = block.weights * bilinear_density(phi) / energy_xyz(*p)
-        partials.append(np.concatenate([
-            np.sum(block.weights * packed_current(phi, layout), axis=1),
-            np.sum(flow * p, axis=1),
-        ]))
-    sums = pairwise_sum(partials)
-    return sums[:3], sums[3:]
+    p, weights = momentum_rule(state.profile, state.label.n).points()
+    phi = state.spinor(*p)
+    flow = weights * bilinear_density(phi) / energy_xyz(*p)
+    current = np.sum(weights * packed_current(phi, spinor_layout(state.label.spin)), axis=1)
+    return current, np.sum(flow * p, axis=1)
 
 
 def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> complex:
@@ -510,24 +501,17 @@ def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
 
     s = +1 or -1 by spin: i u_s^dagger grad u_s = s (p x z)/(2E(E + m)) is
     the spin term separating Dirac's position from Newton-Wigner's.  Both
-    integrals are scalar sums on ``states.momentum_rule``, taken one
-    block at a time and added pairwise; used to cross-check the
-    position-grid moments.
+    integrals are scalar sums over the points of ``states.momentum_rule``;
+    used to cross-check the position-grid moments.
     """
     sign = spinor_layout(state.label.spin).sign
-    partials = []
-    for block in momentum_rule(state.profile, state.label.n).blocks():
-        p = np.stack(block[:3])
-        density = block.weights * np.abs(state.envelope(*p)) ** 2
-        e = energy_xyz(*p)
-        flow = density * (state.time / e)
-        spin = density * (sign / (2.0 * e * (e + MASS)))
-        partials.append(np.array([
-            *np.sum(flow * p, axis=1), np.sum(spin * p[1]), np.sum(spin * p[0])
-        ]))
-    sums = pairwise_sum(partials)
+    p, weights = momentum_rule(state.profile, state.label.n).points()
+    density = weights * np.abs(state.envelope(*p)) ** 2
+    e = energy_xyz(*p)
+    flow = density * (state.time / e)
+    spin = density * (sign / (2.0 * e * (e + MASS)))
     mean = np.array(state.label.a, dtype=float)
-    mean += sums[:3]
-    mean[0] += sums[3]
-    mean[1] -= sums[4]
+    mean += np.sum(flow * p, axis=1)
+    mean[0] += np.sum(spin * p[1])
+    mean[1] -= np.sum(spin * p[0])
     return mean

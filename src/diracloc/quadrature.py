@@ -16,14 +16,14 @@ Two workhorses:
   panels keep the rule spectrally accurate on both scales.  The polar
   axis is z unless the caller turns it onto another direction: about an
   axis of symmetry of the integrand the azimuth carries only low
-  harmonics, which a few trapezoid nodes integrate exactly.  Every
-  caller walks the rule in blocks of whole radial nodes and adds the
-  block sums with ``pairwise_sum``; the whole rule is never built.
-  A block is either the points' world coordinates
-  (``SphericalRule.blocks``) or, for an integrand that depends on a
-  point only through its radius and a few projections of its
-  direction, radial nodes against the unit directions
-  (``SphericalRule.directions``).
+  harmonics, which a few trapezoid nodes integrate exactly.  A rule
+  gives either every point's world coordinates at once
+  (``SphericalRule.points``, for a rule of at most ``BLOCK_POINTS``
+  points) or, for an integrand that depends on a point only through
+  its radius and a few projections of its direction, its unit
+  directions (``SphericalRule.directions``), which the caller walks
+  against the radial nodes a block at a time.  Both come from one
+  construction of the world coordinates at given radii.
 
 Convergence of any rule can be certified by doubling every node count
 and comparing (``node_doubling``); callers that promise a tolerance
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,24 +113,14 @@ def panel_rule(breaks, orders):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-class RuleBlock(NamedTuple):
-    """Points and weights of part of a rule: sum(weights * f(x, y, z))."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    weights: np.ndarray
-
-
 @dataclass(frozen=True)
 class SphericalRule:
     """3-D product rule: sum(weights * f(x, y, z)) ~ integral.
 
-    Holds the 1-D factor rules; the flattened points (radial node
-    slowest, azimuth fastest) are built only by ``blocks``, a run of
-    whole radial nodes at a time.  With a ``frame`` (rows e1, e2, e3, e3
-    the polar axis) each point of the z-axis rule is carried to
-    x_i = e1_i x + e2_i y + e3_i z; the weights are unchanged.
+    Holds the 1-D factor rules; ``points`` builds the flattened points
+    (radial node slowest, azimuth fastest).  With a ``frame`` (rows e1,
+    e2, e3, e3 the polar axis) each point of the z-axis rule is carried
+    to x_i = e1_i x + e2_i y + e3_i z; the weights are unchanged.
     """
 
     r: np.ndarray
@@ -144,35 +133,21 @@ class SphericalRule:
     phi_weight: float
     frame: np.ndarray | None = None
 
-    def _rows(self, lo: int, hi: int) -> RuleBlock:
-        """The points of radial nodes lo..hi-1, flattened."""
-        r = self.r[lo:hi, None, None]
+    def _world(self, radii) -> np.ndarray:
+        """(3, radii.size * n_theta * n_phi): the rule's points at ``radii``
+        in the world frame, radius slowest and azimuth fastest."""
+        r = radii[:, None, None]
         r_sin = r * self.sin_theta[None, :, None]
-        z = r * self.cos_theta[None, :, None]  # constant in phi: one per (r, theta)
-        shape = (r.shape[0], self.cos_theta.size, self.cos_phi.size)
-        x = r_sin * self.cos_phi[None, None, :]
-        y = r_sin * self.sin_phi[None, None, :]
-        if self.frame is None:
-            z = np.broadcast_to(z, shape)
-        else:
+        local = (r_sin * self.cos_phi, r_sin * self.sin_phi, r * self.cos_theta[None, :, None])
+        if self.frame is not None:
             e1, e2, e3 = self.frame
-            x, y, z = (e1[i] * x + e2[i] * y + e3[i] * z for i in range(3))
-        w = self.r2_weights[lo:hi, None, None] * self.theta_weights[None, :, None] * self.phi_weight
-        return RuleBlock(x.ravel(), y.ravel(), z.ravel(), np.broadcast_to(w, shape).ravel())
+            local = tuple(e1[i] * local[0] + e2[i] * local[1] + e3[i] * local[2] for i in range(3))
+        return np.stack(np.broadcast_arrays(*local)).reshape(3, -1)
 
-    def blocks(self):
-        """Consecutive sub-rules of whole radial nodes, in order.
-
-        Each holds as many nodes as fit in ``BLOCK_POINTS`` points, or one
-        node if a node alone has more, so the whole rule is never built.
-        An integrand built from many elementwise temporaries runs about
-        twice as fast block by block, with every temporary cache-sized,
-        as over a multi-million-point rule at once.  Callers add the
-        block partials with ``pairwise_sum``.
-        """
-        step = max(1, BLOCK_POINTS // (self.cos_theta.size * self.cos_phi.size))
-        for lo in range(0, self.r.size, step):
-            yield self._rows(lo, lo + step)
+    def points(self):
+        """(p, weights): every point of the rule, p (3, M) in the world frame."""
+        w = (self.r2_weights[:, None] * self.theta_weights) * self.phi_weight
+        return self._world(self.r), np.repeat(w.ravel(), self.cos_phi.size)
 
     def directions(self):
         """(d, weights): the angular factor of the rule.
@@ -185,15 +160,7 @@ class SphericalRule:
         can form each projection once per direction instead of once per
         point.
         """
-        local = (
-            self.sin_theta[:, None] * self.cos_phi,
-            self.sin_theta[:, None] * self.sin_phi,
-            np.broadcast_to(self.cos_theta[:, None], (self.cos_theta.size, self.cos_phi.size)),
-        )
-        if self.frame is not None:
-            e1, e2, e3 = self.frame
-            local = tuple(e1[i] * local[0] + e2[i] * local[1] + e3[i] * local[2] for i in range(3))
-        d = np.stack([c.ravel() for c in local])
+        d = self._world(np.ones(1))
         return d, np.repeat(self.theta_weights * self.phi_weight, self.cos_phi.size)
 
 
@@ -228,7 +195,7 @@ def _axis_frame(axis) -> np.ndarray | None:
 
 
 def spherical_rule(
-    radial_breaks, radial_orders, n_theta: int = 48, n_phi: int = 32, axis=None
+    radial_breaks, radial_orders, n_theta: int, n_phi: int, axis=None
 ) -> SphericalRule:
     """Product rule in spherical coordinates centred at the origin.
 
@@ -275,7 +242,7 @@ def node_doubling(evaluate, rule_args, tol: float | None = None, label: str = "i
     coarse = evaluate(spherical_rule(*rule_args))
     fine = evaluate(spherical_rule(*doubled(rule_args)))
     diff = abs(fine - coarse)
-    if tol is not None and diff > tol:
+    if tol is not None and not diff <= tol:  # NaN fails too
         raise QuadratureError(
             f"{label}: node-doubling disagreement {diff:.3e} exceeds {tol:.1e}"
         )

@@ -32,7 +32,9 @@ Every other factor of those integrands (|p|, E(p), the components of
 p, p/|p|, and the spin term s (p x z)/(2E(E + m))) is axial or linear
 in p, so about the centre each integrand is an axial function times 1,
 cos phi or sin phi; the 2-point trapezoid in the azimuth integrates
-that exactly, and the rule is one ``BLOCK_POINTS`` block of 2^15 points.
+that exactly.  The rule has 2^15 = ``BLOCK_POINTS`` points, so each
+reduction takes them all at once (``SphericalRule.points``) and adds
+them with one ``np.sum``.
 Because the eigenspinor is unit, ``MomentumState.norm`` integrates the
 scalar envelope alone; ``MomentumState.spinor`` builds the full
 four-component phi for the callers that need it.
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SphericalRule, pairwise_sum, spherical_rule
+from .quadrature import SphericalRule, spherical_rule
 from .spinor import SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
 from .units import MASS
 
@@ -73,8 +75,8 @@ class MomentumProfile:
     amplitude: float | None = None
 
     def __post_init__(self):
-        if self.sigma_p <= 0:
-            raise ProfileError(f"profile width must be positive, got {self.sigma_p}")
+        if not 0.0 < self.sigma_p < math.inf:
+            raise ProfileError(f"profile width must be positive and finite, got {self.sigma_p}")
         if self.amplitude is None:
             object.__setattr__(
                 self, "amplitude", (self.sigma_p * np.sqrt(np.pi)) ** -1.5
@@ -144,8 +146,8 @@ def momentum_rule(profile: MomentumProfile, n: int) -> SphericalRule:
     envelope is axially symmetric, so one rule serves every direction of
     v.  Every integrand of the reductions is, about that axis, an axial
     function times 1, cos phi or sin phi, which the 2-point trapezoid in
-    phi integrates exactly.  The rule has 2^15 points, one
-    ``BLOCK_POINTS`` block.
+    phi integrates exactly.  The rule has 2^15 = ``BLOCK_POINTS``
+    points, few enough to build whole.
     """
     p_max = n * profile.cutoff()
     axis = None if profile.is_symmetric else profile.center
@@ -156,21 +158,16 @@ def check_profile_conditions(profile: MomentumProfile):
     """Return (norm, mean_direction): the two defining profile integrals.
 
     norm = integral |f|^2 d^3p and mean_direction =
-    integral |f|^2 p/|p| d^3p, evaluated by the module quadrature one
-    ``SphericalRule.blocks`` block at a time, the block sums added
-    pairwise.  Callers assert norm ~ 1 and mean_direction ~ v.  The
-    rule is ``momentum_rule(profile, 1)``, whose polar axis is the
-    profile centre, about which |f|^2 is axially symmetric and p/|p| a
-    first harmonic in the azimuth.
+    integral |f|^2 p/|p| d^3p, summed over the points of
+    ``momentum_rule(profile, 1)``.  Callers assert norm ~ 1 and
+    mean_direction ~ v.  The rule's polar axis is the profile centre,
+    about which |f|^2 is axially symmetric and p/|p| a first harmonic in
+    the azimuth.
     """
-    partials = []
-    for block in momentum_rule(profile, 1).blocks():
-        p = np.stack(block[:3])
-        density = block.weights * np.abs(profile(*p)) ** 2
-        radius = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)  # > 0: no node at the origin
-        partials.append(np.array([np.sum(density), *np.sum(density * p / radius, axis=1)]))
-    sums = pairwise_sum(partials)
-    return float(sums[0]), sums[1:]
+    p, weights = momentum_rule(profile, 1).points()
+    density = weights * np.abs(profile(*p)) ** 2
+    radius = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)  # > 0: no node at the origin
+    return float(np.sum(density)), np.sum(density * p / radius, axis=1)
 
 
 def gaussian_profile(sigma_p: float = 1.0) -> MomentumProfile:
@@ -241,7 +238,9 @@ class LocalizationLabel:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(c) for c in self.a))
         object.__setattr__(self, "v", tuple(float(c) for c in self.v))
-        if np.linalg.norm(self.v) >= 1.0:
+        if not np.isfinite(self.a).all():
+            raise ValueError(f"target point must be finite, got {self.a}")
+        if not np.linalg.norm(self.v) < 1.0:  # NaN fails too
             raise ValueError(f"|v| must be < 1 (units of c), got {self.v}")
         if self.spin not in (SPIN_UP, SPIN_DOWN):
             raise ValueError(f"spin label must be +0.5 or -0.5, got {self.spin}")
@@ -307,16 +306,10 @@ class MomentumState:
     def norm(self) -> float:
         """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
 
-        The envelope is evaluated on ``momentum_rule`` one
-        ``SphericalRule.blocks`` block at a time and the block sums are
-        added pairwise; for a power-of-two rule that is bit-identical to
-        one sum over the whole rule.
+        The envelope is summed over the points of ``momentum_rule``.
         """
-        sums = [
-            np.sum(block.weights * np.abs(self.envelope(block.x, block.y, block.z)) ** 2)
-            for block in momentum_rule(self.profile, self.label.n).blocks()
-        ]
-        return float(np.sqrt(pairwise_sum(sums)))
+        p, weights = momentum_rule(self.profile, self.label.n).points()
+        return float(np.sqrt(np.sum(weights * np.abs(self.envelope(*p)) ** 2)))
 
 
 def make_state(

@@ -407,9 +407,10 @@ class RadialCurve:
     The values are those of the h/2 rule.  ``norm`` is 4 pi int r^2 rho
     over the whole radius grid, which reaches ``TAIL_RADIUS`` beyond r_max
     and pi ``MIN_NODES``/p_max = 20 pi/(n sigma_p), over 60 widths of the
-    state, so it leaves out less than e^(-40) of the mass; ``table_halving`` is the largest table difference relative to rho(0),
-    ``probability_halving`` the largest difference of the norm or a
-    probability.
+    state, so it leaves out less than e^(-40) of the mass;
+    ``table_halving`` is the largest table difference relative to
+    rho(0), ``probability_halving`` the largest difference of the norm
+    or a probability.
     """
 
     rho: np.ndarray

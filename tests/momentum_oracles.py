@@ -1,10 +1,10 @@
 """Spinor-stack references for the momentum-space reductions.
 
-Each routine samples the full (4, M) spinor phi = state.spinor on a
-whole rule (``whole``: its blocks concatenated) and contracts it; the
-library forms walk the rule block by block and use the eigenspinor
-identities u^dagger u = 1 and i u^dagger grad u = s (p x z)/(2E(E + m)),
-or the eigenspinor's closed-form current, instead.  ``bilinear_current``
+Each routine samples the full (4, M) spinor phi = state.spinor on the
+points of a rule (``SphericalRule.points``) and contracts it; the
+library forms use the eigenspinor identities u^dagger u = 1 and
+i u^dagger grad u = s (p x z)/(2E(E + m)), or the eigenspinor's
+closed-form current, instead.  ``bilinear_current``
 is the general four-slot current j = 2 Re(upper^dagger sigma lower).
 ``a_n_limit`` is a second quadrature of R_n(0) for Q = alpha_k,
 ``pointwise_rn_integral`` is R_n on a rule from the world coordinates of
@@ -17,19 +17,20 @@ integrates on it.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 
 from diracloc import observables, states
-from diracloc.quadrature import RuleBlock, spherical_rule
+from diracloc.quadrature import BLOCK_POINTS, spherical_rule
 from diracloc.spinor import ALPHA, energy_xyz, spinor_layout
 from diracloc.states import momentum_rule
 from diracloc.units import MASS
 
 
 def oracle_momentum_rule(profile, n):
-    """``states.momentum_rule`` with 32 azimuth nodes: 2^19 points in 16 blocks."""
+    """``states.momentum_rule`` with 32 azimuth nodes: 2^19 points."""
     p_max = n * profile.cutoff()
     axis = None if profile.is_symmetric else profile.center
     return spherical_rule((0.0, min(4.0, 0.5 * p_max), p_max), (128, 128), 64, 32, axis)
@@ -42,11 +43,6 @@ def on_oracle_rule():
     with mock.patch.object(states, "momentum_rule", oracle_momentum_rule), \
             mock.patch.object(observables, "momentum_rule", oracle_momentum_rule):
         yield
-
-
-def whole(rule):
-    """All points and weights of ``rule`` at once: its blocks concatenated."""
-    return RuleBlock(*(np.concatenate(parts) for parts in zip(*rule.blocks())))
 
 
 def bilinear_current(psi):
@@ -77,24 +73,21 @@ def bilinear_current(psi):
 
 def spinor_norm(state):
     """||phi|| from sum_a |phi_a|^2 on the rule of MomentumState.norm."""
-    rule = whole(momentum_rule(state.profile, state.label.n))
-    phi = state.spinor(rule.x, rule.y, rule.z)
-    dens = np.sum(np.abs(phi) ** 2, axis=0)
-    return float(np.sqrt(np.sum(rule.weights * dens)))
+    p, weights = momentum_rule(state.profile, state.label.n).points()
+    dens = np.sum(np.abs(state.spinor(*p)) ** 2, axis=0)
+    return float(np.sqrt(np.sum(weights * dens)))
 
 
 def finite_difference_position_mean(state, step=1e-5):
     """<x> = int phi^dagger (i d/dp) phi d^3p with central differences of phi."""
-    rule = whole(momentum_rule(state.profile, state.label.n))
-    phi = state.spinor(rule.x, rule.y, rule.z)
+    p, weights = momentum_rule(state.profile, state.label.n).points()
+    phi = state.spinor(*p)
     out = np.empty(3)
     for axis in range(3):
-        dp = np.zeros(3)
+        dp = np.zeros((3, 1))
         dp[axis] = step
-        plus = state.spinor(rule.x + dp[0], rule.y + dp[1], rule.z + dp[2])
-        minus = state.spinor(rule.x - dp[0], rule.y - dp[1], rule.z - dp[2])
-        dphi = (plus - minus) / (2.0 * step)
-        out[axis] = np.sum(rule.weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
+        dphi = (state.spinor(*(p + dp)) - state.spinor(*(p - dp))) / (2.0 * step)
+        out[axis] = np.sum(weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
     return out
 
 
@@ -106,10 +99,10 @@ def einsum_mean_velocity(state):
     ``np.sum``, whose pairwise sum the library's own sums share; one
     einsum over the points would add them in a single running sum.
     """
-    rule = whole(momentum_rule(state.profile, state.label.n))
-    phi = state.spinor(rule.x, rule.y, rule.z)
+    p, weights = momentum_rule(state.profile, state.label.n).points()
+    phi = state.spinor(*p)
     current = np.einsum("am,iab,bm->im", phi.conj(), ALPHA, phi).real
-    return np.sum(rule.weights * current, axis=1)
+    return np.sum(weights * current, axis=1)
 
 
 def _graded_breaks(inner_scale, outer, factor=4.0):
@@ -133,12 +126,11 @@ def a_n_limit(profile, n, axis):
     cut = profile.cutoff()
     breaks = _graded_breaks(4.0 / n, cut)
     orders = tuple(64 for _ in breaks[:-2]) + (160,)
-    rule = whole(spherical_rule(breaks, orders, n_theta=64, n_phi=32))
-    f2 = np.abs(profile(rule.x, rule.y, rule.z)) ** 2
-    comp = (rule.x, rule.y, rule.z)[axis]
-    radius2 = rule.x**2 + rule.y**2 + rule.z**2
-    kernel = comp / np.sqrt(radius2 + (MASS / n) ** 2)
-    return float(np.sum(rule.weights * f2 * kernel))
+    p, weights = spherical_rule(breaks, orders, n_theta=64, n_phi=32).points()
+    f2 = np.abs(profile(*p)) ** 2
+    radius2 = p[0] ** 2 + p[1] ** 2 + p[2] ** 2
+    kernel = p[axis] / np.sqrt(radius2 + (MASS / n) ** 2)
+    return float(np.sum(weights * f2 * kernel))
 
 
 def bilinear_numerator(q, s, eq_m, es_m, q_operator, sign):
@@ -168,10 +160,12 @@ def bilinear_numerator(q, s, eq_m, es_m, q_operator, sign):
 def pointwise_rn_integral(profile, n, p, q_operator="identity", spin=0.5):
     """The map rule -> R_n(p) on that rule from every point's world coordinates.
 
-    Per rule block: q = s - p, E(q) and E(s) from three components each,
-    the Gaussian exponent from |s - mid|^2 summed over components, and
-    ``bilinear_numerator`` over calE(q) calE(s); the block sums are added
-    in order.
+    The rule is walked in slices of whole radial nodes, as many as fit in
+    ``BLOCK_POINTS`` points, because the oracle rules hold millions of
+    points.  Per slice: q = s - p, E(q) and E(s) from three components
+    each, the Gaussian exponent from |s - mid|^2 summed over components,
+    and ``bilinear_numerator`` over calE(q) calE(s); the slice sums are
+    added in order.
     """
     sign = spinor_layout(spin).sign
     p = np.asarray(p, dtype=float)
@@ -181,13 +175,15 @@ def pointwise_rn_integral(profile, n, p, q_operator="identity", spin=0.5):
 
     def evaluate(rule):
         real_sum = imag_sum = 0.0
-        for block in rule.blocks():
-            s = (block.x, block.y, block.z)
+        step = max(1, BLOCK_POINTS // (rule.cos_theta.size * rule.cos_phi.size))
+        for lo in range(0, rule.r.size, step):
+            part = replace(rule, r=rule.r[lo:lo + step], r2_weights=rule.r2_weights[lo:lo + step])
+            s, weights = part.points()
             q = tuple(s[k] - p[k] for k in range(3))
             dist2 = (s[0] - mid[0]) ** 2 + (s[1] - mid[1]) ** 2 + (s[2] - mid[2]) ** 2
             eq, es = energy_xyz(*q), energy_xyz(*s)
             eq_m, es_m = eq + MASS, es + MASS
-            weight = block.weights * np.exp(-dist2 / width2)
+            weight = weights * np.exp(-dist2 / width2)
             weight /= np.sqrt(4.0 * eq * eq_m * es * es_m)
             real, imag = bilinear_numerator(q, s, eq_m, es_m, q_operator, sign)
             real_sum += float(np.sum(weight * real))

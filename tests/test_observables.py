@@ -58,7 +58,6 @@ from momentum_oracles import (
     on_oracle_rule,
     pointwise_rn_integral,
     spinor_norm,
-    whole,
     z_axis_rn,
 )
 
@@ -362,8 +361,8 @@ BOOSTED_STATE = replace(make_state(a=(0.4, -0.7, 1.2), v=(0.2, -0.1, 0.3), n=3),
     lambda: position_mean_from_momentum(BOOSTED_STATE),
 ], ids=["check_profile_conditions", "mean_velocity_two_ways", "position_mean_from_momentum"])
 def test_rule_reduction_peak_memory_is_block_sized(reduce):
-    # each walks its rule block by block, so only one block's points and
-    # their temporaries are live at a time
+    # each builds its rule whole, one BLOCK_POINTS block, so only those
+    # points and their temporaries are live
     reduce()  # warm the node caches
     tracemalloc.start()
     try:
@@ -479,13 +478,14 @@ def einsum_rn_integral(profile, n, p, q_operator, spin):
     p = np.asarray(p, dtype=float)
 
     def evaluate(rule):
-        rule = whole(rule)
-        ua = eigenspinor_components(rule.x - p[0], rule.y - p[1], rule.z - p[2], spin)
-        ub = eigenspinor_components(rule.x, rule.y, rule.z, spin)
+        s, weights = rule.points()
+        q = s - p[:, None]
+        ua = eigenspinor_components(*q, spin)
+        ub = eigenspinor_components(*s, spin)
         bilinear = np.einsum("am,ab,bm->m", ua.conj(), qmat, ub)
-        fa = profile((rule.x - p[0]) / n, (rule.y - p[1]) / n, (rule.z - p[2]) / n)
-        fb = profile(rule.x / n, rule.y / n, rule.z / n)
-        return complex(n**-3 * np.sum(rule.weights * np.conj(fa) * fb * bilinear))
+        fa = profile(*(q / n))
+        fb = profile(*(s / n))
+        return complex(n**-3 * np.sum(weights * np.conj(fa) * fb * bilinear))
 
     return evaluate
 
@@ -597,6 +597,11 @@ class TestConvolutionRn:
     def test_doubling_detector_off_axis(self):
         with pytest.raises(QuadratureError):
             convolution_Rn(OFF_AXIS, 4, (0.5, 1.0, -0.3), "alpha2", tol=1e-18)
+
+    def test_nan_momentum_is_not_certified(self, plain_profile):
+        # a NaN doubling difference fails "diff > tol" but not "diff <= tol"
+        with pytest.raises(QuadratureError, match="nan"):
+            convolution_Rn(plain_profile, 2, (np.nan, 0.0, 0.0))
 
     def test_doubling_catches_a_misjudged_axial_branch(self, monkeypatch):
         # 2 azimuth nodes alias the second harmonic of a p off the axis c;

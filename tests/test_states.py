@@ -24,8 +24,8 @@ from diracloc.states import (
     make_state,
     mean_flow,
     mean_flow_root,
+    momentum_rule,
 )
-from momentum_oracles import whole
 
 
 def quadrature_shift(speed, sigma_p, xtol=1e-13):
@@ -51,7 +51,7 @@ def root_found_tail_radius(eps):
 
 
 def outer_product_points(rule):
-    """x, y, z and weights of every point of ``rule`` in its order (radial
+    """(p (3, M), weights) of every point of ``rule`` in its order (radial
     node slowest, azimuth fastest), built at once from the factor rules."""
     r = rule.r[:, None, None]
     r_sin = r * rule.sin_theta[None, :, None]
@@ -62,20 +62,7 @@ def outer_product_points(rule):
         e1, e2, e3 = rule.frame
         x, y, z = (e1[i] * x + e2[i] * y + e3[i] * z for i in range(3))
     w = rule.r2_weights[:, None, None] * rule.theta_weights[None, :, None] * rule.phi_weight
-    return [a.ravel() for a in (x, y, z, np.broadcast_to(w, x.shape))]
-
-
-def assert_blocks_tile(rule):
-    """The blocks are runs of whole radial nodes, as many as fit in
-    BLOCK_POINTS (at least one), and together are the rule to the bit."""
-    per_node = rule.cos_theta.size * rule.cos_phi.size
-    step = max(1, BLOCK_POINTS // per_node)
-    blocks = list(rule.blocks())
-    sizes = [min(step, rule.r.size - lo) * per_node for lo in range(0, rule.r.size, step)]
-    assert [b.weights.size for b in blocks] == sizes
-    assert all(b.weights.size <= max(BLOCK_POINTS, per_node) for b in blocks)
-    for got, expected in zip(zip(*blocks), outer_product_points(rule)):
-        assert np.array_equal(np.concatenate(got), expected)
+    return np.stack([a.ravel() for a in (x, y, z)]), np.broadcast_to(w, x.shape).ravel()
 
 
 class TestGaussianProfile:
@@ -119,6 +106,12 @@ class TestGaussianProfile:
             gaussian_profile(0.0)
         with pytest.raises(ProfileError):
             gaussian_profile(-1.5)
+
+    @pytest.mark.parametrize("sigma_p", [np.nan, np.inf])
+    def test_nonfinite_width_rejected(self, sigma_p):
+        # NaN passes a "<= 0" test, and an infinite width has amplitude 0
+        with pytest.raises(ProfileError, match="finite"):
+            MomentumProfile(sigma_p=sigma_p)
 
 
 class TestBoostedProfile:
@@ -169,16 +162,17 @@ class TestBoostedProfile:
         # normalized and e2 = e3 x e1, applied per coordinate to the z-axis rule
         prof = boosted_gaussian_profile(v)
         cut = prof.cutoff()
-        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2))
+        rule = spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2)
+        plain, weights = rule.points()
         e3 = np.asarray(prof.center) / np.linalg.norm(prof.center)
         e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
         e2 = np.cross(e3, e1)
-        x, y, z = (e1[i] * rule.x + e2[i] * rule.y + e3[i] * rule.z for i in range(3))
+        x, y, z = (e1[i] * plain[0] + e2[i] * plain[1] + e3[i] * plain[2] for i in range(3))
         f2 = np.abs(prof(x, y, z)) ** 2
         radius = np.sqrt(x**2 + y**2 + z**2)
-        mean = [np.sum(rule.weights * f2 * c / radius) for c in (x, y, z)]
+        mean = [np.sum(weights * f2 * c / radius) for c in (x, y, z)]
         norm, got = check_profile_conditions(prof)
-        assert norm == float(np.sum(rule.weights * f2))
+        assert norm == float(np.sum(weights * f2))
         assert got.tolist() == [float(m) for m in mean]
 
     def test_off_axis_near_lightspeed(self):
@@ -233,6 +227,15 @@ class TestLocalizationLabel:
         with pytest.raises(ValueError):
             LocalizationLabel(spin=0.25)
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", (np.nan, 0.0, 0.0)), ("a", (0.0, np.inf, 0.0)),
+        ("v", (np.nan, 0.0, 0.0)), ("v", (0.0, 0.0, -np.inf)),
+    ])
+    def test_nonfinite_point_or_velocity_rejected(self, field, value):
+        # a NaN velocity passes a "|v| >= 1" test
+        with pytest.raises(ValueError):
+            LocalizationLabel(**{field: value})
+
 
 class TestMomentumState:
     def test_origin_value(self):
@@ -253,8 +256,10 @@ class TestMomentumState:
         state = make_state(v=v, n=3)
         cut = state.label.n * state.profile.cutoff()
         axis = None if state.profile.is_symmetric else state.profile.center
-        rule = whole(spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2, axis))
-        total = np.sum(rule.weights * np.abs(state.envelope(rule.x, rule.y, rule.z)) ** 2)
+        p, weights = outer_product_points(
+            spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2, axis)
+        )
+        total = np.sum(weights * np.abs(state.envelope(*p)) ** 2)
         assert state.norm() == float(np.sqrt(total))
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -265,8 +270,8 @@ class TestMomentumState:
         assert abs(make_state(v=v, n=n).norm() - 1.0) <= 1e-13
 
     def test_norm_peak_memory_is_block_sized(self):
-        # the rule is walked as blocks: only one block and its temporaries
-        # are live at a time
+        # the rule is one BLOCK_POINTS block, built whole: only its points
+        # and their temporaries are live
         state = make_state(v=(0.2, -0.1, 0.3), n=2)
         state.norm()  # warm the node caches
         tracemalloc.start()
@@ -277,14 +282,13 @@ class TestMomentumState:
             tracemalloc.stop()
         assert peak <= 128 * BLOCK_POINTS
 
-    @pytest.mark.parametrize("orders, n_theta, n_phi", [
-        ((96, 256), 48, 32), ((7,), 5, 3), ((3,), 200, 200),
-    ])
-    def test_rule_blocks_are_the_whole_rule_in_pieces(self, orders, n_theta, n_phi):
-        # 48 x 32 points per radial node do not divide BLOCK_POINTS, and
-        # 200 x 200 exceed it: one node per block
-        breaks = (0.0, 4.0, 30.0)[: len(orders) + 1]
-        assert_blocks_tile(spherical_rule(breaks, orders, n_theta, n_phi))
+    @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.3, -0.2, 0.4)])
+    @pytest.mark.parametrize("n", [1, 3, 20, 64])
+    def test_momentum_rule_is_one_block(self, v, n):
+        # the reductions build the whole rule at once, which is block-sized
+        # only because it has BLOCK_POINTS points whatever the state
+        p, weights = momentum_rule(boosted_gaussian_profile(v), n).points()
+        assert p.shape == (3, BLOCK_POINTS) and weights.shape == (BLOCK_POINTS,)
 
 
 class TestRuleAxis:
@@ -293,37 +297,44 @@ class TestRuleAxis:
     @pytest.mark.parametrize("axis", [(0.0, 0.0, 2.5), (0.0, 0.0, -1.0), (5e-324, 5e-324, 1.0)])
     def test_z_axis_is_the_plain_rule(self, axis):
         # a subnormal transverse part has too few digits to turn a frame by
-        plain = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8))
-        turned = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis))
-        for name in ("x", "y", "z", "weights"):
-            assert np.array_equal(getattr(turned, name), getattr(plain, name))
+        plain = spherical_rule(self.BREAKS, self.ORDERS, 12, 8).points()
+        turned = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis).points()
+        for got, expected in zip(turned, plain):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.2, 0.4), (-1e-9, 0.0, -1.0)])
     def test_turned_rule_is_the_plain_rule_about_the_axis(self, axis):
-        plain = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8))
-        turned = whole(spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis))
+        plain, plain_weights = spherical_rule(self.BREAKS, self.ORDERS, 12, 8).points()
+        points, weights = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis).points()
         e3 = np.asarray(axis) / np.linalg.norm(axis)
-        points = np.stack([turned.x, turned.y, turned.z])
-        radius = np.sqrt(plain.x**2 + plain.y**2 + plain.z**2)
-        assert np.array_equal(turned.weights, plain.weights)
-        assert np.abs(e3 @ points - plain.z).max() <= 1e-14 * radius.max()
+        radius = np.linalg.norm(plain, axis=0)
+        assert np.array_equal(weights, plain_weights)
+        assert np.abs(e3 @ points - plain[2]).max() <= 1e-14 * radius.max()
         assert np.abs(np.linalg.norm(points, axis=0) - radius).max() <= 1e-14 * radius.max()
 
-    def test_turned_rule_blocks_are_the_whole_rule_in_pieces(self):
-        assert_blocks_tile(spherical_rule((0.0, 4.0, 30.0), (96, 256), 48, 32, (0.3, -0.2, 0.4)))
+    @pytest.mark.parametrize("breaks, orders, n_theta, n_phi, axis", [
+        ((0.0, 4.0, 30.0), (96, 256), 48, 32, None),
+        ((0.0, 4.0, 30.0), (96, 256), 48, 32, (0.3, -0.2, 0.4)),
+        ((0.0, 4.0), (7,), 5, 3, None),
+        ((0.0, 4.0), (3,), 200, 200, None),
+    ], ids=["z-axis", "turned", "7x5x3", "200x200"])
+    def test_points_are_the_outer_product(self, breaks, orders, n_theta, n_phi, axis):
+        rule = spherical_rule(breaks, orders, n_theta, n_phi, axis)
+        for got, expected in zip(rule.points(), outer_product_points(rule)):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("axis", [None, (0.3, -0.2, 0.4)])
     def test_directions_are_the_rule_factored(self, axis):
         # the points are r d and the weights r2_weights times the angular ones
         rule = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
-        points = whole(rule)
+        points, point_weights = rule.points()
         d, angular = rule.directions()
         assert d.shape == (3, 96) and angular.shape == (96,)
         assert np.abs(np.linalg.norm(d, axis=0) - 1.0).max() <= 4e-16
-        for got, expected in zip(rule.r[:, None] * d[:, None, :], points[:3]):
+        for got, expected in zip(rule.r[:, None] * d[:, None, :], points):
             assert np.abs(got.ravel() - expected).max() <= 1e-14 * rule.r.max()
         weights = (rule.r2_weights[:, None] * angular).ravel()
-        assert np.abs(weights - points.weights).max() <= 4e-16 * points.weights.max()
+        assert np.abs(weights - point_weights).max() <= 4e-16 * point_weights.max()
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -64,8 +64,6 @@ from .transform import (
     position_state_cartesian,
     radial_components,
     radial_curve,
-    radial_density,
-    radial_probability,
 )
 
 __version__ = "0.1.0"

@@ -321,7 +321,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
     state = _state(cfg, _profile(cfg), n)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     report, slices = evolve_report(state, grid, cfg.times, r0=cfg.r0)
-    files = {"evolution_report.json": report.as_dict()}
+    files = {"evolution_report.json": asdict(report)}
     axis = grid.axis()
     for t, cut in zip(report.times, slices):
         rows = np.column_stack([axis, cut.T]).tolist()

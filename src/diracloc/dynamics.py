@@ -76,21 +76,8 @@ class EvolutionReport:
     delta_x: list = field(default_factory=list)
     mean_velocity: list = field(default_factory=list)
     causality_margins: list = field(default_factory=list)
-    leakages: list = field(default_factory=list)
+    lightcone_leakages: list = field(default_factory=list)
     r0: float = 3.0
-
-    def as_dict(self) -> dict:
-        return {
-            "r0": self.r0,
-            "times": self.times,
-            "momentum_norms": self.momentum_norms,
-            "grid_norms": self.grid_norms,
-            "mean_x": self.mean_x,
-            "delta_x": self.delta_x,
-            "mean_velocity": self.mean_velocity,
-            "causality_margins": self.causality_margins,
-            "lightcone_leakages": self.leakages,
-        }
 
 
 def evolve_report(
@@ -102,18 +89,22 @@ def evolve_report(
     grown from r0 by t - times[0], so the first leakage is exactly 0.
     Each snapshot is reduced by one ``snapshot_pass`` and dropped before
     the next is transformed.  Returns the report and, per time, the
-    (4, N) axis slice rho, j1, j2, j3 along x1 at x2 = x3 = 0.
+    (4, N) axis slice rho, j1, j2, j3 along x1 at x2 = x3 = 0.  A
+    non-finite time, or one before the first, raises ``ValueError``
+    before any transform.
     """
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"times must be finite, got {t}")
+        if t < times[0]:
+            raise ValueError(f"time {t} precedes the first time {times[0]}")
     report = EvolutionReport(r0=r0)
     slices = []
     norm = state.norm()  # |exp(-i E t)| = 1, so one quadrature serves every time
     for t in times:
-        t = float(t)
-        elapsed = t - report.times[0] if report.times else 0.0
-        if elapsed < 0:
-            raise ValueError(f"time {t} precedes the first time {report.times[0]}")
         ps = position_state_cartesian(evolve_free(state, t), grid)
-        sums = snapshot_pass(ps, r0 + elapsed)
+        sums = snapshot_pass(ps, r0 + (t - times[0]))
         del ps  # free psi before the next transform allocates its own
         mom = sums.moments()
         if not slices:
@@ -125,7 +116,7 @@ def evolve_report(
         report.delta_x.append(mom.delta_x)
         report.mean_velocity.append([float(c) for c in mom.mean_velocity])
         report.causality_margins.append(sums.causality_margin)
-        report.leakages.append(sums.outside - outside0)
+        report.lightcone_leakages.append(sums.outside - outside0)
         slices.append(sums.axis_slice)
     return report, slices
 

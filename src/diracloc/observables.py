@@ -232,10 +232,10 @@ def mean_velocity_two_ways(state: MomentumState):
     return current, np.sum(flow * p, axis=1)
 
 
-def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> complex:
+def overlap(s1: MomentumState, s2: MomentumState) -> complex:
     """Scalar product (phi1, phi2) = int phi1^dagger(p) phi2(p) d^3p.
 
-    method="auto" uses two exact reductions of the eigenspinor factor.
+    Two exact reductions of the eigenspinor factor cover most pairs.
     Opposite spins give exactly 0 for any profiles and times, because
     u_up(p)^dagger u_down(p) = 0 at every p.  Same spins at equal times
     leave u^dagger u = 1 and the Gaussian Fourier integral
@@ -244,19 +244,14 @@ def overlap(s1: MomentumState, s2: MomentumState, method: str = "auto") -> compl
 
     in closed form for any two Gaussian profiles (``_gaussian_overlap``),
     which stays meaningful far below the float64 cancellation floor of
-    the direct quadrature.  Same spins at different times, and
-    method="quadrature" always, take the brute-force tensor
-    Gauss-Legendre evaluation of the sampled spinors (the oracle for
-    both reductions).
+    the direct quadrature.  Same spins at different times take
+    ``overlap_quadrature``, the oracle for both reductions.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown overlap method {method!r}")
-    if method == "auto":
-        if s1.label.spin != s2.label.spin:
-            return 0j
-        if s1.time == s2.time:
-            return _gaussian_overlap(s1, s2)
-    return _overlap_quadrature(s1, s2)
+    if s1.label.spin != s2.label.spin:
+        return 0j
+    if s1.time == s2.time:
+        return _gaussian_overlap(s1, s2)
+    return overlap_quadrature(s1, s2)
 
 
 def _envelope_gaussian(state: MomentumState):
@@ -294,8 +289,9 @@ def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     )
 
 
-def _overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
-    """Tensor Gauss-Legendre of phi1^dagger phi2 on the box where F1 F2 lives.
+def overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
+    """(phi1, phi2) by tensor Gauss-Legendre of the sampled spinors on the box
+    where F1 F2 lives.
 
     The box is mu +- 8 sqrt(W) per axis (``_gaussian_product``), beyond
     which F1 F2 has fallen by e^-32, so it fits the narrower of two
@@ -362,7 +358,7 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     # c = n k: one squared distance per point, the constant folded into scale
     mid = n * np.asarray(profile.center, dtype=float) + 0.5 * p
     width2 = (n * profile.sigma_p) ** 2
-    scale = abs(profile.amplitude) ** 2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
+    scale = profile.amplitude**2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
     i = None if q_operator == "identity" else int(q_operator[-1]) - 1
     # the imaginary part is twist times a sum: sign (q x s)_3 for the identity,
     # sign i eps_ij3 (E_q s_j - E_s q_j) = twist ((E_q - E_s) s_j + (E_s + m) p_j)
@@ -482,13 +478,12 @@ def convolution_Rn(
     inner = 2.0 * p_norm + 4.0
     s_max = n * profile.cutoff() + p_norm
     axis, axial = _rn_rule_axis(p, n * np.asarray(profile.center, dtype=float))
-    value, _ = node_doubling(
+    return node_doubling(
         evaluate,
         ((0.0, inner, s_max), (64, 96), 48, 2 if axial else 32, axis),
         tol=tol,
         label=f"R_n(p={tuple(float(c) for c in p)}, Q={q_operator}, n={n})",
     )
-    return value
 
 
 def position_mean_from_momentum(state: MomentumState) -> np.ndarray:

@@ -26,8 +26,8 @@ Two workhorses:
   construction of the world coordinates at given radii.
 
 Convergence of any rule can be certified by doubling every node count
-and comparing (``node_doubling``); callers that promise a tolerance
-raise :class:`QuadratureError` when the doubled rule disagrees.
+and comparing (``node_doubling``), which raises :class:`QuadratureError`
+when the doubled rule disagrees beyond the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -186,6 +186,9 @@ def _axis_frame(axis) -> np.ndarray | None:
         raise ValueError("a rule axis must be a nonzero vector")
     if not (e3[0] or e3[1]):
         return None
+    # a power-of-two scale to |e3|max in [0.5, 1) is exact, and keeps the
+    # norm's squares from underflowing (or overflowing) for any axis length
+    e3 = np.ldexp(e3, -math.frexp(float(np.abs(e3).max()))[1])
     e3 = e3 / np.linalg.norm(e3)
     transverse = math.hypot(e3[0], e3[1])
     if transverse < np.finfo(float).tiny:
@@ -232,21 +235,21 @@ def doubled(rule_args):
     return (breaks, tuple(2 * o for o in orders), 2 * n_theta, 2 * n_phi, *axis)
 
 
-def node_doubling(evaluate, rule_args, tol: float | None = None, label: str = "integral"):
-    """Evaluate at base and doubled resolution; optionally enforce agreement.
+def node_doubling(evaluate, rule_args, tol: float, label: str = "integral"):
+    """The value at doubled resolution, certified against the base resolution.
 
     ``evaluate`` maps a SphericalRule to a scalar; ``rule_args`` are the
-    base rule's ``spherical_rule`` arguments (``doubled``).  Returns
-    (value, diff) where value comes from the doubled rule.
+    base rule's ``spherical_rule`` arguments (``doubled``).  A difference
+    between the two values beyond ``tol`` raises ``QuadratureError``.
     """
     coarse = evaluate(spherical_rule(*rule_args))
     fine = evaluate(spherical_rule(*doubled(rule_args)))
     diff = abs(fine - coarse)
-    if tol is not None and not diff <= tol:  # NaN fails too
+    if not diff <= tol:  # NaN fails too
         raise QuadratureError(
             f"{label}: node-doubling disagreement {diff:.3e} exceeds {tol:.1e}"
         )
-    return fine, diff
+    return fine
 
 
 def tensor_integrate(func, axes_rules) -> complex:

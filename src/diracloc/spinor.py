@@ -251,7 +251,6 @@ class DerivativeBoundReport:
     """Outcome of the finite-difference bound check on eigenspinor components."""
 
     max_component: float
-    max_derivative: float
     worst_mass_ratio: float  # max |du_a/dp_k| / (2/m)
     worst_radial_ratio: float  # max |du_a/dp_k| * |p| / 2
 
@@ -286,7 +285,6 @@ def spinor_derivative_bounds(samples, spin=SPIN_UP, step: float = 1e-5) -> Deriv
 
     return DerivativeBoundReport(
         max_component=float(comp_mag.max()),
-        max_derivative=float(der_mag.max()),
         worst_mass_ratio=float(mass_ratio.max()),
         worst_radial_ratio=float(radial_ratio.max()),
     )

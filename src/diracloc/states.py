@@ -72,15 +72,17 @@ class MomentumProfile:
 
     sigma_p: float
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    amplitude: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.sigma_p < math.inf:
             raise ProfileError(f"profile width must be positive and finite, got {self.sigma_p}")
-        if self.amplitude is None:
-            object.__setattr__(
-                self, "amplitude", (self.sigma_p * np.sqrt(np.pi)) ** -1.5
-            )
+        if not np.isfinite(self.center).all():
+            raise ProfileError(f"profile centre must be finite, got {self.center}")
+
+    @property
+    def amplitude(self) -> float:
+        """(sigma_p sqrt(pi))^(-3/2): the f with integral |f|^2 d^3p = 1."""
+        return (self.sigma_p * np.sqrt(np.pi)) ** -1.5
 
     @property
     def is_symmetric(self) -> bool:
@@ -216,6 +218,8 @@ def boosted_gaussian_profile(v_target, sigma_p: float = 1.0) -> MomentumProfile:
     """
     v = np.asarray(v_target, dtype=float)
     speed = float(np.linalg.norm(v))
+    if not math.isfinite(speed):
+        raise ProfileError(f"target velocity must be finite, got {v.tolist()}")
     if speed == 0.0:
         return gaussian_profile(sigma_p)
     if speed > MAX_PROFILE_SPEED:

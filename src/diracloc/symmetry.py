@@ -77,10 +77,6 @@ class BoostParams:
         if not np.isfinite(self.rapidity):
             raise ValueError("rapidity must be finite")
 
-    @property
-    def velocity(self) -> float:
-        return float(np.tanh(self.rapidity))
-
 
 @dataclass(frozen=True)
 class PointDensityLimit:
@@ -104,11 +100,6 @@ class PointDensityLimit:
     @classmethod
     def from_label(cls, label: LocalizationLabel) -> "PointDensityLimit":
         return cls(point=label.a, velocity=label.v, j_weight=label.v)
-
-    @property
-    def hyperplane_slope(self) -> float:
-        """c t = x_3 * slope describes the hyperplane carrying the data."""
-        return float(np.tanh(self.rapidity))
 
 
 def boost_label(limit: PointDensityLimit, boost: BoostParams) -> PointDensityLimit:

@@ -2,10 +2,10 @@
 
 Two routes:
 
-* ``radial_curve``/``radial_components``/``radial_density``: for
-  spherically symmetric profiles with a = 0, v = 0 the position spinor
-  reduces to two radial amplitudes obtained from order-0 and order-1
-  spherical Bessel transforms,
+* ``radial_curve``/``radial_components``: for spherically symmetric
+  profiles with a = 0, v = 0 the position spinor reduces to two radial
+  amplitudes obtained from order-0 and order-1 spherical Bessel
+  transforms,
 
       g0(r) = sqrt(2/pi) int F(p) (E+1)/calE j0(pr) p^2 dp
       g1(r) = sqrt(2/pi) int F(p)  p   /calE j1(pr) p^2 dp
@@ -18,8 +18,9 @@ Two routes:
   table from rffts of that rule, takes the norm and P(|x| < R) from one
   more rfft, with no radial quadrature, and certifies all of it by
   halving h.  ``radial_components`` is the same rule summed directly at
-  any radii, in blocks; ``radial_density(profile, n, r)`` returns
-  g0^2 + g1^2 from it.  ``log_slope`` fits a tabulated tail.
+  any radii, in blocks, at a step the caller picks: the reference for
+  the table and its rows near the origin.  ``log_slope`` fits a
+  tabulated tail.
 
 * ``position_state_cartesian``: a componentwise 3-D inverse FFT of phi
   sampled on the reciprocal grid.  The envelope, the phase exp(-i a.p),
@@ -112,6 +113,8 @@ class CartesianGrid:
         n = self.n_points
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 8, got {n}")
+        if not math.isfinite(self.extent):
+            raise ValueError(f"grid extent must be finite, got {self.extent}")
         if self.extent <= 0:
             raise ValueError("grid extent must be positive")
 
@@ -163,7 +166,7 @@ class CartesianGrid:
 
 @dataclass
 class PositionState:
-    """The nonzero spinor slots of psi(x) on a Cartesian grid, plus label provenance.
+    """The nonzero spinor slots of psi(x) on a Cartesian grid.
 
     A positive-energy eigenspinor has one slot that is exactly 0
     (``layout.zero``); ``psi`` holds the other three in slot order, and
@@ -173,8 +176,6 @@ class PositionState:
     grid: CartesianGrid
     psi: np.ndarray  # (3, N, N, N) complex
     layout: SpinorLayout
-    label: object = None
-    time: float = 0.0
 
     def slabs(self):
         """(rows, psi[:, rows]) over runs of the first grid axis, in order.
@@ -284,7 +285,7 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
         # real and imaginary parts times 1/N^3, as pocketfft scales
         np.multiply(slab.view(float), 1.0 / n**3, out=psi[:, :, cols].view(float))
     ifft_in_place(psi, (2, 3))
-    return PositionState(grid=grid, psi=psi, layout=layout, label=state.label, time=state.time)
+    return PositionState(grid=grid, psi=psi, layout=layout)
 
 
 # 1/(k! (2k+3)!!), k = 0..11: the power series of j1(x)/x in -x^2/2.  At
@@ -379,20 +380,6 @@ def radial_components(profile: MomentumProfile, n: int, r, n_nodes: int, step: f
     return g0, g1
 
 
-def radial_density(profile: MomentumProfile, n: int, r) -> np.ndarray:
-    """rho_n(r) = g0^2 + g1^2 at the radii ``r``, by direct trapezoid sums.
-
-    The step h <= pi/(max r + ``TAIL_RADIUS``) keeps the rule's images,
-    which sit at 2 pi/h - r, ``TAIL_RADIUS`` beyond every radius asked,
-    and h <= n cutoff / ``MIN_NODES`` bounds the rule's end error.
-    """
-    r = np.asarray(r, dtype=float)
-    p_max = n * profile.cutoff()
-    h = min(math.pi / (float(np.max(r, initial=0.0)) + TAIL_RADIUS), p_max / MIN_NODES)
-    g0, g1 = radial_components(profile, n, r, math.ceil(p_max / h), h)
-    return g0 * g0 + g1 * g1
-
-
 def log_slope(r: np.ndarray, rho: np.ndarray, r_lo: float, r_hi: float) -> float:
     """Slope of log rho on [r_lo, r_hi]; negative for decaying tails."""
     mask = (r >= r_lo) & (r <= r_hi) & (rho > 0)
@@ -478,8 +465,10 @@ def radial_curve(
     The amplitudes and the density's transform come from rffts
     (``_fft_density``, ``_fft_probabilities``); the rows within
     min(5/(n sigma_p), ``DIRECT_RADIUS``) of the origin are direct sums.
-    The table is every k-th row.  A rule whose transforms would exceed
-    ``MAX_FFT_LENGTH`` points is refused before anything is allocated.
+    The table is every k-th row.  A negative or non-finite r_max or
+    radius raises ``ValueError``, and a rule whose transforms would
+    exceed ``MAX_FFT_LENGTH`` points ``QuadratureError``, before
+    anything is allocated.
 
     Certified by halving h: the rule of step h is the even nodes of the
     h/2 rule, so it costs no second kernel evaluation.  A table difference
@@ -490,6 +479,8 @@ def radial_curve(
         raise ValueError("radial reduction requires a spherically symmetric profile")
     if not (r_max > 0 and r_count >= 2):
         raise ValueError("a radial table needs r_max > 0 and r_count >= 2")
+    if not all(0.0 <= R < math.inf for R in (r_max, *radii)):  # NaN fails too
+        raise ValueError(f"r_max and radii must be finite and >= 0, got {r_max}, {tuple(radii)}")
     p_max = n * profile.cutoff()
     spacing = r_max / (r_count - 1)
     k = math.ceil(RADIUS_STEPS_PER_MOMENTUM * p_max * spacing / math.pi)
@@ -533,11 +524,6 @@ def radial_curve(
             f"when the momentum step is halved, beyond {PROBABILITY_TOL:g}"
         )
     return curve
-
-
-def radial_probability(profile: MomentumProfile, n: int, radius: float) -> float:
-    """Probability inside ``radius``, from ``radial_curve``'s certified rule."""
-    return radial_curve(profile, n, radius, 2, (radius,)).probabilities[0]
 
 
 def radial_delta_x(profile: MomentumProfile, n: int) -> float:

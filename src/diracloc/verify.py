@@ -198,7 +198,7 @@ def causality(state, grid, times, r0: float) -> dict:
     report, _ = evolve_report(state, grid, times, r0=r0)
     return {
         "causality_margin": max(report.causality_margins),
-        "lightcone_leakage": max(report.leakages),
+        "lightcone_leakage": max(report.lightcone_leakages),
     }
 
 
@@ -214,11 +214,11 @@ def overlaps(a2, decay_n_values, reduction_n_values, opposite_a2, opposite_n_val
         return states.make_state(n=n), states.make_state(a=a, n=n, spin=spin)
 
     reduction = max(
-        abs(observables.overlap(*pair(n)) - observables.overlap(*pair(n), method="quadrature"))
+        abs(observables.overlap(*pair(n)) - observables.overlap_quadrature(*pair(n)))
         for n in reduction_n_values
     )
     opposite = max(
-        abs(observables.overlap(*pair(n, opposite_a2, spinor.SPIN_DOWN), method="quadrature"))
+        abs(observables.overlap_quadrature(*pair(n, opposite_a2, spinor.SPIN_DOWN)))
         for n in opposite_n_values
     )
     decay = [abs(observables.overlap(*pair(n))) for n in decay_n_values]

@@ -21,7 +21,6 @@ from diracloc.transform import (
     density_field,
     position_state_cartesian,
     radial_curve,
-    radial_density,
 )
 from grid_oracles import angular_average
 
@@ -83,7 +82,7 @@ def test_criterion_2_radial_vs_3d_oracle():
     ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
 
     r = np.linspace(0.0, 4.0, 81)
-    rho = radial_density(profile, 5, r)
+    rho = radial_curve(profile, 5, 4.0, r.size).rho
     averaged = angular_average(density_field(ps), ps.grid, r)
     rel = float(np.linalg.norm(averaged - rho) / np.linalg.norm(rho))
     assert rel <= 1e-2

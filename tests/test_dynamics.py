@@ -78,8 +78,8 @@ class TestEvolutionReport:
         spread = max(report.grid_norms) - min(report.grid_norms)
         assert spread <= 1e-10  # exact phase: grid norm constant in t
         assert max(report.causality_margins) <= 1e-10
-        assert report.leakages[0] == 0.0
-        assert max(report.leakages) <= 1e-3
+        assert report.lightcone_leakages[0] == 0.0
+        assert max(report.lightcone_leakages) <= 1e-3
         assert report.delta_x[0] < report.delta_x[1] < report.delta_x[2]
         assert len(slices) == 3
 
@@ -115,13 +115,26 @@ class TestEvolutionReport:
             density_field(position_state_cartesian(evolve_free(state, t), grid)) for t in times
         )
         expected = lightcone_leakage(rho0, rho1, grid, r0, 0.5)
-        assert report.leakages[0] == 0.0
+        assert report.lightcone_leakages[0] == 0.0
         # slab partials are summed in another order than one whole-field dot product
-        assert abs(report.leakages[1] - expected) <= 1e-15
+        assert abs(report.lightcone_leakages[1] - expected) <= 1e-15
 
     def test_time_before_first_rejected(self):
         with pytest.raises(ValueError):
             evolve_report(make_state(n=2), CartesianGrid(16, 8.0), (1.0, 0.5))
+
+    @pytest.mark.parametrize("times", [(0.0, np.nan), (np.inf,), (0.0, -np.inf)])
+    def test_nonfinite_time_rejected(self, monkeypatch, times):
+        # a NaN time passes every ordering test, so it is refused by name,
+        # before the first transform
+        import diracloc.dynamics as dynamics
+
+        def no_transform(*args):
+            raise AssertionError("transformed before the times were checked")
+
+        monkeypatch.setattr(dynamics, "position_state_cartesian", no_transform)
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), times)
 
     @pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5, 1.0, 1.5)])
     def test_one_norm_and_no_full_grid_sampling(self, monkeypatch, times):
@@ -155,11 +168,12 @@ class TestEvolutionReport:
         assert (grid.n_points,) * 3 not in shapes
 
     def test_report_serializes(self):
+        import dataclasses
         import json
 
         state = make_state(n=2)
         report, _ = evolve_report(state, CartesianGrid(64, 16.0), (0.0,), r0=3.0)
-        payload = json.dumps(report.as_dict())
+        payload = json.dumps(dataclasses.asdict(report))
         assert "momentum_norms" in payload
 
 
@@ -181,7 +195,7 @@ class TestLightcone:
         # mask read this as leakage 2.3e-3
         state = make_state(a=(-1.700319, -0.167557, 1.115762), n=5)
         report, _ = evolve_report(state, CartesianGrid(64, 16.0), (0.9817, 0.989))
-        assert report.leakages[1] <= 0.0
+        assert report.lightcone_leakages[1] <= 0.0
 
     def test_probability_outside_monotone_in_radius(self, ps5):
         rho = density_field(ps5)

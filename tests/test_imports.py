@@ -7,6 +7,8 @@ scipy loaded already, and reports the ``scipy*`` entries of
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 import diracloc
 
 SRC = str(Path(diracloc.__file__).resolve().parents[1])
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PROBE = """
 import json, sys
 import diracloc.cli as cli
@@ -121,3 +124,16 @@ def test_library_source_imports_no_scipy():
             found += [f"{source.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_every_traced_layer_resolves():
+    # the benchmark's tracer looks each layer up by name; one missing name
+    # fails every traced job
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _, _ in tracer.Tracer().targets():
+        target = importlib.import_module(f"diracloc.{module}")
+        for name in attr.split("."):
+            target = getattr(target, name)
+        assert callable(target), f"{module}.{attr}"

@@ -19,6 +19,7 @@ from diracloc.observables import (
     mean_velocity_two_ways,
     moments,
     overlap,
+    overlap_quadrature,
     position_mean_from_momentum,
     snapshot_pass,
 )
@@ -289,19 +290,19 @@ class TestOverlap:
     def test_self_overlap_is_one(self):
         state = make_state(n=3)
         assert overlap(state, state) == pytest.approx(1.0, abs=1e-12)
-        assert overlap(state, state, method="quadrature") == pytest.approx(1.0, abs=1e-8)
+        assert overlap_quadrature(state, state) == pytest.approx(1.0, abs=1e-8)
 
     def test_opposite_spin_orthogonal(self):
         up = make_state(n=3)
         down = make_state(n=3, spin=SPIN_DOWN)
-        assert abs(overlap(up, down, method="quadrature")) <= 1e-10
+        assert abs(overlap_quadrature(up, down)) <= 1e-10
 
     def test_translation_phase(self):
         # center shift k != 0 contributes the phase exp(i n k . delta)
         s1 = make_state(v=(0, 0, 0.4), n=2)
         s2 = make_state(a=(0, 0, 1.0), v=(0, 0, 0.4), n=2)
         closed = overlap(s1, s2)
-        brute = overlap(s1, s2, method="quadrature")
+        brute = overlap_quadrature(s1, s2)
         assert abs(closed - brute) <= 1e-9
         assert abs(closed.imag) > 0.0
 
@@ -317,7 +318,7 @@ class TestOverlap:
         s1 = make_state(v=(0.3, 0.1, -0.2), n=2, sigma_p=0.8)
         s2 = make_state(a=(0.5, 1.0, -0.3), v=(-0.2, 0.4, 0.1), n=3, sigma_p=1.2)
         closed = overlap(s1, s2)
-        assert abs(closed - overlap(s1, s2, method="quadrature")) <= 1e-12
+        assert abs(closed - overlap_quadrature(s1, s2)) <= 1e-12
         assert overlap(s2, s1) == pytest.approx(closed.conjugate(), abs=1e-16)
 
     @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
@@ -326,12 +327,12 @@ class TestOverlap:
         # Gaussian, not on the union of the two states' boxes
         s1 = make_state(v=(0.38, 0.21, 0.63), spin=spin, n=3, sigma_p=1.389)
         s2 = make_state(v=(-0.13, -0.66, -0.33), spin=spin, n=1, sigma_p=0.794)
-        assert abs(overlap(s1, s2, method="quadrature") - overlap(s1, s2)) <= 1e-12
+        assert abs(overlap_quadrature(s1, s2) - overlap(s1, s2)) <= 1e-12
 
     def test_different_times_use_quadrature(self):
         s1 = make_state(n=2)
         s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=0.3)
-        assert overlap(s1, s2) == overlap(s1, s2, method="quadrature")
+        assert overlap(s1, s2) == overlap_quadrature(s1, s2)
 
 
 def off_axis_velocity(max_speed):
@@ -416,7 +417,7 @@ class TestScalarReductions:
         s1 = make_state(v=v1, spin=spins[0], n=ns[0], sigma_p=sigma_p)
         s2 = make_state(a=a2, v=v2, spin=spins[1], n=ns[1], sigma_p=sigma_p)
         auto = overlap(s1, s2)
-        brute = overlap(s1, s2, method="quadrature")
+        brute = overlap_quadrature(s1, s2)
         if spins[0] == spins[1]:
             assert abs(auto - brute) <= 1e-12
         else:
@@ -468,7 +469,7 @@ class TestScalarReductions:
         s1.norm()
         s3.norm()
         assert calls == []
-        overlap(s1, s2, method="quadrature")  # the counter does see the spinor path
+        overlap_quadrature(s1, s2)  # the counter does see the spinor path
         assert calls
 
 

@@ -187,7 +187,7 @@ class TestDerivativeBounds:
     def test_far_momentum_radial_bound(self):
         report = spinor_derivative_bounds([(0.0, 0.0, 10.0)])
         assert bounds_hold(report)
-        assert report.max_derivative < 2.0 / 10.0 + 1e-3
+        assert report.worst_radial_ratio < 1.0 + 5e-3  # |du/dp| < 2/|p| + 1e-3 at |p| = 10
 
     def test_rest_components(self):
         report = spinor_derivative_bounds([(0.0, 0.0, 0.0)])

@@ -67,7 +67,6 @@ class TestBoost:
         out = boost_label(lim, BoostParams(0.7))
         assert out.velocity[2] == pytest.approx(np.tanh(0.7), abs=1e-15)
         assert out.point[2] == pytest.approx(np.cosh(0.7), abs=1e-15)
-        assert out.hyperplane_slope == pytest.approx(np.tanh(0.7), abs=1e-15)
 
     def test_half_plus_half_is_point_eight(self):
         rapidity = np.arctanh(0.5)

@@ -37,8 +37,6 @@ from diracloc.transform import (
     radial_components,
     radial_curve,
     radial_delta_x,
-    radial_density,
-    radial_probability,
     slab_columns,
 )
 
@@ -143,10 +141,9 @@ class TestRadialComponents:
     def test_density_matches_scipy_kernel(self, monkeypatch, n, sigma_p):
         # the j1 series moves figure1's curves at rounding level only
         profile = gaussian_profile(sigma_p)
-        r = np.linspace(0.0, 6.0, 601)
-        rho = radial_density(profile, n, r)
+        rho = radial_curve(profile, n, 6.0, 601).rho
         monkeypatch.setattr(transform, "_spherical_j01", scipy_spherical_j01)
-        ref = radial_density(profile, n, r)
+        ref = radial_curve(profile, n, 6.0, 601).rho
         live = ref > 1e-300
         assert np.all(np.abs(rho - ref)[live] <= 1e-13 * ref[live])
 
@@ -262,37 +259,49 @@ class TestRadialCurve:
         tracemalloc.stop()
         assert peak < 1e6
 
+    @pytest.mark.parametrize("r_max, radii", [
+        (6.0, (-1.0,)), (6.0, (np.nan,)), (6.0, (1.0, np.inf)), (np.inf, ()),
+    ])
+    def test_bad_radius_refused_before_allocating(self, plain_profile, r_max, radii):
+        # refused up front: past this point a negative radius reads as a halving
+        # failure, a NaN one as a NaN probability, an infinite r_max overflows
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            radial_curve(plain_profile, 5, r_max, 601, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1e5
+
     def test_table_rows_are_radial_density(self, plain_profile):
         # the FFT rows and the direct rows agree with direct sums at the same radii
         r = np.linspace(0.0, 6.0, 601)
         curve = radial_curve(plain_profile, 10, 6.0, 601)
-        direct = radial_density(plain_profile, 10, r)
-        assert np.abs(curve.rho - direct).max() <= 1e-13 * curve.rho[0]
+        g0, g1 = radial_components(plain_profile, 10, r, 800, 0.1)  # nodes up to n cutoff
+        assert np.abs(curve.rho - (g0 * g0 + g1 * g1)).max() <= 1e-13 * curve.rho[0]
 
 
 class TestRadialDensity:
     def test_unit_norm_all_n(self, plain_profile):
         for n in (5, 7, 10):
-            total = radial_probability(plain_profile, n, 20.0)
+            total = radial_curve(plain_profile, n, 20.0, 2, (20.0,)).probabilities[0]
             assert abs(total - 1.0) <= 1e-4
 
     def test_origin_density_increases_with_n(self, plain_profile):
-        r = np.linspace(0.0, 6.0, 121)
-        rho0 = [radial_density(plain_profile, n, r)[0] for n in (5, 7, 10)]
+        rho0 = [radial_curve(plain_profile, n, 6.0, 121).rho[0] for n in (5, 7, 10)]
         assert rho0[0] < rho0[1] < rho0[2]
 
     def test_probability_inside_compton_radius_increases(self, plain_profile):
-        inside = [radial_probability(plain_profile, n, 1.0) for n in (5, 10)]
+        inside = [radial_curve(plain_profile, n, 1.0, 2, (1.0,)).probabilities[0] for n in (5, 10)]
         assert inside[0] < inside[1]
 
     def test_tail_everywhere_positive(self, plain_profile):
         # no compact support: the density keeps a strictly positive tail
-        rho = radial_density(plain_profile, 5, np.linspace(0.0, 10.0, 201))
+        rho = radial_curve(plain_profile, 5, 10.0, 201).rho
         assert np.all(rho > 0.0)
 
     def test_tail_log_slope_negative(self, plain_profile):
         r = np.linspace(0.0, 8.0, 401)
-        slope = log_slope(r, radial_density(plain_profile, 5, r), 3.0, 6.0)
+        slope = log_slope(r, radial_curve(plain_profile, 5, 8.0, r.size).rho, 3.0, 6.0)
         assert slope < 0.0
 
     def test_table_norm_over_the_tail(self, plain_profile):
@@ -310,6 +319,10 @@ class TestCartesianGrid:
             CartesianGrid(4, 16.0)
         with pytest.raises(ValueError):
             CartesianGrid(64, -1.0)
+        # NaN passes "extent <= 0" and would give an all-NaN psi; inf overflows
+        for extent in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="extent must be finite"):
+                CartesianGrid(16, extent)
 
     def test_nyquist(self):
         grid = CartesianGrid(64, 16.0)
@@ -438,7 +451,7 @@ class TestOracleEquivalence:
         state = make_state(n=n)
         ps = position_state_cartesian(state, CartesianGrid(128, 12.0))
         r = np.linspace(0.0, 4.0, 81)
-        rho = radial_density(plain_profile, n, r)
+        rho = radial_curve(plain_profile, n, 4.0, r.size).rho
         avg = angular_average(density_field(ps), ps.grid, r)
         rel = np.linalg.norm(avg - rho) / np.linalg.norm(rho)
         assert rel <= 1e-2

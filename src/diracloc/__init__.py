@@ -20,6 +20,7 @@ from .observables import (
     current,
     mean_velocity_two_ways,
     moments,
+    momentum_moments,
     overlap,
 )
 from .quadrature import QuadratureError

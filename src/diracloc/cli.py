@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import evolve_report
-from .observables import Q_MATRICES, convolution_Rn, moments, overlap
+from .observables import Q_MATRICES, convolution_Rn, moments, momentum_moments, overlap
 from .quadrature import QuadratureError
 from .spinor import SPIN_DOWN, SPIN_UP
 from .states import (
@@ -61,7 +61,6 @@ from .transform import (
     log_slope,
     position_state_cartesian,
     radial_curve,
-    radial_delta_x,
 )
 from .verify import DEFAULT_TOLERANCES, run_checks
 
@@ -261,7 +260,7 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     certified by halving the rule's step, so they resolve the state
     whatever its width.  The norm is the mass out to 20/m beyond r_max
     and over 60 widths 1/(n sigma_p).  ``delta_x`` is the full-space
-    spread from ``radial_delta_x``; ``rho_at_origin`` and
+    spread from ``momentum_moments``; ``rho_at_origin`` and
     ``tail_log_slope`` come from the emitted table.
     A curve the step halving cannot certify (``QuadratureError``), or
     whose norm is not within the ``state_norms`` bound of 1, is refused,
@@ -289,7 +288,7 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
             "norm": curve.norm,
             "rho_at_origin": float(rho[0]),
             "prob_inside_r1": curve.probabilities[0],
-            "delta_x": radial_delta_x(profile, n),
+            "delta_x": momentum_moments(_state(cfg, profile, n)).delta_x,
             "tail_log_slope": log_slope(r, rho, *_slope_window(cfg.r_max)),
         }
     files["figure1_summary.json"] = summary

@@ -90,9 +90,11 @@ def evolve_report(
     Each snapshot is reduced by one ``snapshot_pass`` and dropped before
     the next is transformed.  Returns the report and, per time, the
     (4, N) axis slice rho, j1, j2, j3 along x1 at x2 = x3 = 0.  A
-    non-finite time, or one before the first, raises ``ValueError``
-    before any transform.
+    non-finite time, or one before the first, and a non-finite or
+    negative r0 raise ``ValueError`` before any transform.
     """
+    if not 0.0 <= r0 < math.inf:  # NaN fails too
+        raise ValueError(f"r0 must be finite and >= 0, got {r0}")
     times = [float(t) for t in times]
     for t in times:
         if not math.isfinite(t):

@@ -29,15 +29,17 @@ alpha (``packed_current`` of the sampled spinor) or via the scalar
 weight p/E(p); the two coincide identically on positive-energy states
 and both are provided so the identity can be checked under a shared
 quadrature, ``states.momentum_rule``, turned onto the envelope centre.
-That rule has ``BLOCK_POINTS`` points, so <xdot> and <x> each take
-them all at once (``SphericalRule.points``) and add them with ``np.sum``.
+That rule has ``BLOCK_POINTS`` points, so each reduction on it takes
+them all at once (``SphericalRule.points``) and adds them with ``np.sum``.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
-gives u_s^dagger u_s = 1, u_up^dagger u_down = 0 and
-i u_s^dagger grad_p u_s = s (p x z)/(2E(E + m)), so ``overlap`` is exactly
-0 for opposite spins and a closed-form Gaussian product for same spins
-at equal times, and ``position_mean_from_momentum`` is a scalar
-quadrature of the envelope.
+gives u_s^dagger u_s = 1, u_up^dagger u_down = 0,
+i u_s^dagger grad_p u_s = s (p x z)/(2E(E + m)) and sum_k |d_k u_s|^2 =
+1/(E(E + m)) + 1/(4E^4), so ``overlap`` is exactly 0 for opposite spins
+and a closed-form Gaussian product for same spins at equal times, and
+the whole-space moments of the density and current, norm, <x>, Delta_x
+and <xdot> (``momentum_moments``), are one scalar quadrature of the
+envelope: the closed forms the grid moments converge onto.
 
 Pointwise, |j(x)| <= rho(x) holds because every direction projection of
 alpha has spectrum {-1, +1}; the slab pass keeps the worst violation over
@@ -49,12 +51,11 @@ first, contiguous grid axis at a time (``PositionState.slabs``,
 ``BLOCK_POINTS`` cells each).  psi holds the three nonzero slots of the
 eigenspinor layout, and the slab's (rho, j) comes from the closed forms
 ``spinor.bilinear_density`` and ``packed_current``.  The slab leaves
-behind its partial sums for ``moments`` and for the boost check
-(``symmetry.verify_boost_against_field`` needs sum x_k j3 besides the
-density moments), its largest |j| - rho, its share of the probability
-outside a sphere and its rows of the x1-axis slice.  Temporaries are
-one slab in size, and the partial sums are added pairwise across slabs,
-so they equal whole-field sums to the last bit.  ``density_field`` and
+behind its partial sums for ``moments``, its largest |j| - rho, its
+share of the probability outside a sphere and its rows of the x1-axis
+slice.  Temporaries are one slab in size, and the partial sums are
+added pairwise across slabs, so they equal whole-field sums to the last
+bit.  ``density_field`` and
 ``current`` fill whole fields from the same per-slab formulas; no
 pipeline path calls them.
 """
@@ -134,8 +135,7 @@ class SnapshotSums:
     """What one slab pass keeps of a snapshot (see ``snapshot_pass``).
 
     ``sums`` holds the cell sums of rho, x1 rho, x2 rho, x3 rho, |x|^2 rho,
-    j1, j2, j3, of rho weighted by its share outside ``radius``, and of
-    x1 j3, x2 j3, x3 j3.
+    j1, j2, j3, and of rho weighted by its share outside ``radius``.
     """
 
     grid: CartesianGrid
@@ -172,12 +172,12 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
     psi is read one slab of the first grid axis at a time (``slabs``); each
     slab's (rho, j) comes from ``spinor.bilinear_density`` and
     ``packed_current`` and is dropped once its partial sums (the
-    ``moments`` sums and the x_k j3 sums of the boost check), its share
-    of the probability outside ``radius`` (if given), its largest |j| - rho
-    and its rows of the x1-axis slice are taken.  Temporaries are one
-    slab in size.  The slab partials are added pairwise, so the sums,
-    the leakage among them, match whole-field ``np.sum`` to the last bit
-    and do not depend on the BLAS thread count.
+    ``moments`` sums), its share of the probability outside ``radius``
+    (if given), its largest |j| - rho and its rows of the x1-axis slice
+    are taken.  Temporaries are one slab in size.  The slab partials
+    are added pairwise, so the sums, the leakage among them, match
+    whole-field ``np.sum`` to the last bit and do not depend on the BLAS
+    thread count.
     """
     grid = ps.grid
     x = grid.axis()
@@ -196,9 +196,6 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
             np.sum(r**2 * rho),
             *np.sum(j, axis=(1, 2, 3)),
             0.0 if radius is None else np.sum(grid.outside_share(r, radius) * rho),
-            np.sum(x[rows, None, None] * j[2]),
-            np.sum(x[None, :, None] * j[2]),
-            np.sum(x[None, None, :] * j[2]),
         ]))
         margin = max(margin, _margin(rho, j))
         axis_slice[0, rows] = rho[:, centre, centre]
@@ -486,27 +483,56 @@ def convolution_Rn(
     )
 
 
-def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
-    """<x> = int phi^dagger (i grad_p) phi d^3p in closed form.
+def momentum_moments(state: MomentumState) -> MomentSet:
+    """Norm, <x>, Delta_x and <xdot> over all space, in closed form from phi(p).
 
-    With phi = F u_s exp(-i a.p - i E t), real F and unit u_s the
-    envelope term integrates to zero and
+    With phi = F u_s exp(-i theta), theta = a.p + E t, real F and unit
+    u_s, x = i grad_p gives
 
-        <x> = a + t int F^2 p/E d^3p + s int F^2 (p_y, -p_x, 0) / (2 E (E + 1)) d^3p,
+        norm            = int F^2 d^3p
+        <xdot>          = int F^2 p/E d^3p / norm
+        <x> - a         = int F^2 (t p/E + B) d^3p / norm
+        <|x - a|^2>     = int F^2 (|grad F|^2/F^2 + t^2 |p|^2/E^2 + S) d^3p / norm
 
-    s = +1 or -1 by spin: i u_s^dagger grad u_s = s (p x z)/(2E(E + m)) is
-    the spin term separating Dirac's position from Newton-Wigner's.  Both
-    integrals are scalar sums over the points of ``states.momentum_rule``;
-    used to cross-check the position-grid moments.
+    with the spin term B = i u_s^dagger grad u_s = s (p x z)/(2E(E + m))
+    (s = +1 or -1 by spin) that separates Dirac's position from
+    Newton-Wigner's, and S = sum_k |d_k u_s|^2 = 1/(E(E + m)) + 1/(4E^4)
+    for either spin.  The cross term 2 t (p/E).B of <|x - a|^2> is 0
+    pointwise.  Delta_x^2 = <|x - a|^2> - |<x> - a|^2; taken about a, not
+    the origin, a far point costs no digits.  For the Gaussian envelope
+    grad F/F = -(p - c)/w (``_envelope_gaussian``).  About the envelope
+    centre every integrand is an axial function times 1, cos phi or
+    sin phi, so the one pass over the points of ``states.momentum_rule``
+    integrates it exactly in the azimuth.
     """
-    sign = spinor_layout(state.label.spin).sign
-    p, weights = momentum_rule(state.profile, state.label.n).points()
-    density = weights * np.abs(state.envelope(*p)) ** 2
+    p, density = momentum_rule(state.profile, state.label.n).points()  # weights, times F^2 below
+    width2, centre = _envelope_gaussian(state)
+    q2 = (p[0] - centre[0]) ** 2  # |p - c|^2: F^2 = A^2 n^-3 exp(-q2/w)
+    q2 += (p[1] - centre[1]) ** 2
+    q2 += (p[2] - centre[2]) ** 2
+    density *= np.exp(q2 * (-1.0 / width2))
+    density *= state.profile.amplitude**2 / state.label.n**3
     e = energy_xyz(*p)
-    flow = density * (state.time / e)
-    spin = density * (sign / (2.0 * e * (e + MASS)))
-    mean = np.array(state.label.a, dtype=float)
-    mean += np.sum(flow * p, axis=1)
-    mean[0] += np.sum(spin * p[1])
-    mean[1] -= np.sum(spin * p[0])
-    return mean
+    norm = float(np.sum(density))
+    flow = density / e
+    velocity = np.array([np.sum(flow * pk) for pk in p]) / norm
+    spin = density * (spinor_layout(state.label.spin).sign / (2.0 * e * (e + MASS)))
+    offset = state.time * velocity
+    offset[0] += np.sum(spin * p[1]) / norm
+    offset[1] -= np.sum(spin * p[0]) / norm
+    term = q2 * (1.0 / width2**2) + 1.0 / (e * (e + MASS)) + 0.25 / e**4
+    drift = state.time / e
+    for pk in p:
+        term += (drift * pk) ** 2
+    spread2 = np.sum(density * term) / norm - offset @ offset
+    return MomentSet(
+        norm=norm,
+        mean_x=np.asarray(state.label.a) + offset,
+        delta_x=float(np.sqrt(spread2)),
+        mean_velocity=velocity,
+    )
+
+
+def position_mean_from_momentum(state: MomentumState) -> np.ndarray:
+    """<x> in closed form: the ``mean_x`` of ``momentum_moments``."""
+    return momentum_moments(state).mean_x

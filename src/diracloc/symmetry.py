@@ -26,7 +26,9 @@ and the limiting (rho, j) pair, a four-vector density, becomes
 the overall cosh s is the Jacobian of the delta rescaling.  Storing the
 event time makes boost composition exact: rapidities add along a fixed
 axis.  General boost directions are obtained by conjugating with
-rotations.
+rotations.  At finite n the boosted density's weight follows from
+momentum space alone (``verify_boost_against_field``): int j3 / int rho
+is <xdot_3>, so no position grid is sampled.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .observables import SnapshotSums
-from .states import LocalizationLabel
+from .observables import momentum_moments
+from .states import LocalizationLabel, MomentumState
 
 
 def translate(label: LocalizationLabel, b) -> LocalizationLabel:
@@ -139,53 +141,21 @@ def velocity_addition(v3: float, boost: BoostParams) -> float:
     return boost_label(lim, boost).velocity[2]
 
 
-@dataclass
-class BoostFieldCheck:
-    """Finite-n comparison of a transformed field against the limit data."""
-
-    n: int
-    weight_ratio: float
-    predicted_weight_ratio: float
-    first_moment: tuple[float, float, float]
-    predicted_point: tuple[float, float, float]
-
-    @property
-    def moment_error(self) -> float:
-        return float(
-            np.linalg.norm(np.asarray(self.first_moment) - np.asarray(self.predicted_point))
-        )
-
-
-def verify_boost_against_field(
-    sums: SnapshotSums, label: LocalizationLabel, boost: BoostParams
-) -> BoostFieldCheck:
-    """Boost a snapshot's (rho, j) sums and compare with the label boost.
+def verify_boost_against_field(state: MomentumState, boost: BoostParams) -> tuple[float, float]:
+    """(weight ratio, predicted weight ratio) of the boosted density of ``state``.
 
     The pointwise four-vector transform rho' = rho cosh s + j3 sinh s is
-    linear, so its t = 0 integrals follow from the cell sums of one
-    ``observables.snapshot_pass``:
+    linear, so at t = 0 its weight over all space is cosh s int rho +
+    sinh s int j3, and by Parseval int j = int (p/E) |phi|^2 d^3p, so
 
-        sum rho'       = cosh s sum rho     + sinh s sum j3
-        sum x_k rho'   = cosh s sum x_k rho + sinh s sum x_k j3,
+        int rho' / int rho = cosh s + sinh s <xdot_3>
 
-    with x3 scaled by cosh s.  For a localizing sequence the weight ratio
-    sum rho' / sum rho tends to cosh s + v3 sinh s and the rho'-weighted
-    first moment of (x1, x2, x3 cosh s) tends to the boosted point.  At
-    finite n both are trend statements, not equalities.
+    exactly, with <xdot> from ``observables.momentum_moments``.  For a
+    localizing sequence it tends to cosh s + v3 sinh s, the transform of
+    the limit's weights (1, v); at finite n that is a trend statement,
+    not an equality.
     """
     s = boost.rapidity
     ch, sh = np.cosh(s), np.sinh(s)
-    rho, x_rho = sums.sums[0], sums.sums[1:4]
-    j3, x_j3 = sums.sums[7], sums.sums[9:12]
-    total_prime = ch * rho + sh * j3
-    moment = (ch * x_rho + sh * x_j3) * (1.0, 1.0, ch) / total_prime
-
-    limit = boost_label(PointDensityLimit.from_label(label), boost)
-    predicted_ratio = ch + label.v[2] * sh
-    return BoostFieldCheck(
-        n=label.n,
-        weight_ratio=float(total_prime / rho),
-        predicted_weight_ratio=float(predicted_ratio),
-        first_moment=tuple(float(c) for c in moment),
-        predicted_point=limit.point,
-    )
+    velocity = momentum_moments(state).mean_velocity[2]
+    return float(ch + sh * velocity), float(ch + sh * state.label.v[2])

@@ -48,10 +48,6 @@ The norm's radius grid reaches 20/m beyond r_max, and over 60 widths
 since phi is analytic for |Im p| < m, and by Hegerfeldt (Phys. Rev. D
 10 (1974) 3320) no faster than exponentially, so the mass it leaves out
 is below e^(-40).
-
-``radial_delta_x`` needs no transform at all: <x^2> = int |grad_p phi|^2
-d^3p reduces to a 1-D momentum integral with a closed-form spinor term,
-so the spread is exact over all space at any n.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import BLOCK_POINTS, QuadratureError, panel_rule
+from .quadrature import BLOCK_POINTS, QuadratureError
 from .spinor import SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
 from .states import MomentumProfile, MomentumState
 from .units import MASS
@@ -372,8 +368,8 @@ def radial_components(profile: MomentumProfile, n: int, r, n_nodes: int, step: f
     if not profile.is_symmetric:
         raise ValueError("radial reduction requires a spherically symmetric profile")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radii must be nonnegative")
+    if not np.all((r >= 0.0) & (r < math.inf)):  # NaN fails too
+        raise ValueError(f"radii must be finite and >= 0, got {r}")
     (g0, g1), _ = _trapezoid_sums(profile, n, np.atleast_1d(r), n_nodes, step)
     if np.ndim(r) == 0:
         return float(g0[0]), float(g1[0])
@@ -524,37 +520,6 @@ def radial_curve(
             f"when the momentum step is halved, beyond {PROBABILITY_TOL:g}"
         )
     return curve
-
-
-def radial_delta_x(profile: MomentumProfile, n: int) -> float:
-    """Position spread sqrt(<x^2>) of the symmetric state, over all space.
-
-    <x^2> = int |grad_p phi|^2 d^3p.  With phi = F(|p|) u(p) and a unit
-    eigenspinor (Re u^dagger d_k u = 0) the cross term drops, and
-    sum_k |d_k u|^2 = 1/(E (E + m)) + 1/(4 E^4) for either spin, so
-
-        <x^2> = 4 pi int p^2 (F'(p)^2 + F(p)^2 (1/(E(E+m)) + 1/(4E^4))) dp
-
-    with F'(p) = -p F(p) / (n sigma_p)^2 for the Gaussian.  The radial
-    rule is graded, panels [0, 1], [1, 4], [4, 16], ... up to the
-    envelope cutoff, so it resolves both the unit-scale spinor factor and
-    the envelope of width n sigma_p, whatever n is.
-    """
-    if not profile.is_symmetric:
-        raise ValueError("radial reduction requires a spherically symmetric profile")
-    p_max = n * profile.cutoff()
-    breaks, edge = [0.0], 1.0
-    while edge < p_max:
-        breaks.append(edge)
-        edge *= 4.0
-    breaks.append(p_max)
-    p, w = panel_rule(breaks, [48] * (len(breaks) - 1))
-    envelope2 = (n**-1.5 * profile(p / n, 0.0, 0.0)) ** 2
-    e = energy_xyz(p, 0.0, 0.0)
-    spin_term = 1.0 / (e * (e + MASS)) + 0.25 / e**4
-    envelope_term = (p / (n * profile.sigma_p) ** 2) ** 2
-    x2 = 4.0 * np.pi * np.sum(w * p * p * envelope2 * (envelope_term + spin_term))
-    return float(np.sqrt(x2))
 
 
 def density_field(ps: PositionState) -> np.ndarray:

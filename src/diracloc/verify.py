@@ -26,12 +26,13 @@ from . import observables, spinor, states, symmetry
 from .dynamics import (
     LEAKAGE_GRID_BOUND,
     NRPacketParams,
+    evolve_free,
     evolve_report,
     nr_density_factor,
     nr_evolve_factor,
     nr_packet_factor,
 )
-from .transform import CartesianGrid, position_state_cartesian, radial_delta_x
+from .transform import CartesianGrid, position_state_cartesian
 
 SEED = 20130625
 
@@ -290,27 +291,30 @@ def boost_laws(speed: float, limit, rapidities) -> dict:
     return {"boost_velocity_addition": addition, "boost_composition": composition}
 
 
-def boost_field_trend(v, n_values, grid, rapidity: float) -> dict:
+def boost_field_trend(v, n_values, rapidity: float) -> dict:
     """Ratio of the boosted-field weight errors at the last and first n."""
+    boost = symmetry.BoostParams(rapidity)
     trend = []
     for n in n_values:
-        state = states.make_state(v=v, n=n)
-        # psi is dropped once the pass returns, before the next n is sampled
-        sums = observables.snapshot_pass(position_state_cartesian(state, grid))
-        chk = symmetry.verify_boost_against_field(sums, state.label, symmetry.BoostParams(rapidity))
-        trend.append(abs(chk.weight_ratio - chk.predicted_weight_ratio))
+        ratio, predicted = symmetry.verify_boost_against_field(states.make_state(v=v, n=n), boost)
+        trend.append(abs(ratio - predicted))
     return {"boost_field_trend_ratio": trend[-1] / trend[0]}
 
 
 def moment_consistency(state, grid) -> dict:
-    """Grid <x> against the momentum-space form."""
-    grid_mean = observables.moments(position_state_cartesian(state, grid)).mean_x
-    mom_mean = observables.position_mean_from_momentum(state)
-    return {"moment_consistency": float(np.abs(grid_mean - mom_mean).max())}
+    """Grid <x>, <xdot> and Delta_x against their momentum-space closed forms."""
+    sampled = observables.moments(position_state_cartesian(state, grid))
+    exact = observables.momentum_moments(state)
+    worst = max(
+        float(np.abs(sampled.mean_x - exact.mean_x).max()),
+        float(np.abs(sampled.mean_velocity - exact.mean_velocity).max()),
+        abs(sampled.delta_x - exact.delta_x),
+    )
+    return {"moment_consistency": worst}
 
 
 def localization_trend(n_values) -> dict:
-    spreads = [radial_delta_x(states.gaussian_profile(1.0), n) for n in n_values]
+    spreads = [observables.momentum_moments(states.make_state(n=n)).delta_x for n in n_values]
     return {"localization_trend_ratio": monotone_ratio(spreads)}
 
 
@@ -354,9 +358,11 @@ BATTERY = (
         symmetry.PointDensityLimit((0.3, -0.2, 1.7), (0.1, 0.2, 0.4), j_weight=(0.1, 0.2, 0.4)),
         rapidities=(0.3, 0.9),
     ),
-    lambda rng: boost_field_trend((0.0, 0.0, 0.5), (4, 8), CartesianGrid(128, 12.0), rapidity=0.6),
+    lambda rng: boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6),
+    # a moving state off every axis, at t != 0: its grid current is checked too
     lambda rng: moment_consistency(
-        states.make_state(a=(1.0, 0.0, 0.0), n=4), CartesianGrid(64, 16.0)
+        evolve_free(states.make_state(a=(1.0, 0.0, 0.0), v=(0.3, -0.2, 0.4), n=3), 0.5),
+        CartesianGrid(64, 16.0),
     ),
     lambda rng: localization_trend((2, 4, 8)),
 )

@@ -11,6 +11,8 @@ is the general four-slot current j = 2 Re(upper^dagger sigma lower).
 every point (the library walks the rule's radial and angular factors),
 and ``z_axis_rn`` is it on a fine spherical rule about the z axis,
 whatever the direction of p and of the envelope centre.
+``finite_difference_moments`` differentiates the sampled phi instead of
+using i u^dagger grad u and sum_k |d_k u|^2 in closed form.
 ``oracle_momentum_rule`` is ``momentum_rule`` with 32 azimuth nodes in
 place of 2, and inside ``on_oracle_rule`` every library reduction
 integrates on it.
@@ -78,17 +80,22 @@ def spinor_norm(state):
     return float(np.sqrt(np.sum(weights * dens)))
 
 
-def finite_difference_position_mean(state, step=1e-5):
-    """<x> = int phi^dagger (i d/dp) phi d^3p with central differences of phi."""
+def finite_difference_moments(state, step=1e-5):
+    """(<x>, Delta_x) from <x> = int phi^dagger (i d/dp) phi d^3p and
+    <x^2> = int |grad_p phi|^2 d^3p with central differences of phi, each
+    normalized by int |phi|^2."""
     p, weights = momentum_rule(state.profile, state.label.n).points()
     phi = state.spinor(*p)
-    out = np.empty(3)
+    norm = np.sum(weights * np.sum(np.abs(phi) ** 2, axis=0))
+    x2, mean = 0.0, np.empty(3)
     for axis in range(3):
         dp = np.zeros((3, 1))
         dp[axis] = step
         dphi = (state.spinor(*(p + dp)) - state.spinor(*(p - dp))) / (2.0 * step)
-        out[axis] = np.sum(weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
-    return out
+        x2 += np.sum(weights * np.sum(np.abs(dphi) ** 2, axis=0))
+        mean[axis] = np.sum(weights * np.sum(phi.conj() * 1j * dphi, axis=0)).real
+    mean /= norm
+    return mean, float(np.sqrt(x2 / norm - mean @ mean))
 
 
 def einsum_mean_velocity(state):

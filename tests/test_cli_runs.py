@@ -38,7 +38,7 @@ RUNS = [
     *((f"default-{cmd}", [cmd], "", 0, files) for cmd, files in FILES.items()),
     *((f"readme-{cmd}", [cmd], readme_config(), 0, files) for cmd, files in README_FILES.items()),
     # a boosted profile runs the bisection root-find end to end, and the slab
-    # pass (moments and the x_k j3 sums) on a moving state
+    # pass (moments, leakage and slices) on a moving state
     *((f"boosted-{cmd}", [cmd], BOOSTED, 0, FILES[cmd]) for cmd in ("rn", "overlap", "evolve")),
     # the default 128, 16 grid's Nyquist misses the boosted n = 10 momenta
     ("boosted-moments-grid-128-12", ["moments", "--grid", "128,12"], BOOSTED, 0,

@@ -136,6 +136,18 @@ class TestEvolutionReport:
         with pytest.raises(ValueError, match="times must be finite"):
             evolve_report(make_state(n=2), CartesianGrid(16, 8.0), times)
 
+    @pytest.mark.parametrize("r0", [np.nan, np.inf, -1.0])
+    def test_bad_r0_rejected(self, monkeypatch, r0):
+        # a NaN r0 would make every light-cone leakage NaN
+        import diracloc.dynamics as dynamics
+
+        def no_transform(*args):
+            raise AssertionError("transformed before r0 was checked")
+
+        monkeypatch.setattr(dynamics, "position_state_cartesian", no_transform)
+        with pytest.raises(ValueError, match="r0 must be finite and >= 0"):
+            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), (0.0, 0.5), r0=r0)
+
     @pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5, 1.0, 1.5)])
     def test_one_norm_and_no_full_grid_sampling(self, monkeypatch, times):
         import diracloc.spinor as spinor

@@ -1,11 +1,12 @@
 """Density, current, moments, velocity identity, overlaps and R_n."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracloc import observables, quadrature
@@ -18,6 +19,7 @@ from diracloc.observables import (
     current,
     mean_velocity_two_ways,
     moments,
+    momentum_moments,
     overlap,
     overlap_quadrature,
     position_mean_from_momentum,
@@ -43,11 +45,11 @@ from diracloc.states import (
     make_state,
 )
 from diracloc.transform import (
+    MASS_TOL,
     CartesianGrid,
     PositionState,
     density_field,
     position_state_cartesian,
-    radial_delta_x,
 )
 from grid_oracles import causality_margin, density_fourier, field_moments
 from momentum_oracles import (
@@ -55,7 +57,7 @@ from momentum_oracles import (
     bilinear_current,
     bilinear_numerator,
     einsum_mean_velocity,
-    finite_difference_position_mean,
+    finite_difference_moments,
     on_oracle_rule,
     pointwise_rn_integral,
     spinor_norm,
@@ -192,9 +194,10 @@ class TestMoments:
         ]
         assert spreads[1] < spreads[0]
 
-    def test_grid_spread_matches_radial_path(self, plain_profile):
-        grid_dx = moments(position_state_cartesian(make_state(n=4), CartesianGrid(64, 16.0))).delta_x
-        assert grid_dx == pytest.approx(radial_delta_x(plain_profile, 4), rel=1e-2)
+    def test_grid_spread_matches_momentum_form(self):
+        state = make_state(n=4)
+        grid_dx = moments(position_state_cartesian(state, CartesianGrid(64, 16.0))).delta_x
+        assert grid_dx == pytest.approx(momentum_moments(state).delta_x, rel=1e-2)
 
     def test_mean_position_consistent_with_momentum_form(self):
         state = make_state(a=(1.0, 0.0, 0.0), n=4)
@@ -226,10 +229,6 @@ class TestSnapshotPass:
         assert m.delta_x == pytest.approx(spread, rel=1e-14)
         assert np.abs(m.mean_x - mean).max() <= 1e-14 * np.abs(mean).max()
         assert np.abs(m.mean_velocity - velocity).max() <= 1e-14 * np.abs(velocity).max()
-        x = ps.grid.axis()
-        x_j3 = [np.sum(x[:, None, None] * j[2]), np.sum(x[None, :, None] * j[2]),
-                np.sum(x[None, None, :] * j[2])]
-        assert np.array_equal(sums.sums[9:12], x_j3)  # pairwise slab partials: bit-equal
         assert sums.causality_margin == pytest.approx(causality_margin(rho, j), rel=1e-14)
         outside = probability_outside(rho, ps.grid, 2.5)
         assert sums.outside == pytest.approx(outside, rel=1e-14)
@@ -360,7 +359,9 @@ BOOSTED_STATE = replace(make_state(a=(0.4, -0.7, 1.2), v=(0.2, -0.1, 0.3), n=3),
     lambda: check_profile_conditions(BOOSTED_STATE.profile),
     lambda: mean_velocity_two_ways(BOOSTED_STATE),
     lambda: position_mean_from_momentum(BOOSTED_STATE),
-], ids=["check_profile_conditions", "mean_velocity_two_ways", "position_mean_from_momentum"])
+    lambda: momentum_moments(BOOSTED_STATE),
+], ids=["check_profile_conditions", "mean_velocity_two_ways", "position_mean_from_momentum",
+        "momentum_moments"])
 def test_rule_reduction_peak_memory_is_block_sized(reduce):
     # each builds its rule whole, one BLOCK_POINTS block, so only those
     # points and their temporaries are live
@@ -390,9 +391,10 @@ def test_two_azimuth_nodes_match_the_32_node_rule(v, n, sigma_p, t, a, spin):
 
     def reductions():
         norm, mean = check_profile_conditions(state.profile)
+        m = momentum_moments(state)
         return np.concatenate([
             [state.norm(), norm], mean, *mean_velocity_two_ways(state),
-            position_mean_from_momentum(state),
+            [m.norm, m.delta_x], m.mean_x, m.mean_velocity,
         ])
 
     got = reductions()
@@ -434,9 +436,12 @@ class TestScalarReductions:
         t=st.floats(0.0, 2.0),
     )
     def test_position_mean_matches_finite_differences(self, spin, n, sigma_p, v, a, t):
+        # <x> and Delta_x against derivatives of the sampled spinor: no closed-form spin terms
         state = replace(make_state(a=a, v=v, spin=spin, n=n, sigma_p=sigma_p), time=t)
-        closed = position_mean_from_momentum(state)
-        assert np.abs(closed - finite_difference_position_mean(state)).max() <= 1e-9
+        closed = momentum_moments(state)
+        mean, spread = finite_difference_moments(state)
+        assert np.abs(closed.mean_x - mean).max() <= 1e-9
+        assert closed.delta_x == pytest.approx(spread, rel=1e-8)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -464,13 +469,56 @@ class TestScalarReductions:
         s3 = replace(make_state(a=(1, 0, 0), spin=SPIN_DOWN, n=3), time=0.5)
         overlap(s1, s2)
         overlap(s1, s3)
-        position_mean_from_momentum(s1)
-        position_mean_from_momentum(s3)
+        momentum_moments(s1)
+        momentum_moments(s3)
         s1.norm()
         s3.norm()
         assert calls == []
         overlap_quadrature(s1, s2)  # the counter does see the spinor path
         assert calls
+
+
+class TestMomentumMoments:
+    """The closed-form whole-space moments against their ingredients and
+    against grids that converge onto them."""
+
+    @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN])
+    def test_spin_term_is_the_squared_spinor_gradient(self, spin):
+        # S = sum_k |d_k u_s|^2 = 1/(E(E + m)) + 1/(4E^4) at every p, by central differences
+        p = np.random.default_rng(11).uniform(-3.0, 3.0, size=(50, 3))
+        step = 1e-5
+        total = np.zeros(len(p))
+        for axis in np.eye(3) * step:
+            du = (spin_eigenspinor(p + axis, spin) - spin_eigenspinor(p - axis, spin)) / (2.0 * step)
+            total += np.sum(np.abs(du) ** 2, axis=1)
+        e = energy_xyz(*p.T)
+        assert np.abs(total - (1.0 / (e * (e + 1.0)) + 0.25 / e**4)).max() <= 1e-9
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        a=st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)]),
+        v=off_axis_velocity(0.99).filter(lambda v: np.linalg.norm(v) <= 0.99),
+        spin=SPINS,
+        n=st.integers(1, 3),
+        t=st.floats(0.0, 2.0),
+    )
+    def test_grid_moments_converge_onto_closed_form(self, a, v, spin, n, t):
+        # L is the largest extent whose 64^3 grid holds all but MASS_TOL of the
+        # momentum mass; a box that also holds <x> +- 3 Delta_x with 4.5
+        # Compton lengths to spare leaves the 64^3 gap to its Nyquist
+        # truncation, which the 128^3 grid on the same box removes
+        state = replace(make_state(a=a, v=v, spin=spin, n=n), time=t)
+        exact = momentum_moments(state)
+        extent = math.floor(100.0 * math.pi * 64 / state.momentum_support(MASS_TOL)) / 100.0
+        assume(extent / 2 - np.abs(exact.mean_x).max() - 3.0 * exact.delta_x >= 4.5)
+
+        def gap(points):
+            m = moments(position_state_cartesian(state, CartesianGrid(points, extent)))
+            return max(np.abs(m.mean_x - exact.mean_x).max(),
+                       np.abs(m.mean_velocity - exact.mean_velocity).max(),
+                       abs(m.delta_x - exact.delta_x))
+
+        assert gap(128) < 1e-2 * gap(64)
 
 
 def einsum_rn_integral(profile, n, p, q_operator, spin):
@@ -785,8 +833,8 @@ class TestCausalityMargin:
 
 
 class TestLocalizingLimits:
-    def test_spread_and_velocity_error_shrink(self, plain_profile):
-        spreads = [radial_delta_x(plain_profile, n) for n in (2, 4, 8, 16)]
+    def test_spread_and_velocity_error_shrink(self):
+        spreads = [momentum_moments(make_state(n=n)).delta_x for n in (2, 4, 8, 16)]
         assert all(b < a for a, b in zip(spreads, spreads[1:]))
         prof = boosted_gaussian_profile((0, 0, 0.5))
         verrs = [abs(a_n_limit(prof, n, 2) - 0.5) for n in (2, 4, 8, 16)]

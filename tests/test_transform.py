@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracloc.dynamics import evolve_free
-from diracloc.observables import moments
+from diracloc.observables import moments, momentum_moments
 from diracloc.quadrature import BLOCK_POINTS, QuadratureError, _leggauss, gauss_legendre
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
@@ -36,7 +36,6 @@ from diracloc.transform import (
     position_state_cartesian,
     radial_components,
     radial_curve,
-    radial_delta_x,
     slab_columns,
 )
 
@@ -194,27 +193,26 @@ class TestRadialComponents:
             radial_components(prof, 2, 1.0, 400, 0.1)
 
     def test_negative_radius_rejected(self, plain_profile):
-        with pytest.raises(ValueError):
-            radial_components(plain_profile, 2, -0.5, 400, 0.1)
+        # a NaN radius would give a NaN row, an infinite one a NaN Bessel kernel
+        for bad in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                radial_components(plain_profile, 2, [1.0, bad], 400, 0.1)
 
 
 class TestRadialDeltaX:
+    """The closed-form spread of the symmetric state against position-space
+    quadratures of 4 pi r^4 rho on the radial path."""
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_matches_position_space_quadrature(self, plain_profile, n):
         expected = position_space_delta_x(plain_profile, n)
-        assert radial_delta_x(plain_profile, n) == pytest.approx(expected, rel=1e-13)
+        assert momentum_moments(make_state(n=n)).delta_x == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n, sigma_p", [(32, 1.0), (46, 1.135)])
     def test_resolved_at_large_n(self, n, sigma_p):
-        profile = gaussian_profile(sigma_p)
-        expected = two_panel_delta_x(profile, n)
-        assert radial_delta_x(profile, n) == pytest.approx(expected, rel=1e-11)
-
-    def test_asymmetric_profile_rejected(self):
-        from diracloc.states import boosted_gaussian_profile
-
-        with pytest.raises(ValueError):
-            radial_delta_x(boosted_gaussian_profile((0.0, 0.0, 0.3)), 2)
+        expected = two_panel_delta_x(gaussian_profile(sigma_p), n)
+        delta_x = momentum_moments(make_state(n=n, sigma_p=sigma_p)).delta_x
+        assert delta_x == pytest.approx(expected, rel=1e-11)
 
 
 class TestRadialCurve:
@@ -272,7 +270,7 @@ class TestRadialCurve:
         tracemalloc.stop()
         assert peak < 1e5
 
-    def test_table_rows_are_radial_density(self, plain_profile):
+    def test_table_rows_match_direct_sums(self, plain_profile):
         # the FFT rows and the direct rows agree with direct sums at the same radii
         r = np.linspace(0.0, 6.0, 601)
         curve = radial_curve(plain_profile, 10, 6.0, 601)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from diracloc import verify
+from diracloc import observables, verify
 from diracloc.dynamics import NRPacketParams
 from diracloc.quadrature import BLOCK_POINTS
 from diracloc.transform import CartesianGrid, grid_working_set
@@ -22,16 +22,36 @@ def test_passes_at_default_bound(checks, name):
     assert check.passed, check
 
 
-def test_boost_field_trend_holds_one_transform():
-    # each n is one transform and one slab pass; psi is freed before the next
-    grid = CartesianGrid(128, 12.0)
+def test_boost_field_trend_allocates_no_grid(monkeypatch):
+    # the weight ratio comes from momentum space: nothing of grid size, no transform
+    def no_grid(*args):
+        raise AssertionError("boost_field_trend sampled a position grid")
+
+    monkeypatch.setattr(verify, "position_state_cartesian", no_grid)
+    verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6)  # warm the node caches
     tracemalloc.start()
     try:
-        verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), grid, rapidity=0.6)
+        verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= grid_working_set(grid) + 128 * BLOCK_POINTS
+    # the 64^3 grid of the battery's other checks needs 17.8 MB
+    assert peak <= 320 * BLOCK_POINTS < grid_working_set(CartesianGrid(64, 16.0))
+
+
+def test_moment_consistency_sees_a_wrong_current(monkeypatch):
+    # j1 with its sign flipped in the slab pass: only the grid <xdot> of the
+    # moving state in moment_consistency can tell
+    original = observables.packed_current
+
+    def flipped(*args, **kwargs):
+        j = original(*args, **kwargs)
+        j[0] *= -1.0
+        return j
+
+    monkeypatch.setattr(observables, "packed_current", flipped)
+    failed = [c.name for c in verify.run_checks() if not c.passed]
+    assert "moment_consistency" in failed
 
 
 def test_nr_oracle_forms_no_cubic_array():

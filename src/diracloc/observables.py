@@ -80,6 +80,7 @@ from .spinor import (
     I4,
     bilinear_density,
     energy_xyz,
+    fill_eigenspinor,
     packed_current,
     spinor_layout,
 )
@@ -242,7 +243,8 @@ def overlap(s1: MomentumState, s2: MomentumState) -> complex:
     in closed form for any two Gaussian profiles (``_gaussian_overlap``),
     which stays meaningful far below the float64 cancellation floor of
     the direct quadrature.  Same spins at different times take
-    ``overlap_quadrature``, the oracle for both reductions.
+    ``overlap_quadrature``, the oracle for both reductions, whose rule
+    adds nodes for the oscillation of exp(-i E(p) (t2 - t1)).
     """
     if s1.label.spin != s2.label.spin:
         return 0j
@@ -286,25 +288,68 @@ def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     )
 
 
-def overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
-    """(phi1, phi2) by tensor Gauss-Legendre of the sampled spinors on the box
-    where F1 F2 lives.
+def _overlap_axes(s1: MomentumState, s2: MomentumState):
+    """(order, lo, hi) per axis: the tensor Gauss-Legendre rule of
+    ``overlap_quadrature`` on the box where F1 F2 lives.
 
     The box is mu +- 8 sqrt(W) per axis (``_gaussian_product``), beyond
     which F1 F2 has fallen by e^-32, so it fits the narrower of two
     states whose widths n sigma_p differ several-fold.  Each axis adds
-    nodes for the oscillation of exp(i (a1 - a2).p) across the box.
+    nodes for the oscillation of exp(i (a1 - a2).p) and of
+    exp(-i E(p) (t2 - t1)) across the box; |d(E t)/dp_k| <= |t|.
     """
     width, mu = _gaussian_product(*_envelope_gaussian(s1), *_envelope_gaussian(s2))
     half = 8.0 * np.sqrt(width)
-    delta = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a))
+    spread = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a)) + abs(s2.time - s1.time)
+    return [
+        (96 + int(np.ceil(0.8 * spread[axis] * half)), mu[axis] - half, mu[axis] + half)
+        for axis in range(3)
+    ]
+
+
+def overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
+    """(phi1, phi2) by tensor Gauss-Legendre on the rule of ``_overlap_axes``.
+
+    The scalar part F exp(-i a.p) of each state is a product of axis
+    factors (``MomentumState.axis_factors``), so axis k carries the
+    weights w_k conj(f1_k) f2_k.  Only the non-separable part is
+    evaluated per point: the eigenspinor slots c of calE u
+    (``fill_eigenspinor``) from one E(p) shared by both states,
+
+        sum conj(c1) c2 / (2E(E + m)),
+
+    times exp(-i E (t2 - t1)) when the times differ.  Same spins need
+    one slot stack.  The spinor is still sampled pointwise, so the
+    result checks rather than repeats the u^dagger u = 1 and
+    u_up^dagger u_down = 0 identities ``overlap`` rests on.
+    """
     rules = []
-    for axis in range(3):
-        order = 96 + int(np.ceil(0.8 * delta[axis] * half))
-        rules.append(gauss_legendre(order, mu[axis] - half, mu[axis] + half))
+    for axis, (order, lo, hi) in enumerate(_overlap_axes(s1, s2)):
+        nodes, weights = gauss_legendre(order, lo, hi)
+        f1, f2 = s1.axis_factors(nodes)[axis], s2.axis_factors(nodes)[axis]
+        rules.append((nodes, weights * f1.conj() * f2))
+    spin1, spin2 = s1.label.spin, s2.label.spin
+    dt = s2.time - s1.time
 
     def integrand(px, py, pz):
-        return np.sum(s1.spinor(px, py, pz).conj() * s2.spinor(px, py, pz), axis=0)
+        e = energy_xyz(px, py, pz)
+        e_plus_m = e + MASS
+
+        def slots(count, spin):
+            out = np.empty((count,) + e.shape, dtype=complex)
+            return fill_eigenspinor(out, 1.0, e_plus_m, px, py, pz, spin)
+
+        if spin1 == spin2:
+            g = bilinear_density(slots(3, spin1))
+        else:
+            c1 = slots(4, spin1)
+            np.conjugate(c1, out=c1)
+            c1 *= slots(4, spin2)
+            g = np.sum(c1, axis=0)
+        g /= 2.0 * e * e_plus_m
+        if dt != 0.0:
+            g = g * np.exp(-1j * dt * e)
+        return g
 
     return tensor_integrate(integrand, rules)
 

@@ -255,8 +255,10 @@ def node_doubling(evaluate, rule_args, tol: float, label: str = "integral"):
 def tensor_integrate(func, axes_rules) -> complex:
     """Integrate func(px, py, pz) over a tensor-product Gauss-Legendre grid.
 
-    axes_rules: three (nodes, weights) pairs.  The first axis is processed
-    8 nodes at a time, so the full 3-D grid is never materialized at once.
+    axes_rules: three (nodes, weights) pairs.  The weights may be complex,
+    so a factor of the integrand separable along an axis can ride on that
+    axis's weights.  The first axis is processed 8 nodes at a time, so the
+    full 3-D grid is never materialized at once.
     """
     (x1, w1), (x2, w2), (x3, w3) = axes_rules
     total = 0.0 + 0.0j

@@ -206,9 +206,11 @@ def causality(state, grid, times, r0: float) -> dict:
 def overlaps(a2, decay_n_values, reduction_n_values, opposite_a2, opposite_n_values) -> dict:
     """Overlaps of the state at the origin with one at ``a2``.
 
-    ``overlap_reduction``: closed form against quadrature; the supporting
+    ``overlap_reduction``: closed form against ``overlap_quadrature``,
+    which samples the eigenspinors pointwise and carries the Gaussian
+    envelopes and exp(-i a.p) on its axis weights; the supporting
     ``decay`` lists |overlap| over ``decay_n_values``; opposite spins at
-    ``opposite_a2`` must be orthogonal (by quadrature).
+    ``opposite_a2`` must be orthogonal (by the same quadrature).
     """
 
     def pair(n, a=a2, spin=spinor.SPIN_UP):

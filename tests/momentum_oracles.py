@@ -13,6 +13,9 @@ and ``z_axis_rn`` is it on a fine spherical rule about the z axis,
 whatever the direction of p and of the envelope centre.
 ``finite_difference_moments`` differentiates the sampled phi instead of
 using i u^dagger grad u and sum_k |d_k u|^2 in closed form.
+``pointwise_overlap`` sums phi1^dagger phi2 from both full spinors on
+the rule of ``overlap_quadrature``, which folds the scalar parts into
+its axis weights instead.
 ``oracle_momentum_rule`` is ``momentum_rule`` with 32 azimuth nodes in
 place of 2, and inside ``on_oracle_rule`` every library reduction
 integrates on it.
@@ -25,7 +28,7 @@ from unittest import mock
 import numpy as np
 
 from diracloc import observables, states
-from diracloc.quadrature import BLOCK_POINTS, spherical_rule
+from diracloc.quadrature import BLOCK_POINTS, gauss_legendre, spherical_rule, tensor_integrate
 from diracloc.spinor import ALPHA, energy_xyz, spinor_layout
 from diracloc.states import momentum_rule
 from diracloc.units import MASS
@@ -78,6 +81,17 @@ def spinor_norm(state):
     p, weights = momentum_rule(state.profile, state.label.n).points()
     dens = np.sum(np.abs(state.spinor(*p)) ** 2, axis=0)
     return float(np.sqrt(np.sum(weights * dens)))
+
+
+def pointwise_overlap(s1, s2):
+    """(phi1, phi2) = int phi1^dagger phi2 d^3p from the sampled spinors at
+    every point of the tensor rule of ``overlap_quadrature``."""
+    rules = [gauss_legendre(order, lo, hi) for order, lo, hi in observables._overlap_axes(s1, s2)]
+
+    def integrand(px, py, pz):
+        return np.sum(s1.spinor(px, py, pz).conj() * s2.spinor(px, py, pz), axis=0)
+
+    return tensor_integrate(integrand, rules)
 
 
 def finite_difference_moments(state, step=1e-5):

@@ -59,6 +59,7 @@ from momentum_oracles import (
     einsum_mean_velocity,
     finite_difference_moments,
     on_oracle_rule,
+    pointwise_overlap,
     pointwise_rn_integral,
     spinor_norm,
     z_axis_rn,
@@ -333,6 +334,34 @@ class TestOverlap:
         s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=0.3)
         assert overlap(s1, s2) == overlap_quadrature(s1, s2)
 
+    @pytest.mark.parametrize("t", [3.0, 10.0])
+    def test_different_times_resolve_the_energy_phase(self, t, monkeypatch):
+        # exp(-i E t) oscillates across the box; the rule with every
+        # axis order 1.5 times larger must agree
+        s1 = make_state(n=2)
+        s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=t)
+        got = overlap(s1, s2)
+
+        def finer(order, a, b):
+            return quadrature.gauss_legendre(math.ceil(1.5 * order), a, b)
+
+        monkeypatch.setattr(observables, "gauss_legendre", finer)
+        assert abs(got - overlap(s1, s2)) <= 1e-10
+
+    def test_quadrature_samples_no_spinor_or_envelope(self, monkeypatch):
+        # the scalar parts ride on the axis weights; only u(p) and E(p) are per point
+        def refuse(*args):
+            raise AssertionError("per-point spinor or envelope")
+
+        monkeypatch.setattr(MomentumState, "spinor", refuse)
+        monkeypatch.setattr(MomentumState, "envelope", refuse)
+        s1 = make_state(v=(0.2, 0, 0.3), n=2)
+        s2 = replace(make_state(a=(1, 0, 0), n=3, sigma_p=0.7), time=0.5)
+        down = make_state(a=(1, 0, 0), spin=SPIN_DOWN, n=3, sigma_p=0.7)
+        overlap_quadrature(s1, s2)
+        overlap_quadrature(s1, down)
+        overlap(s1, s2)
+
 
 def off_axis_velocity(max_speed):
     """Velocities of speed <= max_speed in any direction."""
@@ -455,6 +484,22 @@ class TestScalarReductions:
         state = replace(make_state(a=(0.4, -0.7, 1.2), v=v, spin=spin, n=n, sigma_p=sigma_p), time=t)
         assert abs(state.norm() - spinor_norm(state)) <= 1e-13
 
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        spins=st.tuples(SPINS, SPINS),
+        ns=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        sigma_p=st.floats(0.6, 1.5),
+        v1=off_axis_velocity(0.9),
+        v2=off_axis_velocity(0.9),
+        a2=POINTS,
+        dt=st.floats(0.0, 2.0),
+    )
+    def test_overlap_quadrature_matches_pointwise_spinors(self, spins, ns, sigma_p, v1, v2, a2, dt):
+        # the axis-weight form against phi1^dagger phi2 summed on the same rule
+        s1 = make_state(v=v1, spin=spins[0], n=ns[0], sigma_p=sigma_p)
+        s2 = replace(make_state(a=a2, v=v2, spin=spins[1], n=ns[1], sigma_p=sigma_p), time=dt)
+        assert abs(overlap_quadrature(s1, s2) - pointwise_overlap(s1, s2)) <= 1e-14
+
     def test_no_spinor_stack_is_built(self, monkeypatch):
         calls = []
         original = MomentumState.spinor
@@ -474,7 +519,7 @@ class TestScalarReductions:
         s1.norm()
         s3.norm()
         assert calls == []
-        overlap_quadrature(s1, s2)  # the counter does see the spinor path
+        mean_velocity_two_ways(s1)  # the counter does see the spinor path
         assert calls
 
 

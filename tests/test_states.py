@@ -257,6 +257,17 @@ class TestMomentumState:
         assert np.abs(phi_a - np.exp(-1j * np.pi) * phi0).max() < 1e-14
         assert np.abs(phi_a + phi0).max() < 1e-14
 
+    def test_axis_factors_are_the_scalar_part(self):
+        # their outer product is envelope(p) exp(-i a.p) on the grid p x p x p
+        state = make_state(a=(0.4, -0.7, 1.2), v=(0.2, -0.1, 0.3), n=3, sigma_p=0.8)
+        p = np.linspace(-6.0, 6.0, 41)
+        fx, fy, fz = state.axis_factors(p)
+        px, py, pz = np.meshgrid(p, p, p, indexing="ij")
+        a = state.label.a
+        expected = state.envelope(px, py, pz) * np.exp(-1j * (a[0] * px + a[1] * py + a[2] * pz))
+        outer = fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
+        assert np.abs(outer - expected).max() <= 1e-15 * np.abs(expected).max()
+
     @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
     def test_norm_blocks_add_to_whole_rule_sum(self, v):
         state = make_state(v=v, n=3)

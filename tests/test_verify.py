@@ -54,6 +54,17 @@ def test_moment_consistency_sees_a_wrong_current(monkeypatch):
     assert "moment_consistency" in failed
 
 
+def test_overlap_reduction_sees_a_wrong_eigenspinor(monkeypatch):
+    # E in place of E + m in the eigenspinor overlap_quadrature samples:
+    # only a pointwise spinor can tell, since the envelopes are unchanged
+    monkeypatch.setattr(observables, "MASS", 0.0)
+    values = verify.overlaps(
+        (2.0, 0.0, 0.0), decay_n_values=(2, 4), reduction_n_values=(2,),
+        opposite_a2=(0.0, 0.0, 0.0), opposite_n_values=(2,),
+    )
+    assert values["overlap_reduction"] > verify.DEFAULT_TOLERANCES["overlap_reduction"]
+
+
 def test_nr_oracle_forms_no_cubic_array():
     # acceptance 7's inputs; one 256^3 float64 array would be 134 MB
     packets = [NRPacketParams(n=n, a=(1.0, 0.0, 0.0), v=(0.0, 0.0, 0.5)) for n in (1, 4)]

@@ -234,8 +234,6 @@ def _slope_window(r_max: float) -> tuple[float, float]:
 
 
 def _profile(cfg: RunConfig):
-    if cfg.profile_kind == "gaussian" and not any(cfg.v_target):
-        return gaussian_profile(cfg.sigma_p)
     try:
         return boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
     except ProfileError as exc:
@@ -349,7 +347,7 @@ def cmd_moments(cfg: RunConfig) -> tuple[int, dict]:
     profile = _profile(cfg)
     for n in cfg.n_list:
         ps = position_state_cartesian(_state(cfg, profile, n), grid)
-        payload["moments"][str(n)] = moments(ps).as_dict()
+        payload["moments"][str(n)] = asdict(moments(ps))
         del ps  # free psi before the next transform allocates its own
     return 0, {"moments.json": payload}
 
@@ -374,15 +372,16 @@ def cmd_overlap(cfg: RunConfig) -> tuple[int, dict]:
 def write_outputs(out: Path, files: dict) -> None:
     """Create ``out`` and write each file of a command's result into it.
 
-    A dict is written as sorted, indented JSON; a list is a CSV table,
-    rows of strings, ints and Python floats (which ``csv`` writes by
-    ``repr``, so every double reads back bit for bit).
+    A dict is written as sorted, indented JSON, an ``ndarray`` in it as a
+    list (``tolist``); a list is a CSV table, rows of strings, ints and
+    Python floats.  Both write a float by ``repr``, so every double reads
+    back bit for bit.
     """
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         with open(out / name, "w", newline="") as handle:
             if isinstance(content, dict):
-                json.dump(content, handle, indent=2, sort_keys=True)
+                json.dump(content, handle, indent=2, sort_keys=True, default=np.ndarray.tolist)
                 handle.write("\n")
             else:
                 csv.writer(handle).writerows(content)

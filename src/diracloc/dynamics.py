@@ -7,15 +7,15 @@ are obtained by transforming the evolved state; causality is probed by
 the pointwise bound |j| <= rho and by light-cone leakage, i.e. the
 probability found outside a sphere expanding at the speed of light.
 Each snapshot costs one transform and one slab pass
-(``observables.snapshot_pass``), which reads psi slab by slab and keeps
-only the moment sums, the causality margin, the leakage and one axis
-slice; psi is freed before the next time is transformed, so a report
-holds no (rho, j) field and its memory does not grow with the number of
-times.  The momentum norm does not depend on t (|exp(-i E t)| = 1), so a
-report computes it once; the light cone grows from r0 at the first
-reported time, by the time elapsed since then, and the probability
-outside it is weighted by each cell's share of a radial slab so that it
-moves continuously with the cone's radius.
+(``observables.snapshot_pass``), which reads psi slab by slab and returns
+only the moments, the causality margin, the probability outside the
+light cone and one axis slice; psi is freed before the next time is
+transformed, so a report holds no (rho, j) field and its memory does not
+grow with the number of times.  The momentum norm does not depend on t
+(|exp(-i E t)| = 1), so a report computes it once; the light cone grows
+from r0 at the first reported time, by the time elapsed since then, and
+the probability outside it is weighted by each cell's share of a radial
+slab so that it moves continuously with the cone's radius.
 
 The nonrelativistic block mirrors the same story for a spinless
 Schrodinger particle (m = hbar = 1): Gaussian packets
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .observables import moments, snapshot_pass  # noqa: F401  (moments is re-exported)
-from .states import MomentumState
+from .states import MomentumState, check_sequence_index
 from .transform import CartesianGrid, position_state_cartesian
 
 # discretization allowance for the leakage on the 64^3, L = 16 grid of verify's causality check
@@ -106,20 +106,20 @@ def evolve_report(
     norm = state.norm()  # |exp(-i E t)| = 1, so one quadrature serves every time
     for t in times:
         ps = position_state_cartesian(evolve_free(state, t), grid)
-        sums = snapshot_pass(ps, r0 + (t - times[0]))
+        snap = snapshot_pass(ps, r0 + (t - times[0]))
         del ps  # free psi before the next transform allocates its own
-        mom = sums.moments()
+        mom = snap.moments
         if not slices:
-            outside0 = sums.outside
+            outside0 = snap.outside
         report.times.append(t)
         report.momentum_norms.append(norm)
         report.grid_norms.append(math.sqrt(mom.norm))  # mom.norm = sum(rho) dV
         report.mean_x.append([float(c) for c in mom.mean_x])
         report.delta_x.append(mom.delta_x)
         report.mean_velocity.append([float(c) for c in mom.mean_velocity])
-        report.causality_margins.append(sums.causality_margin)
-        report.lightcone_leakages.append(sums.outside - outside0)
-        slices.append(sums.axis_slice)
+        report.causality_margins.append(snap.causality_margin)
+        report.lightcone_leakages.append(snap.outside - outside0)
+        slices.append(snap.axis_slice)
     return report, slices
 
 
@@ -140,8 +140,7 @@ class NRPacketParams:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("packet width must be positive")
-        if self.n < 1:
-            raise ValueError("sequence index must be >= 1")
+        check_sequence_index(self.n)
 
 
 def nr_packet_factor(params: NRPacketParams, axis: int, x: np.ndarray) -> np.ndarray:

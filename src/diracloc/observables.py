@@ -51,13 +51,14 @@ first, contiguous grid axis at a time (``PositionState.slabs``,
 ``BLOCK_POINTS`` cells each).  psi holds the three nonzero slots of the
 eigenspinor layout, and the slab's (rho, j) comes from the closed forms
 ``spinor.bilinear_density`` and ``packed_current``.  The slab leaves
-behind its partial sums for ``moments``, its largest |j| - rho, its
-share of the probability outside a sphere and its rows of the x1-axis
-slice.  Temporaries are one slab in size, and the partial sums are
-added pairwise across slabs, so they equal whole-field sums to the last
-bit.  ``density_field`` and
-``current`` fill whole fields from the same per-slab formulas; no
-pipeline path calls them.
+behind its cell sums, its largest |j| - rho, its share of the
+probability outside a sphere and its rows of the x1-axis slice.
+Temporaries are one slab in size, and the cell sums are added pairwise
+across slabs, so they equal whole-field sums to the last bit.  The pass
+returns values (``Snapshot``): the snapshot's ``MomentSet``, the
+causality margin, the probability outside the sphere and the slice.
+``density_field`` and ``current`` fill whole fields from the same
+per-slab formulas; no pipeline path calls them.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ from .spinor import (
     packed_current,
     spinor_layout,
 )
-from .states import MomentumProfile, MomentumState, momentum_rule
-from .transform import CartesianGrid, PositionState
+from .states import MomentumProfile, MomentumState, check_sequence_index, momentum_rule
+from .transform import PositionState
 from .units import MASS
 
 Q_MATRICES = {
@@ -104,14 +105,6 @@ class MomentSet:
     mean_x: np.ndarray
     delta_x: float
     mean_velocity: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "mean_x": [float(c) for c in self.mean_x],
-            "delta_x": self.delta_x,
-            "mean_velocity": [float(c) for c in self.mean_velocity],
-        }
 
 
 def current(ps: PositionState) -> np.ndarray:
@@ -132,53 +125,27 @@ def _margin(rho: np.ndarray, j: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class SnapshotSums:
-    """What one slab pass keeps of a snapshot (see ``snapshot_pass``).
+class Snapshot:
+    """What one slab pass keeps of a grid snapshot (see ``snapshot_pass``)."""
 
-    ``sums`` holds the cell sums of rho, x1 rho, x2 rho, x3 rho, |x|^2 rho,
-    j1, j2, j3, and of rho weighted by its share outside ``radius``.
-    """
-
-    grid: CartesianGrid
-    sums: np.ndarray
+    moments: MomentSet
     causality_margin: float
     axis_slice: np.ndarray  # (4, N): rho, j1, j2, j3 along x1 at x2 = x3 = 0
-    radius: float | None = None
-
-    @property
-    def outside(self) -> float:
-        """Probability outside the sphere |x| = radius (radial-slab shares)."""
-        if self.radius is None:
-            raise ValueError("the pass was run without a radius")
-        return float(self.sums[8] * self.grid.cell_volume)
-
-    def moments(self) -> MomentSet:
-        """Trapezoid-sum moments, normalized by the discrete norm."""
-        dv = self.grid.cell_volume
-        total = float(self.sums[0] * dv)
-        mean = self.sums[1:4] * dv / total
-        x2 = float(self.sums[4] * dv / total)
-        spread2 = max(x2 - float(mean @ mean), 0.0)
-        return MomentSet(
-            norm=total,
-            mean_x=mean,
-            delta_x=float(np.sqrt(spread2)),
-            mean_velocity=self.sums[5:8] * dv / total,
-        )
+    outside: float | None  # probability outside the pass's radius; None without one
 
 
-def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSums:
-    """Reduce a snapshot to its cell sums, causality margin, leakage and slice.
+def snapshot_pass(ps: PositionState, radius: float | None = None) -> Snapshot:
+    """Reduce a snapshot to its moments, causality margin, leakage and slice.
 
     psi is read one slab of the first grid axis at a time (``slabs``); each
     slab's (rho, j) comes from ``spinor.bilinear_density`` and
-    ``packed_current`` and is dropped once its partial sums (the
-    ``moments`` sums), its share of the probability outside ``radius``
-    (if given), its largest |j| - rho and its rows of the x1-axis slice
-    are taken.  Temporaries are one slab in size.  The slab partials
-    are added pairwise, so the sums, the leakage among them, match
-    whole-field ``np.sum`` to the last bit and do not depend on the BLAS
-    thread count.
+    ``packed_current`` and is dropped once its cell sums of rho, x rho,
+    |x|^2 rho and j, of rho weighted by its share outside ``radius`` (if
+    given), its largest |j| - rho and its rows of the x1-axis slice are
+    taken.  Temporaries are one slab in size.  The slab partials are
+    added pairwise, so they match whole-field ``np.sum`` to the last bit
+    and do not depend on the BLAS thread count.  The moments are the
+    trapezoid sums normalized by the discrete norm.
     """
     grid = ps.grid
     x = grid.axis()
@@ -201,7 +168,16 @@ def snapshot_pass(ps: PositionState, radius: float | None = None) -> SnapshotSum
         margin = max(margin, _margin(rho, j))
         axis_slice[0, rows] = rho[:, centre, centre]
         axis_slice[1:, rows] = j[:, :, centre, centre]
-    return SnapshotSums(grid, pairwise_sum(partials), margin, axis_slice, radius)
+    sums, dv = pairwise_sum(partials), grid.cell_volume
+    total = float(sums[0] * dv)
+    mean = sums[1:4] * dv / total
+    spread2 = max(float(sums[4] * dv / total) - float(mean @ mean), 0.0)
+    return Snapshot(
+        MomentSet(total, mean, float(np.sqrt(spread2)), sums[5:8] * dv / total),
+        margin,
+        axis_slice,
+        None if radius is None else float(sums[8] * dv),
+    )
 
 
 def moments(ps: PositionState) -> MomentSet:
@@ -211,7 +187,7 @@ def moments(ps: PositionState) -> MomentSet:
     accurate; values are normalized by the discrete norm to remove the
     mass the grid truncates.  One ``snapshot_pass`` over ``ps``.
     """
-    return snapshot_pass(ps).moments()
+    return snapshot_pass(ps).moments
 
 
 def mean_velocity_two_ways(state: MomentumState):
@@ -510,10 +486,12 @@ def convolution_Rn(
     the axis.  The result is certified by node doubling of every entry
     (which resolves the second harmonic that 2 azimuth nodes would
     alias); disagreement beyond ``tol`` raises :class:`QuadratureError`.
+    An n below 1 or not finite raises ``ValueError`` first.
     Off the axis the two rules hold 2.2 M (r, d) pairs and one value
     takes about 30 ms on a 2 vCPU Xeon; on it they hold 0.14 M pairs and
     take 3 to 4 ms.
     """
+    check_sequence_index(n)
     evaluate = _rn_integral(profile, n, p, q_operator, spin)
     p = np.asarray(p, dtype=float)
     p_norm = float(np.linalg.norm(p))

@@ -257,14 +257,16 @@ def tensor_integrate(func, axes_rules) -> complex:
 
     axes_rules: three (nodes, weights) pairs.  The weights may be complex,
     so a factor of the integrand separable along an axis can ride on that
-    axis's weights.  The first axis is processed 8 nodes at a time, so the
-    full 3-D grid is never materialized at once.
+    axis's weights.  The first axis is walked in runs of
+    max(1, ``BLOCK_POINTS`` // (n2 n3)) nodes, so ``func`` sees at most
+    ``BLOCK_POINTS`` points per call whenever one plane of the other two
+    axes fits, and the full 3-D grid is never materialized.
     """
     (x1, w1), (x2, w2), (x3, w3) = axes_rules
+    step = max(1, BLOCK_POINTS // (x2.size * x3.size))
     total = 0.0 + 0.0j
-    for lo in range(0, x1.size, 8):
-        hi = min(lo + 8, x1.size)
-        px = x1[lo:hi, None, None]
+    for lo in range(0, x1.size, step):
+        px = x1[lo:lo + step, None, None]
         vals = func(px, x2[None, :, None], x3[None, None, :])
-        total += np.einsum("i,j,k,ijk->", w1[lo:hi], w2, w3, vals)
+        total += np.einsum("i,j,k,ijk->", w1[lo:lo + step], w2, w3, vals)
     return complex(total)

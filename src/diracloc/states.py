@@ -138,6 +138,12 @@ def _gaussian_tail_radius(eps: float) -> float:
     return _bisect(lambda q: _gaussian_tail_mass(q) > eps, 0.0, 30.0)
 
 
+def check_sequence_index(n) -> None:
+    """Refuse a sequence index n that is not finite or is below 1 (NaN too)."""
+    if not 1 <= n < math.inf:
+        raise ValueError(f"sequence index must be >= 1, got {n}")
+
+
 def momentum_rule(profile: MomentumProfile, n: int) -> SphericalRule:
     """The spherical rule of every momentum-space reduction at sequence index n.
 
@@ -248,8 +254,7 @@ class LocalizationLabel:
             raise ValueError(f"|v| must be < 1 (units of c), got {self.v}")
         if self.spin not in (SPIN_UP, SPIN_DOWN):
             raise ValueError(f"spin label must be +0.5 or -0.5, got {self.spin}")
-        if self.n < 1:
-            raise ValueError(f"sequence index must be >= 1, got {self.n}")
+        check_sequence_index(self.n)
 
 
 @dataclass(frozen=True)
@@ -321,5 +326,4 @@ def make_state(
 ) -> MomentumState:
     """Convenience builder wiring a label to the profile realizing its v."""
     label = LocalizationLabel(a=tuple(a), v=tuple(v), spin=spin, n=n)
-    profile = boosted_gaussian_profile(v, sigma_p) if any(label.v) else gaussian_profile(sigma_p)
-    return MomentumState(label=label, profile=profile)
+    return MomentumState(label=label, profile=boosted_gaussian_profile(v, sigma_p))

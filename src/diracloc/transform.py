@@ -60,7 +60,7 @@ import numpy as np
 
 from .quadrature import BLOCK_POINTS, QuadratureError
 from .spinor import SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
-from .states import MomentumProfile, MomentumState
+from .states import MomentumProfile, MomentumState, check_sequence_index
 from .units import MASS
 
 # The trapezoid momentum rule of the radial path (``radial_curve``).  rho
@@ -364,7 +364,10 @@ def radial_components(profile: MomentumProfile, n: int, r, n_nodes: int, step: f
     angular content of the lower components is carried analytically by
     the unit vector x/r, so only these two radial profiles are needed.
     Direct trapezoid sums on the nodes p_k = k ``step``, k = 1..``n_nodes``.
+    An n below 1 or not finite, or a negative or non-finite radius,
+    raises ``ValueError``.
     """
+    check_sequence_index(n)
     if not profile.is_symmetric:
         raise ValueError("radial reduction requires a spherically symmetric profile")
     r = np.asarray(r, dtype=float)
@@ -462,15 +465,16 @@ def radial_curve(
     (``_fft_density``, ``_fft_probabilities``); the rows within
     min(5/(n sigma_p), ``DIRECT_RADIUS``) of the origin are direct sums.
     The table is every k-th row.  A negative or non-finite r_max or
-    radius raises ``ValueError``, and a rule whose transforms would
-    exceed ``MAX_FFT_LENGTH`` points ``QuadratureError``, before
-    anything is allocated.
+    radius, or an n below 1 or not finite, raises ``ValueError``, and a
+    rule whose transforms would exceed ``MAX_FFT_LENGTH`` points
+    ``QuadratureError``, before anything is allocated.
 
     Certified by halving h: the rule of step h is the even nodes of the
     h/2 rule, so it costs no second kernel evaluation.  A table difference
     beyond ``TABLE_TOL`` rho(0), or a difference of the norm or a
     probability beyond ``PROBABILITY_TOL``, raises ``QuadratureError``.
     """
+    check_sequence_index(n)
     if not profile.is_symmetric:
         raise ValueError("radial reduction requires a spherically symmetric profile")
     if not (r_max > 0 and r_count >= 2):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import diracloc.transform as transform
 import diracloc.verify as verify
 from diracloc.cli import main
 from diracloc.dynamics import evolve_free
-from diracloc.observables import current
+from diracloc.observables import current, momentum_moments
 from diracloc.states import gaussian_profile, make_state
 from diracloc.transform import (
     CartesianGrid,
@@ -116,6 +117,17 @@ def test_invalid_value_is_config_error_before_output(tmp_path, capsys, command, 
     assert run([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     assert not out.exists()
     assert named in capsys.readouterr().err
+
+
+def test_write_outputs_reads_arrays_back_bit_for_bit(tmp_path):
+    # a MomentSet holds ndarrays; JSON writes them as lists of reprs
+    record = asdict(momentum_moments(make_state(a=(0.3, -0.1, 0.2), v=(0.2, 0.0, 0.1), n=2)))
+    record["signed"] = np.array([-0.0, 1e-300, -2.0 / 3.0])
+    cli.write_outputs(tmp_path, {"record.json": record})
+    got = json.loads((tmp_path / "record.json").read_text())
+    assert got.keys() == record.keys()
+    for key, value in record.items():
+        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes()
 
 
 class TestFigure1:

@@ -222,24 +222,24 @@ class TestSnapshotPass:
         state = make_state(a=(0.6, -0.9, 0.4), v=(0.35, -0.3, 0.45), spin=spin, n=2)
         ps = position_state_cartesian(replace(state, time=0.7), CartesianGrid(n_points, 12.0))
         rho, j = density_field(ps), current(ps)
-        sums = snapshot_pass(ps, radius=2.5)
+        snap = snapshot_pass(ps, radius=2.5)
 
         norm, mean, spread, velocity = field_moments(ps.grid, rho, j)
-        m = sums.moments()
+        m = snap.moments
         assert m.norm == pytest.approx(norm, rel=1e-14)
         assert m.delta_x == pytest.approx(spread, rel=1e-14)
         assert np.abs(m.mean_x - mean).max() <= 1e-14 * np.abs(mean).max()
         assert np.abs(m.mean_velocity - velocity).max() <= 1e-14 * np.abs(velocity).max()
-        assert sums.causality_margin == pytest.approx(causality_margin(rho, j), rel=1e-14)
+        assert snap.causality_margin == pytest.approx(causality_margin(rho, j), rel=1e-14)
         outside = probability_outside(rho, ps.grid, 2.5)
-        assert sums.outside == pytest.approx(outside, rel=1e-14)
+        assert snap.outside == pytest.approx(outside, rel=1e-14)
         c = n_points // 2
         expected = np.vstack([rho[:, c, c], j[:, :, c, c]])
-        assert np.abs(sums.axis_slice - expected).max() <= 1e-14 * rho.max()
+        assert np.abs(snap.axis_slice - expected).max() <= 1e-14 * rho.max()
 
     def test_outside_needs_a_radius(self, ps5):
-        with pytest.raises(ValueError):
-            snapshot_pass(ps5).outside
+        # without a radius there is no sphere, so no probability outside it
+        assert snapshot_pass(ps5).outside is None
 
 
 class TestMeanVelocity:
@@ -347,6 +347,17 @@ class TestOverlap:
 
         monkeypatch.setattr(observables, "gauss_legendre", finer)
         assert abs(got - overlap(s1, s2)) <= 1e-10
+
+    def test_quadrature_memory_is_block_sized(self):
+        # orders 192/187/187: one run of the first axis is one node, 35 k points
+        s1 = make_state(n=2)
+        s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=10.0)
+        overlap(s1, s2)  # Gauss-Legendre nodes cached outside the measurement
+        tracemalloc.start()
+        overlap(s1, s2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_quadrature_samples_no_spinor_or_envelope(self, monkeypatch):
         # the scalar parts ride on the axis weights; only u(p) and E(p) are per point

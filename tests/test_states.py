@@ -7,6 +7,8 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import chdtri, erfc
 
+from diracloc.dynamics import NRPacketParams
+from diracloc.observables import convolution_Rn
 from diracloc.quadrature import BLOCK_POINTS, doubled, spherical_rule
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
@@ -26,6 +28,7 @@ from diracloc.states import (
     mean_flow_root,
     momentum_rule,
 )
+from diracloc.transform import radial_components, radial_curve
 
 
 def quadrature_shift(speed, sigma_p, xtol=1e-13):
@@ -241,6 +244,28 @@ class TestLocalizationLabel:
         # a NaN velocity passes a "|v| >= 1" test
         with pytest.raises(ValueError):
             LocalizationLabel(**{field: value})
+
+
+class TestSequenceIndex:
+    ENTRIES = {
+        "label": lambda n: LocalizationLabel(n=n),
+        "nr_packet": lambda n: NRPacketParams(n=n),
+        "convolution_Rn": lambda n: convolution_Rn(gaussian_profile(), n, (1.0, 0.0, 0.0)),
+        "radial_curve": lambda n: radial_curve(gaussian_profile(), n, 6.0, 601),
+        "radial_components": lambda n: radial_components(gaussian_profile(), n, [1.0], 400, 0.1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("n", [0, 0.5, -2, np.nan, np.inf])
+    def test_refused_before_allocating(self, entry, n):
+        # NaN passes an "n < 1" test; unchecked, n = 0 divides by zero and
+        # n = 0.5 or -2 give values that pass node doubling
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="sequence index must be >= 1"):
+            self.ENTRIES[entry](n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1e5
 
 
 class TestMomentumState:

@@ -200,8 +200,8 @@ class TestRadialComponents:
 
 
 class TestRadialDeltaX:
-    """The closed-form spread of the symmetric state against position-space
-    quadratures of 4 pi r^4 rho on the radial path."""
+    """The spread of ``momentum_moments`` for the symmetric state against
+    position-space quadratures of 4 pi r^4 rho on the radial path."""
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_matches_position_space_quadrature(self, plain_profile, n):
@@ -279,6 +279,8 @@ class TestRadialCurve:
 
 
 class TestRadialDensity:
+    """The shape of rho_n(r) from ``radial_curve``: norm, peak and tail."""
+
     def test_unit_norm_all_n(self, plain_profile):
         for n in (5, 7, 10):
             total = radial_curve(plain_profile, n, 20.0, 2, (20.0,)).probabilities[0]

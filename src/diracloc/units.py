@@ -13,8 +13,6 @@ concern and happens (if at all) at the command-line boundary, never
 inside the numerical kernels.
 """
 
-# Values are tautological in natural units; they exist so that formulas
-# can spell out where a mass or speed of light would appear.
+# Tautological in natural units; it exists so that formulas can spell
+# out where a mass would appear.
 MASS = 1.0
-LIGHT_SPEED = 1.0
-COMPTON_LENGTH = 1.0

@@ -294,7 +294,17 @@ def boost_laws(speed: float, limit, rapidities) -> dict:
 
 
 def boost_field_trend(v, n_values, rapidity: float) -> dict:
-    """Ratio of the boosted-field weight errors at the last and first n."""
+    """Ratio of the boosted-field weight errors at the last and first n.
+
+    The weight error is sinh s |<xdot_3> - v_3|, so the ratio is
+    |<xdot_3> - v_3| at the last n over the same at the first, whatever
+    the rapidity: 0.26855304534590 at s = 0.1, 0.6 and 2.0 for the
+    battery's v and (4, 8).  Since <xdot_3> = R_n(0; alpha3), that is, to
+    1e-13, the n = 8 over n = 4 ratio of the alpha3 errors
+    ``rn_convergence`` computes: this checks no boost property of its
+    own.  Covariance checks under rotation, parity and time reversal are
+    what would.
+    """
     boost = symmetry.BoostParams(rapidity)
     trend = []
     for n in n_values:

@@ -4,10 +4,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
-import subprocess
-import sys
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,6 +23,7 @@ from diracloc.transform import (
     position_state_cartesian,
     radial_curve,
 )
+from harness import memory_probe, run_cli
 from radial_oracles import two_panel_delta_x, two_panel_probability
 
 
@@ -183,16 +180,12 @@ class TestFigure1:
         # a threaded BLAS matrix-vector product or dot product sums in
         # another order per thread count; neither figure1's radial transform
         # nor evolve's light-cone leakage may depend on the split
-        src = str(Path(cli.__file__).resolve().parents[1])
-        launch = "import sys\nfrom diracloc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
         for command, files in (("figure1", 4), ("evolve", 4)):
             outputs = []
             for threads in ("1", "2"):
                 out = tmp_path / command / threads
-                env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-                done = subprocess.run([sys.executable, "-c", launch, command, "--out", str(out)],
-                                      capture_output=True, env=env)
-                assert done.returncode == 0, done.stderr
+                done = run_cli([command, "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+                assert done.code == 0, done.stderr
                 outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
             assert len(outputs[0]) == files
             assert outputs[0] == outputs[1], command
@@ -244,13 +237,9 @@ class TestFigure1:
     def test_memory_peak_bounded(self, sigma_p, n):
         # every direct sum walks BLOCK_POINTS blocks; the rffts hold a few
         # arrays of the rule's length
-        tracemalloc.start()
-        try:
+        with memory_probe() as mem:
             cli.cmd_figure1(cli.RunConfig(sigma_p=sigma_p, n_list=(n,)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        assert mem.peak < 16e6
 
     @pytest.mark.parametrize("r_max, r_count", [(2.9, 291), (6.0, 2)])
     def test_short_slope_window_is_config_error(self, tmp_path, r_max, r_count):

@@ -1,22 +1,17 @@
-"""Every subcommand end to end, each in a fresh process: the defaults, the
-README's example config, boosted, off-axis and spin-down states.
+"""The suite's one table of end-to-end runs: every subcommand in a fresh
+process at its defaults, on the README's example config, and on boosted,
+off-axis and spin-down states.
 
 Each row holds the argv, the config text, the exit code and the files the
-run must leave.  A run uses the ``diracloc`` console script when that is
-on ``PATH``, else ``python -c`` on this checkout's ``src``.
+run must leave.  Every run goes through ``harness.run_cli`` and must load
+no scipy module, since scipy is a test-only dependency.
 """
-
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from output_identity import BOOSTED, LAUNCH, OFF_AXIS_RN, SPIN_DOWN, readme_config
+from harness import run_cli
+from output_identity import BOOSTED, OFF_AXIS_RN, SPIN_DOWN, readme_config
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 EVOLVE_FILES = ("evolution_report.json", "slice_t0.csv", "slice_t0.5.csv", "slice_t1.csv")
 
 
@@ -40,6 +35,9 @@ RUNS = [
     # a boosted profile runs the bisection root-find end to end, and the slab
     # pass (moments, leakage and slices) on a moving state
     *((f"boosted-{cmd}", [cmd], BOOSTED, 0, FILES[cmd]) for cmd in ("rn", "overlap", "evolve")),
+    # spin2 = down: each overlap pairs a spin-up with a spin-down state
+    ("boosted-overlap-spin2-down", ["overlap"], BOOSTED + "[overlap]\nspin2 = down\n", 0,
+     FILES["overlap"]),
     # the default 128, 16 grid's Nyquist misses the boosted n = 10 momenta
     ("boosted-moments-grid-128-12", ["moments", "--grid", "128,12"], BOOSTED, 0,
      FILES["moments"]),
@@ -53,11 +51,6 @@ RUNS = [
 ]
 
 
-def command():
-    script = shutil.which("diracloc")
-    return [script] if script else [sys.executable, "-c", LAUNCH]
-
-
 @pytest.mark.parametrize("argv, config, code, files", [row[1:] for row in RUNS],
                          ids=[row[0] for row in RUNS])
 def test_run(tmp_path, argv, config, code, files):
@@ -65,9 +58,7 @@ def test_run(tmp_path, argv, config, code, files):
     if config:
         (tmp_path / "config.ini").write_text(config)
         flags = ["--config", "config.ini"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([*command(), *argv, *flags, "--out", "out"], cwd=tmp_path,
-                          capture_output=True, env=env)
-    assert done.returncode == code, done.stderr.decode()
+    run = run_cli([*argv, *flags, "--out", "out"], cwd=tmp_path)
+    assert run.code == code, run.stderr
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(files)
+    assert run.scipy == []

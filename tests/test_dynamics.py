@@ -1,7 +1,5 @@
 """Free evolution, causality over time, and the nonrelativistic suite."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from diracloc.observables import mean_velocity_two_ways, moments
 from diracloc.states import make_state
 from diracloc.transform import CartesianGrid, density_field, position_state_cartesian
 from grid_oracles import lightcone_leakage
+from harness import memory_probe
 from nr_oracles import (
     nr_current,
     nr_density_analytic,
@@ -92,18 +91,13 @@ class TestEvolutionReport:
         state = make_state(v=(0.2, -0.1, 0.3), spin=-0.5, n=2)
         grid = CartesianGrid(64, 16.0)
         n = grid.n_points
-        tracemalloc.start()
-        try:
+        with memory_probe() as mem:
             ps = position_state_cartesian(state, grid)
-            _, single = tracemalloc.get_traced_memory()
+            single = mem.peak
             del ps
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
+            base = mem.reset()
             report, slices = evolve_report(state, grid, (0.0, 0.5, 1.0, 1.5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= single + 64 * 8 * n * n
+        assert mem.peak - base <= single + 64 * 8 * n * n
         assert [cut.shape for cut in slices] == [(4, n)] * 4
 
     def test_leakage_cone_grows_from_first_time(self):

@@ -1,7 +1,6 @@
 """Density, current, moments, velocity identity, overlaps and R_n."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +51,7 @@ from diracloc.transform import (
     position_state_cartesian,
 )
 from grid_oracles import causality_margin, density_fourier, field_moments
+from harness import memory_probe
 from momentum_oracles import (
     a_n_limit,
     bilinear_current,
@@ -165,13 +165,9 @@ class TestMoments:
 
     def test_no_grid_sized_temporary(self, ps5):
         # 128^3: one real N^3 array is 16.8 MB; the pass keeps slab-sized ones
-        tracemalloc.start()
-        try:
+        with memory_probe() as mem:
             moments(ps5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 128 * BLOCK_POINTS < 8 * ps5.grid.n_points**3
+        assert mem.peak <= 128 * BLOCK_POINTS < 8 * ps5.grid.n_points**3
 
     def test_translation_covariance(self):
         grid = CartesianGrid(64, 16.0)
@@ -353,11 +349,9 @@ class TestOverlap:
         s1 = make_state(n=2)
         s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=10.0)
         overlap(s1, s2)  # Gauss-Legendre nodes cached outside the measurement
-        tracemalloc.start()
-        overlap(s1, s2)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= 8e6
+        with memory_probe() as mem:
+            overlap(s1, s2)
+        assert mem.peak <= 8e6
 
     def test_quadrature_samples_no_spinor_or_envelope(self, monkeypatch):
         # the scalar parts ride on the axis weights; only u(p) and E(p) are per point
@@ -406,13 +400,9 @@ def test_rule_reduction_peak_memory_is_block_sized(reduce):
     # each builds its rule whole, one BLOCK_POINTS block, so only those
     # points and their temporaries are live
     reduce()  # warm the node caches
-    tracemalloc.start()
-    try:
+    with memory_probe() as mem:
         reduce()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 320 * BLOCK_POINTS
+    assert mem.peak <= 320 * BLOCK_POINTS
 
 
 @settings(max_examples=20, deadline=None)
@@ -725,13 +715,9 @@ class TestConvolutionRn:
         profile = boosted_gaussian_profile((0.143339, -0.360207, -0.364857))
         p = (1.486064, 0.661425, -0.015308)
         convolution_Rn(profile, n, p, "alpha1")  # node caches filled
-        tracemalloc.start()
-        try:
+        with memory_probe() as mem:
             convolution_Rn(profile, n, p, "alpha1")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        assert mem.peak < 4_000_000
 
     def test_matches_density_transform(self, plain_profile):
         # Fourier transform of the sampled density, divided by the point

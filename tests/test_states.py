@@ -1,7 +1,5 @@
 """Profiles, localization labels and momentum-state construction."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -29,6 +27,7 @@ from diracloc.states import (
     momentum_rule,
 )
 from diracloc.transform import radial_components, radial_curve
+from harness import memory_probe
 
 
 def quadrature_shift(speed, sigma_p, xtol=1e-13):
@@ -260,12 +259,9 @@ class TestSequenceIndex:
     def test_refused_before_allocating(self, entry, n):
         # NaN passes an "n < 1" test; unchecked, n = 0 divides by zero and
         # n = 0.5 or -2 give values that pass node doubling
-        tracemalloc.start()
-        with pytest.raises(ValueError, match="sequence index must be >= 1"):
+        with memory_probe() as mem, pytest.raises(ValueError, match="sequence index must be >= 1"):
             self.ENTRIES[entry](n)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 1e5
+        assert mem.peak < 1e5
 
 
 class TestMomentumState:
@@ -316,13 +312,9 @@ class TestMomentumState:
         # and their temporaries are live
         state = make_state(v=(0.2, -0.1, 0.3), n=2)
         state.norm()  # warm the node caches
-        tracemalloc.start()
-        try:
+        with memory_probe() as mem:
             state.norm()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 128 * BLOCK_POINTS
+        assert mem.peak <= 128 * BLOCK_POINTS
 
     @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.3, -0.2, 0.4)])
     @pytest.mark.parametrize("n", [1, 3, 20, 64])

@@ -1,7 +1,6 @@
 """Radial spherical-Bessel path, 3-D FFT path, and their agreement."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +14,7 @@ from diracloc.quadrature import BLOCK_POINTS, QuadratureError, _leggauss, gauss_
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, spinor_layout
 from diracloc.states import gaussian_profile, make_state
 from grid_oracles import angular_average, sampled_psi
+from harness import memory_probe
 from radial_oracles import (
     gl_radial_density,
     position_space_delta_x,
@@ -199,7 +199,7 @@ class TestRadialComponents:
                 radial_components(plain_profile, 2, [1.0, bad], 400, 0.1)
 
 
-class TestRadialDeltaX:
+class TestMomentumMomentsDeltaX:
     """The spread of ``momentum_moments`` for the symmetric state against
     position-space quadratures of 4 pi r^4 rho on the radial path."""
 
@@ -250,12 +250,9 @@ class TestRadialCurve:
 
     def test_oversized_rule_refused_before_allocating(self):
         # n sigma_p = 10^4 would need a 2^23-point transform
-        tracemalloc.start()
-        with pytest.raises(QuadratureError, match="FFT of length"):
+        with memory_probe() as mem, pytest.raises(QuadratureError, match="FFT of length"):
             radial_curve(gaussian_profile(50.0), 200, 6.0, 601)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 1e6
+        assert mem.peak < 1e6
 
     @pytest.mark.parametrize("r_max, radii", [
         (6.0, (-1.0,)), (6.0, (np.nan,)), (6.0, (1.0, np.inf)), (np.inf, ()),
@@ -263,12 +260,9 @@ class TestRadialCurve:
     def test_bad_radius_refused_before_allocating(self, plain_profile, r_max, radii):
         # refused up front: past this point a negative radius reads as a halving
         # failure, a NaN one as a NaN probability, an infinite r_max overflows
-        tracemalloc.start()
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with memory_probe() as mem, pytest.raises(ValueError, match="finite and >= 0"):
             radial_curve(plain_profile, 5, r_max, 601, radii)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 1e5
+        assert mem.peak < 1e5
 
     def test_table_rows_match_direct_sums(self, plain_profile):
         # the FFT rows and the direct rows agree with direct sums at the same radii
@@ -396,15 +390,11 @@ class TestPositionState:
         grid = CartesianGrid(128, 12.0)
         state = evolve_free(make_state(a=(1.5, -1.0, 0.7), v=(0.3, -0.2, 0.5), spin=spin, n=3), 0.5)
         position_state_cartesian(state, grid)  # warm the caches outside the peak
-        tracemalloc.start()
-        try:
+        with memory_probe() as mem:
             ps = position_state_cartesian(state, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert ps.psi.shape == (3, 128, 128, 128)
-        assert peak <= 48 * 128**3 + 256 * BLOCK_POINTS
-        assert peak <= grid_working_set(grid)
+        assert mem.peak <= 48 * 128**3 + 256 * BLOCK_POINTS
+        assert mem.peak <= grid_working_set(grid)
 
     def test_working_set_is_three_slots_plus_a_slab(self):
         # 256^3: one p2 column, 65536 cells, per slab; about 0.8 GB in all
@@ -416,14 +406,9 @@ class TestPositionState:
 
     def test_memory_guard_refuses_before_allocating(self):
         grid = CartesianGrid(2048, 16.0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(GridError) as exc:
-                position_state_cartesian(make_state(n=1), grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        with memory_probe() as mem, pytest.raises(GridError) as exc:
+            position_state_cartesian(make_state(n=1), grid)
+        assert mem.peak < 2**20
         need = grid_working_set(grid)
         assert need > physical_memory()
         assert f"{need} bytes" in str(exc.value)

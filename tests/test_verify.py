@@ -1,13 +1,12 @@
 """The ``verify`` battery: one value per tolerance, each within its default bound."""
 
-import tracemalloc
-
 import pytest
 
 from diracloc import observables, verify
 from diracloc.dynamics import NRPacketParams
 from diracloc.quadrature import BLOCK_POINTS
 from diracloc.transform import CartesianGrid, grid_working_set
+from harness import memory_probe
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +28,10 @@ def test_boost_field_trend_allocates_no_grid(monkeypatch):
 
     monkeypatch.setattr(verify, "position_state_cartesian", no_grid)
     verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6)  # warm the node caches
-    tracemalloc.start()
-    try:
+    with memory_probe() as mem:
         verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # the 64^3 grid of the battery's other checks needs 17.8 MB
-    assert peak <= 320 * BLOCK_POINTS < grid_working_set(CartesianGrid(64, 16.0))
+    assert mem.peak <= 320 * BLOCK_POINTS < grid_working_set(CartesianGrid(64, 16.0))
 
 
 def test_moment_consistency_sees_a_wrong_current(monkeypatch):
@@ -68,10 +63,6 @@ def test_overlap_reduction_sees_a_wrong_eigenspinor(monkeypatch):
 def test_nr_oracle_forms_no_cubic_array():
     # acceptance 7's inputs; one 256^3 float64 array would be 134 MB
     packets = [NRPacketParams(n=n, a=(1.0, 0.0, 0.0), v=(0.0, 0.0, 0.5)) for n in (1, 4)]
-    tracemalloc.start()
-    try:
+    with memory_probe() as mem:
         verify.nr_oracle(packets, CartesianGrid(256, 28.0), (0.1, 1.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    assert mem.peak <= 8e6

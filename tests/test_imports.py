@@ -2,8 +2,10 @@
 import, and every layer the benchmark's tracer installs resolves.
 
 That no command loads scipy at run time is asserted by every row of
-``test_cli_runs``; here a default ``figure1`` runs with every scipy
-import made to fail.
+``test_cli_runs`` at its full defaults; the probes here run the same
+commands at reduced sizes (``--n 2``, ``--grid 32,8``), so each code path
+is checked quickly on its own, and a default ``figure1`` runs with every
+scipy import made to fail.
 """
 
 import ast
@@ -11,10 +13,57 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import diracloc
 from harness import run_cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BOOSTED = "[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n"
+
+
+def scipy_loaded(tmp_path, *argv, config=""):
+    """The scipy* modules ``diracloc <argv>`` loaded, run in ``tmp_path`` on
+    ``config`` if given; the run must succeed."""
+    flags = []
+    if config:
+        (tmp_path / "config.ini").write_text(config)
+        flags = ["--config", "config.ini"]
+    run = run_cli([*argv, *flags, "--out", "out"], cwd=tmp_path)
+    assert run.code == 0, run.stderr
+    return run.scipy
+
+
+def test_rn_loads_no_scipy(tmp_path):
+    assert scipy_loaded(tmp_path, "rn", "--n", "2", config=BOOSTED) == []
+
+
+@pytest.mark.parametrize("spin2", ["up", "down"])
+def test_overlap_loads_no_scipy(tmp_path, spin2):
+    config = BOOSTED + f"[overlap]\nspin2 = {spin2}\n"
+    assert scipy_loaded(tmp_path, "overlap", "--n", "2", config=config) == []
+
+
+def test_evolve_loads_no_scipy(tmp_path):
+    argv = ["evolve", "--n", "1", "--grid", "32,8"]
+    assert scipy_loaded(tmp_path, *argv, config=BOOSTED) == []
+
+
+def test_spin_down_evolve_loads_no_scipy(tmp_path):
+    argv = ["evolve", "--n", "1", "--grid", "32,8"]
+    assert scipy_loaded(tmp_path, *argv, config="[label]\nspin = down\n") == []
+
+
+def test_boosted_moments_loads_no_scipy(tmp_path):
+    assert scipy_loaded(tmp_path, "moments", "--grid", "128,12", config=BOOSTED) == []
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    assert scipy_loaded(tmp_path, "verify") == []
+
+
+def test_figure1_loads_no_scipy(tmp_path):
+    assert scipy_loaded(tmp_path, "figure1", "--n", "2") == []
 
 
 def test_figure1_runs_with_scipy_blocked(tmp_path):

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import evolve_report
-from .observables import Q_MATRICES, convolution_Rn, moments, momentum_moments, overlap
+from .observables import Q_AXES, convolution_Rn, moments, momentum_moments, overlap
 from .quadrature import QuadratureError
 from .spinor import SPIN_DOWN, SPIN_UP
 from .states import (
@@ -128,7 +128,7 @@ class RunConfig:
     times: tuple = _ini("evolve", "times", _float_list, (0.0, 0.5, 1.0))
     r0: float = _ini("evolve", "r0", _number, 3.0)
     rn_p: tuple = _ini("rn", "p", _parse_vector, (1.0, 0.0, 0.0))
-    rn_q: str = _ini("rn", "q", _choice({q: q for q in Q_MATRICES}), "identity")
+    rn_q: str = _ini("rn", "q", _choice({q: q for q in Q_AXES}), "identity")
     overlap_a2: tuple = _ini("overlap", "a2", _parse_vector, (2.0, 0.0, 0.0))
     overlap_spin2: float | None = _ini("overlap", "spin2", _parse_spin, None)
     out_dir: str = _ini("output", "dir", str, "out")
@@ -329,10 +329,8 @@ def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
 def cmd_rn(cfg: RunConfig) -> tuple[int, dict]:
     """Tabulate the convolution R_n(p) over the n list."""
     profile = _profile(cfg)
-    if cfg.rn_q == "identity":
-        target = 1.0
-    else:
-        target = cfg.v_target[int(cfg.rn_q[-1]) - 1]
+    axis = Q_AXES[cfg.rn_q]
+    target = 1.0 if axis is None else cfg.v_target[axis]
     rows = [["n", "re", "im", "abs_error"]]
     for n in cfg.n_list:
         value = convolution_Rn(profile, n, cfg.rn_p, cfg.rn_q, spin=cfg.spin)

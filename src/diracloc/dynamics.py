@@ -69,6 +69,7 @@ def probability_outside(rho: np.ndarray, grid: CartesianGrid, radius: float) -> 
 class EvolutionReport:
     """Per-time diagnostics of a freely evolving localized state."""
 
+    r0: float
     times: list = field(default_factory=list)
     momentum_norms: list = field(default_factory=list)
     grid_norms: list = field(default_factory=list)
@@ -77,11 +78,10 @@ class EvolutionReport:
     mean_velocity: list = field(default_factory=list)
     causality_margins: list = field(default_factory=list)
     lightcone_leakages: list = field(default_factory=list)
-    r0: float = 3.0
 
 
 def evolve_report(
-    state: MomentumState, grid: CartesianGrid, times, r0: float = 3.0
+    state: MomentumState, grid: CartesianGrid, times, r0: float
 ) -> tuple[EvolutionReport, list[np.ndarray]]:
     """Evolve, transform and collect diagnostics at each requested time.
 

@@ -26,11 +26,11 @@ linear in s, first harmonics in the azimuth, and 2 azimuth nodes
 integrate it exactly; R_n's block sums are added with ``pairwise_sum``.
 The mean velocity can be formed two ways, as the spinor bilinear of
 alpha (``packed_current`` of the sampled spinor) or via the scalar
-weight p/E(p); the two coincide identically on positive-energy states
-and both are provided so the identity can be checked under a shared
-quadrature, ``states.momentum_rule``, turned onto the envelope centre.
-That rule has ``BLOCK_POINTS`` points, so each reduction on it takes
-them all at once (``SphericalRule.points``) and adds them with ``np.sum``.
+weight p/E(p) (``momentum_moments``, from the envelope alone); the two
+coincide identically on positive-energy states, and both sum over
+``states.momentum_rule``, turned onto the envelope centre.  That rule
+has ``BLOCK_POINTS`` points, so each reduction on it takes them all at
+once (``SphericalRule.points``) and adds them with ``np.sum``.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
 gives u_s^dagger u_s = 1, u_up^dagger u_down = 0,
@@ -77,8 +77,6 @@ from .quadrature import (
     tensor_integrate,
 )
 from .spinor import (
-    ALPHA,
-    I4,
     bilinear_density,
     energy_xyz,
     fill_eigenspinor,
@@ -89,12 +87,9 @@ from .states import MomentumProfile, MomentumState, check_sequence_index, moment
 from .transform import PositionState
 from .units import MASS
 
-Q_MATRICES = {
-    "identity": I4,
-    "alpha1": ALPHA[0],
-    "alpha2": ALPHA[1],
-    "alpha3": ALPHA[2],
-}
+# the R_n operators Q by name: None for the identity, else the axis i of alpha_i
+Q_AXES = {"identity": None, "alpha1": 0, "alpha2": 1, "alpha3": 2}
+RN_TOL = 1e-6  # node-doubling tolerance of every R_n value
 
 
 @dataclass
@@ -191,19 +186,19 @@ def moments(ps: PositionState) -> MomentSet:
 
 
 def mean_velocity_two_ways(state: MomentumState):
-    """(spinor form, scalar form) of <xdot> under one shared quadrature.
+    """(spinor form, scalar form) of <xdot>, unnormalized, by independent paths.
 
     spinor form: int phi^dagger alpha phi d^3p, the closed-form current
-                 ``spinor.packed_current`` of the sampled spinor
-    scalar form: int (p/E(p)) phi^dagger phi d^3p
-
-    Both are sums over the points of ``states.momentum_rule``.
+                 ``spinor.packed_current`` of ``MomentumState.spinor``
+                 sampled on ``states.momentum_rule``
+    scalar form: int (p/E(p)) F^2 d^3p, ``momentum_moments``' <xdot>
+                 times its norm, from the envelope F alone
     """
+    exact = momentum_moments(state)
     p, weights = momentum_rule(state.profile, state.label.n).points()
     phi = state.spinor(*p)
-    flow = weights * bilinear_density(phi) / energy_xyz(*p)
     current = np.sum(weights * packed_current(phi, spinor_layout(state.label.spin)), axis=1)
-    return current, np.sum(flow * p, axis=1)
+    return current, exact.mean_velocity * exact.norm
 
 
 def overlap(s1: MomentumState, s2: MomentumState) -> complex:
@@ -220,7 +215,10 @@ def overlap(s1: MomentumState, s2: MomentumState) -> complex:
     which stays meaningful far below the float64 cancellation floor of
     the direct quadrature.  Same spins at different times take
     ``overlap_quadrature``, the oracle for both reductions, whose rule
-    adds nodes for the oscillation of exp(-i E(p) (t2 - t1)).
+    adds nodes for the oscillation of exp(-i E(p) (t2 - t1)).  That
+    branch is a library-only entry: no command or check reads it, and
+    nothing doubles its orders, which come from the ``_overlap_axes``
+    heuristic.
     """
     if s1.label.spin != s2.label.spin:
         return 0j
@@ -297,7 +295,9 @@ def overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
     times exp(-i E (t2 - t1)) when the times differ.  Same spins need
     one slot stack.  The spinor is still sampled pointwise, so the
     result checks rather than repeats the u^dagger u = 1 and
-    u_up^dagger u_down = 0 identities ``overlap`` rests on.
+    u_up^dagger u_down = 0 identities ``overlap`` rests on.  No command
+    or check reads the different-time case, and nothing doubles the
+    orders, which come from the ``_overlap_axes`` heuristic.
     """
     rules = []
     for axis, (order, lo, hi) in enumerate(_overlap_axes(s1, s2)):
@@ -368,8 +368,8 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     buffers that every block reuses, and the block sums are added with
     ``pairwise_sum``.
     """
-    if q_operator not in Q_MATRICES:
-        raise ValueError(f"Q must be one of {sorted(Q_MATRICES)}, got {q_operator!r}")
+    if q_operator not in Q_AXES:
+        raise ValueError(f"Q must be one of {sorted(Q_AXES)}, got {q_operator!r}")
     sign = spinor_layout(spin).sign
     p = np.asarray(p, dtype=float)
     # |q - c|^2 + |s - c|^2 = 2 |s - mid|^2 + |p|^2 / 2 with mid = c + p/2 and
@@ -377,7 +377,7 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     mid = n * np.asarray(profile.center, dtype=float) + 0.5 * p
     width2 = (n * profile.sigma_p) ** 2
     scale = profile.amplitude**2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
-    i = None if q_operator == "identity" else int(q_operator[-1]) - 1
+    i = Q_AXES[q_operator]
     # the imaginary part is twist times a sum: sign (q x s)_3 for the identity,
     # sign i eps_ij3 (E_q s_j - E_s q_j) = twist ((E_q - E_s) s_j + (E_s + m) p_j)
     # for alpha_1 and alpha_2 (j = 1 - i), nothing for alpha_3
@@ -468,7 +468,6 @@ def convolution_Rn(
     p,
     q_operator: str = "identity",
     spin=0.5,
-    tol: float = 1e-6,
 ) -> complex:
     """The momentum-space convolution R_n(p) for Q in {identity, alpha_i}.
 
@@ -485,7 +484,7 @@ def convolution_Rn(
     trapezoid integrates exactly, so n_phi is 2 there and 32 only off
     the axis.  The result is certified by node doubling of every entry
     (which resolves the second harmonic that 2 azimuth nodes would
-    alias); disagreement beyond ``tol`` raises :class:`QuadratureError`.
+    alias); disagreement beyond ``RN_TOL`` raises :class:`QuadratureError`.
     An n below 1 or not finite raises ``ValueError`` first.
     Off the axis the two rules hold 2.2 M (r, d) pairs and one value
     takes about 30 ms on a 2 vCPU Xeon; on it they hold 0.14 M pairs and
@@ -501,7 +500,7 @@ def convolution_Rn(
     return node_doubling(
         evaluate,
         ((0.0, inner, s_max), (64, 96), 48, 2 if axial else 32, axis),
-        tol=tol,
+        tol=RN_TOL,
         label=f"R_n(p={tuple(float(c) for c in p)}, Q={q_operator}, n={n})",
     )
 

@@ -308,7 +308,7 @@ class MomentumState:
         weight /= np.sqrt(2.0 * e * e_plus_m)
         return fill_eigenspinor(out, weight, e_plus_m, px, py, pz, self.label.spin)
 
-    def momentum_support(self, mass_tol: float = 1e-2) -> float:
+    def momentum_support(self, mass_tol: float) -> float:
         """Radius containing all but ``mass_tol`` of the |phi|^2 mass."""
         return self.label.n * self.profile.support_radius(mass_tol)
 

@@ -27,8 +27,9 @@ the overall cosh s is the Jacobian of the delta rescaling.  Storing the
 event time makes boost composition exact: rapidities add along a fixed
 axis.  General boost directions are obtained by conjugating with
 rotations.  At finite n the boosted density's weight follows from
-momentum space alone (``verify_boost_against_field``): int j3 / int rho
-is <xdot_3>, so no position grid is sampled.
+momentum space alone (``verify_boost_against_field``), since int j3 /
+int rho is <xdot_3>; no check reads it, and ``verify``'s
+``rn_convergence`` already bounds how <xdot_3> = R_n(0; alpha3) nears v3.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ class TestEvolutionReport:
             single = mem.peak
             del ps
             base = mem.reset()
-            report, slices = evolve_report(state, grid, (0.0, 0.5, 1.0, 1.5))
+            report, slices = evolve_report(state, grid, (0.0, 0.5, 1.0, 1.5), r0=3.0)
         assert mem.peak - base <= single + 64 * 8 * n * n
         assert [cut.shape for cut in slices] == [(4, n)] * 4
 
@@ -115,7 +115,7 @@ class TestEvolutionReport:
 
     def test_time_before_first_rejected(self):
         with pytest.raises(ValueError):
-            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), (1.0, 0.5))
+            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), (1.0, 0.5), r0=3.0)
 
     @pytest.mark.parametrize("times", [(0.0, np.nan), (np.inf,), (0.0, -np.inf)])
     def test_nonfinite_time_rejected(self, monkeypatch, times):
@@ -128,7 +128,7 @@ class TestEvolutionReport:
 
         monkeypatch.setattr(dynamics, "position_state_cartesian", no_transform)
         with pytest.raises(ValueError, match="times must be finite"):
-            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), times)
+            evolve_report(make_state(n=2), CartesianGrid(16, 8.0), times, r0=3.0)
 
     @pytest.mark.parametrize("r0", [np.nan, np.inf, -1.0])
     def test_bad_r0_rejected(self, monkeypatch, r0):
@@ -168,7 +168,7 @@ class TestEvolutionReport:
         monkeypatch.setattr(MomentumState, "norm", counted_norm)
         monkeypatch.setattr(MomentumState, "spinor", shaped_phi)
         monkeypatch.setattr(spinor, "eigenspinor_components", shaped_components)
-        report, _ = evolve_report(make_state(n=2), grid, times)
+        report, _ = evolve_report(make_state(n=2), grid, times, r0=3.0)
         assert len(norms) == 1
         assert report.momentum_norms == [norm(make_state(n=2))] * len(times)
         assert (grid.n_points,) * 3 not in shapes
@@ -200,7 +200,7 @@ class TestLightcone:
         # the cone grows by 0.0073, less than one lattice shell; a sharp cell
         # mask read this as leakage 2.3e-3
         state = make_state(a=(-1.700319, -0.167557, 1.115762), n=5)
-        report, _ = evolve_report(state, CartesianGrid(64, 16.0), (0.9817, 0.989))
+        report, _ = evolve_report(state, CartesianGrid(64, 16.0), (0.9817, 0.989), r0=3.0)
         assert report.lightcone_leakages[1] <= 0.0
 
     def test_probability_outside_monotone_in_radius(self, ps5):

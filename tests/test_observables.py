@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from diracloc import observables, quadrature
 from diracloc.dynamics import probability_outside
 from diracloc.observables import (
-    Q_MATRICES,
     _margin,
     _rn_integral,
     convolution_Rn,
@@ -27,6 +26,7 @@ from diracloc.observables import (
 from diracloc.quadrature import BLOCK_POINTS, QuadratureError, spherical_rule
 from diracloc.spinor import (
     ALPHA,
+    I4,
     SPIN_DOWN,
     SPIN_UP,
     bilinear_density,
@@ -567,6 +567,9 @@ class TestMomentumMoments:
         assert gap(128) < 1e-2 * gap(64)
 
 
+Q_MATRICES = {"identity": I4, "alpha1": ALPHA[0], "alpha2": ALPHA[1], "alpha3": ALPHA[2]}
+
+
 def einsum_rn_integral(profile, n, p, q_operator, spin):
     """Reference R_n integrand: sampled spinors contracted with the 4 x 4 Q."""
     qmat = Q_MATRICES[q_operator]
@@ -684,14 +687,16 @@ class TestConvolutionRn:
         ]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_doubling_detector(self, plain_profile):
+    def test_doubling_detector(self, plain_profile, monkeypatch):
         # c = 0: the axial branch, 2 -> 4 azimuth nodes about p
+        monkeypatch.setattr(observables, "RN_TOL", 1e-18)
         with pytest.raises(QuadratureError):
-            convolution_Rn(plain_profile, 4, (1, 0, 0), tol=1e-18)
+            convolution_Rn(plain_profile, 4, (1, 0, 0))
 
-    def test_doubling_detector_off_axis(self):
+    def test_doubling_detector_off_axis(self, monkeypatch):
+        monkeypatch.setattr(observables, "RN_TOL", 1e-18)
         with pytest.raises(QuadratureError):
-            convolution_Rn(OFF_AXIS, 4, (0.5, 1.0, -0.3), "alpha2", tol=1e-18)
+            convolution_Rn(OFF_AXIS, 4, (0.5, 1.0, -0.3), "alpha2")
 
     def test_nan_momentum_is_not_certified(self, plain_profile):
         # a NaN doubling difference fails "diff > tol" but not "diff <= tol"

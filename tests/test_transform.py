@@ -272,7 +272,7 @@ class TestRadialCurve:
         assert np.abs(curve.rho - (g0 * g0 + g1 * g1)).max() <= 1e-13 * curve.rho[0]
 
 
-class TestRadialDensity:
+class TestRadialCurveShape:
     """The shape of rho_n(r) from ``radial_curve``: norm, peak and tail."""
 
     def test_unit_norm_all_n(self, plain_profile):

@@ -2,10 +2,9 @@
 
 import pytest
 
-from diracloc import observables, verify
-from diracloc.dynamics import NRPacketParams
-from diracloc.quadrature import BLOCK_POINTS
-from diracloc.transform import CartesianGrid, grid_working_set
+from diracloc import observables, states, verify
+from diracloc.dynamics import NRPacketParams, evolve_free
+from diracloc.transform import CartesianGrid, position_state_cartesian
 from harness import memory_probe
 
 
@@ -21,19 +20,6 @@ def test_passes_at_default_bound(checks, name):
     assert check.passed, check
 
 
-def test_boost_field_trend_allocates_no_grid(monkeypatch):
-    # the weight ratio comes from momentum space: nothing of grid size, no transform
-    def no_grid(*args):
-        raise AssertionError("boost_field_trend sampled a position grid")
-
-    monkeypatch.setattr(verify, "position_state_cartesian", no_grid)
-    verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6)  # warm the node caches
-    with memory_probe() as mem:
-        verify.boost_field_trend((0.0, 0.0, 0.5), (4, 8), rapidity=0.6)
-    # the 64^3 grid of the battery's other checks needs 17.8 MB
-    assert mem.peak <= 320 * BLOCK_POINTS < grid_working_set(CartesianGrid(64, 16.0))
-
-
 def test_moment_consistency_sees_a_wrong_current(monkeypatch):
     # j1 with its sign flipped in the slab pass: only the grid <xdot> of the
     # moving state in moment_consistency can tell
@@ -47,6 +33,30 @@ def test_moment_consistency_sees_a_wrong_current(monkeypatch):
     monkeypatch.setattr(observables, "packed_current", flipped)
     failed = [c.name for c in verify.run_checks() if not c.passed]
     assert "moment_consistency" in failed
+
+
+def test_velocity_identity_sees_a_wrong_spinor_envelope(monkeypatch):
+    # phi scaled by 1.01: the scalar side comes from the envelope, not the spinor
+    original = states.MomentumState.spinor
+    monkeypatch.setattr(
+        states.MomentumState, "spinor", lambda self, *p: 1.01 * original(self, *p)
+    )
+    value = verify.velocity_identity(((0.0, 0.0, 0.0), (0.0, 0.0, 0.3)), n=6)  # battery inputs
+    assert value["velocity_identity"] > verify.DEFAULT_TOLERANCES["velocity_identity"]
+
+
+def test_moment_consistency_sees_a_wrongly_scaled_grid(monkeypatch):
+    # psi scaled by 1.01: <x>, <xdot> and Delta_x are normalized by the
+    # discrete norm, so only the grid norm can tell
+    def scaled(*args):
+        ps = position_state_cartesian(*args)
+        ps.psi *= 1.01
+        return ps
+
+    monkeypatch.setattr(verify, "position_state_cartesian", scaled)
+    state = evolve_free(states.make_state(a=(1.0, 0.0, 0.0), v=(0.3, -0.2, 0.4), n=3), 0.5)
+    value = verify.moment_consistency(state, CartesianGrid(64, 16.0))  # battery inputs
+    assert value["moment_consistency"] > verify.DEFAULT_TOLERANCES["moment_consistency"]
 
 
 def test_overlap_reduction_sees_a_wrong_eigenspinor(monkeypatch):

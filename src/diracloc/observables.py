@@ -204,7 +204,7 @@ def mean_velocity_two_ways(state: MomentumState):
 def overlap(s1: MomentumState, s2: MomentumState) -> complex:
     """Scalar product (phi1, phi2) = int phi1^dagger(p) phi2(p) d^3p.
 
-    Two exact reductions of the eigenspinor factor cover most pairs.
+    Two exact reductions of the eigenspinor factor give every value.
     Opposite spins give exactly 0 for any profiles and times, because
     u_up(p)^dagger u_down(p) = 0 at every p.  Same spins at equal times
     leave u^dagger u = 1 and the Gaussian Fourier integral
@@ -213,27 +213,29 @@ def overlap(s1: MomentumState, s2: MomentumState) -> complex:
 
     in closed form for any two Gaussian profiles (``_gaussian_overlap``),
     which stays meaningful far below the float64 cancellation floor of
-    the direct quadrature.  Same spins at different times take
-    ``overlap_quadrature``, the oracle for both reductions, whose rule
-    adds nodes for the oscillation of exp(-i E(p) (t2 - t1)).  That
-    branch is a library-only entry: no command or check reads it, and
-    nothing doubles its orders, which come from the ``_overlap_axes``
-    heuristic.
+    ``overlap_quadrature``, the oracle for both reductions.  Same spins
+    at different times raise ``ValueError``.
     """
     if s1.label.spin != s2.label.spin:
         return 0j
-    if s1.time == s2.time:
-        return _gaussian_overlap(s1, s2)
-    return overlap_quadrature(s1, s2)
+    _check_one_instant(s1, s2)
+    return _gaussian_overlap(s1, s2)
 
 
-def _envelope_gaussian(state: MomentumState):
-    """(w, c) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
+def _check_one_instant(s1: MomentumState, s2: MomentumState) -> None:
+    """Refuse two states at different times: overlaps are taken at one instant."""
+    if s1.time != s2.time:
+        raise ValueError(f"overlap needs states at one time, got t1 = {s1.time}, t2 = {s2.time}")
 
-    w = (n sigma_p)^2 and c = n k for the profile centre k.
+
+def _envelope_gaussian(profile: MomentumProfile, n: int):
+    """(w, c, A^2 / n^3) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
+
+    w = (n sigma_p)^2 and c = n k for the profile centre k; A^2 / n^3 is
+    the peak of F^2.
     """
-    n = state.label.n
-    return (n * state.profile.sigma_p) ** 2, n * np.asarray(state.profile.center)
+    centre = n * np.asarray(profile.center, dtype=float)
+    return (n * profile.sigma_p) ** 2, centre, profile.amplitude**2 / n**3
 
 
 def _gaussian_product(w1, c1, w2, c2):
@@ -252,7 +254,7 @@ def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
         A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2)
         exp(-|c1 - c2|^2 / (2 (w1 + w2)) - W |delta|^2 / 2 + i delta.mu).
     """
-    (w1, c1), (w2, c2) = _envelope_gaussian(s1), _envelope_gaussian(s2)
+    (w1, c1, _), (w2, c2, _) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
     width, mu = _gaussian_product(w1, c1, w2, c2)
     delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
     scale = s1.profile.amplitude * s2.profile.amplitude * (s1.label.n * s2.label.n) ** -1.5
@@ -269,12 +271,12 @@ def _overlap_axes(s1: MomentumState, s2: MomentumState):
     The box is mu +- 8 sqrt(W) per axis (``_gaussian_product``), beyond
     which F1 F2 has fallen by e^-32, so it fits the narrower of two
     states whose widths n sigma_p differ several-fold.  Each axis adds
-    nodes for the oscillation of exp(i (a1 - a2).p) and of
-    exp(-i E(p) (t2 - t1)) across the box; |d(E t)/dp_k| <= |t|.
+    nodes for the oscillation of exp(i (a1 - a2).p) across the box.
     """
-    width, mu = _gaussian_product(*_envelope_gaussian(s1), *_envelope_gaussian(s2))
+    (w1, c1, _), (w2, c2, _) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
+    width, mu = _gaussian_product(w1, c1, w2, c2)
     half = 8.0 * np.sqrt(width)
-    spread = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a)) + abs(s2.time - s1.time)
+    spread = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a))
     return [
         (96 + int(np.ceil(0.8 * spread[axis] * half)), mu[axis] - half, mu[axis] + half)
         for axis in range(3)
@@ -290,22 +292,21 @@ def overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
     evaluated per point: the eigenspinor slots c of calE u
     (``fill_eigenspinor``) from one E(p) shared by both states,
 
-        sum conj(c1) c2 / (2E(E + m)),
+        sum conj(c1) c2 / (2E(E + m)).
 
-    times exp(-i E (t2 - t1)) when the times differ.  Same spins need
-    one slot stack.  The spinor is still sampled pointwise, so the
-    result checks rather than repeats the u^dagger u = 1 and
-    u_up^dagger u_down = 0 identities ``overlap`` rests on.  No command
-    or check reads the different-time case, and nothing doubles the
-    orders, which come from the ``_overlap_axes`` heuristic.
+    Same spins need one slot stack.  The spinor is still sampled
+    pointwise, so the result checks rather than repeats the
+    u^dagger u = 1 and u_up^dagger u_down = 0 identities ``overlap``
+    rests on.  States at different times raise ``ValueError``, as in
+    ``overlap``, before any node is built.
     """
+    _check_one_instant(s1, s2)
     rules = []
     for axis, (order, lo, hi) in enumerate(_overlap_axes(s1, s2)):
         nodes, weights = gauss_legendre(order, lo, hi)
         f1, f2 = s1.axis_factors(nodes)[axis], s2.axis_factors(nodes)[axis]
         rules.append((nodes, weights * f1.conj() * f2))
     spin1, spin2 = s1.label.spin, s2.label.spin
-    dt = s2.time - s1.time
 
     def integrand(px, py, pz):
         e = energy_xyz(px, py, pz)
@@ -323,8 +324,6 @@ def overlap_quadrature(s1: MomentumState, s2: MomentumState) -> complex:
             c1 *= slots(4, spin2)
             g = np.sum(c1, axis=0)
         g /= 2.0 * e * e_plus_m
-        if dt != 0.0:
-            g = g * np.exp(-1j * dt * e)
         return g
 
     return tensor_integrate(integrand, rules)
@@ -374,9 +373,9 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     p = np.asarray(p, dtype=float)
     # |q - c|^2 + |s - c|^2 = 2 |s - mid|^2 + |p|^2 / 2 with mid = c + p/2 and
     # c = n k: one squared distance per point, the constant folded into scale
-    mid = n * np.asarray(profile.center, dtype=float) + 0.5 * p
-    width2 = (n * profile.sigma_p) ** 2
-    scale = profile.amplitude**2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
+    width2, centre, peak = _envelope_gaussian(profile, n)
+    mid = centre + 0.5 * p
+    scale = peak * np.exp(-0.25 * (p @ p) / width2)
     i = Q_AXES[q_operator]
     # the imaginary part is twist times a sum: sign (q x s)_3 for the identity,
     # sign i eps_ij3 (E_q s_j - E_s q_j) = twist ((E_q - E_s) s_j + (E_s + m) p_j)
@@ -528,12 +527,12 @@ def momentum_moments(state: MomentumState) -> MomentSet:
     integrates it exactly in the azimuth.
     """
     p, density = momentum_rule(state.profile, state.label.n).points()  # weights, times F^2 below
-    width2, centre = _envelope_gaussian(state)
+    width2, centre, peak = _envelope_gaussian(state.profile, state.label.n)
     q2 = (p[0] - centre[0]) ** 2  # |p - c|^2: F^2 = A^2 n^-3 exp(-q2/w)
     q2 += (p[1] - centre[1]) ** 2
     q2 += (p[2] - centre[2]) ** 2
     density *= np.exp(q2 * (-1.0 / width2))
-    density *= state.profile.amplitude**2 / state.label.n**3
+    density *= peak
     e = energy_xyz(*p)
     norm = float(np.sum(density))
     flow = density / e

@@ -325,7 +325,7 @@ BATTERY = (
         ((0.0, 0.0, 0.5), 0.99 * np.array([0.6, 0.6, 0.5]) / np.linalg.norm([0.6, 0.6, 0.5]))
     ),
     lambda rng: state_norms(
-        [states.make_state(n=n) for n in (1, 2, 5, 10, 20)]
+        [states.make_state(n=n) for n in (2, 5, 10, 20)]
         + [states.make_state(v=(0.99, 0.0, 0.0), n=3)]
     ),
     lambda rng: positive_energy_membership(

@@ -325,29 +325,50 @@ class TestOverlap:
         s2 = make_state(v=(-0.13, -0.66, -0.33), spin=spin, n=1, sigma_p=0.794)
         assert abs(overlap_quadrature(s1, s2) - overlap(s1, s2)) <= 1e-12
 
-    def test_different_times_use_quadrature(self):
-        s1 = make_state(n=2)
-        s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=0.3)
-        assert overlap(s1, s2) == overlap_quadrature(s1, s2)
+    @pytest.mark.parametrize("spin", [SPIN_UP, SPIN_DOWN], ids=["up", "down"])
+    def test_same_spin_at_different_times_is_refused(self, spin, monkeypatch):
+        # only one instant is covered; the refusal comes before any node is built
+        def refuse(*args):
+            raise AssertionError("nodes built")
 
-    @pytest.mark.parametrize("t", [3.0, 10.0])
-    def test_different_times_resolve_the_energy_phase(self, t, monkeypatch):
-        # exp(-i E t) oscillates across the box; the rule with every
-        # axis order 1.5 times larger must agree
-        s1 = make_state(n=2)
-        s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=t)
-        got = overlap(s1, s2)
+        monkeypatch.setattr(observables, "gauss_legendre", refuse)
+        s1 = make_state(spin=spin, n=2)
+        s2 = replace(make_state(a=(0.5, 0, 0), spin=spin, n=2), time=0.3)
+        for reduce in (overlap, overlap_quadrature):
+            with pytest.raises(ValueError, match=r"t1 = 0\.0, t2 = 0\.3"):
+                reduce(s1, s2)
 
-        def finer(order, a, b):
-            return quadrature.gauss_legendre(math.ceil(1.5 * order), a, b)
+    def test_quadrature_refuses_opposite_spins_at_different_times(self):
+        # overlap gives their exact 0 (test_opposite_spin_auto_is_exact_zero)
+        up = make_state(n=2)
+        down = replace(make_state(spin=SPIN_DOWN, n=2), time=0.4)
+        with pytest.raises(ValueError, match=r"t1 = 0\.0, t2 = 0\.4"):
+            overlap_quadrature(up, down)
 
-        monkeypatch.setattr(observables, "gauss_legendre", finer)
-        assert abs(got - overlap(s1, s2)) <= 1e-10
+    @pytest.mark.parametrize("time", [0.0, 0.7])
+    @pytest.mark.parametrize("pair, expected", [
+        ((dict(n=3), dict(n=3)), 1 + 0j),
+        ((dict(v=(0, 0, 0.4), n=2), dict(a=(0, 0, 1.0), v=(0, 0, 0.4), n=2)),
+         0.15657387159806593 - 0.3328962390436472j),
+        ((dict(v=(0.3, 0.1, -0.2), n=2, sigma_p=0.8),
+          dict(a=(0.5, 1.0, -0.3), v=(-0.2, 0.4, 0.1), n=3, sigma_p=1.2)),
+         0.08294209065879299 - 0.08755758289821852j),
+        ((dict(v=(0.38, 0.21, 0.63), n=3, sigma_p=1.389),
+          dict(v=(-0.13, -0.66, -0.33), n=1, sigma_p=0.794)),
+         0.06653886047865357 + 0j),
+        ((dict(v=(0.38, 0.21, 0.63), spin=SPIN_DOWN, n=3, sigma_p=1.389),
+          dict(v=(-0.13, -0.66, -0.33), spin=SPIN_DOWN, n=1, sigma_p=0.794)),
+         0.06653886047865357 + 0j),
+    ], ids=["self", "translation", "profiles", "widths-up", "widths-down"])
+    def test_equal_times_keep_the_closed_form_bits(self, pair, expected, time):
+        # bit-pinned closed-form values; at equal times exp(-i E t) cancels
+        s1, s2 = (replace(make_state(**kwargs), time=time) for kwargs in pair)
+        assert overlap(s1, s2) == expected
 
     def test_quadrature_memory_is_block_sized(self):
         # orders 192/187/187: one run of the first axis is one node, 35 k points
         s1 = make_state(n=2)
-        s2 = replace(make_state(a=(0.5, 0, 0), n=2), time=10.0)
+        s2 = make_state(a=(10.5, 10, 10), n=2)
         overlap(s1, s2)  # Gauss-Legendre nodes cached outside the measurement
         with memory_probe() as mem:
             overlap(s1, s2)
@@ -361,7 +382,7 @@ class TestOverlap:
         monkeypatch.setattr(MomentumState, "spinor", refuse)
         monkeypatch.setattr(MomentumState, "envelope", refuse)
         s1 = make_state(v=(0.2, 0, 0.3), n=2)
-        s2 = replace(make_state(a=(1, 0, 0), n=3, sigma_p=0.7), time=0.5)
+        s2 = make_state(a=(1, 0, 0), n=3, sigma_p=0.7)
         down = make_state(a=(1, 0, 0), spin=SPIN_DOWN, n=3, sigma_p=0.7)
         overlap_quadrature(s1, s2)
         overlap_quadrature(s1, down)
@@ -493,12 +514,11 @@ class TestScalarReductions:
         v1=off_axis_velocity(0.9),
         v2=off_axis_velocity(0.9),
         a2=POINTS,
-        dt=st.floats(0.0, 2.0),
     )
-    def test_overlap_quadrature_matches_pointwise_spinors(self, spins, ns, sigma_p, v1, v2, a2, dt):
+    def test_overlap_quadrature_matches_pointwise_spinors(self, spins, ns, sigma_p, v1, v2, a2):
         # the axis-weight form against phi1^dagger phi2 summed on the same rule
         s1 = make_state(v=v1, spin=spins[0], n=ns[0], sigma_p=sigma_p)
-        s2 = replace(make_state(a=a2, v=v2, spin=spins[1], n=ns[1], sigma_p=sigma_p), time=dt)
+        s2 = make_state(a=a2, v=v2, spin=spins[1], n=ns[1], sigma_p=sigma_p)
         assert abs(overlap_quadrature(s1, s2) - pointwise_overlap(s1, s2)) <= 1e-14
 
     def test_no_spinor_stack_is_built(self, monkeypatch):

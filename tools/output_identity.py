@@ -26,9 +26,11 @@ A run passes its config as ``config.ini`` and its output directory as
 ``out``, both relative to its own working directory, so the two trees'
 runs see the same argv.  The exit code, stdout, stderr and every file
 under ``out`` are compared byte for byte.  One line is printed per run
-that differs, then a summary.  The exit status is 1 if a run differs
-that the ``--allow`` file does not name (one run id per line; ``#``
-starts a comment), else 0.  Uses only the standard library.
+that differs and per allowed run that does not, then a summary.  The
+exit status is 1 if a run differs that the ``--allow`` file does not
+name (one run id per line; ``#`` starts a comment), or if a run it
+names is byte-identical, so no entry outlives the change that needed
+it; else 0.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -188,6 +190,29 @@ def read_allow(path) -> set:
     return {line for line in lines if line}
 
 
+def judge(found: dict, allow: set) -> tuple:
+    """(lines, summary, status) for ``compare``'s differences under ``allow``.
+
+    One line per run that differs, tagged ``allowed`` or ``DIFFERS``, and
+    one per allowed run that is byte-identical, tagged ``STALE``.  The
+    status is 1 if any run is ``DIFFERS`` or ``STALE``, else 0.
+    """
+    differ = {run_id: what for run_id, what in found.items() if what}
+    lines = [
+        f"{'allowed' if run_id in allow else 'DIFFERS'} {run_id}: {'; '.join(what)}"
+        for run_id, what in differ.items()
+    ]
+    refused = sorted(differ.keys() - allow)
+    stale = sorted(allow - differ.keys())
+    lines += [f"STALE {run_id}: allowed, but byte-identical" for run_id in stale]
+    summary = (
+        f"{len(found) - len(differ)} identical, {len(differ) - len(refused)} differ as "
+        f"allowed, {len(refused)} differ and are not allowed, {len(stale)} allowed but "
+        f"identical"
+    )
+    return lines, summary, 1 if refused or stale else 0
+
+
 def extract(rev: str, dest: Path) -> None:
     """Write the tree of ``rev`` into ``dest`` with ``git archive``."""
     archive = subprocess.run(
@@ -213,17 +238,12 @@ def main(argv=None) -> int:
         tree = Path(tmp) / "tree"
         extract(args.against, tree)
         found = compare(tree / "src", ROOT / "src", runs, Path(tmp) / "runs")
-    differ = {run_id: what for run_id, what in found.items() if what}
-    for run_id, what in differ.items():
-        tag = "allowed" if run_id in allow else "DIFFERS"
-        print(f"{tag} {run_id}: {'; '.join(what)}")
-    refused = sorted(differ.keys() - allow)
-    print(
-        f"{len(runs)} runs against {args.against} in {time.perf_counter() - start:.0f} s: "
-        f"{len(runs) - len(differ)} identical, {len(differ) - len(refused)} differ as "
-        f"allowed, {len(refused)} differ and are not allowed"
-    )
-    return 1 if refused else 0
+    lines, summary, status = judge(found, allow)
+    for line in lines:
+        print(line)
+    elapsed = time.perf_counter() - start
+    print(f"{len(runs)} runs against {args.against} in {elapsed:.0f} s: {summary}")
+    return status
 
 
 if __name__ == "__main__":

@@ -273,8 +273,8 @@ def _overlap_axes(s1: MomentumState, s2: MomentumState):
     states whose widths n sigma_p differ several-fold.  Each axis adds
     nodes for the oscillation of exp(i (a1 - a2).p) across the box.
     """
-    (w1, c1, _), (w2, c2, _) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
-    width, mu = _gaussian_product(w1, c1, w2, c2)
+    width, mu = _gaussian_product(*_envelope_gaussian(s1.profile, s1.label.n)[:2],
+                                  *_envelope_gaussian(s2.profile, s2.label.n)[:2])
     half = 8.0 * np.sqrt(width)
     spread = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a))
     return [

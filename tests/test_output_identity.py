@@ -48,23 +48,19 @@ def test_comparator_catches_each_change(tmp_path, changed, expected):
 
 
 @pytest.mark.parametrize(
-    "changed, allow, status, tags",
+    "found, allow, status, tags",
     [
-        ({}, set(), 0, []),
-        ({"table": "1.0,2.1\n"}, {"plain", "configured"}, 0,
+        ({"plain": [], "configured": []}, set(), 0, []),
+        ({"plain": ["table.csv"], "configured": ["table.csv"]}, {"plain", "configured"}, 0,
          ["allowed configured", "allowed plain"]),
-        ({"table": "1.0,2.1\n"}, {"plain"}, 1, ["DIFFERS configured", "allowed plain"]),
-        ({}, {"plain"}, 1, ["STALE plain"]),
+        ({"plain": ["table.csv"], "configured": ["table.csv"]}, {"plain"}, 1,
+         ["DIFFERS configured", "allowed plain"]),
+        ({"plain": [], "configured": []}, {"plain"}, 1, ["STALE plain"]),
+        ({"plain": [], "configured": []}, {"plian"}, 1, ["UNKNOWN plian"]),
     ],
-    ids=["identical", "allowed", "not-allowed", "stale-allow"],
+    ids=["identical", "allowed", "not-allowed", "stale-allow", "unknown-allow"],
 )
-def test_judge_refuses_unallowed_differences_and_stale_allows(
-    tmp_path, changed, allow, status, tags
-):
-    base = fake_tree(tmp_path / "a")
-    other = fake_tree(tmp_path / "b", **changed)
-    runs = [output_identity.Run("plain", "figure1"), output_identity.Run("configured", "rn")]
-    found = output_identity.compare(base, other, runs, tmp_path / "runs")
+def test_judge_refuses_unallowed_differences_and_stale_allows(found, allow, status, tags):
     lines, _, got = output_identity.judge(found, allow)
     assert got == status
     assert sorted(line.split(":")[0] for line in lines) == tags

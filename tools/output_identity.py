@@ -29,8 +29,8 @@ under ``out`` are compared byte for byte.  One line is printed per run
 that differs and per allowed run that does not, then a summary.  The
 exit status is 1 if a run differs that the ``--allow`` file does not
 name (one run id per line; ``#`` starts a comment), or if a run it
-names is byte-identical, so no entry outlives the change that needed
-it; else 0.  Uses only the standard library.
+names is byte-identical or does not exist, so no entry outlives the
+change that needed it; else 0.  Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -193,9 +193,10 @@ def read_allow(path) -> set:
 def judge(found: dict, allow: set) -> tuple:
     """(lines, summary, status) for ``compare``'s differences under ``allow``.
 
-    One line per run that differs, tagged ``allowed`` or ``DIFFERS``, and
-    one per allowed run that is byte-identical, tagged ``STALE``.  The
-    status is 1 if any run is ``DIFFERS`` or ``STALE``, else 0.
+    One line per run that differs, tagged ``allowed`` or ``DIFFERS``; one
+    per allowed run that is byte-identical, tagged ``STALE``; and one per
+    allowed id that names no run, tagged ``UNKNOWN``.  The status is 1 if
+    any line is ``DIFFERS``, ``STALE`` or ``UNKNOWN``, else 0.
     """
     differ = {run_id: what for run_id, what in found.items() if what}
     lines = [
@@ -203,14 +204,16 @@ def judge(found: dict, allow: set) -> tuple:
         for run_id, what in differ.items()
     ]
     refused = sorted(differ.keys() - allow)
-    stale = sorted(allow - differ.keys())
+    stale = sorted((allow & found.keys()) - differ.keys())
+    unknown = sorted(allow - found.keys())
     lines += [f"STALE {run_id}: allowed, but byte-identical" for run_id in stale]
+    lines += [f"UNKNOWN {run_id}: allowed, but no run has this id" for run_id in unknown]
     summary = (
         f"{len(found) - len(differ)} identical, {len(differ) - len(refused)} differ as "
         f"allowed, {len(refused)} differ and are not allowed, {len(stale)} allowed but "
-        f"identical"
+        f"identical, {len(unknown)} allowed but unknown"
     )
-    return lines, summary, 1 if refused or stale else 0
+    return lines, summary, 1 if refused or stale or unknown else 0
 
 
 def extract(rev: str, dest: Path) -> None:

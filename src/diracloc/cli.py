@@ -56,6 +56,7 @@ from .states import (
     gaussian_profile,
 )
 from .transform import (
+    MAX_FFT_LENGTH,
     CartesianGrid,
     GridError,
     log_slope,
@@ -105,7 +106,7 @@ def _choice(values: dict):
 
 _parse_spin = _choice({"+0.5": SPIN_UP, "0.5": SPIN_UP, "up": SPIN_UP, "+": SPIN_UP,
                        "-0.5": SPIN_DOWN, "down": SPIN_DOWN, "-": SPIN_DOWN})
-PROFILE_KINDS = ("gaussian", "boosted_gaussian", "boosted")
+PROFILE_KINDS = ("gaussian", "boosted_gaussian")
 
 
 def _ini(section: str, key: str, parse, default):
@@ -201,6 +202,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[grid] points and extent, or --grid N,L: {exc}") from exc
     if cfg.r_count < 2 or cfg.r_max <= 0:
         raise ConfigError("radial grid needs r_max > 0 and r_count >= 2")
+    if cfg.r_count > MAX_FFT_LENGTH // 4:
+        # radial_curve's transforms are longer than 4 (r_count - 1) points
+        raise ConfigError(f"[grid] r_count must be <= {MAX_FFT_LENGTH // 4}, got {cfg.r_count}")
     lo, hi = _slope_window(cfg.r_max)
     r = _radii(cfg)
     if ((r >= lo) & (r <= hi)).sum() < 2:
@@ -231,13 +235,6 @@ def _radii(cfg: RunConfig) -> np.ndarray:
 def _slope_window(r_max: float) -> tuple[float, float]:
     """The radii [r_lo, r_hi] that the figure1 ``tail_log_slope`` is fitted on."""
     return 3.0, min(6.0, r_max)
-
-
-def _profile(cfg: RunConfig):
-    try:
-        return boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
-    except ProfileError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _state(cfg: RunConfig, profile, n: int, a=None, spin=None) -> MomentumState:
@@ -315,7 +312,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
     if skipped:
         print(f"evolve: ran n = {n} only, skipped n = {', '.join(map(str, skipped))}",
               file=sys.stderr)
-    state = _state(cfg, _profile(cfg), n)
+    state = _state(cfg, boosted_gaussian_profile(cfg.v_target, cfg.sigma_p), n)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     report, slices = evolve_report(state, grid, cfg.times, r0=cfg.r0)
     files = {"evolution_report.json": asdict(report)}
@@ -328,7 +325,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_rn(cfg: RunConfig) -> tuple[int, dict]:
     """Tabulate the convolution R_n(p) over the n list."""
-    profile = _profile(cfg)
+    profile = boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
     axis = Q_AXES[cfg.rn_q]
     target = 1.0 if axis is None else cfg.v_target[axis]
     rows = [["n", "re", "im", "abs_error"]]
@@ -342,7 +339,7 @@ def cmd_moments(cfg: RunConfig) -> tuple[int, dict]:
     """Grid moments per n as JSON."""
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     payload = {"grid": {"points": cfg.grid_points, "extent": cfg.grid_extent}, "moments": {}}
-    profile = _profile(cfg)
+    profile = boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
     for n in cfg.n_list:
         ps = position_state_cartesian(_state(cfg, profile, n), grid)
         payload["moments"][str(n)] = asdict(moments(ps))
@@ -354,7 +351,7 @@ def cmd_overlap(cfg: RunConfig) -> tuple[int, dict]:
     """Overlaps against a second label per n as JSON."""
     spin2 = cfg.spin if cfg.overlap_spin2 is None else cfg.overlap_spin2
     payload = {"a": list(cfg.a), "a2": list(cfg.overlap_a2), "overlaps": {}}
-    profile = _profile(cfg)
+    profile = boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
     for n in cfg.n_list:
         s1 = _state(cfg, profile, n)
         s2 = _state(cfg, profile, n, a=cfg.overlap_a2, spin=spin2)

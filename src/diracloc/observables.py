@@ -77,15 +77,21 @@ from .quadrature import (
     tensor_integrate,
 )
 from .spinor import (
+    MASS,
     bilinear_density,
     energy_xyz,
     fill_eigenspinor,
     packed_current,
     spinor_layout,
 )
-from .states import MomentumProfile, MomentumState, check_sequence_index, momentum_rule
+from .states import (
+    MomentumProfile,
+    MomentumState,
+    ProfileError,
+    check_sequence_index,
+    momentum_rule,
+)
 from .transform import PositionState
-from .units import MASS
 
 # the R_n operators Q by name: None for the identity, else the axis i of alpha_i
 Q_AXES = {"identity": None, "alpha1": 0, "alpha2": 1, "alpha3": 2}
@@ -232,10 +238,15 @@ def _envelope_gaussian(profile: MomentumProfile, n: int):
     """(w, c, A^2 / n^3) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
 
     w = (n sigma_p)^2 and c = n k for the profile centre k; A^2 / n^3 is
-    the peak of F^2.
+    the peak of F^2.  A width n sigma_p outside [2^-511, 2^255], where w
+    is not a normal double or products of two variances overflow, raises
+    ``ProfileError``.
     """
+    width = n * profile.sigma_p
+    if not 2.0**-511 <= width <= 2.0**255:
+        raise ProfileError(f"envelope width n sigma_p = {width:g} is outside [2^-511, 2^255]")
     centre = n * np.asarray(profile.center, dtype=float)
-    return (n * profile.sigma_p) ** 2, centre, profile.amplitude**2 / n**3
+    return width**2, centre, profile.amplitude**2 / n**3
 
 
 def _gaussian_product(w1, c1, w2, c2):
@@ -251,16 +262,20 @@ def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     With (w_i, c_i) from ``_envelope_gaussian`` and (W, mu) from
     ``_gaussian_product`` the integral is
 
-        A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2)
-        exp(-|c1 - c2|^2 / (2 (w1 + w2)) - W |delta|^2 / 2 + i delta.mu).
+        (2 r / (1 + r^2))^(3/2)
+        exp(-|c1 - c2|^2 / (2 (w1 + w2)) - W |delta|^2 / 2 + i delta.mu),
+
+    where r = n1 sigma_1 / (n2 sigma_2) is the width ratio: the prefactor
+    A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2) in a form that is exactly 1 for
+    equal widths, at most 1 for any, and finite at every width.
     """
     (w1, c1, _), (w2, c2, _) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
     width, mu = _gaussian_product(w1, c1, w2, c2)
     delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
-    scale = s1.profile.amplitude * s2.profile.amplitude * (s1.label.n * s2.label.n) ** -1.5
+    r = (s1.label.n * s1.profile.sigma_p) / (s2.label.n * s2.profile.sigma_p)
     exponent = -((c1 - c2) @ (c1 - c2)) / (2.0 * (w1 + w2)) - width * (delta @ delta) / 2.0
     return complex(
-        scale * (2.0 * np.pi * width) ** 1.5 * np.exp(exponent) * np.exp(1j * (delta @ mu))
+        (2.0 * r / (1.0 + r * r)) ** 1.5 * np.exp(exponent) * np.exp(1j * (delta @ mu))
     )
 
 

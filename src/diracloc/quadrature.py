@@ -235,12 +235,13 @@ def doubled(rule_args):
     return (breaks, tuple(2 * o for o in orders), 2 * n_theta, 2 * n_phi, *axis)
 
 
-def node_doubling(evaluate, rule_args, tol: float, label: str = "integral"):
+def node_doubling(evaluate, rule_args, tol: float, label: str):
     """The value at doubled resolution, certified against the base resolution.
 
     ``evaluate`` maps a SphericalRule to a scalar; ``rule_args`` are the
     base rule's ``spherical_rule`` arguments (``doubled``).  A difference
-    between the two values beyond ``tol`` raises ``QuadratureError``.
+    between the two values beyond ``tol`` raises ``QuadratureError``,
+    whose message starts with ``label``.
     """
     coarse = evaluate(spherical_rule(*rule_args))
     fine = evaluate(spherical_rule(*doubled(rule_args)))

@@ -4,9 +4,8 @@ Standard (Dirac-Pauli) representation with beta diagonal:
 
     beta = diag(1, 1, -1, -1),   alpha_i = [[0, sigma_i], [sigma_i, 0]]
 
-The free Hamiltonian is H(p) = alpha.p + m beta with m = 1 (natural
-units, see :mod:`diracloc.units`), so H(p)^2 = E(p)^2 with
-E(p) = sqrt(|p|^2 + 1).
+The free Hamiltonian is H(p) = alpha.p + m beta with m = ``MASS`` = 1
+(natural units), so H(p)^2 = E(p)^2 with E(p) = sqrt(|p|^2 + 1).
 
 The module provides the positive-energy projector
 
@@ -38,10 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .units import MASS
-
 SPIN_UP = 0.5
 SPIN_DOWN = -0.5
+DERIVATIVE_STEP = 1e-5  # central-difference step of spinor_derivative_bounds
 
 PAULI = np.array(
     [
@@ -71,6 +69,9 @@ def _as_vec(p) -> np.ndarray:
     if p.shape[-1] != 3:
         raise ValueError(f"momentum must have 3 components, got shape {p.shape}")
     return p
+
+
+MASS = 1.0  # natural units hbar = c = m = 1: momenta in m c, energies in m c^2
 
 
 def energy(p) -> np.ndarray | float:
@@ -255,10 +256,10 @@ class DerivativeBoundReport:
     worst_radial_ratio: float  # max |du_a/dp_k| * |p| / 2
 
 
-def spinor_derivative_bounds(samples, spin=SPIN_UP, step: float = 1e-5) -> DerivativeBoundReport:
+def spinor_derivative_bounds(samples, spin=SPIN_UP) -> DerivativeBoundReport:
     """The largest |u_a| and first derivatives against the bounds 2/m and 2/|p|.
 
-    Derivatives are taken by central differences with the given step.
+    Derivatives are taken by central differences of step ``DERIVATIVE_STEP``.
     The bounds hold when every ratio is at most 1; the caller judges the
     truncation error it allows.  Samples at p = 0 are skipped for the
     2/|p| bound, which is vacuous there.
@@ -270,10 +271,10 @@ def spinor_derivative_bounds(samples, spin=SPIN_UP, step: float = 1e-5) -> Deriv
     deriv = np.empty((3, 4, pts.shape[0]), dtype=complex)
     for k in range(3):
         dp = np.zeros(3)
-        dp[k] = step
+        dp[k] = DERIVATIVE_STEP
         up = eigenspinor_components(*(pts + dp).T, spin)
         um = eigenspinor_components(*(pts - dp).T, spin)
-        deriv[k] = (up - um) / (2.0 * step)
+        deriv[k] = (up - um) / (2.0 * DERIVATIVE_STEP)
 
     comp_mag = np.abs(u0).max(axis=0)  # per sample
     der_mag = np.abs(deriv).max(axis=(0, 1))

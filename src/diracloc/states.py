@@ -55,8 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import SphericalRule, spherical_rule
-from .spinor import SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
-from .units import MASS
+from .spinor import MASS, SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
 
 PROFILE_CUTOFF_SIGMAS = 8.0  # Gaussian amplitude < 1e-14 past this radius
 MAX_PROFILE_SPEED = 0.99  # mean-direction root-finding diverges beyond this
@@ -101,11 +100,6 @@ class MomentumProfile:
     def cutoff(self) -> float:
         """Radius beyond which |f| < 1e-14 * amplitude."""
         return float(np.linalg.norm(self.center) + PROFILE_CUTOFF_SIGMAS * self.sigma_p)
-
-    def support_radius(self, mass_tol: float) -> float:
-        """Radius containing all but ``mass_tol`` of the |f|^2 probability."""
-        q = _gaussian_tail_radius(mass_tol)
-        return float(np.linalg.norm(self.center) + q * self.sigma_p)
 
 
 def _gaussian_tail_mass(q: float) -> float:
@@ -310,7 +304,8 @@ class MomentumState:
 
     def momentum_support(self, mass_tol: float) -> float:
         """Radius containing all but ``mass_tol`` of the |phi|^2 mass."""
-        return self.label.n * self.profile.support_radius(mass_tol)
+        q = _gaussian_tail_radius(mass_tol)
+        return self.label.n * float(np.linalg.norm(self.profile.center) + q * self.profile.sigma_p)
 
     def norm(self) -> float:
         """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.

@@ -59,9 +59,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import BLOCK_POINTS, QuadratureError
-from .spinor import SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout
+from .spinor import (
+    MASS, SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout,
+)
 from .states import MomentumProfile, MomentumState, check_sequence_index
-from .units import MASS
 
 # The trapezoid momentum rule of the radial path (``radial_curve``).  rho
 # decays like e^(-2 m r), so the rule's images and the mass TAIL_RADIUS

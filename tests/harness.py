@@ -1,32 +1,22 @@
 """The suite's one CLI launcher and one memory probe.
 
-``run_cli`` starts ``diracloc`` in a fresh ``python -c`` on this
-checkout's ``src`` and reports the ``scipy*`` entries of ``sys.modules``
-after ``main`` returns; a fresh process is needed because this one has
-scipy loaded already.  ``memory_probe`` traces allocations with
-``tracemalloc`` for one ``with`` block and stops tracing however the
-block ends.
+``run_cli`` starts ``diracloc`` through ``output_identity.launch`` on
+this checkout's ``src`` and reads the ``scipy*`` entries of
+``sys.modules`` that the launch reports after ``main`` returns; a fresh
+process is needed because this one has scipy loaded already.
+``memory_probe`` traces allocations with ``tracemalloc`` for one
+``with`` block and stops tracing however the block ends.
 """
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+from output_identity import launch
+
 SRC = Path(__file__).resolve().parents[1] / "src"
-LAUNCH = """
-import json, sys
-from diracloc.cli import main
-try:
-    code = main(sys.argv[1:])
-finally:
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
-sys.exit(code)
-"""
 
 
 @dataclass(frozen=True)
@@ -39,13 +29,9 @@ class CliRun:
 def run_cli(argv, cwd=None, setup="", **env) -> CliRun:
     """Run ``diracloc <argv>`` in a fresh process, after the Python ``setup``,
     with ``env`` added to the environment."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", setup + LAUNCH, *argv], cwd=cwd, capture_output=True,
-        text=True, env=dict(os.environ, **env, PYTHONPATH=path),
-    )
-    lines = done.stdout.splitlines()
-    return CliRun(done.returncode, done.stderr, json.loads(lines[-1]) if lines else None)
+    done = launch(SRC, argv, cwd, setup, **env)
+    lines = done.stdout.decode().splitlines()
+    return CliRun(done.returncode, done.stderr.decode(), json.loads(lines[-1]) if lines else None)
 
 
 class MemoryProbe:

@@ -29,9 +29,8 @@ import numpy as np
 
 from diracloc import observables, states
 from diracloc.quadrature import BLOCK_POINTS, gauss_legendre, spherical_rule, tensor_integrate
-from diracloc.spinor import ALPHA, energy_xyz, spinor_layout
+from diracloc.spinor import ALPHA, MASS, energy_xyz, spinor_layout
 from diracloc.states import momentum_rule
-from diracloc.units import MASS
 
 
 def oracle_momentum_rule(profile, n):

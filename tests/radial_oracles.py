@@ -5,9 +5,8 @@ kernel that takes j1 at x <= 1 from scipy's ``spherical_jn``."""
 import numpy as np
 
 from diracloc.quadrature import gauss_legendre
-from diracloc.spinor import energy_xyz
+from diracloc.spinor import MASS, energy_xyz
 from diracloc.transform import _spherical_j01
-from diracloc.units import MASS
 
 
 def gl_radial_components(profile, n, r, n_nodes=2048):

@@ -5,7 +5,6 @@ import configparser
 import csv
 import json
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from diracloc.transform import (
     radial_curve,
 )
 from harness import memory_probe, run_cli
+from output_identity import readme_config
 from radial_oracles import two_panel_delta_x, two_panel_probability
 
 
@@ -65,8 +65,7 @@ def test_help_lists_every_command_with_one_line(capsys):
 
 def test_readme_example_sets_every_declared_key(tmp_path):
     # the README's example config and RunConfig's declarations cannot drift
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = readme_config()
     parser = configparser.ConfigParser()
     parser.read_string(block)
     assert {(s, k) for s in parser.sections() for k in parser[s]} == set(cli.INI_KEYS)
@@ -114,6 +113,19 @@ def test_invalid_value_is_config_error_before_output(tmp_path, capsys, command, 
     assert run([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     assert not out.exists()
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["figure1", "verify"])
+def test_huge_r_count_is_refused_before_allocating(tmp_path, capsys, command):
+    # radial_curve refuses any r_count above MAX_FFT_LENGTH // 4; load_config
+    # says so before it builds the figure1 table radii (8 GB at 10^9)
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
+    cfg.write_text("[grid]\nr_count = 1000000000\n")
+    with memory_probe() as mem:
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert mem.peak < 1e6
+    assert not out.exists()
+    assert "r_count must be <= 524288" in capsys.readouterr().err
 
 
 def test_write_outputs_reads_arrays_back_bit_for_bit(tmp_path):

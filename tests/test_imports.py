@@ -17,9 +17,9 @@ import pytest
 
 import diracloc
 from harness import run_cli
+from output_identity import BOOSTED
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-BOOSTED = "[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n"
 
 
 def scipy_loaded(tmp_path, *argv, config=""):

@@ -39,6 +39,7 @@ from diracloc.spinor import (
 from diracloc.states import (
     MomentumProfile,
     MomentumState,
+    ProfileError,
     boosted_gaussian_profile,
     check_profile_conditions,
     make_state,
@@ -287,6 +288,36 @@ class TestOverlap:
         state = make_state(n=3)
         assert overlap(state, state) == pytest.approx(1.0, abs=1e-12)
         assert overlap_quadrature(state, state) == pytest.approx(1.0, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        spins=st.lists(st.sampled_from((SPIN_UP, SPIN_DOWN)), min_size=2, max_size=2),
+        ns=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+        sigma_ps=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+        a2=st.tuples(*[st.floats(-5.0, 5.0) for _ in range(3)]),
+    )
+    def test_bounded_by_one_and_exactly_one_on_itself(self, spins, ns, sigma_ps, a2):
+        # Cauchy-Schwarz for unit states: the width-ratio prefactor is
+        # exactly 1 for equal widths and at most 1 for any
+        s1 = make_state(spin=spins[0], n=ns[0], sigma_p=sigma_ps[0])
+        s2 = make_state(a=a2, spin=spins[1], n=ns[1], sigma_p=sigma_ps[1])
+        assert overlap(s1, s1) == 1.0
+        assert abs(overlap(s1, s2)) <= 1.0
+
+    @pytest.mark.parametrize("sigma_p, refused", [
+        (1e-200, True), (1e-110, False), (1e120, True), (1e200, True),
+    ])
+    def test_extreme_widths_are_finite_or_refused(self, sigma_p, refused):
+        # a width n sigma_p outside [2^-511, 2^255] is refused; inside it the
+        # closed form is finite where A1 A2 (2 pi W)^(3/2) read inf * 0
+        s1 = make_state(n=5, sigma_p=sigma_p)
+        s2 = make_state(a=(2.0, 0.0, 0.0), n=5, sigma_p=sigma_p)
+        if refused:
+            with pytest.raises(ProfileError, match="envelope width"):
+                overlap(s1, s2)
+        else:
+            assert overlap(s1, s1) == 1.0
+            assert overlap(s1, s2) == 1.0  # W |a1 - a2|^2 / 2 = 5e-219
 
     def test_opposite_spin_orthogonal(self):
         up = make_state(n=3)

@@ -4,7 +4,8 @@
 
 ``<rev>`` is extracted with ``git archive`` into a temporary directory.
 One fixed list of runs is made on both trees, each run a fresh
-``python`` process with that tree's ``src`` on ``PYTHONPATH``:
+``python`` process with that tree's ``src`` first on ``PYTHONPATH``
+(``launch``, also the Tier-1 suite's CLI launcher):
 
 * the six commands at their defaults, with spin up and with spin down;
 * every ``cli-radial`` and ``cli-grid`` job of perfbench seeds 1-3, from
@@ -24,8 +25,9 @@ One fixed list of runs is made on both trees, each run a fresh
 
 A run passes its config as ``config.ini`` and its output directory as
 ``out``, both relative to its own working directory, so the two trees'
-runs see the same argv.  The exit code, stdout, stderr and every file
-under ``out`` are compared byte for byte.  One line is printed per run
+runs see the same argv.  The exit code, stdout (whose last line lists
+the ``scipy*`` modules loaded when ``main`` returned), stderr and every
+file under ``out`` are compared byte for byte.  One line is printed per run
 that differs and per allowed run that does not, then a summary.  The
 exit status is 1 if a run differs that the ``--allow`` file does not
 name (one run id per line; ``#`` starts a comment), or if a run it
@@ -51,7 +53,15 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("figure1", "verify", "evolve", "rn", "moments", "overlap")
 SEEDS = (1, 2, 3)
 WORKLOADS = ("cli-radial", "cli-grid")
-LAUNCH = "import sys\nfrom diracloc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+LAUNCH = """
+import json, sys
+from diracloc.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+sys.exit(code)
+"""
 BOOSTED = "[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.5\n"
 OFF_AXIS_RN = (
     "[profile]\nkind = boosted_gaussian\nv_target = 0.3 -0.2 0.4\n"
@@ -130,6 +140,18 @@ def fixed_runs() -> list:
     return runs + list(ERROR_RUNS)
 
 
+def launch(src: Path, argv, cwd=None, setup="", **env) -> subprocess.CompletedProcess:
+    """Run ``diracloc <argv>`` in a fresh ``python -c`` with ``src`` first on
+    ``PYTHONPATH``, after the Python ``setup``, with ``env`` added to the
+    environment.  The last stdout line is the JSON list of the ``scipy*``
+    modules in ``sys.modules`` when ``main`` returned or raised."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", setup + LAUNCH, *argv], cwd=cwd, capture_output=True,
+        env=dict(os.environ, **env, PYTHONPATH=path),
+    )
+
+
 def execute(src: Path, run: Run, work: Path) -> Result:
     """Make ``run`` with the package under ``src``, in the empty directory ``work``."""
     argv = [run.cmd]
@@ -137,10 +159,7 @@ def execute(src: Path, run: Run, work: Path) -> Result:
         (work / "config.ini").write_text(run.config)
         argv += ["--config", "config.ini"]
     argv += [*run.flags, "--out", "out"]
-    done = subprocess.run(
-        [sys.executable, "-c", run.setup + LAUNCH, *argv], cwd=work, capture_output=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+    done = launch(src, argv, work, run.setup)
     out = work / "out"
     files = {
         str(path.relative_to(out)): path.read_bytes()

@@ -16,10 +16,13 @@ Configuration is a single INI file (see README) plus flag overrides;
 ``RunConfig`` declares each key's ``[section] key`` and parser once.  An
 unknown section or key, or a number that is not finite, is a
 configuration error.  Every subcommand takes ``--config`` and
-``--out``; ``verify`` adds ``--tol NAME=VAL``, the others ``--n LIST``,
-and ``evolve`` and ``moments`` also ``--grid N,L``.  A flag a subcommand
-does not use is a usage error.  Curves go to CSV, scalar reports to JSON;
-runs are deterministic, so identical configs give identical bytes.
+``--out``; all but ``verify`` add ``--n LIST``, and ``evolve`` and
+``moments`` also ``--grid N,L``.  A flag a subcommand does not use is a
+usage error.  ``verify``'s bounds (``verify.TOLERANCES``), figure1's
+table and slope window (``FIGURE1_*``) and evolve's light-cone radius
+(``EVOLVE_R0``) are constants, not options.  Curves go to CSV, scalar
+reports to JSON; runs are deterministic, so identical configs give
+identical bytes.
 Exit codes: 0 success, 1 verification failure (a failed check, or a
 value refused with ``QuadratureError``), 2 configuration error.
 
@@ -56,14 +59,13 @@ from .states import (
     gaussian_profile,
 )
 from .transform import (
-    MAX_FFT_LENGTH,
     CartesianGrid,
     GridError,
     log_slope,
     position_state_cartesian,
     radial_curve,
 )
-from .verify import DEFAULT_TOLERANCES, run_checks
+from .verify import TOLERANCES, run_checks
 
 
 class ConfigError(ValueError):
@@ -107,6 +109,10 @@ def _choice(values: dict):
 _parse_spin = _choice({"+0.5": SPIN_UP, "0.5": SPIN_UP, "up": SPIN_UP, "+": SPIN_UP,
                        "-0.5": SPIN_DOWN, "down": SPIN_DOWN, "-": SPIN_DOWN})
 PROFILE_KINDS = ("gaussian", "boosted_gaussian")
+FIGURE1_R_MAX = 6.0
+FIGURE1_R_COUNT = 601
+FIGURE1_SLOPE_WINDOW = (3.0, 6.0)  # the radii tail_log_slope is fitted on
+EVOLVE_R0 = 3.0  # the light-cone radius at the first time
 
 
 def _ini(section: str, key: str, parse, default):
@@ -124,19 +130,15 @@ class RunConfig:
     n_list: tuple = _ini("label", "n", _int_list, (5, 7, 10))
     grid_points: int = _ini("grid", "points", int, 128)
     grid_extent: float = _ini("grid", "extent", _number, 16.0)
-    r_max: float = _ini("grid", "r_max", _number, 6.0)
-    r_count: int = _ini("grid", "r_count", int, 601)
     times: tuple = _ini("evolve", "times", _float_list, (0.0, 0.5, 1.0))
-    r0: float = _ini("evolve", "r0", _number, 3.0)
     rn_p: tuple = _ini("rn", "p", _parse_vector, (1.0, 0.0, 0.0))
     rn_q: str = _ini("rn", "q", _choice({q: q for q in Q_AXES}), "identity")
     overlap_a2: tuple = _ini("overlap", "a2", _parse_vector, (2.0, 0.0, 0.0))
     overlap_spin2: float | None = _ini("overlap", "spin2", _parse_spin, None)
     out_dir: str = _ini("output", "dir", str, "out")
-    tolerances: dict = field(default_factory=dict)  # [tolerances] NAME = VAL
 
 
-INI_KEYS = {f.metadata["ini"]: f for f in fields(RunConfig) if "ini" in f.metadata}
+INI_KEYS = {f.metadata["ini"]: f for f in fields(RunConfig)}
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -159,13 +161,10 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
 def _apply_entry(cfg: RunConfig, section: str, key: str, text: str, path: str) -> None:
     """Set what ``[section] key`` declares; an undeclared pair is an error."""
     try:
-        if section == "tolerances":
-            cfg.tolerances[key] = _number(text)
-        elif (section, key) in INI_KEYS:
-            entry = INI_KEYS[section, key]
-            setattr(cfg, entry.name, entry.metadata["parse"](text))
-        else:
+        if (section, key) not in INI_KEYS:
             raise ValueError("no such config key (the README lists every key)")
+        entry = INI_KEYS[section, key]
+        setattr(cfg, entry.name, entry.metadata["parse"](text))
     except ValueError as exc:
         raise ConfigError(f"bad config {path}: [{section}] {key}: {exc}") from exc
 
@@ -181,10 +180,6 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
             flag, text = "--grid N,L", args.grid
             points, extent = text.split(",")
             cfg.grid_points, cfg.grid_extent = int(points), _number(extent)
-        for text in getattr(args, "tol", None) or []:
-            flag = "--tol NAME=VAL"
-            name, _, value = text.partition("=")
-            cfg.tolerances[name.strip()] = _number(value)
     except ValueError as exc:
         raise ConfigError(f"{flag}: bad value {text!r}: {exc}") from exc
 
@@ -194,47 +189,20 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("n list must be nonempty")
     if any(n < 1 for n in cfg.n_list):
         raise ConfigError("all sequence indices must be >= 1")
-    if cfg.sigma_p <= 0:
-        raise ConfigError("sigma_p must be positive")
+    try:
+        gaussian_profile(cfg.sigma_p)
+    except ProfileError as exc:
+        raise ConfigError(f"[profile] sigma_p: {exc}") from exc
     try:
         CartesianGrid(cfg.grid_points, cfg.grid_extent)
     except ValueError as exc:
         raise ConfigError(f"[grid] points and extent, or --grid N,L: {exc}") from exc
-    if cfg.r_count < 2 or cfg.r_max <= 0:
-        raise ConfigError("radial grid needs r_max > 0 and r_count >= 2")
-    if cfg.r_count > MAX_FFT_LENGTH // 4:
-        # radial_curve's transforms are longer than 4 (r_count - 1) points
-        raise ConfigError(f"[grid] r_count must be <= {MAX_FFT_LENGTH // 4}, got {cfg.r_count}")
-    lo, hi = _slope_window(cfg.r_max)
-    r = _radii(cfg)
-    if ((r >= lo) & (r <= hi)).sum() < 2:
-        raise ConfigError(
-            f"tail_log_slope is fitted on [{lo:g}, {hi:g}], which holds fewer than two "
-            f"of the r_count = {cfg.r_count} radii on [0, {cfg.r_max:g}]"
-        )
-    if cfg.r0 < 0:
-        raise ConfigError("evolve.r0, the light-cone radius at the first time, must be >= 0")
     if not cfg.times:
         raise ConfigError("[evolve] times must list at least one time")
     if any(t < 0 for t in cfg.times):
         raise ConfigError("evolution times must be nonnegative")
     if min(cfg.times) < cfg.times[0]:
         raise ConfigError("no evolution time may precede the first, the light-cone baseline")
-    for name, value in cfg.tolerances.items():
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        if value < 0:
-            raise ConfigError(f"tolerance {name} must be >= 0")
-
-
-def _radii(cfg: RunConfig) -> np.ndarray:
-    """The figure1 table radii: r_count points on [0, r_max], from r = 0."""
-    return np.linspace(0.0, cfg.r_max, cfg.r_count)
-
-
-def _slope_window(r_max: float) -> tuple[float, float]:
-    """The radii [r_lo, r_hi] that the figure1 ``tail_log_slope`` is fitted on."""
-    return 3.0, min(6.0, r_max)
 
 
 def _state(cfg: RunConfig, profile, n: int, a=None, spin=None) -> MomentumState:
@@ -253,7 +221,8 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     Each curve comes from ``radial_curve``: the table, the norm and
     ``prob_inside_r1`` from one trapezoid momentum rule and its rffts,
     certified by halving the rule's step, so they resolve the state
-    whatever its width.  The norm is the mass out to 20/m beyond r_max
+    whatever its width.  The table holds ``FIGURE1_R_COUNT`` radii on
+    [0, ``FIGURE1_R_MAX``].  The norm is the mass out to 20/m beyond them
     and over 60 widths 1/(n sigma_p).  ``delta_x`` is the full-space
     spread from ``momentum_moments``; ``rho_at_origin`` and
     ``tail_log_slope`` come from the emitted table.
@@ -264,12 +233,13 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     if any(cfg.a) or any(cfg.v_target) or cfg.profile_kind != "gaussian":
         raise ConfigError("figure1 requires the symmetric case: a = 0, v = 0, gaussian profile")
     profile = gaussian_profile(cfg.sigma_p)
-    r = _radii(cfg)
-    bound = DEFAULT_TOLERANCES["state_norms"]
-    summary = {"sigma_p": cfg.sigma_p, "r_max": cfg.r_max, "r_count": cfg.r_count, "curves": {}}
+    r = np.linspace(0.0, FIGURE1_R_MAX, FIGURE1_R_COUNT)
+    bound = TOLERANCES["state_norms"]
+    summary = {"sigma_p": cfg.sigma_p, "r_max": FIGURE1_R_MAX, "r_count": FIGURE1_R_COUNT,
+               "curves": {}}
     files = {}
     for n in cfg.n_list:
-        curve = radial_curve(profile, n, cfg.r_max, cfg.r_count, (1.0,))
+        curve = radial_curve(profile, n, FIGURE1_R_MAX, FIGURE1_R_COUNT, (1.0,))
         if not abs(curve.norm - 1.0) <= bound:
             raise QuadratureError(
                 f"n = {n}, sigma_p = {cfg.sigma_p:g}: norm {curve.norm!r} is not within "
@@ -284,7 +254,7 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
             "rho_at_origin": float(rho[0]),
             "prob_inside_r1": curve.probabilities[0],
             "delta_x": momentum_moments(_state(cfg, profile, n)).delta_x,
-            "tail_log_slope": log_slope(r, rho, *_slope_window(cfg.r_max)),
+            "tail_log_slope": log_slope(r, rho, *FIGURE1_SLOPE_WINDOW),
         }
     files["figure1_summary.json"] = summary
     return 0, files
@@ -292,7 +262,7 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     """Run the check battery; exit 1 on any failure."""
-    checks = run_checks(cfg.tolerances)
+    checks = run_checks()
     passed = all(c.passed for c in checks)
     files = {"verify_report.json": {"checks": [asdict(c) for c in checks], "all_passed": passed}}
     for c in checks:
@@ -314,7 +284,7 @@ def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
               file=sys.stderr)
     state = _state(cfg, boosted_gaussian_profile(cfg.v_target, cfg.sigma_p), n)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
-    report, slices = evolve_report(state, grid, cfg.times, r0=cfg.r0)
+    report, slices = evolve_report(state, grid, cfg.times, r0=EVOLVE_R0)
     files = {"evolution_report.json": asdict(report)}
     axis = grid.axis()
     for t, cut in zip(report.times, slices):
@@ -402,15 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=func.__doc__.strip().splitlines()[0])
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
-        if name == "verify":
-            p.add_argument(
-                "--tol",
-                action="append",
-                default=None,
-                metavar="NAME=VAL",
-                help="override a verification tolerance (repeatable)",
-            )
-        else:
+        if name != "verify":
             p.add_argument("--n", default=None, help="override the n list, e.g. 5,7,10")
         if name in ("evolve", "moments"):
             p.add_argument("--grid", default=None, help="override the grid as N,L")

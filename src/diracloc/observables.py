@@ -235,18 +235,19 @@ def _check_one_instant(s1: MomentumState, s2: MomentumState) -> None:
 
 
 def _envelope_gaussian(profile: MomentumProfile, n: int):
-    """(w, c, A^2 / n^3) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
+    """(w, c) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
 
-    w = (n sigma_p)^2 and c = n k for the profile centre k; A^2 / n^3 is
-    the peak of F^2.  A width n sigma_p outside [2^-511, 2^255], where w
-    is not a normal double or products of two variances overflow, raises
-    ``ProfileError``.
+    w = (n sigma_p)^2 and c = n k for the profile centre k.  A width
+    n sigma_p outside [2^-511, 2^255], where w is not a normal double or
+    products of two variances overflow, raises ``ProfileError``; the
+    profile refuses such a sigma_p, but a large n can still carry
+    n sigma_p past 2^255.
     """
     width = n * profile.sigma_p
     if not 2.0**-511 <= width <= 2.0**255:
         raise ProfileError(f"envelope width n sigma_p = {width:g} is outside [2^-511, 2^255]")
     centre = n * np.asarray(profile.center, dtype=float)
-    return width**2, centre, profile.amplitude**2 / n**3
+    return width**2, centre
 
 
 def _gaussian_product(w1, c1, w2, c2):
@@ -269,7 +270,7 @@ def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2) in a form that is exactly 1 for
     equal widths, at most 1 for any, and finite at every width.
     """
-    (w1, c1, _), (w2, c2, _) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
+    (w1, c1), (w2, c2) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
     width, mu = _gaussian_product(w1, c1, w2, c2)
     delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
     r = (s1.label.n * s1.profile.sigma_p) / (s2.label.n * s2.profile.sigma_p)
@@ -288,8 +289,8 @@ def _overlap_axes(s1: MomentumState, s2: MomentumState):
     states whose widths n sigma_p differ several-fold.  Each axis adds
     nodes for the oscillation of exp(i (a1 - a2).p) across the box.
     """
-    width, mu = _gaussian_product(*_envelope_gaussian(s1.profile, s1.label.n)[:2],
-                                  *_envelope_gaussian(s2.profile, s2.label.n)[:2])
+    width, mu = _gaussian_product(*_envelope_gaussian(s1.profile, s1.label.n),
+                                  *_envelope_gaussian(s2.profile, s2.label.n))
     half = 8.0 * np.sqrt(width)
     spread = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a))
     return [
@@ -388,9 +389,9 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     p = np.asarray(p, dtype=float)
     # |q - c|^2 + |s - c|^2 = 2 |s - mid|^2 + |p|^2 / 2 with mid = c + p/2 and
     # c = n k: one squared distance per point, the constant folded into scale
-    width2, centre, peak = _envelope_gaussian(profile, n)
+    width2, centre = _envelope_gaussian(profile, n)
     mid = centre + 0.5 * p
-    scale = peak * np.exp(-0.25 * (p @ p) / width2)
+    scale = profile.amplitude**2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
     i = Q_AXES[q_operator]
     # the imaginary part is twist times a sum: sign (q x s)_3 for the identity,
     # sign i eps_ij3 (E_q s_j - E_s q_j) = twist ((E_q - E_s) s_j + (E_s + m) p_j)
@@ -542,12 +543,12 @@ def momentum_moments(state: MomentumState) -> MomentSet:
     integrates it exactly in the azimuth.
     """
     p, density = momentum_rule(state.profile, state.label.n).points()  # weights, times F^2 below
-    width2, centre, peak = _envelope_gaussian(state.profile, state.label.n)
+    width2, centre = _envelope_gaussian(state.profile, state.label.n)
     q2 = (p[0] - centre[0]) ** 2  # |p - c|^2: F^2 = A^2 n^-3 exp(-q2/w)
     q2 += (p[1] - centre[1]) ** 2
     q2 += (p[2] - centre[2]) ** 2
     density *= np.exp(q2 * (-1.0 / width2))
-    density *= peak
+    density *= state.profile.amplitude**2 / state.label.n**3
     e = energy_xyz(*p)
     norm = float(np.sum(density))
     flow = density / e

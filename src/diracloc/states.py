@@ -73,8 +73,11 @@ class MomentumProfile:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_p < math.inf:
-            raise ProfileError(f"profile width must be positive and finite, got {self.sigma_p}")
+        # observables._envelope_gaussian's bounds at n = 1; NaN fails too
+        if not 2.0**-511 <= self.sigma_p <= 2.0**255:
+            raise ProfileError(
+                f"profile width sigma_p must be finite and in [2^-511, 2^255], got {self.sigma_p}"
+            )
         if not np.isfinite(self.center).all():
             raise ProfileError(f"profile centre must be finite, got {self.center}")
 

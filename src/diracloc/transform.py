@@ -491,7 +491,7 @@ def radial_curve(
     if 4 * m > MAX_FFT_LENGTH:
         raise QuadratureError(
             f"n = {n}, sigma_p = {profile.sigma_p:g}: the radial rule needs an FFT of "
-            f"length {4 * m} > {MAX_FFT_LENGTH}; use fewer table radii or a smaller r_max"
+            f"length {4 * m} > {MAX_FFT_LENGTH}"
         )
     h = math.pi / (m * dr)
     nodes = 2 * math.ceil(p_max / h)

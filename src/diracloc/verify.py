@@ -2,15 +2,14 @@
 
 Each check is one plain function in this module: its inputs are
 arguments, and it returns a dict of named values.  Keys that name a
-tolerance in ``DEFAULT_TOLERANCES`` are check values; any other key is a
+tolerance in ``TOLERANCES`` are check values; any other key is a
 supporting number (an error sequence, a fitted order) that callers may
 report.  ``BATTERY`` binds every function to the inputs ``verify`` uses,
 and ``run_checks`` evaluates it in order; the acceptance suite calls the
 same functions with its own, larger inputs.
 
-A check passes when value <= bound.  Bounds are the module tolerances
-and can be overridden one by one (``--tol name=value``), which is also
-how the battery's failure path is exercised.  Random momenta come from
+A check passes when value <= bound, the bound being its entry in
+``TOLERANCES``; no run can set another.  Random momenta come from
 one seeded stream, drawn in battery order, so runs are reproducible.
 Nothing is built at import time: each entry's inputs are constructed
 only when the battery runs.
@@ -36,7 +35,7 @@ from .transform import CartesianGrid, position_state_cartesian
 
 SEED = 20130625
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "dirac_anticommutation": 0.0,
     "projector_idempotence": 1e-12,
     "projector_hermiticity": 1e-12,
@@ -363,18 +362,12 @@ BATTERY = (
 )
 
 
-def run_checks(tolerances: dict | None = None) -> list[Check]:
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise KeyError(f"unknown tolerance names: {sorted(unknown)}")
-        tol.update(tolerances)
+def run_checks() -> list[Check]:
     rng = np.random.default_rng(SEED)
     checks: list[Check] = []
     for entry in BATTERY:
         for name, value in entry(rng).items():
-            if name in tol:  # other keys are supporting values
-                value, bound = float(value), float(tol[name])
+            if name in TOLERANCES:  # other keys are supporting values
+                value, bound = float(value), float(TOLERANCES[name])
                 checks.append(Check(name=name, value=value, bound=bound, passed=value <= bound))
     return checks

@@ -304,20 +304,28 @@ class TestOverlap:
         assert overlap(s1, s1) == 1.0
         assert abs(overlap(s1, s2)) <= 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma_p, refused", [
         (1e-200, True), (1e-110, False), (1e120, True), (1e200, True),
     ])
     def test_extreme_widths_are_finite_or_refused(self, sigma_p, refused):
-        # a width n sigma_p outside [2^-511, 2^255] is refused; inside it the
-        # closed form is finite where A1 A2 (2 pi W)^(3/2) read inf * 0
-        s1 = make_state(n=5, sigma_p=sigma_p)
-        s2 = make_state(a=(2.0, 0.0, 0.0), n=5, sigma_p=sigma_p)
+        # a width sigma_p outside [2^-511, 2^255] is refused where the profile
+        # is built; inside it the closed form is finite where A1 A2 (2 pi W)^(3/2)
+        # read inf * 0, and forms no peak A^2 / n^3 (A^2 overflows at 1e-110)
         if refused:
-            with pytest.raises(ProfileError, match="envelope width"):
-                overlap(s1, s2)
+            with pytest.raises(ProfileError, match="profile width"):
+                make_state(n=5, sigma_p=sigma_p)
         else:
+            s1 = make_state(n=5, sigma_p=sigma_p)
+            s2 = make_state(a=(2.0, 0.0, 0.0), n=5, sigma_p=sigma_p)
             assert overlap(s1, s1) == 1.0
             assert overlap(s1, s2) == 1.0  # W |a1 - a2|^2 / 2 = 5e-219
+
+    def test_width_past_the_bound_at_large_n_is_refused(self):
+        # sigma_p = 2^250 is a valid profile, but n sigma_p = 2^256 is not
+        s = make_state(n=64, sigma_p=2.0**250)
+        with pytest.raises(ProfileError, match="envelope width"):
+            overlap(s, s)
 
     def test_opposite_spin_orthogonal(self):
         up = make_state(n=3)

@@ -71,7 +71,7 @@ def test_run_list_names_each_run_once():
     ids = [run.id for run in runs]
     # defaults, perfbench jobs, README, boosted, off-axis rn, spin-down moments,
     # fast off-axis evolve, errors
-    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5) + 6 + 4 + 1 + 1 + 1 + 7
+    assert len(ids) == len(set(ids)) == 12 + 3 * (10 + 5) + 6 + 4 + 1 + 1 + 1 + 5
     allow = output_identity.read_allow(output_identity.ROOT / "tools" / "output_identity_allow.txt")
     assert allow <= set(ids)
 

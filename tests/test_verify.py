@@ -1,4 +1,4 @@
-"""The ``verify`` battery: one value per tolerance, each within its default bound."""
+"""The ``verify`` battery: one value per tolerance, each within its bound."""
 
 import pytest
 
@@ -13,10 +13,10 @@ def checks():
     return verify.run_checks()
 
 
-@pytest.mark.parametrize("name", list(verify.DEFAULT_TOLERANCES))
+@pytest.mark.parametrize("name", list(verify.TOLERANCES))
 def test_passes_at_default_bound(checks, name):
     (check,) = [c for c in checks if c.name == name]  # exactly one value per tolerance
-    assert check.bound == verify.DEFAULT_TOLERANCES[name]
+    assert check.bound == verify.TOLERANCES[name]
     assert check.passed, check
 
 
@@ -42,7 +42,7 @@ def test_velocity_identity_sees_a_wrong_spinor_envelope(monkeypatch):
         states.MomentumState, "spinor", lambda self, *p: 1.01 * original(self, *p)
     )
     value = verify.velocity_identity(((0.0, 0.0, 0.0), (0.0, 0.0, 0.3)), n=6)  # battery inputs
-    assert value["velocity_identity"] > verify.DEFAULT_TOLERANCES["velocity_identity"]
+    assert value["velocity_identity"] > verify.TOLERANCES["velocity_identity"]
 
 
 def test_moment_consistency_sees_a_wrongly_scaled_grid(monkeypatch):
@@ -56,7 +56,7 @@ def test_moment_consistency_sees_a_wrongly_scaled_grid(monkeypatch):
     monkeypatch.setattr(verify, "position_state_cartesian", scaled)
     state = evolve_free(states.make_state(a=(1.0, 0.0, 0.0), v=(0.3, -0.2, 0.4), n=3), 0.5)
     value = verify.moment_consistency(state, CartesianGrid(64, 16.0))  # battery inputs
-    assert value["moment_consistency"] > verify.DEFAULT_TOLERANCES["moment_consistency"]
+    assert value["moment_consistency"] > verify.TOLERANCES["moment_consistency"]
 
 
 def test_overlap_reduction_sees_a_wrong_eigenspinor(monkeypatch):
@@ -67,7 +67,7 @@ def test_overlap_reduction_sees_a_wrong_eigenspinor(monkeypatch):
         (2.0, 0.0, 0.0), decay_n_values=(2, 4), reduction_n_values=(2,),
         opposite_a2=(0.0, 0.0, 0.0), opposite_n_values=(2,),
     )
-    assert values["overlap_reduction"] > verify.DEFAULT_TOLERANCES["overlap_reduction"]
+    assert values["overlap_reduction"] > verify.TOLERANCES["overlap_reduction"]
 
 
 def test_nr_oracle_forms_no_cubic_array():

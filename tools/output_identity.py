@@ -19,7 +19,7 @@ One fixed list of runs is made on both trees, each run a fresh
 * CI's spin-down ``moments --grid 128,12``;
 * an ``evolve --n 1 --grid 64,16`` run on a state moving at 0.99 along
   x, off the z axis of the default spherical rule;
-* the seven runs that must exit with an error and write nothing
+* the five runs that must exit with an error and write nothing
   (``ERROR_RUNS``), whose exit codes ``tests/test_cli.py`` asserts; one
   sets figure1's step-halving tolerance to 0 before the command runs.
 
@@ -90,9 +90,6 @@ ERROR_RUNS = (
     Run("error/moments-boosted-n-10", "moments", BOOSTED, ("--n", "10")),
     Run("error/figure1-halving-tol-0", "figure1", flags=("--n", "5,200"),
         setup="import diracloc.transform\ndiracloc.transform.TABLE_TOL = 0.0\n"),
-    Run("error/figure1-r-max-2.9", "figure1", "[grid]\nr_max = 2.9\nr_count = 291\n",
-        ("--n", "20")),
-    Run("error/evolve-r0-negative", "evolve", "[evolve]\nr0 = -1\n"),
     Run("error/evolve-unknown-key", "evolve", "[evolve]\ntime = 0 2\n"),
     Run("error/overlap-a-nan", "overlap", "[label]\na = nan 0 0\n"),
     Run("error/moments-grid-100-16", "moments", flags=("--grid", "100,16")),

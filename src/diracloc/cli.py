@@ -24,7 +24,9 @@ table and slope window (``FIGURE1_*``) and evolve's light-cone radius
 reports to JSON; runs are deterministic, so identical configs give
 identical bytes.
 Exit codes: 0 success, 1 verification failure (a failed check, or a
-value refused with ``QuadratureError``), 2 configuration error.
+value refused with ``QuadratureError``), 2 configuration error, or a
+grid refused with ``GridError``: ``moments`` and ``evolve`` refuse a
+snapshot whose discrete norm is off 1 by more than ``MASS_TOL``.
 
 Each ``cmd_*`` computes its results and returns ``(exit code, files)``,
 ``files`` mapping a file name to a JSON payload (a dict) or a CSV table
@@ -48,17 +50,12 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import evolve_report
-from .observables import Q_AXES, convolution_Rn, moments, momentum_moments, overlap
+from .observables import Q_AXES, convolution_Rn, moments, overlap
 from .quadrature import QuadratureError
 from .spinor import SPIN_DOWN, SPIN_UP
-from .states import (
-    LocalizationLabel,
-    MomentumState,
-    ProfileError,
-    boosted_gaussian_profile,
-    gaussian_profile,
-)
+from .states import ProfileError, boosted_gaussian_profile, gaussian_profile, make_state
 from .transform import (
+    MASS_TOL,
     CartesianGrid,
     GridError,
     log_slope,
@@ -205,26 +202,24 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("no evolution time may precede the first, the light-cone baseline")
 
 
-def _state(cfg: RunConfig, profile, n: int, a=None, spin=None) -> MomentumState:
-    label = LocalizationLabel(
-        a=cfg.a if a is None else a,
-        v=cfg.v_target,
-        spin=cfg.spin if spin is None else spin,
-        n=n,
-    )
-    return MomentumState(label=label, profile=profile)
+def _check_grid_norm(norm: float, grid: CartesianGrid, n: int) -> None:
+    """Refuse a snapshot whose discrete norm sum(rho) dV is not finite or is
+    off 1 by more than ``MASS_TOL``: the grid does not resolve the state."""
+    if not abs(norm - 1.0) <= MASS_TOL:  # NaN fails too
+        raise GridError(f"n = {n}: the discrete norm {norm:.6g} on the grid N = {grid.n_points}, "
+                        f"L = {grid.extent:g} is off 1 by more than {MASS_TOL:g}")
 
 
 def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
     """Emit rho_n(r) CSV curves plus a summary JSON.
 
-    Each curve comes from ``radial_curve``: the table, the norm and
-    ``prob_inside_r1`` from one trapezoid momentum rule and its rffts,
-    certified by halving the rule's step, so they resolve the state
-    whatever its width.  The table holds ``FIGURE1_R_COUNT`` radii on
-    [0, ``FIGURE1_R_MAX``].  The norm is the mass out to 20/m beyond them
-    and over 60 widths 1/(n sigma_p).  ``delta_x`` is the full-space
-    spread from ``momentum_moments``; ``rho_at_origin`` and
+    Each curve comes from ``radial_curve``: the table, the norm,
+    ``delta_x`` and ``prob_inside_r1`` from one trapezoid momentum rule
+    and its rffts, certified by halving the rule's step, so they resolve
+    the state whatever its width.  The table holds ``FIGURE1_R_COUNT``
+    radii on [0, ``FIGURE1_R_MAX``].  The norm and the full-space spread
+    ``delta_x`` are sums over the radius grid, out to 20/m beyond them
+    and over 60 widths 1/(n sigma_p).  ``rho_at_origin`` and
     ``tail_log_slope`` come from the emitted table.
     A curve the step halving cannot certify (``QuadratureError``), or
     whose norm is not within the ``state_norms`` bound of 1, is refused,
@@ -253,7 +248,7 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
             "norm": curve.norm,
             "rho_at_origin": float(rho[0]),
             "prob_inside_r1": curve.probabilities[0],
-            "delta_x": momentum_moments(_state(cfg, profile, n)).delta_x,
+            "delta_x": curve.delta_x,
             "tail_log_slope": log_slope(r, rho, *FIGURE1_SLOPE_WINDOW),
         }
     files["figure1_summary.json"] = summary
@@ -282,9 +277,11 @@ def cmd_evolve(cfg: RunConfig) -> tuple[int, dict]:
     if skipped:
         print(f"evolve: ran n = {n} only, skipped n = {', '.join(map(str, skipped))}",
               file=sys.stderr)
-    state = _state(cfg, boosted_gaussian_profile(cfg.v_target, cfg.sigma_p), n)
+    state = make_state(cfg.a, cfg.v_target, cfg.spin, n, cfg.sigma_p)
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     report, slices = evolve_report(state, grid, cfg.times, r0=EVOLVE_R0)
+    for grid_norm in report.grid_norms:
+        _check_grid_norm(grid_norm * grid_norm, grid, n)
     files = {"evolution_report.json": asdict(report)}
     axis = grid.axis()
     for t, cut in zip(report.times, slices):
@@ -309,11 +306,11 @@ def cmd_moments(cfg: RunConfig) -> tuple[int, dict]:
     """Grid moments per n as JSON."""
     grid = CartesianGrid(cfg.grid_points, cfg.grid_extent)
     payload = {"grid": {"points": cfg.grid_points, "extent": cfg.grid_extent}, "moments": {}}
-    profile = boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
     for n in cfg.n_list:
-        ps = position_state_cartesian(_state(cfg, profile, n), grid)
-        payload["moments"][str(n)] = asdict(moments(ps))
-        del ps  # free psi before the next transform allocates its own
+        state = make_state(cfg.a, cfg.v_target, cfg.spin, n, cfg.sigma_p)
+        found = moments(position_state_cartesian(state, grid))  # psi is freed here
+        _check_grid_norm(found.norm, grid, n)
+        payload["moments"][str(n)] = asdict(found)
     return 0, {"moments.json": payload}
 
 
@@ -321,10 +318,9 @@ def cmd_overlap(cfg: RunConfig) -> tuple[int, dict]:
     """Overlaps against a second label per n as JSON."""
     spin2 = cfg.spin if cfg.overlap_spin2 is None else cfg.overlap_spin2
     payload = {"a": list(cfg.a), "a2": list(cfg.overlap_a2), "overlaps": {}}
-    profile = boosted_gaussian_profile(cfg.v_target, cfg.sigma_p)
     for n in cfg.n_list:
-        s1 = _state(cfg, profile, n)
-        s2 = _state(cfg, profile, n, a=cfg.overlap_a2, spin=spin2)
+        s1 = make_state(cfg.a, cfg.v_target, cfg.spin, n, cfg.sigma_p)
+        s2 = make_state(cfg.overlap_a2, cfg.v_target, spin2, n, cfg.sigma_p)
         value = overlap(s1, s2)
         payload["overlaps"][str(n)] = {
             "re": value.real,

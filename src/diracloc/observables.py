@@ -28,9 +28,7 @@ The mean velocity can be formed two ways, as the spinor bilinear of
 alpha (``packed_current`` of the sampled spinor) or via the scalar
 weight p/E(p) (``momentum_moments``, from the envelope alone); the two
 coincide identically on positive-energy states, and both sum over
-``states.momentum_rule``, turned onto the envelope centre.  That rule
-has ``BLOCK_POINTS`` points, so each reduction on it takes them all at
-once (``SphericalRule.points``) and adds them with ``np.sum``.
+``states.momentum_rule``, turned onto the envelope centre.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
 gives u_s^dagger u_s = 1, u_up^dagger u_down = 0,
@@ -87,8 +85,9 @@ from .spinor import (
 from .states import (
     MomentumProfile,
     MomentumState,
-    ProfileError,
     check_sequence_index,
+    envelope_density,
+    envelope_gaussian,
     momentum_rule,
 )
 from .transform import PositionState
@@ -234,22 +233,6 @@ def _check_one_instant(s1: MomentumState, s2: MomentumState) -> None:
         raise ValueError(f"overlap needs states at one time, got t1 = {s1.time}, t2 = {s2.time}")
 
 
-def _envelope_gaussian(profile: MomentumProfile, n: int):
-    """(w, c) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)).
-
-    w = (n sigma_p)^2 and c = n k for the profile centre k.  A width
-    n sigma_p outside [2^-511, 2^255], where w is not a normal double or
-    products of two variances overflow, raises ``ProfileError``; the
-    profile refuses such a sigma_p, but a large n can still carry
-    n sigma_p past 2^255.
-    """
-    width = n * profile.sigma_p
-    if not 2.0**-511 <= width <= 2.0**255:
-        raise ProfileError(f"envelope width n sigma_p = {width:g} is outside [2^-511, 2^255]")
-    centre = n * np.asarray(profile.center, dtype=float)
-    return width**2, centre
-
-
 def _gaussian_product(w1, c1, w2, c2):
     """(W, mu): F1 F2 is a Gaussian of variance W = w1 w2 / (w1 + w2) about
     mu = W (c1/w1 + c2/w2)."""
@@ -260,7 +243,7 @@ def _gaussian_product(w1, c1, w2, c2):
 def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     """int F1 F2 exp(i delta.p) d^3p for Gaussian envelopes, delta = a1 - a2.
 
-    With (w_i, c_i) from ``_envelope_gaussian`` and (W, mu) from
+    With (w_i, c_i) from ``envelope_gaussian`` and (W, mu) from
     ``_gaussian_product`` the integral is
 
         (2 r / (1 + r^2))^(3/2)
@@ -270,7 +253,7 @@ def _gaussian_overlap(s1: MomentumState, s2: MomentumState) -> complex:
     A1 A2 (n1 n2)^(-3/2) (2 pi W)^(3/2) in a form that is exactly 1 for
     equal widths, at most 1 for any, and finite at every width.
     """
-    (w1, c1), (w2, c2) = (_envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
+    (w1, c1), (w2, c2) = (envelope_gaussian(s.profile, s.label.n) for s in (s1, s2))
     width, mu = _gaussian_product(w1, c1, w2, c2)
     delta = np.asarray(s1.label.a) - np.asarray(s2.label.a)
     r = (s1.label.n * s1.profile.sigma_p) / (s2.label.n * s2.profile.sigma_p)
@@ -289,8 +272,8 @@ def _overlap_axes(s1: MomentumState, s2: MomentumState):
     states whose widths n sigma_p differ several-fold.  Each axis adds
     nodes for the oscillation of exp(i (a1 - a2).p) across the box.
     """
-    width, mu = _gaussian_product(*_envelope_gaussian(s1.profile, s1.label.n),
-                                  *_envelope_gaussian(s2.profile, s2.label.n))
+    width, mu = _gaussian_product(*envelope_gaussian(s1.profile, s1.label.n),
+                                  *envelope_gaussian(s2.profile, s2.label.n))
     half = 8.0 * np.sqrt(width)
     spread = np.abs(np.asarray(s1.label.a) - np.asarray(s2.label.a))
     return [
@@ -389,7 +372,7 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     p = np.asarray(p, dtype=float)
     # |q - c|^2 + |s - c|^2 = 2 |s - mid|^2 + |p|^2 / 2 with mid = c + p/2 and
     # c = n k: one squared distance per point, the constant folded into scale
-    width2, centre = _envelope_gaussian(profile, n)
+    width2, centre = envelope_gaussian(profile, n)
     mid = centre + 0.5 * p
     scale = profile.amplitude**2 / n**3 * np.exp(-0.25 * (p @ p) / width2)
     i = Q_AXES[q_operator]
@@ -537,18 +520,13 @@ def momentum_moments(state: MomentumState) -> MomentSet:
     for either spin.  The cross term 2 t (p/E).B of <|x - a|^2> is 0
     pointwise.  Delta_x^2 = <|x - a|^2> - |<x> - a|^2; taken about a, not
     the origin, a far point costs no digits.  For the Gaussian envelope
-    grad F/F = -(p - c)/w (``_envelope_gaussian``).  About the envelope
+    grad F/F = -(p - c)/w (``envelope_gaussian``).  About the envelope
     centre every integrand is an axial function times 1, cos phi or
-    sin phi, so the one pass over the points of ``states.momentum_rule``
-    integrates it exactly in the azimuth.
+    sin phi, so the one pass over ``states.envelope_density`` integrates
+    it exactly in the azimuth.
     """
-    p, density = momentum_rule(state.profile, state.label.n).points()  # weights, times F^2 below
-    width2, centre = _envelope_gaussian(state.profile, state.label.n)
-    q2 = (p[0] - centre[0]) ** 2  # |p - c|^2: F^2 = A^2 n^-3 exp(-q2/w)
-    q2 += (p[1] - centre[1]) ** 2
-    q2 += (p[2] - centre[2]) ** 2
-    density *= np.exp(q2 * (-1.0 / width2))
-    density *= state.profile.amplitude**2 / state.label.n**3
+    p, q2, density = envelope_density(state.profile, state.label.n)
+    width2, _ = envelope_gaussian(state.profile, state.label.n)
     e = energy_xyz(*p)
     norm = float(np.sum(density))
     flow = density / e

@@ -34,9 +34,9 @@ in p, so about the centre each integrand is an axial function times 1,
 cos phi or sin phi; the 2-point trapezoid in the azimuth integrates
 that exactly.  The rule has 2^15 = ``BLOCK_POINTS`` points, so each
 reduction takes them all at once (``SphericalRule.points``) and adds
-them with one ``np.sum``.
-Because the eigenspinor is unit, ``MomentumState.norm`` integrates the
-scalar envelope alone; ``MomentumState.spinor`` builds the full
+them with one ``np.sum``; F^2 there is ``envelope_density``'s.
+Because the eigenspinor is unit, ``MomentumState.norm`` sums that
+density alone; ``MomentumState.spinor`` builds the full
 four-component phi for the callers that need it.
 
 Profiles are restricted to Gaussians (plain and shifted); they satisfy
@@ -73,11 +73,7 @@ class MomentumProfile:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        # observables._envelope_gaussian's bounds at n = 1; NaN fails too
-        if not 2.0**-511 <= self.sigma_p <= 2.0**255:
-            raise ProfileError(
-                f"profile width sigma_p must be finite and in [2^-511, 2^255], got {self.sigma_p}"
-            )
+        envelope_gaussian(self, 1)  # the width bound at n = 1
         if not np.isfinite(self.center).all():
             raise ProfileError(f"profile centre must be finite, got {self.center}")
 
@@ -94,11 +90,6 @@ class MomentumProfile:
         kx, ky, kz = self.center
         q2 = (px - kx) ** 2 + (py - ky) ** 2 + (pz - kz) ** 2
         return self.amplitude * np.exp(-q2 / (2.0 * self.sigma_p**2))
-
-    def axis_factors(self, p):
-        """f as three factors on the 1-D axis p: their outer product is f on p x p x p."""
-        fx, fy, fz = (np.exp(-((p - k) ** 2) / (2.0 * self.sigma_p**2)) for k in self.center)
-        return self.amplitude * fx, fy, fz
 
     def cutoff(self) -> float:
         """Radius beyond which |f| < 1e-14 * amplitude."""
@@ -159,18 +150,42 @@ def momentum_rule(profile: MomentumProfile, n: int) -> SphericalRule:
     return spherical_rule((0.0, min(4.0, 0.5 * p_max), p_max), (128, 128), 64, 2, axis)
 
 
+def envelope_gaussian(profile: MomentumProfile, n: int):
+    """(w, c) of the envelope F = A n^(-3/2) exp(-|p - c|^2 / (2 w)): w = (n sigma_p)^2, c = n k.
+
+    A width n sigma_p outside [2^-340, 2^255] (NaN too) raises
+    ``ProfileError``: below, the peak (pi w)^(-3/2) of F^2 overflows;
+    above, products of two variances do.
+    """
+    width = n * profile.sigma_p
+    if not 2.0**-340 <= width <= 2.0**255:
+        raise ProfileError(f"envelope width n sigma_p = {width:g} (n = {n}) must be finite "
+                           "and in [2^-340, 2^255]")
+    centre = n * np.asarray(profile.center, dtype=float)
+    return width**2, centre
+
+
+def envelope_density(profile: MomentumProfile, n: int):
+    """(p, q2, F^2 times the weights) at the points p of ``momentum_rule(profile, n)``,
+    q2 = |p - c|^2: F^2 = A^2 n^-3 exp(-q2/w), the one density the reductions read."""
+    width2, centre = envelope_gaussian(profile, n)
+    p, density = momentum_rule(profile, n).points()
+    q2 = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2 + (p[2] - centre[2]) ** 2
+    density *= np.exp(q2 * (-1.0 / width2))
+    density *= profile.amplitude**2 / n**3
+    return p, q2, density
+
+
 def check_profile_conditions(profile: MomentumProfile):
     """Return (norm, mean_direction): the two defining profile integrals.
 
     norm = integral |f|^2 d^3p and mean_direction =
-    integral |f|^2 p/|p| d^3p, summed over the points of
-    ``momentum_rule(profile, 1)``.  Callers assert norm ~ 1 and
-    mean_direction ~ v.  The rule's polar axis is the profile centre,
-    about which |f|^2 is axially symmetric and p/|p| a first harmonic in
-    the azimuth.
+    integral |f|^2 p/|p| d^3p, summed over ``envelope_density(profile, 1)``.
+    Callers assert norm ~ 1 and mean_direction ~ v.  The rule's polar
+    axis is the profile centre, about which |f|^2 is axially symmetric
+    and p/|p| a first harmonic in the azimuth.
     """
-    p, weights = momentum_rule(profile, 1).points()
-    density = weights * np.abs(profile(*p)) ** 2
+    p, _, density = envelope_density(profile, 1)
     radius = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)  # > 0: no node at the origin
     return float(np.sum(density)), np.sum(density * p / radius, axis=1)
 
@@ -278,12 +293,12 @@ class MomentumState:
         the grid p x p x p; only the eigenspinor and exp(-i E t) are not
         separable.
         """
-        n = self.label.n
+        n, sigma = self.label.n, self.profile.sigma_p
         p = np.asarray(p, dtype=float)
-        fx, fy, fz = self.profile.axis_factors(p / n)
+        fx, fy, fz = (np.exp(-((p / n - k) ** 2) / (2.0 * sigma**2)) for k in self.profile.center)
         ax, ay, az = self.label.a
         return (
-            n**-1.5 * fx * np.exp(-1j * ax * p),
+            n**-1.5 * (self.profile.amplitude * fx) * np.exp(-1j * ax * p),
             fy * np.exp(-1j * ay * p),
             fz * np.exp(-1j * az * p),
         )
@@ -311,12 +326,9 @@ class MomentumState:
         return self.label.n * float(np.linalg.norm(self.profile.center) + q * self.profile.sigma_p)
 
     def norm(self) -> float:
-        """Quadrature norm ||phi|| = sqrt(int envelope^2 d^3p): the eigenspinor is unit.
-
-        The envelope is summed over the points of ``momentum_rule``.
-        """
-        p, weights = momentum_rule(self.profile, self.label.n).points()
-        return float(np.sqrt(np.sum(weights * np.abs(self.envelope(*p)) ** 2)))
+        """||phi|| = sqrt(int F^2 d^3p), summed over ``envelope_density``: u is unit."""
+        _, _, density = envelope_density(self.profile, self.label.n)
+        return float(np.sqrt(np.sum(density)))
 
 
 def make_state(

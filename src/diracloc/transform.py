@@ -15,12 +15,12 @@ Two routes:
   points, and decay like a Gaussian, so the trapezoid rule on p_k = k h
   converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)
   385).  ``radial_curve`` tabulates rho = g0^2 + g1^2 on a uniform
-  table from rffts of that rule, takes the norm and P(|x| < R) from one
-  more rfft, with no radial quadrature, and certifies all of it by
-  halving h.  ``radial_components`` is the same rule summed directly at
-  any radii, in blocks, at a step the caller picks: the reference for
-  the table and its rows near the origin.  ``log_slope`` fits a
-  tabulated tail.
+  table from rffts of that rule, takes the norm, the spread and
+  P(|x| < R) from its radius grid and one more rfft, with no radial
+  quadrature, and certifies all of it by halving h.
+  ``radial_components`` is the same rule summed directly at any radii,
+  in blocks, at a step the caller picks: the reference for the table
+  and its rows near the origin.  ``log_slope`` fits a tabulated tail.
 
 * ``position_state_cartesian``: a componentwise 3-D inverse FFT of phi
   sampled on the reciprocal grid.  The envelope, the phase exp(-i a.p),
@@ -79,8 +79,8 @@ RADIUS_STEPS_PER_MOMENTUM = 2.2
 # rows nearer the origin than this, and than 5/(n sigma_p), are direct sums:
 # there the FFT's g1 = S1/r^2 - C1/r cancels
 DIRECT_RADIUS = 0.05
-# step-halving bounds: the table relative to rho(0), the norm and the
-# probabilities absolute
+# step-halving bounds: the table relative to rho(0), the spread relative to
+# itself, the norm and the probabilities absolute
 TABLE_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
 # the h/2 rule's transforms: 2^21 points, 16 MB per real array
@@ -388,20 +388,21 @@ def log_slope(r: np.ndarray, rho: np.ndarray, r_lo: float, r_hi: float) -> float
 
 @dataclass(frozen=True)
 class RadialCurve:
-    """rho_n on a uniform table, its norm and P(|x| < R) at chosen radii,
-    with the differences between the trapezoid rules of step h and h/2.
+    """rho_n on a uniform table, its norm, spread and P(|x| < R) at chosen
+    radii, with the differences between the trapezoid rules of step h and h/2.
 
     The values are those of the h/2 rule.  ``norm`` is 4 pi int r^2 rho
     over the whole radius grid, which reaches ``TAIL_RADIUS`` beyond r_max
     and pi ``MIN_NODES``/p_max = 20 pi/(n sigma_p), over 60 widths of the
-    state, so it leaves out less than e^(-40) of the mass;
-    ``table_halving`` is the largest table difference relative to
-    rho(0), ``probability_halving`` the largest difference of the norm
-    or a probability.
+    state, so it leaves out less than e^(-40) of the mass; ``delta_x`` is
+    sqrt(4 pi int r^4 rho / norm) on it.  ``table_halving`` is the largest
+    table difference relative to rho(0), ``probability_halving`` the largest
+    difference of the norm, a probability, or delta_x relative to itself.
     """
 
     rho: np.ndarray
     norm: float
+    delta_x: float
     probabilities: tuple
     table_halving: float
     probability_halving: float
@@ -427,10 +428,11 @@ def _fft_density(coeffs: np.ndarray, length: int, dr: float, direct: np.ndarray)
     return rho
 
 
-def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> list:
-    """The norm, then P(|x| < R) for each R in ``radii``, from rho at r_j = j dr, j = 0..M.
+def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> tuple:
+    """(norm, Delta_x, [P(|x| < R) for R in ``radii``]) from rho at r_j = j dr, j = 0..M.
 
-    The norm is the trapezoid sum of 4 pi r^2 rho over the whole grid.
+    The norm is the trapezoid sum of 4 pi r^2 rho over the whole grid,
+    Delta_x^2 that of 4 pi r^4 rho over the norm.
     P(|x| < R) = (2R^2/pi) int q rho^(q) j1(qR) dq, where
     rho^(q) = (4 pi/q) int r rho(r) sin(qr) dr is the trapezoid sum over
     the r_j, taken by one rfft on q_m = m h with h dr = pi/M, and the q
@@ -445,7 +447,8 @@ def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> list:
     t = -np.fft.rfft(x, n=2 * m).imag[1:]
     q = (math.pi / (m * dr)) * np.arange(1, m + 1)
     norm = 4.0 * math.pi * dr * float(np.sum(r * x))
-    return [norm] + [
+    spread2 = 4.0 * math.pi * dr * float(np.sum(r**3 * x))
+    return norm, math.sqrt(spread2 / norm), [
         8.0 * math.pi * R * R / m * float(np.sum(t * _spherical_j01(q * R)[1])) for R in radii
     ]
 
@@ -453,7 +456,7 @@ def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> list:
 def radial_curve(
     profile: MomentumProfile, n: int, r_max: float, r_count: int, radii=()
 ) -> RadialCurve:
-    """rho_n at r_i = i r_max/(r_count - 1), the norm, and P(|x| < R) for R in ``radii``.
+    """rho_n at r_i = i r_max/(r_count - 1), the norm, Delta_x and P(|x| < R) for R in ``radii``.
 
     One trapezoid rule in p, nodes p_k = k h/2 on [0, p_max], p_max =
     n cutoff, on the radius grid r_j = j dr, dr = the table spacing over
@@ -473,7 +476,8 @@ def radial_curve(
     Certified by halving h: the rule of step h is the even nodes of the
     h/2 rule, so it costs no second kernel evaluation.  A table difference
     beyond ``TABLE_TOL`` rho(0), or a difference of the norm or a
-    probability beyond ``PROBABILITY_TOL``, raises ``QuadratureError``.
+    probability, or of Delta_x relative to Delta_x, beyond
+    ``PROBABILITY_TOL``, raises ``QuadratureError``.
     """
     check_sequence_index(n)
     if not profile.is_symmetric:
@@ -504,14 +508,16 @@ def radial_curve(
     rho_coarse = _fft_density(2.0 * fine[:, ::2], 2 * m, dr, direct[1])
     table = k * np.arange(r_count)
     rho = rho_fine[table]
-    norm, *probabilities = _fft_probabilities(rho_fine, dr, radii)
-    coarse = _fft_probabilities(rho_coarse, dr, radii)
+    norm, delta_x, probabilities = _fft_probabilities(rho_fine, dr, radii)
+    norm_h, delta_x_h, probabilities_h = _fft_probabilities(rho_coarse, dr, radii)
     curve = RadialCurve(
         rho=rho,
         norm=norm,
+        delta_x=delta_x,
         probabilities=tuple(probabilities),
         table_halving=float(np.max(np.abs(rho - rho_coarse[table])) / rho[0]),
-        probability_halving=max(abs(a - b) for a, b in zip((norm, *probabilities), coarse)),
+        probability_halving=max(abs(norm - norm_h), abs(delta_x - delta_x_h) / delta_x,
+                                *(abs(a - b) for a, b in zip(probabilities, probabilities_h))),
     )
     where = f"n = {n}, sigma_p = {profile.sigma_p:g}"
     if not curve.table_halving <= TABLE_TOL:
@@ -521,8 +527,9 @@ def radial_curve(
         )
     if not curve.probability_halving <= PROBABILITY_TOL:
         raise QuadratureError(
-            f"{where}: the norm or a probability moves by {curve.probability_halving:.3e} "
-            f"when the momentum step is halved, beyond {PROBABILITY_TOL:g}"
+            f"{where}: the norm, Delta_x or a probability moves by "
+            f"{curve.probability_halving:.3e} when the momentum step is halved, beyond "
+            f"{PROBABILITY_TOL:g}"
         )
     return curve
 

@@ -1,6 +1,9 @@
 """References for the radial path: the dense Gauss-Legendre Bessel transform,
-the position-space spreads and probabilities built on it, and a Bessel
-kernel that takes j1 at x <= 1 from scipy's ``spherical_jn``."""
+the position-space spreads and probabilities built on it, the spread from
+the state's 1-D momentum-space form, and a Bessel kernel that takes j1 at
+x <= 1 from scipy's ``spherical_jn``."""
+
+import math
 
 import numpy as np
 
@@ -66,6 +69,25 @@ def two_panel_delta_x(profile, n, r_max=12.0):
 def two_panel_probability(profile, n, radius):
     """Reference probability inside ``radius``."""
     return _two_panel_moment(profile, n, radius, 2)
+
+
+def momentum_space_delta_x(sigma_p, n):
+    """Reference spread of the symmetric state from its 1-D momentum-space form
+
+        Delta_x^2 = 3/(2 w) + 4 pi int p^2 F^2 (1/(E(E + m)) + 1/(4 E^4)) dp,
+
+    w = (n sigma_p)^2, F^2 = (pi w)^(-3/2) exp(-p^2/w): the envelope's
+    |grad F|^2 term in closed form and the eigenspinor's by 64-node
+    Gauss-Legendre on 60 geometric panels out to 40 n sigma_p."""
+    width = n * sigma_p
+    edges = np.concatenate([[0.0], np.geomspace(1e-3 * min(1.0, width), 40.0 * width, 60)])
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        p, w = gauss_legendre(64, a, b)
+        e = energy_xyz(p, 0.0, 0.0)
+        f2 = (math.pi * width * width) ** -1.5 * np.exp(-((p / width) ** 2))
+        total += np.sum(w * 4.0 * math.pi * p * p * f2 * (1.0 / (e * (e + MASS)) + 0.25 / e**4))
+    return math.sqrt(1.5 / (width * width) + total)
 
 
 def scipy_spherical_j01(x):

@@ -24,7 +24,7 @@ from diracloc.transform import (
 )
 from harness import memory_probe, run_cli
 from output_identity import readme_config
-from radial_oracles import two_panel_delta_x, two_panel_probability
+from radial_oracles import momentum_space_delta_x, two_panel_delta_x, two_panel_probability
 
 
 def run(args):
@@ -103,8 +103,10 @@ def test_unknown_key_is_config_error(tmp_path, capsys, line):
     ("moments", "--grid 100,16"),
     ("moments", "[grid] points = 100"),
     ("rn", "[rn] q = alpha9"),
-    # a width the profile refuses: (n sigma_p)^2 would not be a normal double
-    *((command, "[profile] sigma_p = 1e-200")
+    # a width the profile refuses: below 2^-340 the peak (pi w)^(-3/2) of F^2
+    # is not a finite double
+    *((command, f"[profile] sigma_p = {sigma_p}")
+      for sigma_p in ("1e-200", "1e-110")
       for command in ("figure1", "evolve", "rn", "moments", "overlap")),
 ])
 def test_invalid_value_is_config_error_before_output(tmp_path, capsys, command, given):
@@ -212,6 +214,16 @@ class TestFigure1:
         assert 0.0 <= entry["prob_inside_r1"] <= 1.0
         expected = two_panel_probability(profile, n, 1.0)
         assert entry["prob_inside_r1"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, sigma_p", [(200, 2.0), (500, 1.0)])
+    def test_delta_x_matches_momentum_space_reference(self, tmp_path, n, sigma_p):
+        # the spread comes from the certified radial curve; the 3-D momentum
+        # rule of momentum_moments is off by 1.2e-11 and 8.3e-11 here
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[profile]\nsigma_p = {sigma_p}\n")
+        assert run(["figure1", "--config", str(cfg), "--out", str(tmp_path), "--n", str(n)]) == 0
+        entry = read_json(tmp_path / "figure1_summary.json")["curves"][str(n)]
+        assert abs(entry["delta_x"] / momentum_space_delta_x(sigma_p, n) - 1.0) <= 1e-14
 
     def test_uncertified_curve_is_refused(self, tmp_path, capsys, monkeypatch):
         # a step-halving tolerance of 0 certifies no table: the command
@@ -338,6 +350,16 @@ class TestEvolve:
              "--config", str(cfg)]
         ) == 2
 
+    def test_unresolved_grid_norm_is_refused(self, tmp_path, capsys):
+        # n sigma_p = 5e-30 lies far inside one momentum cell 2 pi/L: the
+        # discrete norm reads 1e88, so the command exits 2 and writes nothing
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[profile]\nsigma_p = 1e-30\n")
+        out = tmp_path / "out"
+        assert run(["evolve", "--config", str(cfg), "--out", str(out), "--grid", "64,16"]) == 2
+        assert not out.exists()
+        assert "the grid N = 64, L = 16 is off 1 by more than 0.01" in capsys.readouterr().err
+
     def test_names_the_n_it_ran_and_skipped(self, tmp_path, capsys):
         # evolve runs the first n of the list; the rest are named, not dropped silently
         cfg = self._times_config(tmp_path, "0")
@@ -382,6 +404,14 @@ class TestMomentsCommand:
         extent = message.rsplit("L <= ", 1)[1].split()[0]
         assert run(argv + ["--grid", f"128,{extent}"]) == 0
 
+    def test_unresolved_grid_norm_is_refused(self, tmp_path, capsys):
+        # a momentum step 2 pi/L = 12.6 wider than the state: the discrete
+        # norm reads 3.6e92, so the command exits 2 and writes nothing
+        out = tmp_path / "out"
+        assert run(["moments", "--out", str(out), "--grid", "16,0.5"]) == 2
+        assert not out.exists()
+        assert "the grid N = 16, L = 0.5 is off 1 by more than 0.01" in capsys.readouterr().err
+
     def test_delta_x_decreasing(self, tmp_path):
         assert run(
             ["moments", "--out", str(tmp_path), "--n", "2,4", "--grid", "64,16"]
@@ -391,22 +421,6 @@ class TestMomentsCommand:
 
 
 class TestOverlapCommand:
-    def test_profile_built_once(self, tmp_path, monkeypatch):
-        built = []
-        real = cli.boosted_gaussian_profile
-
-        def counted(v_target, sigma_p):
-            built.append(v_target)
-            return real(v_target, sigma_p)
-
-        monkeypatch.setattr(cli, "boosted_gaussian_profile", counted)
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text("[profile]\nkind = boosted_gaussian\nv_target = 0 0 0.4\n")
-        assert run(
-            ["overlap", "--out", str(tmp_path), "--n", "2,4", "--config", str(cfg)]
-        ) == 0
-        assert len(built) == 1
-
     def test_same_point_gives_ones(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[overlap]\na2 = 0 0 0\n")

@@ -306,20 +306,21 @@ class TestOverlap:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma_p, refused", [
-        (1e-200, True), (1e-110, False), (1e120, True), (1e200, True),
+        (1e-200, True), (1e-110, True), (np.nextafter(2.0**-340, 0.0), True),
+        (2.0**-340, False), (1e-100, False), (1e120, True), (1e200, True),
     ])
     def test_extreme_widths_are_finite_or_refused(self, sigma_p, refused):
-        # a width sigma_p outside [2^-511, 2^255] is refused where the profile
-        # is built; inside it the closed form is finite where A1 A2 (2 pi W)^(3/2)
-        # read inf * 0, and forms no peak A^2 / n^3 (A^2 overflows at 1e-110)
+        # a width sigma_p outside [2^-340, 2^255] is refused where the profile
+        # is built, before the peak A^2 / n^3 of F^2 overflows; inside it the
+        # closed form is finite where A1 A2 (2 pi W)^(3/2) would read inf * 0
         if refused:
-            with pytest.raises(ProfileError, match="profile width"):
+            with pytest.raises(ProfileError, match="envelope width"):
                 make_state(n=5, sigma_p=sigma_p)
         else:
             s1 = make_state(n=5, sigma_p=sigma_p)
             s2 = make_state(a=(2.0, 0.0, 0.0), n=5, sigma_p=sigma_p)
             assert overlap(s1, s1) == 1.0
-            assert overlap(s1, s2) == 1.0  # W |a1 - a2|^2 / 2 = 5e-219
+            assert overlap(s1, s2) == 1.0  # W |a1 - a2|^2 / 2 underflows to 0
 
     def test_width_past_the_bound_at_large_n_is_refused(self):
         # sigma_p = 2^250 is a valid profile, but n sigma_p = 2^256 is not

@@ -103,10 +103,13 @@ class TestGaussianProfile:
         with pytest.raises(ProfileError):
             gaussian_profile(-1.5)
 
-    @pytest.mark.parametrize("sigma_p", [np.nan, np.inf])
+    @pytest.mark.parametrize("sigma_p", [
+        np.nan, np.inf, np.nextafter(2.0**-340, 0.0), np.nextafter(2.0**255, np.inf),
+    ])
     def test_nonfinite_width_rejected(self, sigma_p):
-        # NaN passes a "<= 0" test, and an infinite width has amplitude 0
-        with pytest.raises(ProfileError, match="finite"):
+        # NaN passes a "<= 0" test, an infinite width has amplitude 0, and
+        # envelope_gaussian's one bound holds the width at n = 1 too
+        with pytest.raises(ProfileError, match=r"must be finite and in \[2\^-340, 2\^255\]"):
             MomentumProfile(sigma_p=sigma_p)
 
     @pytest.mark.parametrize("centre", [(np.nan, 0.0, 0.0), (0.0, 0.0, -np.inf)])
@@ -176,11 +179,14 @@ class TestBoostedProfile:
         e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
         e2 = np.cross(e3, e1)
         x, y, z = (e1[i] * plain[0] + e2[i] * plain[1] + e3[i] * plain[2] for i in range(3))
-        f2 = np.abs(prof(x, y, z)) ** 2
+        # the shared density, weights times A^2 exp(-|p - k|^2 / sigma_p^2), spelled by hand
+        kx, ky, kz = prof.center
+        q2 = (x - kx) ** 2 + (y - ky) ** 2 + (z - kz) ** 2
+        density = weights * np.exp(q2 * (-1.0 / prof.sigma_p**2)) * prof.amplitude**2
         radius = np.sqrt(x**2 + y**2 + z**2)
-        mean = [np.sum(weights * f2 * c / radius) for c in (x, y, z)]
+        mean = [np.sum(density * c / radius) for c in (x, y, z)]
         norm, got = check_profile_conditions(prof)
-        assert norm == float(np.sum(weights * f2))
+        assert norm == float(np.sum(density))
         assert got.tolist() == [float(m) for m in mean]
 
     def test_off_axis_near_lightspeed(self):
@@ -297,8 +303,14 @@ class TestMomentumState:
         p, weights = outer_product_points(
             spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2, axis)
         )
-        total = np.sum(weights * np.abs(state.envelope(*p)) ** 2)
-        assert state.norm() == float(np.sqrt(total))
+        # the shared density A^2 n^-3 exp(-|p - n k|^2 / (n sigma_p)^2) times the
+        # weights, spelled by hand
+        n, prof = state.label.n, state.profile
+        kx, ky, kz = (n * k for k in prof.center)
+        q2 = (p[0] - kx) ** 2 + (p[1] - ky) ** 2 + (p[2] - kz) ** 2
+        density = weights * np.exp(q2 * (-1.0 / (n * prof.sigma_p) ** 2)) * (
+            prof.amplitude**2 / n**3)
+        assert state.norm() == float(np.sqrt(np.sum(density)))
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.6, 0.6, 0.5)])

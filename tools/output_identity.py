@@ -19,9 +19,11 @@ One fixed list of runs is made on both trees, each run a fresh
 * CI's spin-down ``moments --grid 128,12``;
 * an ``evolve --n 1 --grid 64,16`` run on a state moving at 0.99 along
   x, off the z axis of the default spherical rule;
-* the five runs that must exit with an error and write nothing
+* the six runs that must exit with an error and write nothing
   (``ERROR_RUNS``), whose exit codes ``tests/test_cli.py`` asserts; one
-  sets figure1's step-halving tolerance to 0 before the command runs.
+  sets figure1's step-halving tolerance to 0 before the command runs,
+  and one evolves a state far narrower in momentum than the grid's
+  momentum step, whose discrete norm is refused.
 
 A run passes its config as ``config.ini`` and its output directory as
 ``out``, both relative to its own working directory, so the two trees'
@@ -93,6 +95,7 @@ ERROR_RUNS = (
     Run("error/evolve-unknown-key", "evolve", "[evolve]\ntime = 0 2\n"),
     Run("error/overlap-a-nan", "overlap", "[label]\na = nan 0 0\n"),
     Run("error/moments-grid-100-16", "moments", flags=("--grid", "100,16")),
+    Run("error/evolve-sigma-1e-30", "evolve", "[profile]\nsigma_p = 1e-30\n"),
 )
 
 

@@ -53,9 +53,8 @@ from .dynamics import evolve_report
 from .observables import Q_AXES, convolution_Rn, moments, overlap
 from .quadrature import QuadratureError
 from .spinor import SPIN_DOWN, SPIN_UP
-from .states import ProfileError, boosted_gaussian_profile, gaussian_profile, make_state
+from .states import MASS_TOL, ProfileError, boosted_gaussian_profile, gaussian_profile, make_state
 from .transform import (
-    MASS_TOL,
     CartesianGrid,
     GridError,
     log_slope,

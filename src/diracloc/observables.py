@@ -27,8 +27,9 @@ integrate it exactly; R_n's block sums are added with ``pairwise_sum``.
 The mean velocity can be formed two ways, as the spinor bilinear of
 alpha (``packed_current`` of the sampled spinor) or via the scalar
 weight p/E(p) (``momentum_moments``, from the envelope alone); the two
-coincide identically on positive-energy states, and both sum over
-``states.momentum_rule``, turned onto the envelope centre.
+coincide identically on positive-energy states, and share no rule: the
+first sums over ``states.momentum_rule``, the second over
+``states.radial_moment_rule``.
 
 Same-point bilinears need no spinor at all.  The unit eigenspinor
 gives u_s^dagger u_s = 1, u_up^dagger u_down = 0,
@@ -36,8 +37,8 @@ i u_s^dagger grad_p u_s = s (p x z)/(2E(E + m)) and sum_k |d_k u_s|^2 =
 1/(E(E + m)) + 1/(4E^4), so ``overlap`` is exactly 0 for opposite spins
 and a closed-form Gaussian product for same spins at equal times, and
 the whole-space moments of the density and current, norm, <x>, Delta_x
-and <xdot> (``momentum_moments``), are one scalar quadrature of the
-envelope: the closed forms the grid moments converge onto.
+and <xdot> (``momentum_moments``), are radial sums over the envelope:
+the certified closed forms the grid moments converge onto.
 
 Pointwise, |j(x)| <= rho(x) holds because every direction projection of
 alpha has spectrum {-1, +1}; the slab pass keeps the worst violation over
@@ -72,6 +73,7 @@ from .quadrature import (
     gauss_legendre,
     node_doubling,
     pairwise_sum,
+    spherical_rule,
     tensor_integrate,
 )
 from .spinor import (
@@ -83,12 +85,13 @@ from .spinor import (
     spinor_layout,
 )
 from .states import (
+    MOMENT_TOL,
     MomentumProfile,
     MomentumState,
     check_sequence_index,
-    envelope_density,
     envelope_gaussian,
     momentum_rule,
+    radial_moment_rule,
 )
 from .transform import PositionState
 
@@ -496,8 +499,8 @@ def convolution_Rn(
     s_max = n * profile.cutoff() + p_norm
     axis, axial = _rn_rule_axis(p, n * np.asarray(profile.center, dtype=float))
     return node_doubling(
-        evaluate,
-        ((0.0, inner, s_max), (64, 96), 48, 2 if axial else 32, axis),
+        lambda k: evaluate(spherical_rule((0.0, inner, s_max), (64 * k, 96 * k), 48 * k,
+                                          (2 if axial else 32) * k, axis)),
         tol=RN_TOL,
         label=f"R_n(p={tuple(float(c) for c in p)}, Q={q_operator}, n={n})",
     )
@@ -520,28 +523,35 @@ def momentum_moments(state: MomentumState) -> MomentSet:
     for either spin.  The cross term 2 t (p/E).B of <|x - a|^2> is 0
     pointwise.  Delta_x^2 = <|x - a|^2> - |<x> - a|^2; taken about a, not
     the origin, a far point costs no digits.  For the Gaussian envelope
-    grad F/F = -(p - c)/w (``envelope_gaussian``).  About the envelope
-    centre every integrand is an axial function times 1, cos phi or
-    sin phi, so the one pass over ``states.envelope_density`` integrates
-    it exactly in the azimuth.
+    grad F/F = -(p - c)/w, so its term is 3/(2w).  The rest are four sums
+    on ``states.radial_moment_rule`` (r = |p|, c = kappa c^), certified by
+    node doubling: norm = sum w0, <xdot> = c^ sum w1 r/E / norm, <x> - a =
+    t <xdot> + s (c^_y, -c^_x, 0) sum w1 r/(2E(E + m)) / norm, and
+    Delta_x^2 = 3/(2w) + sum w0 (S + t^2 r^2/E^2) / norm - |<x> - a|^2.
     """
-    p, q2, density = envelope_density(state.profile, state.label.n)
-    width2, _ = envelope_gaussian(state.profile, state.label.n)
-    e = energy_xyz(*p)
-    norm = float(np.sum(density))
-    flow = density / e
-    velocity = np.array([np.sum(flow * pk) for pk in p]) / norm
-    spin = density * (spinor_layout(state.label.spin).sign / (2.0 * e * (e + MASS)))
-    offset = state.time * velocity
-    offset[0] += np.sum(spin * p[1]) / norm
-    offset[1] -= np.sum(spin * p[0]) / norm
-    term = q2 * (1.0 / width2**2) + 1.0 / (e * (e + MASS)) + 0.25 / e**4
-    drift = state.time / e
-    for pk in p:
-        term += (drift * pk) ** 2
-    spread2 = np.sum(density * term) / norm - offset @ offset
+    profile, n, t = state.profile, state.label.n, state.time
+    width2, centre = envelope_gaussian(profile, n)
+    kappa = float(np.linalg.norm(centre))
+    direction = centre / kappa if kappa else centre
+
+    def evaluate(k):
+        r, w0, w1 = radial_moment_rule(profile, n, k)
+        e = energy_xyz(r, 0.0, 0.0)
+        flow = w1 * (r / e)
+        return np.array([np.sum(w0), np.sum(flow), np.sum(flow / (2.0 * (e + MASS))),
+                         np.sum(w0 * (1.0 / (e * (e + MASS)) + 0.25 / e**4 + (t * r / e) ** 2))])
+
+    norm, flow, spin, spread = node_doubling(
+        evaluate, lambda sums: MOMENT_TOL * np.array([1.0, 1.0, 1.0, sums[3]]),
+        f"momentum moments(n={n}, sigma_p={profile.sigma_p:g}, t={t:g})")
+    velocity = direction * (flow / norm)
+    offset = t * velocity
+    spin *= spinor_layout(state.label.spin).sign / norm
+    offset[0] += spin * direction[1]
+    offset[1] -= spin * direction[0]
+    spread2 = 1.5 / width2 + spread / norm - offset @ offset
     return MomentSet(
-        norm=norm,
+        norm=float(norm),
         mean_x=np.asarray(state.label.a) + offset,
         delta_x=float(np.sqrt(spread2)),
         mean_velocity=velocity,

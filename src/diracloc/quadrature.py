@@ -225,31 +225,21 @@ def spherical_rule(
     )
 
 
-def doubled(rule_args):
-    """Double every resolution entry of a spherical_rule argument tuple.
+def node_doubling(evaluate, tol, label: str):
+    """evaluate(2), certified against evaluate(1).
 
-    The tuple is (breaks, orders, n_theta, n_phi) with an optional fifth
-    entry, the rule axis, which is carried through unchanged.
+    ``evaluate(k)`` is the value (a number or an array) on the rule with
+    k times every node count.  ``tol`` bounds their difference entry by
+    entry: a number, an array, or a function of evaluate(2) giving either.
+    Beyond it, or at a NaN, ``QuadratureError`` starts with ``label``.
     """
-    breaks, orders, n_theta, n_phi, *axis = rule_args
-    return (breaks, tuple(2 * o for o in orders), 2 * n_theta, 2 * n_phi, *axis)
-
-
-def node_doubling(evaluate, rule_args, tol: float, label: str):
-    """The value at doubled resolution, certified against the base resolution.
-
-    ``evaluate`` maps a SphericalRule to a scalar; ``rule_args`` are the
-    base rule's ``spherical_rule`` arguments (``doubled``).  A difference
-    between the two values beyond ``tol`` raises ``QuadratureError``,
-    whose message starts with ``label``.
-    """
-    coarse = evaluate(spherical_rule(*rule_args))
-    fine = evaluate(spherical_rule(*doubled(rule_args)))
-    diff = abs(fine - coarse)
-    if not diff <= tol:  # NaN fails too
-        raise QuadratureError(
-            f"{label}: node-doubling disagreement {diff:.3e} exceeds {tol:.1e}"
-        )
+    coarse, fine = evaluate(1), evaluate(2)
+    diff = np.abs(fine - coarse)
+    bound = np.broadcast_to(tol(fine) if callable(tol) else tol, np.shape(diff))
+    failed = ~(diff <= bound)  # NaN fails too
+    if failed.any():
+        raise QuadratureError(f"{label}: node-doubling disagreement "
+                              f"{np.asarray(diff)[failed][0]:.3e} exceeds {bound[failed][0]:.1e}")
     return fine
 
 

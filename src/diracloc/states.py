@@ -23,21 +23,11 @@ is found on it by bisection down to adjacent doubles, in pure Python
 ``check_profile_conditions`` evaluates both defining integrals by
 quadrature; it is the oracle for the closed form.
 
-Every momentum-space reduction of a state (its norm, the profile
-conditions, and <xdot> and <x> in :mod:`diracloc.observables`) is
-integrated on one rule, ``momentum_rule``, whose polar axis is the
-envelope centre: about it the Gaussian is axially symmetric, so a state
-moving in any direction is resolved as well as one moving along z.
-Every other factor of those integrands (|p|, E(p), the components of
-p, p/|p|, and the spin term s (p x z)/(2E(E + m))) is axial or linear
-in p, so about the centre each integrand is an axial function times 1,
-cos phi or sin phi; the 2-point trapezoid in the azimuth integrates
-that exactly.  The rule has 2^15 = ``BLOCK_POINTS`` points, so each
-reduction takes them all at once (``SphericalRule.points``) and adds
-them with one ``np.sum``; F^2 there is ``envelope_density``'s.
-Because the eigenspinor is unit, ``MomentumState.norm`` sums that
-density alone; ``MomentumState.spinor`` builds the full
-four-component phi for the callers that need it.
+Every momentum-space reduction of a state (its norm, and <xdot>, <x>
+and Delta_x in :mod:`diracloc.observables`) sums over one certified
+radial rule, ``radial_moment_rule``, its angles integrated in closed
+form; u is unit, so ``MomentumState.norm`` sums F^2 alone.  The 3-D
+``momentum_rule`` serves only the oracles that must not share it.
 
 Profiles are restricted to Gaussians (plain and shifted); they satisfy
 the smoothness and decay demands of the construction with analytic
@@ -54,10 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SphericalRule, spherical_rule
+from .quadrature import SphericalRule, node_doubling, panel_rule, spherical_rule
 from .spinor import MASS, SPIN_DOWN, SPIN_UP, energy_xyz, fill_eigenspinor, spinor_layout
 
 PROFILE_CUTOFF_SIGMAS = 8.0  # Gaussian amplitude < 1e-14 past this radius
+MASS_TOL = 1e-2  # share of the envelope's mass a grid may leave beyond its Nyquist momentum
+MOMENT_NODES = 24  # nodes per panel of ``radial_moment_rule``, certified at twice as many
+MOMENT_TOL = 1e-12  # its node-doubling bound: absolute, the spread's sum relative to itself
 MAX_PROFILE_SPEED = 0.99  # mean-direction root-finding diverges beyond this
 
 
@@ -133,17 +126,17 @@ def check_sequence_index(n) -> None:
 
 
 def momentum_rule(profile: MomentumProfile, n: int) -> SphericalRule:
-    """The spherical rule of every momentum-space reduction at sequence index n.
+    """The 3-D spherical rule of the momentum-space oracles at sequence index n.
 
     Radial panels [0, min(4, p_max/2)] and [min(4, p_max/2), p_max] with
     p_max = n * profile.cutoff(), 128 nodes each, resolve both the O(1)
     spinor scale and the envelope; 64 polar and 2 azimuth nodes.  The
     polar axis is the profile centre (z if none), about which the
     envelope is axially symmetric, so one rule serves every direction of
-    v.  Every integrand of the reductions is, about that axis, an axial
+    v.  Every integrand of the oracles is, about that axis, an axial
     function times 1, cos phi or sin phi, which the 2-point trapezoid in
     phi integrates exactly.  The rule has 2^15 = ``BLOCK_POINTS``
-    points, few enough to build whole.
+    points, few enough to build whole, and is not certified.
     """
     p_max = n * profile.cutoff()
     axis = None if profile.is_symmetric else profile.center
@@ -165,29 +158,74 @@ def envelope_gaussian(profile: MomentumProfile, n: int):
     return width**2, centre
 
 
-def envelope_density(profile: MomentumProfile, n: int):
-    """(p, q2, F^2 times the weights) at the points p of ``momentum_rule(profile, n)``,
-    q2 = |p - c|^2: F^2 = A^2 n^-3 exp(-q2/w), the one density the reductions read."""
-    width2, centre = envelope_gaussian(profile, n)
-    p, density = momentum_rule(profile, n).points()
-    q2 = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2 + (p[2] - centre[2]) ** 2
-    density *= np.exp(q2 * (-1.0 / width2))
-    density *= profile.amplitude**2 / n**3
-    return p, q2, density
-
-
 def check_profile_conditions(profile: MomentumProfile):
     """Return (norm, mean_direction): the two defining profile integrals.
 
     norm = integral |f|^2 d^3p and mean_direction =
-    integral |f|^2 p/|p| d^3p, summed over ``envelope_density(profile, 1)``.
+    integral |f|^2 p/|p| d^3p, summed over ``momentum_rule(profile, 1)``.
     Callers assert norm ~ 1 and mean_direction ~ v.  The rule's polar
     axis is the profile centre, about which |f|^2 is axially symmetric
     and p/|p| a first harmonic in the azimuth.
     """
-    p, _, density = envelope_density(profile, 1)
+    width2, centre = envelope_gaussian(profile, 1)
+    p, density = momentum_rule(profile, 1).points()
+    q2 = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2 + (p[2] - centre[2]) ** 2
+    density *= np.exp(q2 * (-1.0 / width2))
+    density *= profile.amplitude**2
     radius = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)  # > 0: no node at the origin
     return float(np.sum(density)), np.sum(density * p / radius, axis=1)
+
+
+# 1/(k! (2k+3)!!), k = 0..11: at |u| <= 1/2 the first term left out is below 2^-86 of the sum
+_BESSEL1_SERIES = tuple(
+    1.0 / (math.factorial(k) * math.prod(range(2 * k + 3, 0, -2))) for k in range(12)
+)
+
+
+def bessel1_series(u):
+    """sum_k u^k / (k! (2k+3)!!) by Horner: j1(x)/x at u = -x^2/2, i1(z)/z at u = z^2/2."""
+    total = np.full_like(u, _BESSEL1_SERIES[-1])
+    for c in _BESSEL1_SERIES[-2::-1]:
+        total *= u
+        total += c
+    return total
+
+
+def scaled_bessel_i01(z):
+    """(e^-z i0(z), e^-z i1(z)), z >= 0: -expm1(-2z)/(2z) (1 at 0) and
+    ((z - 1) + (z + 1) e^(-2z))/(2z^2), below z = 1 from ``bessel1_series``."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0/0 at z = 0, replaced below
+        i0 = np.expm1(-2.0 * z) / (-2.0 * z)
+        i1 = ((z - 1.0) + (z + 1.0) * np.exp(-2.0 * z)) / (2.0 * z * z)
+    i0[z == 0.0] = 1.0
+    zs = z[z < 1.0]
+    i1[z < 1.0] = np.exp(-zs) * zs * bessel1_series(0.5 * zs * zs)
+    return i0, i1
+
+
+def radial_moment_rule(profile: MomentumProfile, n: int, k: int):
+    """(r, w0, w1): int F^2 g(|p|) d^3p = sum w0 g(r), int F^2 p g(|p|) d^3p = c^ sum w1 r g(r).
+
+    Gauss-Legendre, k ``MOMENT_NODES`` nodes per panel, on [0, n cutoff]
+    broken at the octaves 1, 2, 4, ... (where E(p) changes scale) and at
+    kappa + 2 j sqrt(w), |j| <= 4, for F^2 = A^2 n^-3 exp(-|p - c|^2/w),
+    kappa = |c| (``envelope_gaussian``).  With z = 2 r kappa/w the angles
+    integrate exactly: w0, w1 = 4 pi r^2 A^2 n^-3 e^(-(r - kappa)^2/w)
+    (e^-z i0(z), e^-z i1(z)) times the panel weights, formed in u =
+    r/sqrt(w), where they stay finite at every allowed width.
+    """
+    width2, centre = envelope_gaussian(profile, n)
+    width, kappa = math.sqrt(width2), float(np.linalg.norm(centre))
+    p_max = n * profile.cutoff()
+    octaves = [2.0**j for j in range(max(0, math.ceil(math.log2(p_max))))]
+    around = [kappa + 2.0 * j * width for j in range(-4, 5)]
+    breaks = np.unique([0.0, p_max, *(b for b in octaves + around if 0.0 < b < p_max)])
+    r, weights = panel_rule(breaks, [k * MOMENT_NODES] * (breaks.size - 1))
+    u, u_c = r / width, kappa / width
+    radial = (4.0 / math.sqrt(math.pi)) * (u * u) * (weights / width) * np.exp(-((u - u_c) ** 2))
+    i0, i1 = scaled_bessel_i01(2.0 * u * u_c)
+    return r, radial * i0, radial * i1
 
 
 def gaussian_profile(sigma_p: float = 1.0) -> MomentumProfile:
@@ -320,15 +358,17 @@ class MomentumState:
         weight /= np.sqrt(2.0 * e * e_plus_m)
         return fill_eigenspinor(out, weight, e_plus_m, px, py, pz, self.label.spin)
 
-    def momentum_support(self, mass_tol: float) -> float:
-        """Radius containing all but ``mass_tol`` of the |phi|^2 mass."""
-        q = _gaussian_tail_radius(mass_tol)
+    def momentum_support(self) -> float:
+        """Radius containing all but ``MASS_TOL`` of the |phi|^2 mass."""
+        q = _gaussian_tail_radius(MASS_TOL)
         return self.label.n * float(np.linalg.norm(self.profile.center) + q * self.profile.sigma_p)
 
     def norm(self) -> float:
-        """||phi|| = sqrt(int F^2 d^3p), summed over ``envelope_density``: u is unit."""
-        _, _, density = envelope_density(self.profile, self.label.n)
-        return float(np.sqrt(np.sum(density)))
+        """||phi|| = sqrt(sum w0) on ``radial_moment_rule`` (u is unit), certified
+        by node doubling within ``MOMENT_TOL`` or refused with ``QuadratureError``."""
+        profile, n = self.profile, self.label.n
+        return math.sqrt(node_doubling(lambda k: np.sum(radial_moment_rule(profile, n, k)[1]),
+                                       MOMENT_TOL, f"norm(n={n}, sigma_p={profile.sigma_p:g})"))
 
 
 def make_state(

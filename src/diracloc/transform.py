@@ -62,7 +62,7 @@ from .quadrature import BLOCK_POINTS, QuadratureError
 from .spinor import (
     MASS, SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout,
 )
-from .states import MomentumProfile, MomentumState, check_sequence_index
+from .states import MASS_TOL, MomentumProfile, MomentumState, bessel1_series, check_sequence_index
 
 # The trapezoid momentum rule of the radial path (``radial_curve``).  rho
 # decays like e^(-2 m r), so the rule's images and the mass TAIL_RADIUS
@@ -85,8 +85,6 @@ TABLE_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
 # the h/2 rule's transforms: 2^21 points, 16 MB per real array
 MAX_FFT_LENGTH = 2**21
-# share of the momentum-space probability a grid may leave beyond its Nyquist momentum
-MASS_TOL = 1e-2
 # bytes per cell of position_state_cartesian's result: the three nonzero
 # spinor slots, complex
 GRID_BYTES_PER_CELL = 3 * 16
@@ -234,7 +232,7 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
     transformed in place, axis 2 first, so the values are those of
     ``ifftn`` over all three axes to the bit.
     """
-    support = state.momentum_support(MASS_TOL)
+    support = state.momentum_support()
     if grid.nyquist < support:
         n, L = grid.n_points, grid.extent
         # Nyquist pi N / L >= support: the smallest such power-of-two N at this
@@ -285,13 +283,6 @@ def position_state_cartesian(state: MomentumState, grid: CartesianGrid) -> Posit
     return PositionState(grid=grid, psi=psi, layout=layout)
 
 
-# 1/(k! (2k+3)!!), k = 0..11: the power series of j1(x)/x in -x^2/2.  At
-# x <= 1 the first term left out (k = 12) is below 2^-86 of the sum.
-_J1_SERIES = tuple(
-    1.0 / (math.factorial(k) * math.prod(range(2 * k + 3, 0, -2))) for k in range(12)
-)
-
-
 def _spherical_j01(x):
     """(j0(x), j1(x)) for x >= 0 from one sin and one cos of x.
 
@@ -299,7 +290,7 @@ def _spherical_j01(x):
     scipy's ``spherical_jn`` itself takes there, so the values are the
     same to the bit; j0(0) = 1.  At x <= 1 that difference cancels, and
     j1 is the series x sum_k (-x^2/2)^k / (k! (2k+3)!!) by Horner in
-    ``_J1_SERIES``, within 2 ulp of the exact value on (0, 1] (scipy's
+    ``states.bessel1_series``, within 2 ulp of the exact value on (0, 1] (scipy's
     ``spherical_jn`` is off it by tens of ulp there, hundreds at tiny x).
     """
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0, replaced below
@@ -313,10 +304,7 @@ def _spherical_j01(x):
     xs = x[small]
     u = xs * xs
     u *= -0.5
-    series = np.full_like(xs, _J1_SERIES[-1])
-    for c in _J1_SERIES[-2::-1]:
-        series *= u
-        series += c
+    series = bessel1_series(u)
     series *= xs
     j1[small] = series
     return j0, j1

@@ -17,8 +17,12 @@ using i u^dagger grad u and sum_k |d_k u|^2 in closed form.
 the rule of ``overlap_quadrature``, which folds the scalar parts into
 its axis weights instead.
 ``oracle_momentum_rule`` is ``momentum_rule`` with 32 azimuth nodes in
-place of 2, and inside ``on_oracle_rule`` every library reduction
-integrates on it.
+place of 2, and inside ``on_oracle_rule`` the two library reductions
+that read ``momentum_rule``, ``check_profile_conditions`` and the
+spinor form of ``mean_velocity_two_ways``, integrate on it.
+``rule_moments`` is ``momentum_moments`` as one sum over the points of
+a 3-D rule, ``oracle_momentum_rule`` by default: its angles and the
+envelope's |grad F|^2 term are summed, not integrated in closed form.
 """
 
 from contextlib import contextmanager
@@ -28,9 +32,10 @@ from unittest import mock
 import numpy as np
 
 from diracloc import observables, states
+from diracloc.observables import MomentSet
 from diracloc.quadrature import BLOCK_POINTS, gauss_legendre, spherical_rule, tensor_integrate
 from diracloc.spinor import ALPHA, MASS, energy_xyz, spinor_layout
-from diracloc.states import momentum_rule
+from diracloc.states import envelope_gaussian, momentum_rule
 
 
 def oracle_momentum_rule(profile, n):
@@ -42,11 +47,40 @@ def oracle_momentum_rule(profile, n):
 
 @contextmanager
 def on_oracle_rule():
-    """The norm, the profile check, <xdot> and <x> integrate on
-    ``oracle_momentum_rule`` while the context is open."""
+    """``check_profile_conditions`` and the spinor form of
+    ``mean_velocity_two_ways`` integrate on ``oracle_momentum_rule``
+    while the context is open; the radial rule of the norm and of
+    ``momentum_moments`` is not touched."""
     with mock.patch.object(states, "momentum_rule", oracle_momentum_rule), \
             mock.patch.object(observables, "momentum_rule", oracle_momentum_rule):
         yield
+
+
+def rule_moments(state, rule=None):
+    """``momentum_moments`` from F^2 times the weights at every point of a
+    3-D rule (default ``oracle_momentum_rule``): norm = sum F^2, <xdot> =
+    sum F^2 p/E / norm, <x> - a = sum F^2 (t p/E + B) / norm and
+    <|x - a|^2> = sum F^2 (|p - c|^2/w^2 + t^2 |p|^2/E^2 + S) / norm."""
+    n = state.label.n
+    width2, centre = envelope_gaussian(state.profile, n)
+    p, density = (rule or oracle_momentum_rule(state.profile, n)).points()
+    q2 = (p[0] - centre[0]) ** 2 + (p[1] - centre[1]) ** 2 + (p[2] - centre[2]) ** 2
+    density *= np.exp(q2 * (-1.0 / width2))
+    density *= state.profile.amplitude**2 / n**3
+    e = energy_xyz(*p)
+    norm = float(np.sum(density))
+    flow = density / e
+    velocity = np.array([np.sum(flow * pk) for pk in p]) / norm
+    spin = density * (spinor_layout(state.label.spin).sign / (2.0 * e * (e + MASS)))
+    offset = state.time * velocity
+    offset[0] += np.sum(spin * p[1]) / norm
+    offset[1] -= np.sum(spin * p[0]) / norm
+    term = q2 / width2 / width2 + 1.0 / (e * (e + MASS)) + 0.25 / e**4
+    drift = state.time / e
+    for pk in p:
+        term += (drift * pk) ** 2
+    spread2 = np.sum(density * term) / norm - offset @ offset
+    return MomentSet(norm, np.asarray(state.label.a) + offset, float(np.sqrt(spread2)), velocity)
 
 
 def bilinear_current(psi):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracloc import observables, quadrature
+from diracloc import observables, states
 from diracloc.dynamics import probability_outside
 from diracloc.observables import (
     _margin,
@@ -37,15 +37,16 @@ from diracloc.spinor import (
     spinor_layout,
 )
 from diracloc.states import (
+    MASS_TOL,
     MomentumProfile,
     MomentumState,
     ProfileError,
     boosted_gaussian_profile,
     check_profile_conditions,
     make_state,
+    momentum_rule,
 )
 from diracloc.transform import (
-    MASS_TOL,
     CartesianGrid,
     PositionState,
     density_field,
@@ -62,6 +63,7 @@ from momentum_oracles import (
     on_oracle_rule,
     pointwise_overlap,
     pointwise_rn_integral,
+    rule_moments,
     spinor_norm,
     z_axis_rn,
 )
@@ -479,20 +481,23 @@ def test_rule_reduction_peak_memory_is_block_sized(reduce):
 )
 def test_two_azimuth_nodes_match_the_32_node_rule(v, n, sigma_p, t, a, spin):
     # about the envelope centre every integrand is an axial function times
-    # 1, cos phi or sin phi, which the 2-point trapezoid integrates exactly
+    # 1, cos phi or sin phi, which the 2-point trapezoid integrates exactly:
+    # the two readers of momentum_rule meet it at 32 azimuth nodes, and the
+    # radial rule of the norm and the moments meets the 3-D moment sum there
     state = replace(make_state(a=a, v=v, spin=spin, n=n, sigma_p=sigma_p), time=t)
 
-    def reductions():
+    def rule_reductions():
         norm, mean = check_profile_conditions(state.profile)
-        m = momentum_moments(state)
-        return np.concatenate([
-            [state.norm(), norm], mean, *mean_velocity_two_ways(state),
-            [m.norm, m.delta_x], m.mean_x, m.mean_velocity,
-        ])
+        return np.concatenate([[norm], mean, mean_velocity_two_ways(state)[0]])
 
-    got = reductions()
+    got = rule_reductions()
     with on_oracle_rule():
-        expected = reductions()
+        expected = rule_reductions()
+    assert np.abs(got - expected).max() <= 1e-14
+    m, oracle = momentum_moments(state), rule_moments(state)
+    got = np.concatenate([[state.norm() ** 2, m.norm, m.delta_x], m.mean_x, m.mean_velocity])
+    expected = np.concatenate([[oracle.norm, oracle.norm, oracle.delta_x], oracle.mean_x,
+                               oracle.mean_velocity])
     assert np.abs(got - expected).max() <= 1e-14
 
 
@@ -617,7 +622,7 @@ class TestMomentumMoments:
         # truncation, which the 128^3 grid on the same box removes
         state = replace(make_state(a=a, v=v, spin=spin, n=n), time=t)
         exact = momentum_moments(state)
-        extent = math.floor(100.0 * math.pi * 64 / state.momentum_support(MASS_TOL)) / 100.0
+        extent = math.floor(100.0 * math.pi * 64 / state.momentum_support()) / 100.0
         assume(extent / 2 - np.abs(exact.mean_x).max() - 3.0 * exact.delta_x >= 4.5)
 
         def gap(points):
@@ -627,6 +632,36 @@ class TestMomentumMoments:
                        abs(m.delta_x - exact.delta_x))
 
         assert gap(128) < 1e-2 * gap(64)
+
+    def test_rule_cut_to_four_nodes_per_panel_is_refused(self, monkeypatch):
+        # 4 -> 8 nodes per panel disagree near 1e-5, far beyond MOMENT_TOL
+        monkeypatch.setattr(states, "MOMENT_NODES", 4)
+        state = make_state(v=(0.3, -0.2, 0.4), n=3)
+        with pytest.raises(QuadratureError, match="^momentum moments"):
+            momentum_moments(state)
+        with pytest.raises(QuadratureError, match="^norm"):
+            state.norm()
+
+    @pytest.mark.parametrize("t", [1e4, 1e6])
+    def test_late_times_are_certified(self, t):
+        # the spread's sum grows like t^2 and is certified relative to itself;
+        # the 3-D rule momentum_moments summed before is the reference
+        state = replace(make_state(v=(0.0, 0.0, 0.5), n=1, sigma_p=0.01), time=t)
+        m = momentum_moments(state)
+        old = rule_moments(state, momentum_rule(state.profile, 1))
+        for got, expected in [(m.norm, old.norm), (m.delta_x, old.delta_x),
+                              (m.mean_x, old.mean_x), (m.mean_velocity, old.mean_velocity)]:
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma_p", [2.0**-260, 1e-100])
+    def test_narrow_envelope_spread_is_finite(self, sigma_p):
+        # |grad F|^2/F^2 averages to 3/(2w) exactly; summed as |p - c|^2/w^2 it
+        # read inf at 2^-260 and divided by zero at 1e-100.  Near p = 0,
+        # S = 1/(E(E + m)) + 1/(4E^4) is 3/4
+        m = momentum_moments(make_state(n=1, sigma_p=sigma_p))
+        expected = math.sqrt(1.5 / sigma_p**2 + 0.75)  # w = sigma_p^2 at n = 1
+        assert abs(m.delta_x / expected - 1.0) <= 1e-15
 
 
 Q_MATRICES = {"identity": I4, "alpha1": ALPHA[0], "alpha2": ALPHA[1], "alpha3": ALPHA[2]}
@@ -880,13 +915,13 @@ class TestAlignedRnRule:
     ])
     def test_azimuth_count_and_axis(self, monkeypatch, v, p, axis, n_phi):
         calls = []
-        original = quadrature.spherical_rule
+        original = observables.spherical_rule
 
         def spy(radial_breaks, radial_orders, n_theta=48, n_phi=32, axis=None):
             calls.append((n_phi, axis))
             return original(radial_breaks, radial_orders, n_theta, n_phi, axis)
 
-        monkeypatch.setattr(quadrature, "spherical_rule", spy)
+        monkeypatch.setattr(observables, "spherical_rule", spy)
         profile = boosted_gaussian_profile(v)
         convolution_Rn(profile, 4, p)
         assert [count for count, _ in calls] == [n_phi, 2 * n_phi]

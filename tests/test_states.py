@@ -1,5 +1,7 @@
 """Profiles, localization labels and momentum-state construction."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,9 +9,12 @@ from scipy.special import chdtri, erfc
 
 from diracloc.dynamics import NRPacketParams
 from diracloc.observables import convolution_Rn
-from diracloc.quadrature import BLOCK_POINTS, doubled, spherical_rule
+from diracloc.quadrature import (
+    BLOCK_POINTS, QuadratureError, node_doubling, panel_rule, spherical_rule,
+)
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
+    MOMENT_NODES,
     LocalizationLabel,
     MAX_PROFILE_SPEED,
     MomentumProfile,
@@ -25,6 +30,8 @@ from diracloc.states import (
     mean_flow,
     mean_flow_root,
     momentum_rule,
+    radial_moment_rule,
+    scaled_bessel_i01,
 )
 from diracloc.transform import radial_components, radial_curve
 from harness import memory_probe
@@ -296,21 +303,27 @@ class TestMomentumState:
         assert np.abs(outer - expected).max() <= 1e-15 * np.abs(expected).max()
 
     @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.3)])
-    def test_norm_blocks_add_to_whole_rule_sum(self, v):
+    def test_norm_is_the_doubled_radial_rule_sum(self, v):
         state = make_state(v=v, n=3)
-        cut = state.label.n * state.profile.cutoff()
-        axis = None if state.profile.is_symmetric else state.profile.center
-        p, weights = outer_product_points(
-            spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2, axis)
-        )
-        # the shared density A^2 n^-3 exp(-|p - n k|^2 / (n sigma_p)^2) times the
-        # weights, spelled by hand
         n, prof = state.label.n, state.profile
-        kx, ky, kz = (n * k for k in prof.center)
-        q2 = (p[0] - kx) ** 2 + (p[1] - ky) ** 2 + (p[2] - kz) ** 2
-        density = weights * np.exp(q2 * (-1.0 / (n * prof.sigma_p) ** 2)) * (
-            prof.amplitude**2 / n**3)
-        assert state.norm() == float(np.sqrt(np.sum(density)))
+        r, w0, _ = radial_moment_rule(prof, n, 2)
+        assert state.norm() == math.sqrt(float(np.sum(w0)))
+        # the rule by hand: panels break at the octaves below p_max and at
+        # kappa + 2 j sqrt(w), |j| <= 4; w0 is the panel weights times 4 pi
+        # r^2 A^2 n^-3 e^(-(r - kappa)^2/w) times the mean of e^(-z (1 - cos
+        # theta)) over the sphere, (1 - e^(-2z))/(2z)
+        width, kappa = n * prof.sigma_p, n * np.linalg.norm(prof.center)
+        p_max = n * prof.cutoff()
+        breaks = sorted({0.0, p_max, *(2.0**j for j in range(8) if 2.0**j < p_max),
+                         *(kappa + 2 * j * width for j in range(-4, 5)
+                           if 0.0 < kappa + 2 * j * width < p_max)})
+        nodes, weights = panel_rule(breaks, [2 * MOMENT_NODES] * (len(breaks) - 1))
+        assert np.abs(r - nodes).max() <= 1e-15 * p_max
+        z = 2.0 * r * kappa / width**2
+        mean = np.where(z > 0.0, -np.expm1(-2.0 * z) / np.where(z > 0.0, 2.0 * z, 1.0), 1.0)
+        by_hand = (weights * 4.0 * np.pi * r**2 * prof.amplitude**2 / n**3
+                   * np.exp(-((r - kappa) ** 2) / width**2) * mean)
+        assert np.abs(w0 - by_hand).max() <= 1e-15 * w0.max()
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.6, 0.6, 0.5)])
@@ -320,8 +333,8 @@ class TestMomentumState:
         assert abs(make_state(v=v, n=n).norm() - 1.0) <= 1e-13
 
     def test_norm_peak_memory_is_block_sized(self):
-        # the rule is one BLOCK_POINTS block, built whole: only its points
-        # and their temporaries are live
+        # the radial rule, a few hundred nodes at either node count, and its
+        # temporaries are all that is live
         state = make_state(v=(0.2, -0.1, 0.3), n=2)
         state.norm()  # warm the node caches
         with memory_probe() as mem:
@@ -391,12 +404,58 @@ class TestRuleAxis:
         with pytest.raises(ValueError, match="nonzero"):
             spherical_rule(self.BREAKS, self.ORDERS, 12, 8, (0.0, 0.0, 0.0))
 
-    def test_doubling_keeps_the_axis(self):
-        axis = (0.3, -0.2, 0.4)
-        assert doubled((self.BREAKS, self.ORDERS, 12, 2, axis)) == (
-            self.BREAKS, (48, 80), 24, 4, axis
-        )
-        assert doubled((self.BREAKS, self.ORDERS, 12, 2)) == (self.BREAKS, (48, 80), 24, 4)
+
+
+class TestScaledBessel:
+    Z = np.concatenate([
+        [0.0, 1e-8, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)],
+        np.geomspace(1e-6, 700.0, 2000), np.linspace(0.0, 700.0, 7001)[1:],
+    ])
+
+    def test_matches_scipy(self):
+        # i_k(z) = sqrt(pi/(2z)) I_(k+1/2)(z); scipy's ive there is itself off
+        # the exact value by up to 2.6e-14 near z = 20
+        from scipy.special import ive
+
+        i0, i1 = scaled_bessel_i01(self.Z)
+        assert i0[0] == 1.0 and i1[0] == 0.0
+        z = self.Z[1:]
+        for k, got in enumerate((i0[1:], i1[1:])):
+            expected = np.sqrt(np.pi / (2.0 * z)) * ive(k + 0.5, z)
+            assert np.abs(got / expected - 1.0).max() <= 5e-14
+
+    def test_series_meets_closed_form_at_one(self):
+        # e^-z i1 from the series just below z = 1 and the closed form at 1
+        _, below = scaled_bessel_i01(np.array([np.nextafter(1.0, 0.0)]))
+        _, at = scaled_bessel_i01(np.array([1.0]))
+        assert abs(below[0] / at[0] - 1.0) <= 1e-15
+
+
+class TestNodeDoubling:
+    @staticmethod
+    def sums(k):
+        return np.array([1.0, 1.0 + 2.0**-43 * k])
+
+    def test_value_is_evaluated_at_twice_the_nodes(self):
+        calls = []
+
+        def evaluate(k):
+            calls.append(k)
+            return self.sums(k)
+
+        assert node_doubling(evaluate, 1e-12, "sums").tolist() == self.sums(2).tolist()
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize("tol", [1e-14, np.array([1.0, 1e-14]), lambda value: 1e-14 * value],
+                             ids=["number", "array", "relative"])
+    def test_difference_beyond_tol_raises(self, tol):
+        with pytest.raises(QuadratureError,
+                           match=r"^sums: node-doubling disagreement 1\.137e-13 exceeds 1\.0e-14$"):
+            node_doubling(self.sums, tol, "sums")
+
+    def test_nan_raises(self):
+        with pytest.raises(QuadratureError, match="nan exceeds inf"):
+            node_doubling(lambda k: np.array([1.0, np.nan]), np.inf, "sums")
 
 
 class TestStatePointwiseStructure:
@@ -425,4 +484,4 @@ class TestStatePointwiseStructure:
 
     def test_momentum_support_scales_with_n(self):
         s2, s8 = make_state(n=2), make_state(n=8)
-        assert s8.momentum_support(1e-2) == pytest.approx(4 * s2.momentum_support(1e-2))
+        assert s8.momentum_support() == pytest.approx(4 * s2.momentum_support())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracloc.cli import FIGURE1_R_COUNT, FIGURE1_R_MAX
 from diracloc.dynamics import evolve_free
 from diracloc.observables import moments, momentum_moments
 from diracloc.quadrature import BLOCK_POINTS, QuadratureError, _leggauss, gauss_legendre
@@ -17,6 +18,7 @@ from grid_oracles import angular_average, sampled_psi
 from harness import memory_probe
 from radial_oracles import (
     gl_radial_density,
+    momentum_space_delta_x,
     position_space_delta_x,
     scipy_spherical_j01,
     two_panel_delta_x,
@@ -213,6 +215,14 @@ class TestMomentumMomentsDeltaX:
         expected = two_panel_delta_x(gaussian_profile(sigma_p), n)
         delta_x = momentum_moments(make_state(n=n, sigma_p=sigma_p)).delta_x
         assert delta_x == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("n, sigma_p", [(200, 2.0), (500, 1.0)])
+    def test_meets_momentum_space_and_figure1_references(self, n, sigma_p):
+        # the 3-D product rule summed before read 1.2e-11 and 8.3e-11 off here
+        delta_x = momentum_moments(make_state(n=n, sigma_p=sigma_p)).delta_x
+        curve = radial_curve(gaussian_profile(sigma_p), n, FIGURE1_R_MAX, FIGURE1_R_COUNT, (1.0,))
+        for expected in (momentum_space_delta_x(sigma_p, n), curve.delta_x):
+            assert abs(delta_x / expected - 1.0) <= 1e-14
 
 
 class TestRadialCurve:

@@ -102,8 +102,7 @@ def _choice(values: dict):
     return parse
 
 
-_parse_spin = _choice({"+0.5": SPIN_UP, "0.5": SPIN_UP, "up": SPIN_UP, "+": SPIN_UP,
-                       "-0.5": SPIN_DOWN, "down": SPIN_DOWN, "-": SPIN_DOWN})
+_parse_spin = _choice({"up": SPIN_UP, "down": SPIN_DOWN})
 PROFILE_KINDS = ("gaussian", "boosted_gaussian")
 FIGURE1_R_MAX = 6.0
 FIGURE1_R_COUNT = 601
@@ -214,15 +213,17 @@ def cmd_figure1(cfg: RunConfig) -> tuple[int, dict]:
 
     Each curve comes from ``radial_curve``: the table, the norm,
     ``delta_x`` and ``prob_inside_r1`` from one trapezoid momentum rule
-    and its rffts, certified by halving the rule's step, so they resolve
-    the state whatever its width.  The table holds ``FIGURE1_R_COUNT``
-    radii on [0, ``FIGURE1_R_MAX``].  The norm and the full-space spread
+    and its rffts, certified by halving the rule's step (one
+    ``quadrature.node_doubling`` call), so they resolve the state
+    whatever its width.  The table holds ``FIGURE1_R_COUNT`` radii on
+    [0, ``FIGURE1_R_MAX``].  The norm and the full-space spread
     ``delta_x`` are sums over the radius grid, out to 20/m beyond them
     and over 60 widths 1/(n sigma_p).  ``rho_at_origin`` and
     ``tail_log_slope`` come from the emitted table.
-    A curve the step halving cannot certify (``QuadratureError``), or
-    whose norm is not within the ``state_norms`` bound of 1, is refused,
-    so no curve and no summary is written.
+    A curve the step halving cannot certify (``QuadratureError``, whose
+    message names n and sigma_p), or whose norm is not within the
+    ``state_norms`` bound of 1, is refused, so no curve and no summary
+    is written.
     """
     if any(cfg.a) or any(cfg.v_target) or cfg.profile_kind != "gaussian":
         raise ConfigError("figure1 requires the symmetric case: a = 0, v = 0, gaussian profile")

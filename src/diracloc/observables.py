@@ -356,7 +356,7 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
         alpha_i:  (E_q+m)(s_i + sign i eps_ij3 s_j)
                   + (E_s+m)(q_i + sign i eps_ji3 q_j)
 
-    The rule is walked on its factors (``SphericalRule.directions``).
+    The rule is walked on its factors, radial nodes times directions.
     With s = r d these are q.s = r (r - d.p), (q x s)_3 = r (p_1 d_0 -
     p_0 d_1), s_i = r d_i and q_i = s_i - p_i, and the two squared
     distances take the cancellation-free form |s - a|^2 = (r - d.a)^2 +
@@ -385,7 +385,7 @@ def _rn_integral(profile: MomentumProfile, n: int, p, q_operator: str, spin):
     twist = -sign if i == 1 else sign
 
     def evaluate(rule: SphericalRule) -> complex:
-        d, angular = rule.directions()
+        d, angular = rule.directions, rule.angular_weights
         d_p = _dot(p, d)
         q_perp = 1.0 + _cross2(p, d)  # 1 + |q|^2 = (r - d.p)^2 + q_perp
         # -|s - mid|^2 / width^2 = mid_perp - (r / width - d_mid)^2
@@ -538,8 +538,9 @@ def momentum_moments(state: MomentumState) -> MomentSet:
         r, w0, w1 = radial_moment_rule(profile, n, k)
         e = energy_xyz(r, 0.0, 0.0)
         flow = w1 * (r / e)
+        terms = 1.0 / (e * (e + MASS)) + (0.5 / (e * e)) ** 2 + (t * r / e) ** 2
         return np.array([np.sum(w0), np.sum(flow), np.sum(flow / (2.0 * (e + MASS))),
-                         np.sum(w0 * (1.0 / (e * (e + MASS)) + 0.25 / e**4 + (t * r / e) ** 2))])
+                         np.sum(w0 * terms)])
 
     norm, flow, spin, spread = node_doubling(
         evaluate, lambda sums: MOMENT_TOL * np.array([1.0, 1.0, 1.0, sums[3]]),

@@ -16,18 +16,18 @@ Two workhorses:
   panels keep the rule spectrally accurate on both scales.  The polar
   axis is z unless the caller turns it onto another direction: about an
   axis of symmetry of the integrand the azimuth carries only low
-  harmonics, which a few trapezoid nodes integrate exactly.  A rule
-  gives either every point's world coordinates at once
-  (``SphericalRule.points``, for a rule of at most ``BLOCK_POINTS``
-  points) or, for an integrand that depends on a point only through
-  its radius and a few projections of its direction, its unit
-  directions (``SphericalRule.directions``), which the caller walks
-  against the radial nodes a block at a time.  Both come from one
-  construction of the world coordinates at given radii.
+  harmonics, which a few trapezoid nodes integrate exactly.  A rule is
+  its radial nodes times its unit directions in the world frame
+  (``SphericalRule``): ``points`` builds every point r d at once, for
+  a rule of at most ``BLOCK_POINTS`` points, and an integrand that
+  depends on a point only through its radius and a few projections of
+  its direction walks the directions against the radial nodes a block
+  at a time.
 
-Convergence of any rule can be certified by doubling every node count
-and comparing (``node_doubling``), which raises :class:`QuadratureError`
-when the doubled rule disagrees beyond the caller's tolerance.
+Every quadrature certificate of the library is one ``node_doubling``
+call: the value on a rule with every node count doubled (or, for a
+trapezoid rule, its step halved) against the value on the base rule,
+refused with :class:`QuadratureError` beyond the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -117,51 +117,22 @@ def panel_rule(breaks, orders):
 class SphericalRule:
     """3-D product rule: sum(weights * f(x, y, z)) ~ integral.
 
-    Holds the 1-D factor rules; ``points`` builds the flattened points
-    (radial node slowest, azimuth fastest).  With a ``frame`` (rows e1,
-    e2, e3, e3 the polar axis) each point of the z-axis rule is carried
-    to x_i = e1_i x + e2_i y + e3_i z; the weights are unchanged.
+    The radial nodes ``r`` (weights ``r2_weights``, r^2 included) times
+    the unit ``directions`` (3, n_theta * n_phi) in the world frame,
+    polar node slowest and azimuth fastest (weights ``angular_weights``):
+    the rule's points are r d.
     """
 
     r: np.ndarray
     r2_weights: np.ndarray  # radial weight times r^2
-    cos_theta: np.ndarray
-    sin_theta: np.ndarray
-    theta_weights: np.ndarray
-    cos_phi: np.ndarray
-    sin_phi: np.ndarray
-    phi_weight: float
-    frame: np.ndarray | None = None
-
-    def _world(self, radii) -> np.ndarray:
-        """(3, radii.size * n_theta * n_phi): the rule's points at ``radii``
-        in the world frame, radius slowest and azimuth fastest."""
-        r = radii[:, None, None]
-        r_sin = r * self.sin_theta[None, :, None]
-        local = (r_sin * self.cos_phi, r_sin * self.sin_phi, r * self.cos_theta[None, :, None])
-        if self.frame is not None:
-            e1, e2, e3 = self.frame
-            local = tuple(e1[i] * local[0] + e2[i] * local[1] + e3[i] * local[2] for i in range(3))
-        return np.stack(np.broadcast_arrays(*local)).reshape(3, -1)
+    directions: np.ndarray
+    angular_weights: np.ndarray
 
     def points(self):
-        """(p, weights): every point of the rule, p (3, M) in the world frame."""
-        w = (self.r2_weights[:, None] * self.theta_weights) * self.phi_weight
-        return self._world(self.r), np.repeat(w.ravel(), self.cos_phi.size)
-
-    def directions(self):
-        """(d, weights): the angular factor of the rule.
-
-        d is (3, n_theta * n_phi), the unit directions in the world frame
-        (polar node slowest, azimuth fastest), and weights their polar
-        times azimuth weights, so the rule is the radial nodes r (weights
-        ``r2_weights``) times these directions: points r d.  An integrand
-        that depends on s only through |s| and a few projections s.a
-        can form each projection once per direction instead of once per
-        point.
-        """
-        d = self._world(np.ones(1))
-        return d, np.repeat(self.theta_weights * self.phi_weight, self.cos_phi.size)
+        """(p, weights): every point r d of the rule, p (3, M) in the world
+        frame, radial node slowest and azimuth fastest."""
+        p = self.r[:, None] * self.directions[:, None, :]
+        return p.reshape(3, -1), np.outer(self.r2_weights, self.angular_weights).ravel()
 
 
 def pairwise_sum(parts):
@@ -212,16 +183,17 @@ def spherical_rule(
     rad, wrad = panel_rule(radial_breaks, radial_orders)
     ct, wct = gauss_legendre(n_theta, -1.0, 1.0)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))[:, None]
+    d = (st * np.cos(phi), st * np.sin(phi), ct[:, None])
+    frame = None if axis is None else _axis_frame(axis)
+    if frame is not None:
+        e1, e2, e3 = frame
+        d = tuple(e1[i] * d[0] + e2[i] * d[1] + e3[i] * d[2] for i in range(3))
     return SphericalRule(
         r=rad,
         r2_weights=wrad * rad * rad,
-        cos_theta=ct,
-        sin_theta=np.sqrt(np.clip(1.0 - ct * ct, 0.0, None)),
-        theta_weights=wct,
-        cos_phi=np.cos(phi),
-        sin_phi=np.sin(phi),
-        phi_weight=2.0 * np.pi / n_phi,
-        frame=None if axis is None else _axis_frame(axis),
+        directions=np.stack(np.broadcast_arrays(*d)).reshape(3, -1),
+        angular_weights=np.repeat(wct * (2.0 * np.pi / n_phi), n_phi),
     )
 
 

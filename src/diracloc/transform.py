@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import BLOCK_POINTS, QuadratureError
+from .quadrature import BLOCK_POINTS, QuadratureError, node_doubling
 from .spinor import (
     MASS, SpinorLayout, bilinear_density, energy_xyz, fill_eigenspinor, spinor_layout,
 )
@@ -377,23 +377,19 @@ def log_slope(r: np.ndarray, rho: np.ndarray, r_lo: float, r_hi: float) -> float
 @dataclass(frozen=True)
 class RadialCurve:
     """rho_n on a uniform table, its norm, spread and P(|x| < R) at chosen
-    radii, with the differences between the trapezoid rules of step h and h/2.
+    radii, from the trapezoid rule of step h/2, certified against step h.
 
-    The values are those of the h/2 rule.  ``norm`` is 4 pi int r^2 rho
-    over the whole radius grid, which reaches ``TAIL_RADIUS`` beyond r_max
-    and pi ``MIN_NODES``/p_max = 20 pi/(n sigma_p), over 60 widths of the
-    state, so it leaves out less than e^(-40) of the mass; ``delta_x`` is
-    sqrt(4 pi int r^4 rho / norm) on it.  ``table_halving`` is the largest
-    table difference relative to rho(0), ``probability_halving`` the largest
-    difference of the norm, a probability, or delta_x relative to itself.
+    ``norm`` is 4 pi int r^2 rho over the whole radius grid, which
+    reaches ``TAIL_RADIUS`` beyond r_max and pi ``MIN_NODES``/p_max =
+    20 pi/(n sigma_p), over 60 widths of the state, so it leaves out
+    less than e^(-40) of the mass; ``delta_x`` is
+    sqrt(4 pi int r^4 rho / norm) on it.
     """
 
     rho: np.ndarray
     norm: float
     delta_x: float
     probabilities: tuple
-    table_halving: float
-    probability_halving: float
 
 
 def _fft_density(coeffs: np.ndarray, length: int, dr: float, direct: np.ndarray) -> np.ndarray:
@@ -416,8 +412,8 @@ def _fft_density(coeffs: np.ndarray, length: int, dr: float, direct: np.ndarray)
     return rho
 
 
-def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> tuple:
-    """(norm, Delta_x, [P(|x| < R) for R in ``radii``]) from rho at r_j = j dr, j = 0..M.
+def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> list:
+    """[norm, Delta_x, *(P(|x| < R) for R in ``radii``)] from rho at r_j = j dr, j = 0..M.
 
     The norm is the trapezoid sum of 4 pi r^2 rho over the whole grid,
     Delta_x^2 that of 4 pi r^4 rho over the norm.
@@ -436,9 +432,9 @@ def _fft_probabilities(rho: np.ndarray, dr: float, radii) -> tuple:
     q = (math.pi / (m * dr)) * np.arange(1, m + 1)
     norm = 4.0 * math.pi * dr * float(np.sum(r * x))
     spread2 = 4.0 * math.pi * dr * float(np.sum(r**3 * x))
-    return norm, math.sqrt(spread2 / norm), [
+    return [norm, math.sqrt(spread2 / norm), *(
         8.0 * math.pi * R * R / m * float(np.sum(t * _spherical_j01(q * R)[1])) for R in radii
-    ]
+    )]
 
 
 def radial_curve(
@@ -461,11 +457,12 @@ def radial_curve(
     rule whose transforms would exceed ``MAX_FFT_LENGTH`` points
     ``QuadratureError``, before anything is allocated.
 
-    Certified by halving h: the rule of step h is the even nodes of the
-    h/2 rule, so it costs no second kernel evaluation.  A table difference
-    beyond ``TABLE_TOL`` rho(0), or a difference of the norm or a
-    probability, or of Delta_x relative to Delta_x, beyond
-    ``PROBABILITY_TOL``, raises ``QuadratureError``.
+    Certified by halving h, one ``node_doubling`` call on the vector
+    [*table, norm, Delta_x, *probabilities]: the rule of step h is the
+    even nodes of the h/2 rule, so it costs no second kernel evaluation.
+    A table difference beyond ``TABLE_TOL`` rho(0), a difference of the
+    norm or a probability beyond ``PROBABILITY_TOL``, or of Delta_x
+    beyond ``PROBABILITY_TOL`` Delta_x, raises ``QuadratureError``.
     """
     check_sequence_index(n)
     if not profile.is_symmetric:
@@ -492,34 +489,21 @@ def radial_curve(
     fine = np.stack([k0 * p, k1, k1 * p]) * (0.5 * h)
     rows = int(min(5.0 / (n * profile.sigma_p), DIRECT_RADIUS) / dr) + 1
     direct = _trapezoid_sums(profile, n, dr * np.arange(rows), nodes, 0.5 * h)
-    rho_fine = _fft_density(fine, 4 * m, dr, direct[0])
-    rho_coarse = _fft_density(2.0 * fine[:, ::2], 2 * m, dr, direct[1])
     table = k * np.arange(r_count)
-    rho = rho_fine[table]
-    norm, delta_x, probabilities = _fft_probabilities(rho_fine, dr, radii)
-    norm_h, delta_x_h, probabilities_h = _fft_probabilities(rho_coarse, dr, radii)
-    curve = RadialCurve(
-        rho=rho,
-        norm=norm,
-        delta_x=delta_x,
-        probabilities=tuple(probabilities),
-        table_halving=float(np.max(np.abs(rho - rho_coarse[table])) / rho[0]),
-        probability_halving=max(abs(norm - norm_h), abs(delta_x - delta_x_h) / delta_x,
-                                *(abs(a - b) for a, b in zip(probabilities, probabilities_h))),
-    )
-    where = f"n = {n}, sigma_p = {profile.sigma_p:g}"
-    if not curve.table_halving <= TABLE_TOL:
-        raise QuadratureError(
-            f"{where}: the table moves by {curve.table_halving:.3e} rho(0) when the "
-            f"momentum step is halved, beyond {TABLE_TOL:g}"
-        )
-    if not curve.probability_halving <= PROBABILITY_TOL:
-        raise QuadratureError(
-            f"{where}: the norm, Delta_x or a probability moves by "
-            f"{curve.probability_halving:.3e} when the momentum step is halved, beyond "
-            f"{PROBABILITY_TOL:g}"
-        )
-    return curve
+    values = [np.concatenate([rho[table], _fft_probabilities(rho, dr, radii)])
+              for rho in (_fft_density(2.0 * fine[:, ::2], 2 * m, dr, direct[1]),
+                          _fft_density(fine, 4 * m, dr, direct[0]))]
+
+    def tol(value):
+        bound = np.full(value.size, PROBABILITY_TOL)
+        bound[:r_count] = TABLE_TOL * value[0]
+        bound[r_count + 1] *= value[r_count + 1]
+        return bound
+
+    value = node_doubling(lambda k: values[k - 1], tol, f"n = {n}, sigma_p = {profile.sigma_p:g}")
+    return RadialCurve(rho=value[:r_count], norm=float(value[r_count]),
+                       delta_x=float(value[r_count + 1]),
+                       probabilities=tuple(value[r_count + 2:].tolist()))
 
 
 def density_field(ps: PositionState) -> np.ndarray:

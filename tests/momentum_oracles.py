@@ -229,7 +229,7 @@ def pointwise_rn_integral(profile, n, p, q_operator="identity", spin=0.5):
 
     def evaluate(rule):
         real_sum = imag_sum = 0.0
-        step = max(1, BLOCK_POINTS // (rule.cos_theta.size * rule.cos_phi.size))
+        step = max(1, BLOCK_POINTS // rule.directions.shape[1])
         for lo in range(0, rule.r.size, step):
             part = replace(rule, r=rule.r[lo:lo + step], r2_weights=rule.r2_weights[lo:lo + step])
             s, weights = part.points()

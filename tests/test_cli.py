@@ -126,6 +126,17 @@ def test_invalid_value_is_config_error_before_output(tmp_path, capsys, command, 
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given", ["[label] spin = +0.5", "[overlap] spin2 = -"])
+def test_spin_is_spelled_up_or_down(tmp_path, capsys, given):
+    # one spelling per spin value: +0.5, 0.5, +, -0.5 and - are refused
+    section, entry = given.split(" ", 1)
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
+    cfg.write_text(f"{section}\n{entry}\n")
+    assert run(["overlap", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "must be one of up, down" in capsys.readouterr().err
+
+
 def test_write_outputs_reads_arrays_back_bit_for_bit(tmp_path):
     # a MomentSet holds ndarrays; JSON writes them as lists of reprs
     record = asdict(momentum_moments(make_state(a=(0.3, -0.1, 0.2), v=(0.2, 0.0, 0.1), n=2)))
@@ -233,8 +244,8 @@ class TestFigure1:
         assert run(["figure1", "--out", str(out), "--n", "5,200"]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "figure1: n = 5, sigma_p = 1: the table moves by" in err
-        assert "when the momentum step is halved, beyond 0" in err
+        assert "figure1: n = 5, sigma_p = 1: node-doubling disagreement" in err
+        assert "exceeds 0.0e+00" in err
 
     @pytest.mark.parametrize("sigma_p, n_list", [
         (0.5, "1"),  # a broad state: the old tail fit read norm 1.000169

@@ -663,6 +663,14 @@ class TestMomentumMoments:
         expected = math.sqrt(1.5 / sigma_p**2 + 0.75)  # w = sigma_p^2 at n = 1
         assert abs(m.delta_x / expected - 1.0) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    def test_broad_envelope_spread_is_finite(self):
+        # at n sigma_p = 2^255 the far radial nodes have E^4 beyond the largest
+        # double, so 1/(4E^4) is formed as (1/(2E^2))^2.  There E = |p|, S =
+        # 1/p^2 and <1/p^2> = 2/w, so Delta_x^2 = 3/(2w) + 2/w = 3.5/w
+        m = momentum_moments(make_state(n=1, sigma_p=2.0**255))
+        assert abs(m.delta_x / (math.sqrt(3.5) * 2.0**-255) - 1.0) <= 1e-14
+
 
 Q_MATRICES = {"identity": I4, "alpha1": ALPHA[0], "alpha2": ALPHA[1], "alpha3": ALPHA[2]}
 

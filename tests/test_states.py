@@ -10,7 +10,8 @@ from scipy.special import chdtri, erfc
 from diracloc.dynamics import NRPacketParams
 from diracloc.observables import convolution_Rn
 from diracloc.quadrature import (
-    BLOCK_POINTS, QuadratureError, node_doubling, panel_rule, spherical_rule,
+    BLOCK_POINTS, QuadratureError, _axis_frame, gauss_legendre, node_doubling, panel_rule,
+    spherical_rule,
 )
 from diracloc.spinor import SPIN_DOWN, SPIN_UP, positive_projector, pryce_spin3
 from diracloc.states import (
@@ -59,19 +60,23 @@ def root_found_tail_radius(eps):
     return brentq(outside, 0.0, 30.0, xtol=1e-15)
 
 
-def outer_product_points(rule):
+def outer_product_points(rule, n_theta, n_phi, axis):
     """(p (3, M), weights) of every point of ``rule`` in its order (radial
-    node slowest, azimuth fastest), built at once from the factor rules."""
-    r = rule.r[:, None, None]
-    r_sin = r * rule.sin_theta[None, :, None]
-    x = r_sin * rule.cos_phi[None, None, :]
-    y = r_sin * rule.sin_phi[None, None, :]
-    z = np.broadcast_to(r * rule.cos_theta[None, :, None], x.shape)
-    if rule.frame is not None:
-        e1, e2, e3 = rule.frame
+    node slowest, azimuth fastest), built by hand: the unit directions from
+    the polar and azimuth rules, turned by the rule frame, then scaled by r."""
+    ct, wct = gauss_legendre(n_theta, -1.0, 1.0)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))[:, None]
+    x, y = st * np.cos(phi), st * np.sin(phi)
+    z = np.broadcast_to(ct[:, None], x.shape)
+    frame = None if axis is None else _axis_frame(axis)
+    if frame is not None:
+        e1, e2, e3 = frame
         x, y, z = (e1[i] * x + e2[i] * y + e3[i] * z for i in range(3))
-    w = rule.r2_weights[:, None, None] * rule.theta_weights[None, :, None] * rule.phi_weight
-    return np.stack([a.ravel() for a in (x, y, z)]), np.broadcast_to(w, x.shape).ravel()
+    r = rule.r[:, None, None]
+    w = rule.r2_weights[:, None, None] * (wct * (2.0 * np.pi / n_phi))[None, :, None]
+    shape = (rule.r.size, n_theta, n_phi)
+    return np.stack([(r * c).ravel() for c in (x, y, z)]), np.broadcast_to(w, shape).ravel()
 
 
 class TestGaussianProfile:
@@ -177,15 +182,18 @@ class TestBoostedProfile:
     @pytest.mark.parametrize("v", [(0.3, -0.2, 0.4), (0.0, 0.7, 0.1), (-0.5, 0.0, 0.0)])
     def test_quadrature_is_the_hand_rotated_rule(self, v):
         # the rule frame: e3 the centre's direction, e1 = (e3_y, -e3_x, 0)
-        # normalized and e2 = e3 x e1, applied per coordinate to the z-axis rule
+        # normalized and e2 = e3 x e1, applied per coordinate to the z-axis
+        # rule's directions
         prof = boosted_gaussian_profile(v)
         cut = prof.cutoff()
         rule = spherical_rule((0.0, min(4.0, 0.5 * cut), cut), (128, 128), 64, 2)
-        plain, weights = rule.points()
+        plain, weights = rule.directions, rule.points()[1]
         e3 = np.asarray(prof.center) / np.linalg.norm(prof.center)
         e1 = np.array([e3[1], -e3[0], 0.0]) / np.hypot(e3[0], e3[1])
         e2 = np.cross(e3, e1)
-        x, y, z = (e1[i] * plain[0] + e2[i] * plain[1] + e3[i] * plain[2] for i in range(3))
+        # turn the directions, then scale them by r
+        x, y, z = ((rule.r[:, None] * (e1[i] * plain[0] + e2[i] * plain[1] + e3[i] * plain[2]))
+                   .ravel() for i in range(3))
         # the shared density, weights times A^2 exp(-|p - k|^2 / sigma_p^2), spelled by hand
         kx, ky, kz = prof.center
         q2 = (x - kx) ** 2 + (y - ky) ** 2 + (z - kz) ** 2
@@ -384,7 +392,7 @@ class TestRuleAxis:
     ], ids=["z-axis", "turned", "7x5x3", "200x200"])
     def test_points_are_the_outer_product(self, breaks, orders, n_theta, n_phi, axis):
         rule = spherical_rule(breaks, orders, n_theta, n_phi, axis)
-        for got, expected in zip(rule.points(), outer_product_points(rule)):
+        for got, expected in zip(rule.points(), outer_product_points(rule, n_theta, n_phi, axis)):
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("axis", [None, (0.3, -0.2, 0.4)])
@@ -392,13 +400,12 @@ class TestRuleAxis:
         # the points are r d and the weights r2_weights times the angular ones
         rule = spherical_rule(self.BREAKS, self.ORDERS, 12, 8, axis)
         points, point_weights = rule.points()
-        d, angular = rule.directions()
+        d, angular = rule.directions, rule.angular_weights
         assert d.shape == (3, 96) and angular.shape == (96,)
         assert np.abs(np.linalg.norm(d, axis=0) - 1.0).max() <= 4e-16
         for got, expected in zip(rule.r[:, None] * d[:, None, :], points):
-            assert np.abs(got.ravel() - expected).max() <= 1e-14 * rule.r.max()
-        weights = (rule.r2_weights[:, None] * angular).ravel()
-        assert np.abs(weights - point_weights).max() <= 4e-16 * point_weights.max()
+            assert np.array_equal(got.ravel(), expected)
+        assert np.array_equal((rule.r2_weights[:, None] * angular).ravel(), point_weights)
 
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -244,18 +244,21 @@ class TestRadialCurve:
         assert abs(curve.norm - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("n, sigma_p", [(5, 1.0), (64, 2.0), (100, 2.0), (5, 50.0)])
-    def test_probability_matches_two_panel_oracle(self, n, sigma_p):
+    def test_probability_matches_two_panel_oracle(self, n, sigma_p, monkeypatch):
+        # certified with the step-halving bounds cut to 1e-14
+        monkeypatch.setattr(transform, "TABLE_TOL", 1e-14)
+        monkeypatch.setattr(transform, "PROBABILITY_TOL", 1e-14)
         profile = gaussian_profile(sigma_p)
         curve = radial_curve(profile, n, 6.0, 601, (1.0,))
         expected = two_panel_probability(profile, n, 1.0)
         assert curve.probabilities[0] == pytest.approx(expected, rel=1e-12)
-        assert curve.table_halving <= 1e-14 and curve.probability_halving <= 1e-14
 
     def test_halving_catches_an_aliased_rule(self, plain_profile, monkeypatch):
         # with no tail margin the rule's images reach back onto the table
         monkeypatch.setattr(transform, "TAIL_RADIUS", 0.0)
         monkeypatch.setattr(transform, "MIN_NODES", 1)
-        with pytest.raises(QuadratureError, match="momentum step is halved"):
+        with pytest.raises(QuadratureError,
+                           match="^n = 5, sigma_p = 1: node-doubling disagreement"):
             radial_curve(plain_profile, 5, 6.0, 601)
 
     def test_oversized_rule_refused_before_allocating(self):
